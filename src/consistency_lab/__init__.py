@@ -2,6 +2,9 @@
 
 __version__ = "0.1.0"
 
+# No computation calls ``quadrature``; it is loaded with the package because the
+# benchmark's traced run (bench/tracing.py) looks up ``quadrature.integrate``.
+from . import quadrature
 from .distances import (
     HullDistanceResult,
     Test,

@@ -15,7 +15,6 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ValidationError
-from .quadrature import integrate, oscillation_depth
 
 #: Tolerance for probability sums produced by exact arithmetic.
 EXACT_TOL = 1e-12
@@ -199,21 +198,16 @@ class DensitySpec:
             raise ValidationError(f"cell ({lo}, {hi}] not inside (0, 1)")
         return float(self.cdf(hi) - self.cdf(lo))
 
-    @property
-    def max_frequency(self) -> int:
-        """Highest oscillation frequency present in the density."""
+    def series(self):
+        """``(below, above, terms)`` with the density equal to ``below`` on (0, 1/2]
+        and ``above`` on (1/2, 1), plus ``sum(c * sin(2 pi j x))`` over ``terms = {j: c}``."""
         if self.kind == "one_plus_sine":
-            return self.frequency
+            return 1.0, 1.0, {self.frequency: 1.0}
         if self.kind == "cesaro_mixture":
-            return self.order
+            return 1.0, 1.0, dict.fromkeys(range(1, self.order + 1), 1.0 / self.order)
         if self.kind == "pu_family":
-            return 1  # one jump at 1/2
-        return 0
-
-    def mass_quadrature(self, lo: float, hi: float, tol: float = 1e-10) -> float:
-        """Cell mass by adaptive Simpson integration; cross-check of :meth:`mass`."""
-        depth = oscillation_depth(self.max_frequency * (hi - lo))
-        return integrate(lambda t: float(self.pdf(t)), lo, hi, tol=tol, min_depth=depth)
+            return 1.0 - self.u, 1.0 + self.u, {}
+        return 1.0, 1.0, {}
 
     def quantile(self, v):
         """Inverse distribution function, vectorized.

@@ -148,15 +148,20 @@ def build_frequency_test(report: SeparationReport, n: int) -> FrequencyTest:
 
 
 def count_vectors(n: int, k: int) -> np.ndarray:
-    """All length-``k`` nonnegative integer vectors summing to ``n``."""
-    if k == 1:
-        return np.array([[n]], dtype=np.int64)
-    blocks = []
-    for first in range(n + 1):
-        rest = count_vectors(n - first, k - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        blocks.append(np.hstack([col, rest]))
-    return np.vstack(blocks)
+    """All length-``k`` nonnegative integer vectors summing to ``n``, in lexicographic order.
+
+    Built one column at a time: each partial row with ``r`` left to place has
+    ``r + 1`` children, taking ``0, ..., r`` in the next column in that order.
+    """
+    rows = np.zeros((1, 0), dtype=np.int64)
+    left = np.array([n], dtype=np.int64)
+    for _ in range(k - 1):
+        parent = np.repeat(np.arange(left.size), left + 1)
+        starts = np.cumsum(left + 1) - (left + 1)
+        value = np.arange(parent.size, dtype=np.int64) - starts[parent]
+        rows = np.column_stack([rows[parent], value])
+        left = left[parent] - value
+    return np.column_stack([rows, left])
 
 
 def multinomial_log_pmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Adaptive Simpson quadrature with a certified absolute tolerance."""
+"""Adaptive Simpson quadrature with a certified absolute tolerance.
+
+No computation of the package calls it; the tests use it as an oracle.
+"""
 from __future__ import annotations
 
 from typing import Callable
@@ -57,10 +60,3 @@ def integrate(
     m, fm, whole = _simpson(f, a, fa, b, fb)
     return _adaptive(f, a, fa, b, fb, m, fm, whole, tol, 0, min_depth)
 
-
-def oscillation_depth(cycles: float) -> int:
-    """Bisection depth that resolves ``cycles`` full oscillations on the interval."""
-    depth = 3
-    while (1 << depth) < 8.0 * max(1.0, cycles):
-        depth += 1
-    return depth

@@ -341,9 +341,7 @@ def scenario_nested_alternatives(
             k_grid=tuple(int(k) for k in k_grid),
         ),
     )
-    family, derived_exponents, onsets = build_nested_family(
-        hypothesis, measures, exponents
-    )
+    _, derived_exponents, onsets = build_nested_family(hypothesis, measures, exponents)
     scenario.schedule = {"exponents": derived_exponents, "onsets": onsets}
     return scenario
 
@@ -489,7 +487,6 @@ def build_nested_family(
     members = []
     family_exponents = []
     family_onsets = []
-    hyp_vectors = np.stack([m.weights for m in hypothesis])
     for i in range(1, len(pieces) + 1):
         test = piece_tests[0] if i == 1 else UnionTest(piece_tests[:i])
         c_i = min(piece_exponents[:i])

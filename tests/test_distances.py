@@ -1,11 +1,13 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.distances import (
+    critical_points,
     density_total_variation,
     hull_variation,
     kraft_bound,
@@ -16,6 +18,7 @@ from consistency_lab.distances import (
 from consistency_lab.distances import Test as OneShotTest
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, discretize, mixture, normalize
+from quadrature_oracle import density_total_variation_quadrature
 
 
 def F(*weights):
@@ -265,3 +268,61 @@ def test_density_total_variation_matches_discrete_limit():
     disc = total_variation(discretize(spec, 64), discretize(DensitySpec.uniform(), 64))
     assert abs(exact - 0.2) < 1e-10
     assert abs(disc - exact) < 1e-10  # piecewise-constant density: grid is exact
+
+
+# -- exact density distances from the critical points of the CDF gap ---------------
+
+ORACLE_PAIRS = [
+    (DensitySpec.cesaro_mixture(64), DensitySpec.uniform()),
+    (DensitySpec.one_plus_sine(3), DensitySpec.one_plus_sine(7)),
+    (DensitySpec.cesaro_mixture(5), DensitySpec.one_plus_sine(2)),
+    (DensitySpec.pu_family(0.4), DensitySpec.one_plus_sine(3)),  # jump and sines mix
+    (DensitySpec.pu_family(0.0), DensitySpec.uniform()),  # flat gap
+]
+
+
+@pytest.mark.parametrize("p, q", ORACLE_PAIRS, ids=lambda s: s.label())
+def test_density_distances_against_independent_oracles(p, q):
+    tv = density_total_variation(p, q)
+    assert abs(tv - density_total_variation_quadrature(p, q)) < 1e-9
+    # The gap's slope is bounded by sum(2 pi j |c_j|) < 210 for these pairs and 1/2
+    # is a grid node, so the grid maximum is within 3e-11 of the supremum.
+    x = np.linspace(0.0, 1.0, (1 << 20) + 1)
+    assert abs(ks_distance(p, q) - np.abs(p.cdf(x) - q.cdf(x)).max()) < 1e-9
+
+
+@pytest.mark.parametrize("i", [1, 2, 3, 7, 32])
+def test_sine_gap_sign_changes_are_all_found(i):
+    # f - 1 = sin(2 pi i x) changes sign exactly at k / (2i), k = 0, ..., 2i - 1
+    points = critical_points(DensitySpec.one_plus_sine(i), DensitySpec.uniform())
+    inside = points[points < 1.0]
+    assert inside.size == 2 * i
+    assert_allclose(inside, np.arange(2 * i) / (2 * i), rtol=0, atol=1e-12)
+
+
+def test_cesaro_gap_sign_changes_are_all_found():
+    # sum_{j<=m} sin(2 pi j x) = sin(pi m x) sin(pi (m+1) x) / sin(pi x): roots k/m and k/(m+1)
+    m = 64
+    points = critical_points(DensitySpec.cesaro_mixture(m), DensitySpec.uniform())
+    roots = np.union1d(np.arange(1, m) / m, np.arange(1, m + 1) / (m + 1))
+    assert roots.size == 2 * m - 1
+    assert_allclose(points, np.concatenate([[0.0], roots, [1.0]]), rtol=0, atol=1e-12)
+
+
+def test_density_distances_validate_and_are_fast():
+    with pytest.raises(ValidationError):
+        ks_distance(DensitySpec.uniform(), FiniteMeasure([0.5, 0.5]))
+
+    def best_of_three(fn):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            fn()
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    uniform = DensitySpec.uniform()
+    assert best_of_three(lambda: ks_distance(DensitySpec.pu_family(0.0), uniform)) < 0.01
+    assert best_of_three(
+        lambda: density_total_variation(DensitySpec.cesaro_mixture(64), uniform)
+    ) < 0.1

@@ -117,6 +117,27 @@ def test_count_vectors_and_pmf():
     assert_allclose(pmf, [0.125, 0.375, 0.375, 0.125])
 
 
+def _count_vectors_recursive(n, k):
+    """The recursive enumeration the iterative one replaced: first entry, then the rest."""
+    if k == 1:
+        return np.array([[n]], dtype=np.int64)
+    blocks = []
+    for first in range(n + 1):
+        rest = _count_vectors_recursive(n - first, k - 1)
+        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
+        blocks.append(np.hstack([col, rest]))
+    return np.vstack(blocks)
+
+
+def test_count_vectors_matches_recursive_lexicographic_order():
+    for n in range(13):
+        for k in range(1, 5):
+            got = count_vectors(n, k)
+            want = _count_vectors_recursive(n, k)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want), (n, k)
+
+
 def test_exact_error_binomial_hand_example():
     rep = separation([F(0.5, 0.5)], [F(1, 0)], Partition.identity(2))
     test = build_frequency_test(rep, 2)
