@@ -26,7 +26,7 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .scenarios import Scenario, nested_schedule, run_scenario, scenario_from_dict
+from .scenarios import Scenario, run_scenario, scenario_from_dict
 
 
 @dataclass
@@ -162,9 +162,10 @@ def cmd_simulate(scenario: Scenario, config: RunConfig) -> int:
 
 
 def cmd_schedule(scenario: Scenario, config: RunConfig) -> int:
+    if scenario.model_type != "finite":
+        raise ValidationError("schedules require finite-alphabet scenarios")
     if scenario.schedule is None:
         scenario.schedule = {"exponents": [], "onsets": []}  # derive certificates
-    schedule = nested_schedule(scenario)
     manifest = _manifest(scenario, config, "schedule")
     run = run_scenario(
         scenario,
@@ -172,8 +173,6 @@ def cmd_schedule(scenario: Scenario, config: RunConfig) -> int:
         replications=config.replications,
         workers=config.workers,
     )
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(config.out_dir / "schedule.json", schedule.to_json_dict())
     _write_tables(run, config.out_dir, manifest, config.plots)
     print(f"wrote schedule and discernibility curve to {config.out_dir}")
     return 0

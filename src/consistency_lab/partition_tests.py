@@ -95,16 +95,29 @@ class FrequencyTest:
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Decision for each row of count vectors: 1.0 reject, 0.0 accept."""
-        counts = np.atleast_2d(np.asarray(counts, dtype=float))
-        totals = counts.sum(axis=1, keepdims=True)
-        freq = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
-        d0 = np.abs(freq[:, None, :] - self.hypothesis_vectors[None, :, :]).max(axis=2).min(axis=1)
-        d1 = np.abs(freq[:, None, :] - self.alternative_vectors[None, :, :]).max(axis=2).min(axis=1)
+        # One row per cell, so that every reduction below runs over the
+        # leading axis: elementwise operations on contiguous rows.
+        cells = np.asarray(np.atleast_2d(counts).T, dtype=float, order="C")
+        totals = cells.sum(axis=0)
+        freq = np.divide(cells, totals, out=np.zeros_like(cells), where=totals > 0)
+        d0 = _nearest_distance(freq, self.hypothesis_vectors)
+        d1 = _nearest_distance(freq, self.alternative_vectors)
         return (d1 < d0 - TIE_TOL).astype(float)
 
     def decide(self, counts) -> bool:
         """True when the single count vector is rejected."""
         return bool(self.rejects(np.asarray(counts, dtype=float))[0] > 0.5)
+
+
+def _nearest_distance(freq: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Sup-norm distance from each column of ``freq`` (k, N) to its nearest row of ``vectors``.
+
+    One vector at a time keeps every intermediate at the size of ``freq``.
+    """
+    nearest = np.full(freq.shape[1], np.inf)
+    for v in vectors:
+        np.minimum(nearest, np.abs(freq - v[:, None]).max(axis=0), out=nearest)
+    return nearest
 
 
 class UnionTest:

@@ -33,7 +33,7 @@ from .measures import (
     discretize,
 )
 from .partition_tests import (
-    UnionTest,
+    FrequencyTest,
     build_frequency_test,
     error_exponent,
     exact_error,
@@ -458,25 +458,27 @@ def build_nested_family(
 ) -> tuple[TestFamily, list[float], list[int]]:
     """Certified test family for the nested unions of alternative pieces.
 
-    Member ``i`` tests the hypothesis against pieces ``1..i`` with a union of
-    nearest-set frequency tests. Its exponent is half the smallest piece
-    exponent among the covered pieces; its onset is the first grid sample size
-    at which exact enumeration confirms all covered error probabilities sit
-    below the certified bound. Raises ``ConstructionError`` (naming the piece)
-    on a zero separation margin or an unverifiable bound.
+    Member ``i`` tests the hypothesis against pieces ``1..i`` with one
+    nearest-set frequency test on the stacked piece vectors. It rejects exactly
+    when one of the per-piece tests would, since the nearest piece is nearer
+    than the hypothesis set iff some piece is. Its exponent is half the
+    smallest piece exponent among the covered pieces; its onset is the first
+    grid sample size at which exact enumeration confirms all covered error
+    probabilities sit below the certified bound. Raises ``ConstructionError``
+    (naming the piece) on a zero separation margin or an unverifiable bound.
     """
     if len(pieces) == 0:
         raise ValidationError("at least one piece required")
     alphabet = hypothesis[0].alphabet_size
     identity = Partition.identity(alphabet)
-    piece_tests = []
+    piece_vectors = []
     piece_exponents = []
     supplied = list(exponents) if exponents is not None else [None] * len(pieces)
     for index, piece in enumerate(pieces, start=1):
         report = separation(hypothesis, [piece], identity)
         if report.margin <= 0.0:
             raise ConstructionError(f"piece {index} has zero separation margin")
-        piece_tests.append(build_frequency_test(report, 1))
+        piece_vectors.append(report.alternative_vectors[0])
         if supplied[index - 1] is not None:
             piece_exponents.append(float(supplied[index - 1]))
         else:
@@ -488,7 +490,7 @@ def build_nested_family(
     family_exponents = []
     family_onsets = []
     for i in range(1, len(pieces) + 1):
-        test = piece_tests[0] if i == 1 else UnionTest(piece_tests[:i])
+        test = FrequencyTest(identity, report.hypothesis_vectors, piece_vectors[:i], 1)
         c_i = min(piece_exponents[:i])
         if onsets is not None:
             onset = int(onsets[i - 1])
@@ -621,7 +623,7 @@ def run_scenario(
         if scenario.partition is not None and scenario.sim.n_grid:
             tables["errors"] = _error_curve_table(scenario, reps, streams, workers)
     if scenario.model_type == "finite":
-        if scenario.schedule is not None and scenario.sim.n_grid:
+        if scenario.schedule is not None:
             schedule = nested_schedule(scenario, n_max=n_max)
             reports["schedule"] = schedule.to_json_dict()
             tables["discernibility"] = _discernibility_table(

@@ -22,6 +22,9 @@ from .measures import DensitySpec, FiniteMeasure, Partition
 ERROR_BLOCK = 8192
 #: Sample paths per RNG block in discernibility runs.
 PATH_BLOCK = 250
+#: Sample sizes replayed per vectorized decision: at PATH_BLOCK paths this
+#: keeps the prefix counts and distance arrays of one segment near 1 MiB.
+PATH_SEGMENT = 64
 #: Stream stride reserved for one simulation task (blocks fit underneath).
 TASK_STRIDE = 1 << 20
 
@@ -176,20 +179,27 @@ def wilson_interval(estimate: float, replications: int, z: float = 1.95996398454
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _cell_lookup(test, model):
-    """How to turn raw draws into the count vectors a frequency test consumes."""
-    partition = getattr(test, "partition", None)
+def _bin_draws(model, partition, uniforms: np.ndarray):
+    """Cell index of the draw behind every uniform, and the number of cells.
+
+    Densities invert their distribution function and bin on an interval
+    partition; finite measures bin atoms through an atom partition, or count
+    atoms as cells when there is none.
+    """
     if isinstance(model, DensitySpec):
         if partition is None or partition.kind != "intervals":
-            raise ValidationError("density sampling needs a test built on an interval partition")
-        return np.array([hi for _, hi in partition.cells])
-    if partition is not None and partition.kind == "atoms":
-        atom_to_cell = np.zeros(partition.alphabet_size, dtype=np.int64)
-        for cell, group in enumerate(partition.cells):
-            for atom in group:
-                atom_to_cell[atom] = cell
-        return atom_to_cell
-    return None
+            raise ValidationError("density sampling needs an interval partition")
+        his = np.array([hi for _, hi in partition.cells])
+        return np.searchsorted(his, model.quantile(uniforms), side="left"), partition.k
+    if not isinstance(model, FiniteMeasure):
+        raise ValidationError(f"cannot bin draws from {type(model).__name__}")
+    atoms = _finite_atoms(model, uniforms)
+    if partition is None or partition.kind != "atoms":
+        return atoms, model.alphabet_size
+    atom_to_cell = np.zeros(partition.alphabet_size, dtype=np.int64)
+    for cell, group in enumerate(partition.cells):
+        atom_to_cell[list(group)] = cell
+    return atom_to_cell[atoms], partition.k
 
 
 def _counts_from_atoms(atoms: np.ndarray, k: int) -> np.ndarray:
@@ -217,17 +227,8 @@ def _simulate_error_block(args) -> float:
         else:
             reject = test.rejects(counts)
     else:
-        lookup = _cell_lookup(test, model)
-        if isinstance(model, DensitySpec):
-            draws = model.quantile(gen.random((size, n)))
-            cells = np.searchsorted(lookup, draws, side="left")
-            k = lookup.size
-        else:
-            cells = _finite_atoms(model, gen.random((size, n)))
-            k = model.alphabet_size
-            if lookup is not None:
-                cells = lookup[cells]
-                k = int(lookup.max()) + 1
+        partition = getattr(test, "partition", None)
+        cells, k = _bin_draws(model, partition, gen.random((size, n)))
         reject = test.rejects(_counts_from_atoms(cells, k))
     if count_kind == "accept":
         reject = 1.0 - np.asarray(reject, dtype=float)
@@ -315,37 +316,41 @@ class DiscernibilityCurve:
     model_label: str
 
 
-def _simulate_path_block(args) -> np.ndarray:
-    schedule, model, partition, n_max, k_grid, role, size, rng = args
-    gen = rng.generator()
-    if isinstance(model, FiniteMeasure):
-        cells = _finite_atoms(model, gen.random((size, n_max)))
-        k = model.alphabet_size
-        if partition is not None and partition.kind == "atoms":
-            lookup = np.zeros(partition.alphabet_size, dtype=np.int64)
-            for cell, group in enumerate(partition.cells):
-                for atom in group:
-                    lookup[atom] = cell
-            cells = lookup[cells]
-            k = partition.k
-    elif isinstance(model, DensitySpec):
-        if partition is None or partition.kind != "intervals":
-            raise ValidationError("density paths need an interval partition")
-        his = np.array([hi for _, hi in partition.cells])
-        cells = np.searchsorted(his, model.quantile(gen.random((size, n_max))), side="left")
-        k = partition.k
-    else:
-        raise ValidationError(f"cannot grow sample paths from {type(model).__name__}")
+def _constant_segments(schedule, n_max: int) -> list:
+    """Runs ``(lo, hi, test)``: ``schedule.test_at(n)`` is ``test`` for ``lo < n <= hi``.
 
-    counts = np.zeros((size, k), dtype=np.int64)
-    rows = np.arange(size)
+    A run ends where the schedule hands out another object, or after
+    ``PATH_SEGMENT`` sample sizes. Block-constant builders give long runs;
+    builders that make a new test per ``n`` give runs of length 1.
+    """
+    segments = []
+    lo, test = 0, schedule.test_at(1)
+    for n in range(2, n_max + 1):
+        current = schedule.test_at(n)
+        if current is not test or n - 1 - lo == PATH_SEGMENT:
+            segments.append((lo, n - 1, test))
+            lo, test = n - 1, current
+    segments.append((lo, n_max, test))
+    return segments
+
+
+def _simulate_path_block(args) -> np.ndarray:
+    segments, model, partition, n_max, k_grid, role, size, rng = args
+    cells, k = _bin_draws(model, partition, rng.generator().random((size, n_max)))
+    one_hot = np.arange(k)[:, None, None]
+    counts = np.zeros((k, size, 1), dtype=np.int64)
     last_error = np.zeros(size, dtype=np.int64)
-    for n in range(1, n_max + 1):
-        counts[rows, cells[:, n - 1]] += 1
-        rejected = np.asarray(schedule.test_at(n).rejects(counts)) > 0.5
+    for lo, hi, test in segments:
+        # Counts of every prefix n = lo+1..hi, one (path, n) plane per cell:
+        # the running counts plus the cumulative one-hot of draws lo..hi-1.
+        prefix = np.cumsum(cells[None, :, lo:hi] == one_hot, axis=2)
+        prefix += counts
+        counts = prefix[:, :, -1:]
+        rejected = test.rejects(prefix.reshape(k, -1).T).reshape(size, hi - lo) > 0.5
         errors = rejected if role == "hypothesis" else ~rejected
-        last_error[errors] = n
-    return np.array([(last_error > k).sum() for k in k_grid], dtype=np.int64)
+        erred = errors.any(axis=1)
+        last_error[erred] = hi - np.argmax(errors[erred, ::-1], axis=1)
+    return np.array([(last_error > after).sum() for after in k_grid], dtype=np.int64)
 
 
 def discernibility_paths(
@@ -367,7 +372,9 @@ def discernibility_paths(
     hypothesis model (``role="hypothesis"``) or an acceptance under an
     alternative model (``role="alternative"``). The curve at ``k`` is the
     fraction of paths erring at some ``n`` in ``(k, n_max]``, which is
-    non-increasing in ``k`` by construction.
+    non-increasing in ``k`` by construction. All prefixes of a run of one
+    test object are decided in one call, with the draws and decisions of a
+    per-``n`` loop.
     """
     if role not in ("hypothesis", "alternative"):
         raise ValidationError("role must be 'hypothesis' or 'alternative'")
@@ -378,9 +385,10 @@ def discernibility_paths(
     ks = tuple(int(k) for k in k_grid)
     if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")
+    segments = _constant_segments(schedule, n_max)
     sizes = _block_sizes(replications, PATH_BLOCK)
     tasks = [
-        (schedule, model, partition, n_max, ks, role, size, rng.block(b))
+        (segments, model, partition, n_max, ks, role, size, rng.block(b))
         for b, size in enumerate(sizes)
     ]
     counts = _map_blocks(_simulate_path_block, tasks, workers)

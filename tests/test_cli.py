@@ -218,6 +218,56 @@ def test_schedule_nmax_below_first_boundary_exit_one(tmp_path, capsys):
     assert "first block boundary" in capsys.readouterr().err
 
 
+def _nested_without_grid(tmp_path) -> Path:
+    """Finite nested scenario with neither ``sim.n_grid`` nor stored certificates."""
+    data = {
+        "name": "nested-no-grid",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.5, 0.5]}],
+        "alternative": [{"weights": [0.9, 0.1]}, {"weights": [0.1, 0.9]}],
+        "sim": {"replications": 200},
+    }
+    path = tmp_path / "no-grid.json"
+    path.write_text(dumps_canonical(data))
+    return path
+
+
+def test_schedule_without_n_grid_runs_to_default_horizon(tmp_path):
+    out_dir = tmp_path / "o"
+    code = main(["schedule", "--scenario", str(_nested_without_grid(tmp_path)),
+                 "--out", str(out_dir)])
+    assert code == 0
+    schedule = json.loads((out_dir / "schedule.json").read_text())
+    assert schedule["n_max"] == 1024  # nested_schedule's default horizon
+    rows = (out_dir / "discernibility.csv").read_text().splitlines()
+    assert rows[-1].startswith("1024,")
+
+
+def test_schedule_builds_the_family_once(tmp_path, monkeypatch):
+    import consistency_lab.scenarios as scenarios
+
+    calls = []
+    original = scenarios.build_nested_family
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "build_nested_family", counting)
+    code = main(["schedule", "--scenario", str(_nested_without_grid(tmp_path)),
+                 "--out", str(tmp_path / "o")])
+    assert code == 0
+    assert len(calls) == 1
+
+
+def test_schedule_rejects_density_scenario(scenario_file, tmp_path, capsys):
+    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
+    code = main(["schedule", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "finite-alphabet" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_workers_env_fallback(scenario_file, tmp_path, monkeypatch):
     path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
     monkeypatch.setenv("CONSISTENCY_LAB_WORKERS", "2")

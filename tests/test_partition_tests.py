@@ -106,6 +106,54 @@ def test_union_test_rejects_when_any_member_does():
     assert union.decide([4, 4]) is False
 
 
+def _broadcast_rejects(test, counts):
+    """Nearest-set decisions with one (rows, vectors, cells) array per set."""
+    counts = np.atleast_2d(np.asarray(counts, dtype=float))
+    totals = counts.sum(axis=1, keepdims=True)
+    freq = np.divide(counts, totals, out=np.zeros_like(counts), where=totals > 0)
+    d0 = np.abs(freq[:, None, :] - test.hypothesis_vectors[None]).max(axis=2).min(axis=1)
+    d1 = np.abs(freq[:, None, :] - test.alternative_vectors[None]).max(axis=2).min(axis=1)
+    return (d1 < d0 - 1e-12).astype(float)
+
+
+def test_rejects_matches_broadcast_reference():
+    rng = np.random.default_rng(89)
+    for k in (2, 3, 5):
+        lattice = count_vectors(4, k) / 4.0  # ties with frequencies j/n
+        for sets in (
+            (lattice[:2], lattice[2:5]),
+            (rng.dirichlet(np.ones(k), 3), rng.dirichlet(np.ones(k), 4)),
+        ):
+            test = FrequencyTest(None, sets[0], sets[1], 1)
+            rows = [count_vectors(n, k) for n in range(0, 13)]
+            rows.append(rng.integers(0, 40, size=(500, k)))
+            for counts in rows:
+                assert np.array_equal(test.rejects(counts), _broadcast_rejects(test, counts))
+                assert np.array_equal(test.rejects(counts.T.copy().T),
+                                      _broadcast_rejects(test, counts))
+
+
+def test_stacked_frequency_test_equals_union_of_singletons():
+    rng = np.random.default_rng(79)
+    ties = 0
+    for k in (2, 3, 4):
+        # Vectors on the 1/4 lattice: frequencies j/n hit exact ties with them.
+        lattice = count_vectors(4, k) / 4.0
+        for _ in range(4):
+            pick = rng.choice(len(lattice), size=5, replace=False)
+            hypothesis, pieces = lattice[pick[:2]], lattice[pick[2:]]
+            stacked = FrequencyTest(None, hypothesis, pieces, 1)
+            union = UnionTest([FrequencyTest(None, hypothesis, [q], 1) for q in pieces])
+            for n in range(1, 17):
+                outcomes = count_vectors(n, k)
+                assert np.array_equal(stacked.rejects(outcomes), union.rejects(outcomes))
+                freq = outcomes / n
+                d0 = np.abs(freq[:, None, :] - hypothesis).max(axis=2).min(axis=1)
+                d1 = np.abs(freq[:, None, :] - pieces).max(axis=2).min(axis=1)
+                ties += int((d0 == d1).sum())
+    assert ties > 0
+
+
 # -- exact error ---------------------------------------------------------------------
 
 

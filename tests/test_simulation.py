@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,9 +7,21 @@ from numpy.testing import assert_allclose
 
 from consistency_lab.errors import ResourceLimitError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition
-from consistency_lab.partition_tests import build_frequency_test, exact_error, separation
-from consistency_lab.scheduler import TestFamily, TestFamilyMember, interleave
+from consistency_lab.partition_tests import (
+    FrequencyTest,
+    build_frequency_test,
+    exact_error,
+    separation,
+)
+from consistency_lab.scenarios import (
+    ConstantTestBuilder,
+    nested_schedule,
+    scenario_nested_alternatives,
+)
+from consistency_lab.scheduler import TestFamily, TestFamilyMember, UnionSchedule, interleave
 from consistency_lab.simulation import (
+    PATH_BLOCK,
+    PATH_SEGMENT,
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,
@@ -314,3 +327,139 @@ def test_discernibility_validation():
         discernibility_paths(
             schedule, F(0.5, 0.5), 64, [0], 100, RngSpec(0, 0), role="both"
         )
+
+
+# -- segment replay against the per-n loop -----------------------------------------------
+
+
+def _reference_path_block(schedule, model, partition, n_max, k_grid, role, size, rng):
+    """The replay as a per-n loop: one ``rejects`` call per prefix length."""
+    gen = rng.generator()
+    if isinstance(model, FiniteMeasure):
+        cum = np.cumsum(model.weights)
+        cum[-1] = 1.0
+        cells = np.searchsorted(cum, gen.random((size, n_max)), side="right")
+        k = model.alphabet_size
+        if partition is not None and partition.kind == "atoms":
+            lookup = np.zeros(partition.alphabet_size, dtype=np.int64)
+            for cell, group in enumerate(partition.cells):
+                for atom in group:
+                    lookup[atom] = cell
+            cells = lookup[cells]
+            k = partition.k
+    else:
+        his = np.array([hi for _, hi in partition.cells])
+        cells = np.searchsorted(his, model.quantile(gen.random((size, n_max))), side="left")
+        k = partition.k
+    counts = np.zeros((size, k), dtype=np.int64)
+    rows = np.arange(size)
+    last_error = np.zeros(size, dtype=np.int64)
+    for n in range(1, n_max + 1):
+        counts[rows, cells[:, n - 1]] += 1
+        rejected = np.asarray(schedule.test_at(n).rejects(counts)) > 0.5
+        errors = rejected if role == "hypothesis" else ~rejected
+        last_error[errors] = n
+    return np.array([(last_error > k).sum() for k in k_grid], dtype=np.int64)
+
+
+def _reference_curve(schedule, model, partition, n_max, k_grid, replications, rng, role):
+    full, rest = divmod(replications, PATH_BLOCK)
+    sizes = [PATH_BLOCK] * full + ([rest] if rest else [])
+    total = sum(
+        _reference_path_block(schedule, model, partition, n_max, k_grid, role, size, rng.block(b))
+        for b, size in enumerate(sizes)
+    )
+    return total / replications
+
+
+class _FreshTestBuilder:
+    """A new test object at every ``n``, cycling through the vector sets of ``tests``."""
+
+    def __init__(self, tests):
+        self.tests = tests
+
+    def __call__(self, n):
+        t = self.tests[n % len(self.tests)]
+        return FrequencyTest(t.partition, t.hypothesis_vectors, t.alternative_vectors, n)
+
+
+def _replay_case(case):
+    """(schedule, hypothesis model, alternative model, partition) for one replay case.
+
+    The first block tests against a point 40% of the way to the first piece,
+    so its decisions differ often from the later test against both pieces.
+    Exponent 0.05 puts the block boundary at 88, inside the second segment.
+    """
+    if case == "density":
+        hypothesis = DensitySpec.uniform()
+        pieces = [DensitySpec.pu_family(0.4), DensitySpec.one_plus_sine(1)]
+        partition = Partition.intervals([0.0, 0.3, 0.5, 1.0])
+    else:
+        hypothesis = F(0.25, 0.25, 0.25, 0.25)
+        pieces = [F(0.4, 0.4, 0.1, 0.1), F(0.05, 0.05, 0.45, 0.45)]
+        partition = Partition.atoms([[0, 1], [2, 3]])
+    report = separation([hypothesis], pieces, partition)
+    h, a = report.hypothesis_vectors, report.alternative_vectors
+    weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h), 1)
+    both = FrequencyTest(partition, h, a, 1)
+    if case == "union":
+        first, second = (
+            interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(t), 0.05),)), 300,
+                       hypothesis_key=h)
+            for t in (weak, FrequencyTest(partition, h, a[1:], 1))
+        )
+        return UnionSchedule(first, second), hypothesis, pieces[0], partition
+    if case == "n_dependent":
+        builders = [_FreshTestBuilder([weak, both]), _FreshTestBuilder([both, weak])]
+    else:
+        builders = [ConstantTestBuilder(weak), ConstantTestBuilder(both)]
+    family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
+    return interleave(family, 300, hypothesis_key=h), hypothesis, pieces[0], partition
+
+
+@pytest.mark.parametrize("case", ["atoms", "density", "n_dependent", "union"])
+@pytest.mark.parametrize("role", ["hypothesis", "alternative"])
+def test_segment_replay_matches_per_n_loop(case, role):
+    schedule, hypothesis, alternative, partition = _replay_case(case)
+    model = hypothesis if role == "hypothesis" else alternative
+    n_max = 3 * PATH_SEGMENT + 8  # not a multiple of the segment length
+    ks = list(range(n_max + 1))
+    for replications in (PATH_BLOCK + 1, 1):  # the last block holds one path
+        rng = RngSpec(71, replications)
+        curve = discernibility_paths(
+            schedule, model, n_max, ks, replications, rng, role=role, partition=partition
+        )
+        want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
+        assert np.array_equal(curve.error_fraction, want)
+        if replications > 1:  # the curves compared are not trivial
+            assert 0.0 < want[1] < 1.0
+
+
+@pytest.mark.parametrize("case", ["atoms", "union"])
+def test_segment_replay_matches_per_n_loop_with_two_workers(case):
+    schedule, hypothesis, _, partition = _replay_case(case)
+    ks = list(range(0, 201, 10))
+    rng = RngSpec(73, 0)
+    curve = discernibility_paths(
+        schedule, hypothesis, 200, ks, 2 * PATH_BLOCK + 3, rng, partition=partition, workers=2
+    )
+    want = _reference_curve(schedule, hypothesis, partition, 200, ks, 2 * PATH_BLOCK + 3, rng,
+                            "hypothesis")
+    assert np.array_equal(curve.error_fraction, want)
+
+
+def test_path_replay_is_fast():
+    """Acceptance-criterion size: nested 2x2 schedule, 1000 paths, n_max 2048."""
+    scenario = scenario_nested_alternatives(
+        [F(0.9, 0.1), F(0.1, 0.9)], n_max=2048, replications=1000,
+    )
+    schedule = nested_schedule(scenario)
+    ks = list(range(0, 2049, 64))
+    models = [(F(0.5, 0.5), "hypothesis"), (F(0.9, 0.1), "alternative"), (F(0.1, 0.9), "alternative")]
+    for index, (model, role) in enumerate(models):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            discernibility_paths(schedule, model, 2048, ks, 1000, RngSpec(83, index), role=role)
+            times.append(time.perf_counter() - start)
+        assert min(times) < 1.0
