@@ -2,7 +2,10 @@
 
 ``hull_variation`` minimizes the total variation distance between mixtures of
 two finite families, which gives the floor ``1 - value`` on the sum of error
-probabilities achievable by any single-observation test; ``optimal_test``
+probabilities achievable by any single-observation test. It solves the
+Kraft–Le Cam dual, the best separation of the families by a test
+``phi in [0,1]^k``, reads the optimal mixtures off the row multipliers, and
+certifies the value by the duality gap between the two; ``optimal_test``
 constructs the likelihood-ratio test that attains the floor. ``ks_distance``
 and ``density_total_variation`` read the distribution-function gap of two
 named densities at its critical points, so both are exact to rounding.
@@ -37,13 +40,21 @@ class HullDistanceResult:
 
     ``mixture_p`` and ``mixture_q`` are one pair of optimal convex weights over
     the input families; ``value`` equals the total variation of the two induced
-    mixtures. ``iterations`` counts simplex pivots.
+    mixtures. ``duality_gap`` is ``value`` minus the separation of the two
+    families by the solver's test ``phi``; it is >= 0 for any weights and any
+    test, and certifies ``value`` to within itself. ``iterations`` counts
+    simplex pivots.
     """
 
     value: float
     mixture_p: np.ndarray
     mixture_q: np.ndarray
     iterations: int
+    duality_gap: float
+
+
+#: Largest duality gap accepted as a certificate of the hull distance.
+GAP_TOL = 1e-9
 
 
 def _validate_families(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]):
@@ -55,44 +66,49 @@ def _validate_families(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]):
     return np.stack([m.weights for m in a]), np.stack([m.weights for m in b])
 
 
+def _simplex_weights(w: np.ndarray) -> np.ndarray:
+    w = np.clip(w, 0.0, None)
+    return w / w.sum()
+
+
 def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> HullDistanceResult:
     """Minimize total variation over mixtures of ``a`` against mixtures of ``b``.
 
-    Solved as a linear program: variables are the two mixture weight vectors
-    plus one auxiliary variable per atom that linearizes the absolute value.
+    Solved as its Kraft–Le Cam dual, ``max over phi in [0,1]^k of
+    min_i P_i.phi - max_j Q_j.phi``: variables phi, t and s, maximize
+    ``t - s`` subject to ``t <= P_i.phi``, ``s >= Q_j.phi`` and ``phi <= 1``.
+    t and s are free, each a +/- pair of columns. Every right-hand side is 0
+    or 1, so the slack basis is feasible and phase 1 never runs. The
+    multipliers of the P and Q rows are the optimal mixtures.
     """
     P, Q = _validate_families(a, b)
     na, nb = P.shape[0], Q.shape[0]
     k = P.shape[1]
-    nvar = na + nb + k
+    # Columns phi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.
+    t, minus_s = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 1.0])
+    A_ub = np.block([
+        [-P, np.tile(t, (na, 1))],
+        [Q, np.tile(minus_s, (nb, 1))],
+        [np.eye(k), np.zeros((k, 4))],
+    ])
+    b_ub = np.concatenate([np.zeros(na + nb), np.ones(k)])
+    cost = np.concatenate([np.zeros(k), -(t + minus_s)])  # minimize s - t
 
-    cost = np.zeros(nvar)
-    cost[na + nb :] = 0.5
-    A_ub = np.zeros((2 * k, nvar))
-    for j in range(k):
-        A_ub[2 * j, :na] = P[:, j]
-        A_ub[2 * j, na : na + nb] = -Q[:, j]
-        A_ub[2 * j, na + nb + j] = -1.0
-        A_ub[2 * j + 1] = -A_ub[2 * j]
-        A_ub[2 * j + 1, na + nb + j] = -1.0
-    b_ub = np.zeros(2 * k)
-    A_eq = np.zeros((2, nvar))
-    A_eq[0, :na] = 1.0
-    A_eq[1, na : na + nb] = 1.0
-    b_eq = np.ones(2)
-
-    result = solve_lp(cost, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=b_eq)
-    lam = np.clip(result.x[:na], 0.0, None)
-    mu = np.clip(result.x[na : na + nb], 0.0, None)
-    lam /= lam.sum()
-    mu /= mu.sum()
+    stage = f"hull LP ({na}x{nb} on {k} atoms)"
+    try:
+        result = solve_lp(cost, A_ub=A_ub, b_ub=b_ub)
+    except NumericError as exc:
+        raise NumericError(f"{stage}: {exc}") from exc
+    lam = _simplex_weights(-result.duals[:na])
+    mu = _simplex_weights(-result.duals[na : na + nb])
     value = 0.5 * float(np.abs(lam @ P - mu @ Q).sum())
-    if abs(value - result.objective) > 1e-7:
-        raise NumericError(
-            f"LP optimum {result.objective:.3e} disagrees with mixture distance {value:.3e}"
-        )
+    phi = np.clip(result.x[:k], 0.0, 1.0)
+    gap = value - float((P @ phi).min() - (Q @ phi).max())
+    if not gap <= GAP_TOL:
+        raise NumericError(f"{stage}: duality gap {gap:.3e} exceeds {GAP_TOL:.0e}")
     return HullDistanceResult(
-        value=value, mixture_p=lam, mixture_q=mu, iterations=result.iterations
+        value=value, mixture_p=lam, mixture_q=mu, iterations=result.iterations,
+        duality_gap=gap,
     )
 
 

@@ -678,6 +678,7 @@ def _hull_metrics(scenario: Scenario):
         "mixture_p": [float(x) for x in hull.mixture_p],
         "mixture_q": [float(x) for x in hull.mixture_q],
         "lp_iterations": hull.iterations,
+        "duality_gap": hull.duality_gap,
     }
     return table, report
 

@@ -4,7 +4,9 @@ Instances have at most a few hundred variables, so a plain tableau method is
 fast, dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
 largest-pivot tie-break for numerical stability, and falls back to Bland's
 anti-cycling rule when the objective stalls on a long run of degenerate
-pivots.
+pivots. The point and the row multipliers are recomputed once from the final
+basis with a linear solve on the original rows, so that the rounding of many
+pivots does not reach them.
 """
 from __future__ import annotations
 
@@ -26,11 +28,17 @@ _FLUSH = 1e-13
 
 @dataclass(frozen=True)
 class LpResult:
-    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0``."""
+    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0``.
+
+    ``duals`` holds one multiplier per row, the ``A_ub`` rows first: the rate of
+    change of the optimum with the row's right-hand side, so ``<= 0`` on the
+    inequality rows. A redundant equality row gets 0.
+    """
 
     x: np.ndarray
     objective: float
     iterations: int
+    duals: np.ndarray
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -86,6 +94,17 @@ def _run_simplex(tableau, basis, cost, ncols, tol, max_iterations):
             raise NumericError(f"simplex exceeded {max_iterations} iterations")
 
 
+def _rows(A, b, n, name):
+    """``(A, b)`` as float arrays with ``n`` columns; empty when ``A`` is None."""
+    if A is None:
+        return np.zeros((0, n)), np.zeros(0)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    if A.shape != (b.size, n):
+        raise ValidationError(f"{name} shapes inconsistent with objective")
+    return A, b
+
+
 def solve_lp(
     c,
     A_ub: Optional[np.ndarray] = None,
@@ -97,55 +116,32 @@ def solve_lp(
 ) -> LpResult:
     """Solve a small dense LP in the standard nonnegative form.
 
-    Phase 1 finds a basic feasible point through artificial variables; phase 2
-    optimizes the caller's objective. Raises ``NumericError`` with diagnostics
-    on infeasibility, unboundedness, or iteration overrun.
+    Phase 1 finds a basic feasible point through artificial variables; it is
+    skipped when every right-hand side is >= 0 and there are no equality rows.
+    Phase 2 optimizes the caller's objective. Raises ``NumericError`` with
+    diagnostics on infeasibility, unboundedness, or iteration overrun.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    rows = []
-    rhs = []
-    n_ub = 0
-    if A_ub is not None:
-        A_ub = np.atleast_2d(np.asarray(A_ub, dtype=float))
-        b_ub = np.asarray(b_ub, dtype=float)
-        if A_ub.shape != (b_ub.size, n):
-            raise ValidationError("A_ub/b_ub shapes inconsistent with objective")
-        n_ub = b_ub.size
-        for i in range(n_ub):
-            rows.append(A_ub[i])
-            rhs.append(b_ub[i])
-    n_eq = 0
-    if A_eq is not None:
-        A_eq = np.atleast_2d(np.asarray(A_eq, dtype=float))
-        b_eq = np.asarray(b_eq, dtype=float)
-        if A_eq.shape != (b_eq.size, n):
-            raise ValidationError("A_eq/b_eq shapes inconsistent with objective")
-        n_eq = b_eq.size
-        for i in range(n_eq):
-            rows.append(A_eq[i])
-            rhs.append(b_eq[i])
-    m = len(rows)
+    A_ub, b_ub = _rows(A_ub, b_ub, n, "A_ub/b_ub")
+    A_eq, b_eq = _rows(A_eq, b_eq, n, "A_eq/b_eq")
+    n_ub = b_ub.size
+    m = n_ub + b_eq.size
     if m == 0:
         raise ValidationError("LP needs at least one constraint")
 
     # Columns: original vars, slacks for <= rows, artificials as needed.
     body = np.zeros((m, n + n_ub))
-    b = np.zeros(m)
-    for i in range(m):
-        body[i, :n] = rows[i]
-        if i < n_ub:
-            body[i, n + i] = 1.0
-        b[i] = rhs[i]
+    body[:, :n] = np.vstack([A_ub, A_eq])
+    body[np.arange(n_ub), n + np.arange(n_ub)] = 1.0
+    b = np.concatenate([b_ub, b_eq])
     flip = b < 0.0
-    body[flip] *= -1.0
-    b[flip] = -b[flip]
 
     needs_artificial = [i >= n_ub or flip[i] for i in range(m)]
     n_art = sum(needs_artificial)
     tableau = np.zeros((m, n + n_ub + n_art + 1))
-    tableau[:, : n + n_ub] = body
-    tableau[:, -1] = b
+    tableau[:, : n + n_ub] = np.where(flip[:, None], -body, body)
+    tableau[:, -1] = np.abs(b)
     basis = np.zeros(m, dtype=int)
     art = 0
     for i in range(m):
@@ -159,6 +155,7 @@ def solve_lp(
 
     total_cols = n + n_ub + n_art
     iterations = 0
+    keep = np.ones(m, dtype=bool)
     if n_art:
         phase1_cost = np.zeros(total_cols)
         phase1_cost[n + n_ub :] = 1.0
@@ -167,7 +164,6 @@ def solve_lp(
         if residual > 1e3 * tol:
             raise NumericError(f"LP infeasible (phase-1 residual {residual:.3e})")
         # Drive leftover artificials out of the basis; drop redundant rows.
-        keep = np.ones(m, dtype=bool)
         for i in range(m):
             if basis[i] >= n + n_ub:
                 pivot_col = next(
@@ -180,7 +176,6 @@ def solve_lp(
         if not keep.all():
             tableau = tableau[keep]
             basis = basis[keep]
-            m = int(keep.sum())
 
     if np.any(basis >= n + n_ub):
         raise NumericError("artificial variable stuck in basis")
@@ -190,8 +185,17 @@ def solve_lp(
     phase2_cost[:n] = c
     iterations += _run_simplex(work, basis, phase2_cost, n + n_ub, tol, max_iterations)
 
+    final = body[keep][:, basis]
+    try:
+        x_basic = np.linalg.solve(final, b[keep])
+        multipliers = np.linalg.solve(final.T, phase2_cost[basis])
+    except np.linalg.LinAlgError:
+        raise NumericError(f"singular final basis ({m} rows, {n} variables)") from None
     x = np.zeros(n + n_ub)
-    for i in range(m):
-        x[basis[i]] = work[i, -1]
+    x[basis] = x_basic
+    duals = np.zeros(m)
+    duals[keep] = multipliers
     solution = x[:n]
-    return LpResult(x=solution, objective=float(c @ solution), iterations=iterations)
+    return LpResult(
+        x=solution, objective=float(c @ solution), iterations=iterations, duals=duals
+    )

@@ -113,6 +113,26 @@ def test_bound_disjoint_supports_is_zero(tmp_path, capsys):
     assert "kraft_bound=0\n" in capsys.readouterr().out
 
 
+def test_bound_sine_1_8_grid_128_is_certified(scenario_file, capsys):
+    path = scenario_file(scenario_sine_indistinguishable(8, grid_size=128))
+    assert main(["bound", "--scenario", str(path)]) == 0
+    fields = dict(line.split("=", 1) for line in capsys.readouterr().out.splitlines())
+    assert float(fields["hull_variation"]) == pytest.approx(0.0623629183566958, abs=1e-12)  # HiGHS
+    assert -1e-15 <= float(fields["duality_gap"]) <= 1e-12
+
+
+def test_debug_switch_prints_the_traceback(tmp_path, capsys, monkeypatch):
+    argv = ["bound", "--scenario", str(tmp_path / "absent.json")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read scenario file")
+    monkeypatch.setenv("CONSISTENCY_LAB_DEBUG", "1")
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert "ValidationError: cannot read scenario file" in err
+    assert err.splitlines()[-1].startswith("error: cannot read scenario file")
+
+
 # -- simulate --------------------------------------------------------------------------
 
 

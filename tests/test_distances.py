@@ -16,7 +16,7 @@ from consistency_lab.distances import (
     total_variation,
 )
 from consistency_lab.distances import Test as OneShotTest
-from consistency_lab.errors import ValidationError
+from consistency_lab.errors import NumericError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, discretize, mixture, normalize
 from quadrature_oracle import density_total_variation_quadrature
 
@@ -326,3 +326,81 @@ def test_density_distances_validate_and_are_fast():
     assert best_of_three(
         lambda: density_total_variation(DensitySpec.cesaro_mixture(64), uniform)
     ) < 0.1
+
+
+# -- hull LP: the Kraft–Le Cam dual and its certificate ----------------------------------
+
+
+def _sine_families(m, grid_size):
+    hypothesis = [discretize(DensitySpec.uniform(), grid_size)]
+    return hypothesis, [discretize(DensitySpec.one_plus_sine(i), grid_size) for i in range(1, m + 1)]
+
+
+def _highs_hull(a, b):
+    """min TV over mixtures by HiGHS on the primal LP (mixtures and |.| auxiliaries)."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    P, Q = np.stack([m.weights for m in a]), np.stack([m.weights for m in b])
+    na, nb, k = P.shape[0], Q.shape[0], P.shape[1]
+    diff, eye = np.hstack([P.T, -Q.T]), np.eye(k)
+    A_eq = np.zeros((2, na + nb + k))
+    A_eq[0, :na] = A_eq[1, na : na + nb] = 1.0
+    result = linprog(
+        np.concatenate([np.zeros(na + nb), np.full(k, 0.5)]),
+        A_ub=np.vstack([np.hstack([diff, -eye]), np.hstack([-diff, -eye])]),
+        b_ub=np.zeros(2 * k), A_eq=A_eq, b_eq=np.ones(2), bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert result.status == 0, result.message
+    return float(result.fun)
+
+
+@pytest.mark.parametrize("m, grid_size", [(8, 128), (8, 256), (16, 128), (32, 64)])
+def test_hull_variation_agrees_with_highs_and_is_certified(m, grid_size):
+    a, b = _sine_families(m, grid_size)
+    reference = _highs_hull(a, b)
+    res = hull_variation(a, b)
+    assert abs(res.value - reference) <= 1e-9
+    assert -1e-15 <= res.duality_gap <= 1e-12  # >= 0 up to rounding
+    assert res.mixture_p.sum() == pytest.approx(1.0, abs=1e-15)
+    assert res.mixture_q.sum() == pytest.approx(1.0, abs=1e-15)
+    assert np.all(res.mixture_q >= 0.0)
+
+
+def test_hull_variation_sine_1_8_grid_256_is_fast():
+    a, b = _sine_families(8, 256)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        hull_variation(a, b)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 1.0
+
+
+def test_hull_variation_rejects_a_large_duality_gap(monkeypatch):
+    """Mixtures that miss the optimum fail the certificate, naming the stage and size."""
+    import consistency_lab.distances as distances
+
+    solve_lp = distances.solve_lp
+
+    def off_optimum(*args, **kwargs):
+        result = solve_lp(*args, **kwargs)
+        duals = result.duals.copy()
+        duals[:2] = [-1.0, 0.0]  # all hypothesis weight on the first member
+        return type(result)(result.x, result.objective, result.iterations, duals)
+
+    a, b = [F(1, 0, 0), F(0, 0, 1)], [F(0, 0.5, 0.5)]
+    assert hull_variation(a, b).value == pytest.approx(0.5)
+    monkeypatch.setattr(distances, "solve_lp", off_optimum)
+    with pytest.raises(NumericError, match=r"hull LP \(2x1 on 3 atoms\): duality gap 5.000e-01"):
+        hull_variation(a, b)
+
+
+def test_hull_variation_solver_errors_name_the_stage(monkeypatch):
+    import consistency_lab.distances as distances
+
+    def overrun(*args, **kwargs):
+        raise NumericError("simplex exceeded 20000 iterations")
+
+    monkeypatch.setattr(distances, "solve_lp", overrun)
+    with pytest.raises(NumericError, match=r"^hull LP \(1x2 on 2 atoms\): simplex exceeded"):
+        hull_variation([F(0.5, 0.5)], [F(1, 0), F(0, 1)])

@@ -13,6 +13,20 @@ def test_simple_maximization_as_min():
     assert_allclose(res.objective, -2.8, atol=1e-9)
 
 
+def test_duals_of_the_hand_solved_lp():
+    # max x+y s.t. x+2y<=4, 3x+y<=6: both rows bind, with multipliers 0.4 and 0.2
+    # on the maximum, so -0.4 and -0.2 on the minimum of -(x+y).
+    res = solve_lp([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
+    assert_allclose(res.duals, [-0.4, -0.2], atol=1e-12)
+    assert_allclose(res.duals @ np.array([4, 6]), res.objective, atol=1e-12)
+
+
+def test_duals_of_a_slack_row_and_an_equality_row():
+    # min x+2y s.t. x+y=1, x<=3: the bound x<=3 is slack, the equality costs 1
+    res = solve_lp([1, 2], A_ub=[[1, 0]], b_ub=[3], A_eq=[[1, 1]], b_eq=[1])
+    assert_allclose(res.duals, [0.0, 1.0], atol=1e-12)
+
+
 def test_equality_constraints():
     # min x+2y s.t. x+y=1 -> (1, 0)
     res = solve_lp([1, 2], A_eq=[[1, 1]], b_eq=[1])
