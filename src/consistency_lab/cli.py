@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 operational error (bad input, missing file, worker
 failure), 2 domain verdict (zero separation margin on the requested partition,
-or a schedule piece that cannot be built). Errors print one line; with
-``CONSISTENCY_LAB_DEBUG=1`` in the environment the traceback comes first.
+or a schedule piece that cannot be built).
 """
 from __future__ import annotations
 
@@ -11,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-import traceback
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -230,19 +228,11 @@ def main(argv=None) -> int:
         scenario = load_scenario(args.scenario)
         return _COMMANDS[args.command](scenario, config)
     except ConstructionError as exc:
-        _debug_traceback()
         print(f"verdict: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # operational failure: one line unless debugging
-        _debug_traceback()
+    except Exception as exc:  # operational failure: report, never traceback
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-def _debug_traceback() -> None:
-    """Print the active exception's traceback when ``CONSISTENCY_LAB_DEBUG=1``."""
-    if os.environ.get("CONSISTENCY_LAB_DEBUG") == "1":
-        traceback.print_exc(file=sys.stderr)
 
 
 if __name__ == "__main__":

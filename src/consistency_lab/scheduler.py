@@ -292,9 +292,7 @@ class UnionSchedule:
 
     Rejects at ``n`` when either constituent rejects; the certified type I
     bound adds, the type II bound is the worse of the two (each alternative
-    member is covered by its own constituent). ``test_at`` hands out the same
-    ``UnionTest`` for as long as both constituents hand out the same tests, so
-    the path replay sees a block of the union as one test.
+    member is covered by its own constituent).
     """
 
     def __init__(self, first, second):
@@ -305,16 +303,11 @@ class UnionSchedule:
         self.second = second
         self.hypothesis_key = key1
         self.n_max = min(first.n_max, second.n_max)
-        self._last = None  # the UnionTest handed out last
 
     def test_at(self, n: int):
         from .partition_tests import UnionTest
 
-        members = self.first.test_at(n), self.second.test_at(n)
-        last = self._last
-        if last is None or any(m is not k for m, k in zip(members, last.members)):
-            self._last = UnionTest(members)
-        return self._last
+        return UnionTest([self.first.test_at(n), self.second.test_at(n)])
 
     def alpha_bound_at(self, n: int) -> float:
         return self.first.alpha_bound_at(n) + self.second.alpha_bound_at(n)

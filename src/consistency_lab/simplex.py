@@ -4,9 +4,9 @@ Instances have at most a few hundred variables, so a plain tableau method is
 fast, dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
 largest-pivot tie-break for numerical stability, and falls back to Bland's
 anti-cycling rule when the objective stalls on a long run of degenerate
-pivots. The point and the row multipliers are recomputed once from the final
-basis with a linear solve on the original rows, so that the rounding of many
-pivots does not reach them.
+pivots. When phase 1 does not run, the point and the row multipliers are
+recomputed once from the final basis with a linear solve on the original rows,
+so that the rounding of many pivots does not reach them.
 """
 from __future__ import annotations
 
@@ -30,15 +30,15 @@ _FLUSH = 1e-13
 class LpResult:
     """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0``.
 
-    ``duals`` holds one multiplier per row, the ``A_ub`` rows first: the rate of
-    change of the optimum with the row's right-hand side, so ``<= 0`` on the
-    inequality rows. A redundant equality row gets 0.
+    ``duals`` holds one multiplier per ``A_ub`` row: the rate of change of the
+    optimum with the row's right-hand side, so ``<= 0``. It is ``None`` when
+    phase 1 ran (equality rows or a negative right-hand side).
     """
 
     x: np.ndarray
     objective: float
     iterations: int
-    duals: np.ndarray
+    duals: Optional[np.ndarray]
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -155,7 +155,6 @@ def solve_lp(
 
     total_cols = n + n_ub + n_art
     iterations = 0
-    keep = np.ones(m, dtype=bool)
     if n_art:
         phase1_cost = np.zeros(total_cols)
         phase1_cost[n + n_ub :] = 1.0
@@ -164,6 +163,7 @@ def solve_lp(
         if residual > 1e3 * tol:
             raise NumericError(f"LP infeasible (phase-1 residual {residual:.3e})")
         # Drive leftover artificials out of the basis; drop redundant rows.
+        keep = np.ones(m, dtype=bool)
         for i in range(m):
             if basis[i] >= n + n_ub:
                 pivot_col = next(
@@ -176,6 +176,7 @@ def solve_lp(
         if not keep.all():
             tableau = tableau[keep]
             basis = basis[keep]
+            m = int(keep.sum())
 
     if np.any(basis >= n + n_ub):
         raise NumericError("artificial variable stuck in basis")
@@ -185,16 +186,17 @@ def solve_lp(
     phase2_cost[:n] = c
     iterations += _run_simplex(work, basis, phase2_cost, n + n_ub, tol, max_iterations)
 
-    final = body[keep][:, basis]
-    try:
-        x_basic = np.linalg.solve(final, b[keep])
-        multipliers = np.linalg.solve(final.T, phase2_cost[basis])
-    except np.linalg.LinAlgError:
-        raise NumericError(f"singular final basis ({m} rows, {n} variables)") from None
     x = np.zeros(n + n_ub)
-    x[basis] = x_basic
-    duals = np.zeros(m)
-    duals[keep] = multipliers
+    duals = None
+    if n_art:
+        x[basis] = work[:, -1]
+    else:
+        final = body[:, basis]
+        try:
+            x[basis] = np.linalg.solve(final, b)
+            duals = np.linalg.solve(final.T, phase2_cost[basis])
+        except np.linalg.LinAlgError:
+            raise NumericError(f"singular final basis ({m} rows, {n} variables)") from None
     solution = x[:n]
     return LpResult(
         x=solution, objective=float(c @ solution), iterations=iterations, duals=duals

@@ -121,18 +121,6 @@ def test_bound_sine_1_8_grid_128_is_certified(scenario_file, capsys):
     assert -1e-15 <= float(fields["duality_gap"]) <= 1e-12
 
 
-def test_debug_switch_prints_the_traceback(tmp_path, capsys, monkeypatch):
-    argv = ["bound", "--scenario", str(tmp_path / "absent.json")]
-    assert main(argv) == 1
-    assert capsys.readouterr().err.startswith("error: cannot read scenario file")
-    monkeypatch.setenv("CONSISTENCY_LAB_DEBUG", "1")
-    assert main(argv) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("Traceback (most recent call last):")
-    assert "ValidationError: cannot read scenario file" in err
-    assert err.splitlines()[-1].startswith("error: cannot read scenario file")
-
-
 # -- simulate --------------------------------------------------------------------------
 
 

@@ -21,12 +21,6 @@ def test_duals_of_the_hand_solved_lp():
     assert_allclose(res.duals @ np.array([4, 6]), res.objective, atol=1e-12)
 
 
-def test_duals_of_a_slack_row_and_an_equality_row():
-    # min x+2y s.t. x+y=1, x<=3: the bound x<=3 is slack, the equality costs 1
-    res = solve_lp([1, 2], A_ub=[[1, 0]], b_ub=[3], A_eq=[[1, 1]], b_eq=[1])
-    assert_allclose(res.duals, [0.0, 1.0], atol=1e-12)
-
-
 def test_equality_constraints():
     # min x+2y s.t. x+y=1 -> (1, 0)
     res = solve_lp([1, 2], A_eq=[[1, 1]], b_eq=[1])

@@ -471,29 +471,3 @@ def test_path_replay_is_fast():
             discernibility_paths(schedule, model, 2048, ks, 1000, RngSpec(83, index), role=role)
             times.append(time.perf_counter() - start)
         assert min(times) < 1.0
-
-
-def test_union_schedule_hands_out_one_test_per_pair_of_member_tests():
-    union = _replay_case("union_blocks")[0]
-    assert [b.end for b in union.first.blocks] == [89, None]
-    assert [b.end for b in union.second.blocks] == [164, None]
-    tests = [union.test_at(n) for n in range(1, 301)]  # tests[n - 1] is the test at n
-    assert len({id(t) for t in tests}) == 3
-    assert tests[0] is tests[88] and tests[89] is tests[163] and tests[164] is tests[299]
-    assert tests[88] is not tests[89] and tests[163] is not tests[164]
-
-
-def test_union_path_replay_is_fast():
-    """1000 paths at n_max 2048 on the union of two single-piece 2x2 schedules."""
-    first, second = (
-        nested_schedule(scenario_nested_alternatives([piece], n_max=2048, replications=1000))
-        for piece in (F(0.9, 0.1), F(0.1, 0.9))
-    )
-    union = UnionSchedule(first, second)
-    ks = list(range(0, 2049, 64))
-    times = []
-    for _ in range(3):
-        start = time.perf_counter()
-        discernibility_paths(union, F(0.5, 0.5), 2048, ks, 1000, RngSpec(89, 0))
-        times.append(time.perf_counter() - start)
-    assert min(times) < 0.5
