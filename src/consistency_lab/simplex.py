@@ -5,8 +5,8 @@ fast, dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
 largest-pivot tie-break for numerical stability, and falls back to Bland's
 anti-cycling rule when the objective stalls on a long run of degenerate
 pivots. When phase 1 does not run, the point and the row multipliers are
-recomputed once from the final basis with a linear solve on the original rows,
-so that the rounding of many pivots does not reach them.
+refined against the final basis on the original rows, so that the rounding of
+many pivots does not reach them.
 """
 from __future__ import annotations
 
@@ -24,6 +24,13 @@ _STALL_LIMIT = 100
 
 #: Entries smaller than this are flushed to zero after each pivot.
 _FLUSH = 1e-13
+
+#: Refinement steps from the final basis; each shrinks the error by the factor
+#: ``|I - inverse @ basis|``, at worst about 1e-4 on the hull LPs.
+_REFINE_STEPS = 4
+
+#: Largest residual left by refinement, relative to ``1 + max |rhs|``.
+_RESIDUAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -92,6 +99,21 @@ def _run_simplex(tableau, basis, cost, ncols, tol, max_iterations):
         iterations += 1
         if iterations > max_iterations:
             raise NumericError(f"simplex exceeded {max_iterations} iterations")
+
+
+def _refine(matrix: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve ``matrix @ z = rhs`` by iterative refinement from an approximate inverse.
+
+    Only matrix-vector products run, so no LAPACK call wakes the BLAS threads,
+    which would spin on a spare core after each solve.
+    """
+    z = inverse @ rhs
+    for _ in range(_REFINE_STEPS):
+        z = z + inverse @ (rhs - matrix @ z)
+    residual = float(np.abs(rhs - matrix @ z).max())
+    if residual > _RESIDUAL_TOL * (1.0 + float(np.abs(rhs).max())):
+        raise NumericError(f"final basis refinement left residual {residual:.3e} ({rhs.size} rows)")
+    return z
 
 
 def _rows(A, b, n, name):
@@ -191,12 +213,12 @@ def solve_lp(
     if n_art:
         x[basis] = work[:, -1]
     else:
+        # The slack columns started as the identity, so they hold the inverse
+        # of the final basis, with the rounding of every pivot in it.
         final = body[:, basis]
-        try:
-            x[basis] = np.linalg.solve(final, b)
-            duals = np.linalg.solve(final.T, phase2_cost[basis])
-        except np.linalg.LinAlgError:
-            raise NumericError(f"singular final basis ({m} rows, {n} variables)") from None
+        inverse = work[:, n : n + n_ub]
+        x[basis] = _refine(final, inverse, b)
+        duals = _refine(final.T, inverse.T, phase2_cost[basis])
     solution = x[:n]
     return LpResult(
         x=solution, objective=float(c @ solution), iterations=iterations, duals=duals

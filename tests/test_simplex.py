@@ -3,7 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.errors import NumericError, ValidationError
-from consistency_lab.simplex import solve_lp
+from consistency_lab.simplex import _refine, solve_lp
 
 
 def test_simple_maximization_as_min():
@@ -83,3 +83,9 @@ def test_random_instances_against_vertex_enumeration():
         assert abs(res.objective - best) <= 1e-7
         assert np.all(res.x >= -1e-9)
         assert np.all(A @ res.x <= b + 1e-7)
+
+
+def test_refinement_from_a_poor_inverse_raises():
+    # the correction doubles the error at every step instead of shrinking it
+    with pytest.raises(NumericError, match="refinement left residual"):
+        _refine(np.eye(2), 3.0 * np.eye(2), np.array([1.0, 2.0]))
