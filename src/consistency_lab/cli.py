@@ -41,14 +41,23 @@ class RunConfig:
     plots: bool
 
 
-def _default_workers() -> int:
-    env = os.environ.get("CONSISTENCY_LAB_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
+def _worker_count(flag: Optional[int]) -> int:
+    """``--workers``, else ``CONSISTENCY_LAB_WORKERS``, else 1; at least 1."""
+    if flag is not None:
+        value, source = flag, "--workers"
+    else:
+        env = os.environ.get("CONSISTENCY_LAB_WORKERS")
+        if not env:
             return 1
-    return 1
+        try:
+            value, source = int(env), "CONSISTENCY_LAB_WORKERS"
+        except ValueError:
+            raise ValidationError(
+                f"CONSISTENCY_LAB_WORKERS must be an integer >= 1, got {env!r}"
+            ) from None
+    if value < 1:
+        raise ValidationError(f"{source} must be >= 1, got {value}")
+    return value
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -216,15 +225,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        scenario_path=args.scenario,
-        out_dir=args.out,
-        seed=args.seed,
-        replications=args.reps,
-        workers=args.workers if args.workers is not None else _default_workers(),
-        plots=args.plots,
-    )
     try:
+        config = RunConfig(
+            scenario_path=args.scenario,
+            out_dir=args.out,
+            seed=args.seed,
+            replications=args.reps,
+            workers=_worker_count(args.workers),
+            plots=args.plots,
+        )
         scenario = load_scenario(args.scenario)
         return _COMMANDS[args.command](scenario, config)
     except ConstructionError as exc:

@@ -44,6 +44,7 @@ from .simulation import (
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,
+    WorkerPool,
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
@@ -602,38 +603,42 @@ def run_scenario(
     workers: int = 1,
     n_max: Optional[int] = None,
 ) -> ScenarioRun:
-    """Execute every metric the scenario supports; deterministic per seed."""
+    """Execute every metric the scenario supports; deterministic per seed.
+
+    Every Monte Carlo call of the run shares one :class:`WorkerPool`, which
+    starts on first use and is shut down before this returns or raises.
+    """
     reps = replications if replications is not None else scenario.sim.replications
     if reps < 100:
         raise ValidationError("replications must be >= 100")
     streams = _StreamAllocator(seed)
     tables: dict[str, Table] = {}
     reports: dict[str, dict] = {}
-
-    if scenario.model_type in ("finite", "density") and scenario.partition is not None:
-        tables["separation"] = _separation_table(scenario)
-    if scenario.model_type == "density":
-        tables["ks"] = _ks_table(scenario)
-        if scenario.model_options.get("grid_size"):
-            hull_table, hull_report = _hull_metrics(scenario)
-            tables["hull"] = hull_table
-            reports["hull"] = hull_report
-        if scenario.model_options.get("cesaro_scan"):
-            tables["cesaro"] = _cesaro_table(scenario)
-        if scenario.partition is not None and scenario.sim.n_grid:
-            tables["errors"] = _error_curve_table(scenario, reps, streams, workers)
-    if scenario.model_type == "finite":
-        if scenario.schedule is not None:
-            schedule = nested_schedule(scenario, n_max=n_max)
-            reports["schedule"] = schedule.to_json_dict()
-            tables["discernibility"] = _discernibility_table(
-                scenario, schedule, reps, streams, workers
-            )
-    if scenario.model_type == "gaussian_sequence":
-        tables["epsilon_sweep"] = _epsilon_table(scenario, reps, streams, workers)
-        tables["projection"] = _projection_table(scenario)
-    if scenario.model_type == "poisson":
-        tables["poisson_errors"] = _poisson_table(scenario, reps, streams, workers)
+    with WorkerPool(workers) as pool:
+        if scenario.model_type in ("finite", "density") and scenario.partition is not None:
+            tables["separation"] = _separation_table(scenario)
+        if scenario.model_type == "density":
+            tables["ks"] = _ks_table(scenario)
+            if scenario.model_options.get("grid_size"):
+                hull_table, hull_report = _hull_metrics(scenario)
+                tables["hull"] = hull_table
+                reports["hull"] = hull_report
+            if scenario.model_options.get("cesaro_scan"):
+                tables["cesaro"] = _cesaro_table(scenario)
+            if scenario.partition is not None and scenario.sim.n_grid:
+                tables["errors"] = _error_curve_table(scenario, reps, streams, pool)
+        if scenario.model_type == "finite":
+            if scenario.schedule is not None:
+                schedule = nested_schedule(scenario, n_max=n_max)
+                reports["schedule"] = schedule.to_json_dict()
+                tables["discernibility"] = _discernibility_table(
+                    scenario, schedule, reps, streams, pool
+                )
+        if scenario.model_type == "gaussian_sequence":
+            tables["epsilon_sweep"] = _epsilon_table(scenario, reps, streams, pool)
+            tables["projection"] = _projection_table(scenario)
+        if scenario.model_type == "poisson":
+            tables["poisson_errors"] = _poisson_table(scenario, reps, streams, pool)
 
     if not tables:
         raise ValidationError(
@@ -702,7 +707,7 @@ def _cesaro_table(scenario: Scenario) -> Table:
     )
 
 
-def _error_curve_table(scenario, reps, streams, workers) -> Table:
+def _error_curve_table(scenario, reps, streams, pool) -> Table:
     rows = []
     for idx, alt in enumerate(scenario.alternative, start=1):
         label = alt.label() if isinstance(alt, DensitySpec) else f"alternative_{idx}"
@@ -722,10 +727,10 @@ def _error_curve_table(scenario, reps, streams, workers) -> Table:
                 alpha_exact = beta_exact = math.nan
             alpha_mc = estimate_error(
                 test, scenario.hypothesis[0], n, reps, streams.take(),
-                count="reject", workers=workers,
+                count="reject", workers=pool,
             )
             beta_mc = estimate_error(
-                test, alt, n, reps, streams.take(), count="accept", workers=workers
+                test, alt, n, reps, streams.take(), count="accept", workers=pool
             )
             rows.append(
                 (
@@ -758,7 +763,7 @@ def _error_curve_table(scenario, reps, streams, workers) -> Table:
     )
 
 
-def _epsilon_table(scenario, reps, streams, workers) -> Table:
+def _epsilon_table(scenario, reps, streams, pool) -> Table:
     pairs = [
         (np.asarray(s0, dtype=float), np.asarray(s1, dtype=float))
         for s0 in scenario.hypothesis
@@ -774,11 +779,11 @@ def _epsilon_table(scenario, reps, streams, workers) -> Table:
             worst_analytic = max(worst_analytic, test.error_sum_analytic(eps))
             alpha = estimate_error(
                 test, GaussianSequenceModel(s0, eps), 1, reps, streams.take(),
-                count="reject", workers=workers,
+                count="reject", workers=pool,
             )
             beta = estimate_error(
                 test, GaussianSequenceModel(s1, eps), 1, reps, streams.take(),
-                count="accept", workers=workers,
+                count="accept", workers=pool,
             )
             total = alpha.estimate + beta.estimate
             if total > worst_total:
@@ -819,7 +824,7 @@ def _projection_table(scenario) -> Table:
     return Table(columns=["m", "margin_projected", "margin_full", "ratio"], rows=rows)
 
 
-def _discernibility_table(scenario, schedule, reps, streams, workers) -> Table:
+def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     k_grid = scenario.sim.k_grid or tuple(range(0, schedule.n_max + 1, 64))
     n_max = schedule.n_max
     curves = []
@@ -828,7 +833,7 @@ def _discernibility_table(scenario, schedule, reps, streams, workers) -> Table:
     curves.append(
         discernibility_paths(
             schedule, hyp, n_max, k_grid, reps, streams.take(),
-            role="hypothesis", workers=workers, model_label="hypothesis",
+            role="hypothesis", workers=pool, model_label="hypothesis",
         )
     )
     labels.append("hypothesis")
@@ -836,7 +841,7 @@ def _discernibility_table(scenario, schedule, reps, streams, workers) -> Table:
         curves.append(
             discernibility_paths(
                 schedule, piece, n_max, k_grid, reps, streams.take(),
-                role="alternative", workers=workers, model_label=f"piece_{idx}",
+                role="alternative", workers=pool, model_label=f"piece_{idx}",
             )
         )
         labels.append(f"piece_{idx}")
@@ -850,7 +855,7 @@ def _discernibility_table(scenario, schedule, reps, streams, workers) -> Table:
     )
 
 
-def _poisson_table(scenario, reps, streams, workers) -> Table:
+def _poisson_table(scenario, reps, streams, pool) -> Table:
     h0: PoissonModel = scenario.hypothesis[0]
     h1: PoissonModel = scenario.alternative[0]
     shapes_differ = not np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
@@ -866,10 +871,10 @@ def _poisson_table(scenario, reps, streams, workers) -> Table:
             n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test
         )
         alpha = estimate_error(
-            test, h0, n, reps, streams.take(), count="reject", workers=workers
+            test, h0, n, reps, streams.take(), count="reject", workers=pool
         )
         beta = estimate_error(
-            test, h1, n, reps, streams.take(), count="accept", workers=workers
+            test, h1, n, reps, streams.take(), count="accept", workers=pool
         )
         rows.append(
             (

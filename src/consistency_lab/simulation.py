@@ -5,13 +5,20 @@ generators keyed by ``(seed, stream)``. Replications are split into
 fixed-size blocks, block ``b`` of a task owning stream ``s`` draws from
 ``(seed, s + b)``, and aggregation walks blocks in index order, so results are
 bit-identical for a given seed regardless of the worker count.
+
+Draws of i.i.d. and Poisson models reach a test as cell counts. A density draw
+``F^-1(u)`` is binned by comparing its uniform ``u`` with ``F`` at the interior
+cell edges, so no distribution function is inverted, and the counts of every
+replication in a block come from one ``bincount``. Blocks run in the calling
+process, or in a :class:`WorkerPool` that a caller such as ``run_scenario``
+opens once and shares between its calls.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,7 +115,7 @@ class GaussianSequenceModel:
 def _finite_atoms(measure: FiniteMeasure, uniforms: np.ndarray) -> np.ndarray:
     cum = np.cumsum(measure.weights)
     cum[-1] = 1.0
-    return np.searchsorted(cum, uniforms, side="right").astype(np.int64)
+    return np.searchsorted(cum, uniforms, side="right").astype(np.int64, copy=False)
 
 
 def sample_iid(model, n: int, rng: RngSpec) -> np.ndarray:
@@ -182,15 +189,18 @@ def wilson_interval(estimate: float, replications: int, z: float = 1.95996398454
 def _bin_draws(model, partition, uniforms: np.ndarray):
     """Cell index of the draw behind every uniform, and the number of cells.
 
-    Densities invert their distribution function and bin on an interval
-    partition; finite measures bin atoms through an atom partition, or count
+    A density draw ``x = F^-1(u)`` lies in the first cell whose upper edge
+    ``b_j`` has ``u <= F(b_j)``, so densities compare the uniforms with ``F``
+    at the ``k - 1`` interior edges of an interval partition and never invert
+    ``F``; leaving out the edge at 1 keeps a rounded ``F(1)`` from making a
+    cell ``k``. Finite measures bin atoms through an atom partition, or count
     atoms as cells when there is none.
     """
     if isinstance(model, DensitySpec):
         if partition is None or partition.kind != "intervals":
             raise ValidationError("density sampling needs an interval partition")
-        his = np.array([hi for _, hi in partition.cells])
-        return np.searchsorted(his, model.quantile(uniforms), side="left"), partition.k
+        interior = np.array([hi for _, hi in partition.cells[:-1]])
+        return np.searchsorted(model.cdf(interior), uniforms, side="left"), partition.k
     if not isinstance(model, FiniteMeasure):
         raise ValidationError(f"cannot bin draws from {type(model).__name__}")
     atoms = _finite_atoms(model, uniforms)
@@ -202,11 +212,14 @@ def _bin_draws(model, partition, uniforms: np.ndarray):
     return atom_to_cell[atoms], partition.k
 
 
-def _counts_from_atoms(atoms: np.ndarray, k: int) -> np.ndarray:
-    counts = np.zeros((atoms.shape[0], k), dtype=np.int64)
-    for j in range(k):
-        counts[:, j] = (atoms == j).sum(axis=1)
-    return counts
+def _cell_counts(rows, cells, size: int, k: int) -> np.ndarray:
+    """``(size, k)`` counts of the draws in ``cells`` per replication in ``rows``.
+
+    ``rows`` and ``cells`` broadcast against each other; a replication with
+    no draws gets a row of zeros.
+    """
+    flat = np.ravel(rows * k + cells)
+    return np.bincount(flat, minlength=size * k).reshape(size, k)
 
 
 def _simulate_error_block(args) -> float:
@@ -217,11 +230,8 @@ def _simulate_error_block(args) -> float:
         reject = test.rejects(y)
     elif isinstance(model, PoissonModel):
         counts_per_rep = gen.poisson(n * model.mass, size=size)
-        atoms = _finite_atoms(model.shape, gen.random(int(counts_per_rep.sum())))
-        k = model.shape.alphabet_size
-        counts = np.zeros((size, k), dtype=np.int64)
-        rows = np.repeat(np.arange(size), counts_per_rep)
-        np.add.at(counts, (rows, atoms), 1)
+        atoms, k = _bin_draws(model.shape, None, gen.random(int(counts_per_rep.sum())))
+        counts = _cell_counts(np.repeat(np.arange(size), counts_per_rep), atoms, size, k)
         if getattr(test, "consumes", None) == "poisson":
             reject = test.rejects((counts, counts_per_rep))
         else:
@@ -229,7 +239,7 @@ def _simulate_error_block(args) -> float:
     else:
         partition = getattr(test, "partition", None)
         cells, k = _bin_draws(model, partition, gen.random((size, n)))
-        reject = test.rejects(_counts_from_atoms(cells, k))
+        reject = test.rejects(_cell_counts(np.arange(size)[:, None], cells, size, k))
     if count_kind == "accept":
         reject = 1.0 - np.asarray(reject, dtype=float)
     return float(np.asarray(reject, dtype=float).sum())
@@ -243,11 +253,42 @@ def _block_sizes(total: int, block: int):
     return sizes
 
 
-def _map_blocks(fn, tasks, workers: int):
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+class WorkerPool:
+    """Process pool for the RNG blocks of several simulation calls.
+
+    The processes start on the first call with more than one block and at
+    more than one worker, and stop at :meth:`close` or at the end of a
+    ``with`` block. Results come back in task order.
+    """
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self._executor = None
+
+    def map(self, fn, tasks) -> list:
+        if self.workers <= 1 or len(tasks) <= 1:
+            return [fn(t) for t in tasks]
+        if self._executor is None:
+            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        return list(self._executor.map(fn, tasks))
+
+    def close(self) -> None:
+        if self._executor is not None:
+            self._executor.shutdown()
+            self._executor = None
+
+    def __enter__(self) -> "WorkerPool":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def _map_blocks(fn, tasks, workers):
+    if isinstance(workers, WorkerPool):
+        return workers.map(fn, tasks)
+    with WorkerPool(workers) as pool:
+        return pool.map(fn, tasks)
 
 
 def estimate_error(
@@ -257,7 +298,7 @@ def estimate_error(
     replications: int,
     rng: RngSpec,
     count: str = "reject",
-    workers: int = 1,
+    workers: Union[int, WorkerPool] = 1,
     model_label: str = "",
     test_label: str = "",
 ) -> SimulationReport:
@@ -266,7 +307,8 @@ def estimate_error(
     ``count="reject"`` estimates the type I error under a hypothesis model;
     ``count="accept"`` the type II error under an alternative model. Blocks of
     replications own disjoint RNG streams and are reduced in index order, so
-    the result depends only on ``rng`` and the arguments.
+    the result depends only on ``rng`` and the arguments. ``workers`` is a
+    worker count or a :class:`WorkerPool` shared with other calls.
     """
     if replications < 100:
         raise ValidationError("replications must be >= 100")
@@ -362,7 +404,7 @@ def discernibility_paths(
     rng: RngSpec,
     role: str = "hypothesis",
     partition: Optional[Partition] = None,
-    workers: int = 1,
+    workers: Union[int, WorkerPool] = 1,
     model_label: str = "",
 ) -> DiscernibilityCurve:
     """Error-after-k curve of a schedule along incrementally grown sample paths.
@@ -374,7 +416,7 @@ def discernibility_paths(
     fraction of paths erring at some ``n`` in ``(k, n_max]``, which is
     non-increasing in ``k`` by construction. All prefixes of a run of one
     test object are decided in one call, with the draws and decisions of a
-    per-``n`` loop.
+    per-``n`` loop. ``workers`` is a worker count or a shared :class:`WorkerPool`.
     """
     if role not in ("hypothesis", "alternative"):
         raise ValidationError("role must be 'hypothesis' or 'alternative'")

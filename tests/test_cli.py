@@ -285,3 +285,27 @@ def test_workers_env_fallback(scenario_file, tmp_path, monkeypatch):
     ) == 0
     manifest = (out_dir / "manifest.json").read_text()
     assert '"workers": 2' in manifest
+
+
+@pytest.mark.parametrize(
+    "flags, env, names",
+    [
+        (["--workers", "0"], None, "--workers"),
+        (["--workers", "-4"], None, "--workers"),
+        ([], "abc", "CONSISTENCY_LAB_WORKERS"),
+    ],
+    ids=["zero", "negative", "env-not-integer"],
+)
+def test_workers_below_one_or_not_integer_rejected(
+    scenario_file, tmp_path, monkeypatch, capsys, flags, env, names
+):
+    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
+    if env is not None:
+        monkeypatch.setenv("CONSISTENCY_LAB_WORKERS", env)
+    out_dir = tmp_path / "out"
+    code = main(
+        ["simulate", "--scenario", str(path), "--out", str(out_dir), "--reps", "200"] + flags
+    )
+    assert code == 1
+    assert names in capsys.readouterr().err
+    assert not out_dir.exists()

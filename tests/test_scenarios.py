@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from consistency_lab import scenarios, simulation
 from consistency_lab.errors import (
     ConstructionError,
     DegenerateScenarioError,
@@ -319,6 +320,54 @@ def test_discernibility_workers_do_not_change_results():
     serial = discernibility_paths(schedule, F(0.5, 0.5), workers=1, **kwargs)
     parallel = discernibility_paths(schedule, F(0.5, 0.5), workers=2, **kwargs)
     assert np.array_equal(serial.error_fraction, parallel.error_fraction)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Pools started through ``simulation.ProcessPoolExecutor``, with their processes."""
+    started = []
+
+    class CountingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+            self.processes = []
+
+        def shutdown(self, *args, **kwargs):
+            self.processes = list((self._processes or {}).values())
+            super().shutdown(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+    return started
+
+
+def _signal_scenario():
+    return scenario_signal_detection([[0.0]], [[1.0]], 1, epsilon_list=[0.5, 0.2])
+
+
+def test_run_scenario_starts_one_pool(pool_starts):
+    reps = simulation.ERROR_BLOCK + 1  # two blocks in every estimate_error call
+    parallel = run_scenario(_signal_scenario(), seed=3, replications=reps, workers=2)
+    assert len(pool_starts) == 1
+    serial = run_scenario(_signal_scenario(), seed=3, replications=reps, workers=1)
+    run_scenario(_signal_scenario(), seed=3, replications=simulation.ERROR_BLOCK, workers=2)
+    assert len(pool_starts) == 1  # neither serial nor single-block calls start one
+    for name in serial.tables:
+        assert parallel.tables[name].rows == serial.tables[name].rows
+
+
+def test_run_scenario_shuts_pool_down_when_a_table_raises(pool_starts, monkeypatch):
+    def fail(scenario):
+        raise RuntimeError("projection failed")
+
+    monkeypatch.setattr(scenarios, "_projection_table", fail)
+    with pytest.raises(RuntimeError, match="projection failed"):
+        run_scenario(
+            _signal_scenario(), seed=3, replications=simulation.ERROR_BLOCK + 1, workers=2
+        )
+    (pool,) = pool_starts
+    assert len(pool.processes) == 2
+    assert not any(process.is_alive() for process in pool.processes)
 
 
 def test_rerun_same_seed_identical_tables():

@@ -33,6 +33,7 @@ from consistency_lab.simulation import (
     sample_poisson_process,
     wilson_interval,
 )
+from consistency_lab.simulation import _bin_draws, _cell_counts, _simulate_error_block
 
 
 def F(*weights):
@@ -275,6 +276,117 @@ def test_wilson_interval_bounds():
     assert 0.0 <= low <= 1e-12 and low < high < 0.01
     low, high = wilson_interval(0.5, 1000)
     assert 0.45 < low < 0.5 < high < 0.55
+
+
+# -- binning draws into cells and counting them -------------------------------------------
+
+_EDGE_MODELS = [DensitySpec.one_plus_sine(i) for i in (1, 2, 3)] + [
+    DensitySpec.cesaro_mixture(8),
+    DensitySpec.pu_family(0.4),
+]
+_DYADIC_PARTITIONS = [
+    Partition.half_split(),
+    Partition.intervals(np.arange(5) / 4),
+    Partition.intervals(np.arange(9) / 8),
+]
+
+
+@pytest.mark.parametrize("model", _EDGE_MODELS, ids=DensitySpec.label)
+def test_edge_binning_equals_quantile_binning(model):
+    """On dyadic edges, which bisection visits exactly, the cells agree draw for draw."""
+    uniforms = RngSpec(101, 0).generator().random((40, 1000))
+    points = model.quantile(uniforms)
+    for partition in _DYADIC_PARTITIONS:
+        his = np.array([hi for _, hi in partition.cells])
+        cells, k = _bin_draws(model, partition, uniforms)
+        assert k == partition.k
+        assert cells.shape == uniforms.shape
+        assert np.array_equal(cells, np.searchsorted(his, points, side="left"))
+        assert set(np.unique(cells)) == set(range(k))
+
+
+@pytest.mark.parametrize(
+    "model", [DensitySpec.uniform()] + _EDGE_MODELS, ids=DensitySpec.label
+)
+def test_edge_binning_extreme_uniforms(model):
+    extremes = np.array([0.0, 1.0 - 2.0**-53])
+    for partition in _DYADIC_PARTITIONS:
+        cells, k = _bin_draws(model, partition, extremes)
+        assert cells.tolist() == [0, k - 1]
+
+
+def test_bin_draws_rejects_density_without_interval_partition():
+    with pytest.raises(ValidationError):
+        _bin_draws(DensitySpec.uniform(), Partition.identity(2), np.zeros(3))
+    with pytest.raises(ValidationError):
+        _bin_draws(DensitySpec.uniform(), None, np.zeros(3))
+
+
+def _add_at_counts(rows, cells, size, k):
+    counts = np.zeros((size, k), dtype=np.int64)
+    np.add.at(counts, (rows, cells), 1)
+    return counts
+
+
+def test_cell_counts_match_add_at():
+    gen = RngSpec(103, 0).generator()
+    size, k = 50, 6
+    per_row = gen.poisson(3.0, size=size)
+    per_row[[0, 17, size - 1]] = 0  # replications with no draws
+    rows = np.repeat(np.arange(size), per_row)
+    cells = gen.integers(0, k, size=rows.size)
+    counts = _cell_counts(rows, cells, size, k)
+    assert counts.shape == (size, k)
+    assert np.array_equal(counts, _add_at_counts(rows, cells, size, k))
+    assert np.array_equal(counts.sum(axis=1), per_row)
+    # one row of draws per replication, as the i.i.d. blocks pass them
+    grid = gen.integers(0, k, size=(size, 9))
+    dense = _cell_counts(np.arange(size)[:, None], grid, size, k)
+    flat_rows = np.repeat(np.arange(size), 9)
+    assert np.array_equal(dense, _add_at_counts(flat_rows, grid.ravel(), size, k))
+
+
+class _RecordingTest:
+    """Rejects nothing and keeps what the block handed it."""
+
+    def __init__(self, consumes=None):
+        self.consumes = consumes
+        self.seen = []
+
+    def rejects(self, data):
+        self.seen.append(data)
+        counts = data[0] if isinstance(data, tuple) else data
+        return np.zeros(counts.shape[0])
+
+
+@pytest.mark.parametrize("consumes", [None, "poisson"])
+def test_poisson_block_without_atoms_gives_zero_counts(consumes):
+    test = _RecordingTest(consumes)
+    model = PoissonModel(1e-12, F(0.2, 0.3, 0.5))
+    total = _simulate_error_block((test, model, 1, "reject", 300, RngSpec(107, 0)))
+    assert total == 0.0
+    (data,) = test.seen
+    counts = data[0] if consumes == "poisson" else data
+    assert counts.shape == (300, 3)
+    assert not counts.any()
+    if consumes == "poisson":
+        assert not data[1].any()
+
+
+def test_poisson_block_counts_match_add_at():
+    test = _RecordingTest("poisson")
+    model = PoissonModel(0.5, F(0.2, 0.3, 0.5))
+    _simulate_error_block((test, model, 4, "reject", 400, RngSpec(109, 0)))
+    (counts, per_rep), = test.seen
+    assert (per_rep == 0).any() and (per_rep > 0).any()
+    gen = RngSpec(109, 0).generator()  # the same draws, in the same order
+    per_rep_again = gen.poisson(4 * 0.5, size=400)
+    cum = np.cumsum(model.shape.weights)
+    cum[-1] = 1.0
+    atoms = np.searchsorted(cum, gen.random(int(per_rep_again.sum())), side="right")
+    rows = np.repeat(np.arange(400), per_rep_again)
+    assert np.array_equal(per_rep, per_rep_again)
+    assert np.array_equal(counts, _add_at_counts(rows, atoms, 400, 3))
 
 
 # -- discernibility paths -------------------------------------------------------------------
