@@ -60,6 +60,13 @@ def _worker_count(flag: Optional[int]) -> int:
     return value
 
 
+def _checked_seed(seed: int) -> int:
+    """``--seed`` if it fits the 64-bit generator key, before any work is done."""
+    if not 0 <= seed < 2**64:
+        raise ValidationError(f"--seed must be in [0, 2**64), got {seed}")
+    return seed
+
+
 def load_scenario(path: Path) -> Scenario:
     try:
         text = path.read_text(encoding="utf-8")
@@ -229,7 +236,7 @@ def main(argv=None) -> int:
         config = RunConfig(
             scenario_path=args.scenario,
             out_dir=args.out,
-            seed=args.seed,
+            seed=_checked_seed(args.seed),
             replications=args.reps,
             workers=_worker_count(args.workers),
             plots=args.plots,

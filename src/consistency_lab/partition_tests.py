@@ -104,6 +104,19 @@ class FrequencyTest:
         d1 = _nearest_distance(freq, self.alternative_vectors)
         return (d1 < d0 - TIE_TOL).astype(float)
 
+    def margin(self, freq: np.ndarray) -> np.ndarray:
+        """``d0 - d1`` for each column of a ``(k, N)`` frequency array.
+
+        ``d0`` and ``d1`` are the sup-norm distances to the nearest hypothesis
+        and alternative vector. Each is 1-Lipschitz in the sup norm, so the
+        margin is 2-Lipschitz: frequencies within ``r`` of ``f`` have a margin
+        within ``2r`` of ``margin(f)``. The margin certifies decisions away
+        from a tie (a margin clearly above ``TIE_TOL`` rejects, one clearly
+        below accepts); near a tie only :meth:`rejects` decides.
+        """
+        d0 = _nearest_distance(freq, self.hypothesis_vectors)
+        return d0 - _nearest_distance(freq, self.alternative_vectors)
+
     def decide(self, counts) -> bool:
         """True when the single count vector is rejected."""
         return bool(self.rejects(np.asarray(counts, dtype=float))[0] > 0.5)
@@ -134,6 +147,17 @@ class UnionTest:
         out = self.members[0].rejects(counts)
         for member in self.members[1:]:
             out = np.maximum(out, member.rejects(counts))
+        return out
+
+    def margin(self, freq: np.ndarray) -> np.ndarray:
+        """Elementwise max of the member margins; 2-Lipschitz like each of them.
+
+        Clearly above ``TIE_TOL`` some member rejects; clearly below it every
+        member accepts.
+        """
+        out = self.members[0].margin(freq)
+        for member in self.members[1:]:
+            out = np.maximum(out, member.margin(freq))
         return out
 
     def decide(self, counts) -> bool:

@@ -10,6 +10,7 @@ into almost-surely-finitely-many errors along a single growing sample path.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
@@ -141,14 +142,13 @@ class TestSchedule:
         self.blocks = tuple(blocks)
         self.n_max = int(n_max)
         self.hypothesis_key = hypothesis_key
-        self._starts = np.array([b.start for b in self.blocks])
+        self._starts = [b.start for b in self.blocks]
 
     # -- assignment -------------------------------------------------------------
     def _block_at(self, n: int) -> ScheduleBlock:
         if n < 1:
             raise ValidationError("sample index must be >= 1")
-        idx = int(np.searchsorted(self._starts, n, side="right")) - 1
-        return self.blocks[idx]
+        return self.blocks[bisect.bisect_right(self._starts, n) - 1]
 
     def family_index_at(self, n: int) -> int:
         return self._block_at(n).family_index

@@ -12,6 +12,12 @@ cell edges, so no distribution function is inverted, and the counts of every
 replication in a block come from one ``bincount``. Blocks run in the calling
 process, or in a :class:`WorkerPool` that a caller such as ``run_scenario``
 opens once and shares between its calls.
+
+Sample paths are replayed in segments over which the schedule hands out one
+test. A path whose test margin at the segment's end lies farther from the tie
+tolerance than the frequencies can drift inside the segment is settled: it
+gets one decision for the whole segment. Only the other paths are decided
+prefix by prefix.
 """
 from __future__ import annotations
 
@@ -24,13 +30,16 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .measures import DensitySpec, FiniteMeasure, Partition
+from .partition_tests import TIE_TOL
 
 #: Replications per RNG block in i.i.d. error estimation.
 ERROR_BLOCK = 8192
 #: Sample paths per RNG block in discernibility runs.
 PATH_BLOCK = 250
-#: Sample sizes replayed per vectorized decision: at PATH_BLOCK paths this
-#: keeps the prefix counts and distance arrays of one segment near 1 MiB.
+#: Longest run of sample sizes replayed at once. A path settles for a whole
+#: segment when its margin clears ``2 (hi - lo - 1) / hi``, so shorter
+#: segments settle more paths; the open paths of one segment, at PATH_BLOCK
+#: paths, keep their prefix counts and distance arrays near 1 MiB.
 PATH_SEGMENT = 64
 #: Stream stride reserved for one simulation task (blocks fit underneath).
 TASK_STRIDE = 1 << 20
@@ -380,18 +389,31 @@ def _simulate_path_block(args) -> np.ndarray:
     segments, model, partition, n_max, k_grid, role, size, rng = args
     cells, k = _bin_draws(model, partition, rng.generator().random((size, n_max)))
     one_hot = np.arange(k)[:, None, None]
-    counts = np.zeros((k, size, 1), dtype=np.int64)
+    errs_on_reject = role == "hypothesis"
+    rows = np.arange(size)[:, None]
+    counts = np.zeros((size, k), dtype=np.int64)
     last_error = np.zeros(size, dtype=np.int64)
     for lo, hi, test in segments:
-        # Counts of every prefix n = lo+1..hi, one (path, n) plane per cell:
-        # the running counts plus the cumulative one-hot of draws lo..hi-1.
-        prefix = np.cumsum(cells[None, :, lo:hi] == one_hot, axis=2)
-        prefix += counts
-        counts = prefix[:, :, -1:]
-        rejected = test.rejects(prefix.reshape(k, -1).T).reshape(size, hi - lo) > 0.5
-        errors = rejected if role == "hypothesis" else ~rejected
+        start, counts = counts, counts + _cell_counts(rows, cells[:, lo:hi], size, k)
+        # Settled paths: for lo < n <= hi, |f(n) - f(hi)| <= (hi - n)/hi in
+        # the sup norm and the margin is 2-Lipschitz, so the margin keeps its
+        # side of TIE_TOL, and with it the decision, over the whole segment
+        # (1e-9 absorbs rounding): a settled path errs at every n or at none.
+        margin = test.margin(np.ascontiguousarray(counts.T) / hi)  # one row per cell
+        settled = np.abs(margin - TIE_TOL) > 2.0 * (hi - lo - 1) / hi + 1e-9
+        last_error[settled & ((margin > TIE_TOL) == errs_on_reject)] = hi
+        # Open paths: decide the counts of every prefix n = lo+1..hi, one
+        # (path, n) plane per cell: the running counts plus the cumulative
+        # one-hot of draws lo..hi-1.
+        open_rows = np.flatnonzero(~settled)
+        if open_rows.size == 0:
+            continue
+        prefix = np.cumsum(cells[None, open_rows, lo:hi] == one_hot, axis=2)
+        prefix += start[open_rows].T[:, :, None]
+        rejected = test.rejects(prefix.reshape(k, -1).T).reshape(open_rows.size, hi - lo) > 0.5
+        errors = rejected == errs_on_reject
         erred = errors.any(axis=1)
-        last_error[erred] = hi - np.argmax(errors[erred, ::-1], axis=1)
+        last_error[open_rows[erred]] = hi - np.argmax(errors[erred, ::-1], axis=1)
     return np.array([(last_error > after).sum() for after in k_grid], dtype=np.int64)
 
 
@@ -414,9 +436,15 @@ def discernibility_paths(
     hypothesis model (``role="hypothesis"``) or an acceptance under an
     alternative model (``role="alternative"``). The curve at ``k`` is the
     fraction of paths erring at some ``n`` in ``(k, n_max]``, which is
-    non-increasing in ``k`` by construction. All prefixes of a run of one
-    test object are decided in one call, with the draws and decisions of a
-    per-``n`` loop. ``workers`` is a worker count or a shared :class:`WorkerPool`.
+    non-increasing in ``k`` by construction. The draws and decisions are
+    those of a per-``n`` loop. Over a run ``lo < n <= hi`` of one test object,
+    the frequencies move by at most ``(hi - n) / hi`` in the sup norm and the
+    test's 2-Lipschitz ``margin`` by at most twice that, so a path whose margin
+    at ``hi`` clears the tie tolerance by more than ``2 (hi - lo - 1) / hi``
+    (plus ``1e-9`` for rounding) takes that decision at every ``n`` of the
+    run. The prefixes of the other paths are decided in one ``rejects`` call.
+    The scheduled tests must have ``rejects`` and ``margin``. ``workers`` is a
+    worker count or a shared :class:`WorkerPool`.
     """
     if role not in ("hypothesis", "alternative"):
         raise ValidationError("role must be 'hypothesis' or 'alternative'")

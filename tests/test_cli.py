@@ -309,3 +309,30 @@ def test_workers_below_one_or_not_integer_rejected(
     assert code == 1
     assert names in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+def test_seed_outside_64_bits_rejected_before_any_work(
+    scenario_file, tmp_path, monkeypatch, capsys, seed
+):
+    import consistency_lab.cli as cli
+
+    def fail(*args, **kwargs):
+        raise AssertionError("the scenario was loaded")
+
+    monkeypatch.setattr(cli, "load_scenario", fail)
+    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
+    out_dir = tmp_path / "out"
+    code = main(["simulate", "--scenario", str(path), "--out", str(out_dir), "--seed", str(seed)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--seed" in err and str(seed) in err
+    assert not out_dir.exists()
+
+
+def test_largest_64_bit_seed_accepted(scenario_file, tmp_path):
+    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
+    out_dir = tmp_path / "out"
+    argv = ["simulate", "--scenario", str(path), "--out", str(out_dir), "--reps", "200"]
+    assert main(argv + ["--seed", str(2**64 - 1)]) == 0
+    assert f'"seed": {2**64 - 1}' in (out_dir / "manifest.json").read_text()

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from consistency_lab.errors import ConstructionError, ResourceLimitError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, normalize
 from consistency_lab.partition_tests import (
+    TIE_TOL,
     FrequencyTest,
     UnionTest,
     build_frequency_test,
@@ -152,6 +153,48 @@ def test_stacked_frequency_test_equals_union_of_singletons():
                 d1 = np.abs(freq[:, None, :] - pieces).max(axis=2).min(axis=1)
                 ties += int((d0 == d1).sum())
     assert ties > 0
+
+
+def _margin_tests(rng, k):
+    """A stacked test with random simplex vectors, one on the 1/4 lattice, and a union."""
+    lattice = count_vectors(4, k) / 4.0  # frequencies j/n hit exact ties with these
+    pick = rng.choice(len(lattice), size=4, replace=False)
+    stacked = FrequencyTest(None, rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3), 1)
+    on_lattice = FrequencyTest(None, lattice[pick[:2]], lattice[pick[2:]], 1)
+    union = UnionTest([stacked, FrequencyTest(None, lattice[pick[:1]], lattice[pick[3:]], 1)])
+    return stacked, on_lattice, union
+
+
+def test_margin_is_two_lipschitz_along_count_paths():
+    rng = np.random.default_rng(97)
+    for k in (2, 3, 4):
+        tests = _margin_tests(rng, k)
+        for hi in (1, 2, 7, 64, 200):
+            cells = rng.integers(0, k, size=(50, hi))  # 50 paths of hi draws
+            counts = np.cumsum(cells[:, :, None] == np.arange(k), axis=1)  # (path, n, cell)
+            n = np.arange(1, hi + 1)
+            freq = counts / n[None, :, None]
+            for test in tests:
+                margin = test.margin(freq.reshape(-1, k).T).reshape(50, hi)
+                drift = np.abs(margin - margin[:, -1:])
+                assert np.all(drift <= 2.0 * (hi - n) / hi + 1e-12)
+
+
+def test_margin_above_tie_tolerance_agrees_with_rejects():
+    rng = np.random.default_rng(101)
+    certified = 0
+    for k in (2, 3, 4):
+        tests = _margin_tests(rng, k)
+        rows = [count_vectors(n, k) for n in range(1, 13)] + [rng.integers(0, 40, (500, k))]
+        for counts in rows:
+            counts = counts[counts.sum(axis=1) > 0]
+            freq = (counts / counts.sum(axis=1, keepdims=True)).T
+            for test in tests:
+                margin = test.margin(freq)
+                away = np.abs(margin - TIE_TOL) > 1e-9
+                assert np.array_equal(margin[away] > TIE_TOL, test.rejects(counts)[away] > 0.5)
+                certified += int(away.sum())
+    assert certified > 0
 
 
 # -- exact error ---------------------------------------------------------------------

@@ -103,6 +103,21 @@ def test_interleave_respects_onsets():
     assert schedule.boundaries == [10]  # onset + 1 dominates the block length
 
 
+def test_block_at_matches_linear_scan():
+    family = TestFamily(tuple(make_member([0.9, 0.1], c) for c in (1.0, 0.5, 0.2, 0.05)))
+    schedule = interleave(family, 400)
+    assert len(schedule.blocks) == 4
+
+    def scan(n):
+        return next(b for b in schedule.blocks if b.start <= n and (b.end is None or n <= b.end))
+
+    edges = {b.start for b in schedule.blocks} | set(schedule.boundaries)
+    for n in sorted(edges | {e + 1 for e in edges} | {399, 400, 401, 10_000}):
+        assert schedule._block_at(n) is scan(n)
+    with pytest.raises(ValidationError):
+        schedule._block_at(0)
+
+
 def test_interleave_nmax_validation():
     family = TestFamily(
         (make_member([0.9, 0.1], 0.05), make_member([0.1, 0.9], 0.05))

@@ -501,7 +501,23 @@ def _replay_case(case):
     The first block tests against a point 40% of the way to the first piece,
     so its decisions differ often from the later test against both pieces.
     Exponent 0.05 puts the block boundary at 88, inside the second segment.
+
+    In the two-cell cases both roles draw their paths from (0.75, 0.25).
+    ``tie`` tests (0.5, 0.5) against (1, 0): a path sits on an exact tie at
+    every ``n`` where its first-cell count is ``3n/4``; a new test object at
+    every ``n`` up to 88 makes segments of length 1 there. ``tight`` tests
+    (-1, 2) against (1, 0), whose margin is twice the first-cell frequency:
+    the 2-Lipschitz bound is attained, and a path whose first draw lands in
+    the second cell accepts at ``n = 1`` and rejects soon after.
     """
+    if case in ("tie", "tight"):
+        hypothesis = [0.5, 0.5] if case == "tie" else [-1.0, 2.0]
+        test = FrequencyTest(None, [hypothesis], [[1.0, 0.0]], 1)
+        builders = [ConstantTestBuilder(test)]
+        if case == "tie":
+            builders.insert(0, _FreshTestBuilder([test]))
+        family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
+        return interleave(family, 1024), F(0.75, 0.25), F(0.75, 0.25), None
     if case == "density":
         hypothesis = DensitySpec.uniform()
         pieces = [DensitySpec.pu_family(0.4), DensitySpec.one_plus_sine(1)]
@@ -516,7 +532,7 @@ def _replay_case(case):
     both = FrequencyTest(partition, h, a, 1)
     if case == "union":
         first, second = (
-            interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(t), 0.05),)), 300,
+            interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(t), 0.05),)), 1024,
                        hypothesis_key=h)
             for t in (weak, FrequencyTest(partition, h, a[1:], 1))
         )
@@ -525,7 +541,7 @@ def _replay_case(case):
         first, second = (
             interleave(TestFamily(tuple(TestFamilyMember(ConstantTestBuilder(t), c)
                                         for t, c in zip((weak, both), (0.05, second_exponent)))),
-                       300, hypothesis_key=h)
+                       1024, hypothesis_key=h)
             for second_exponent in (0.05, 0.03)
         )
         return UnionSchedule(first, second), hypothesis, pieces[0], partition
@@ -534,25 +550,60 @@ def _replay_case(case):
     else:
         builders = [ConstantTestBuilder(weak), ConstantTestBuilder(both)]
     family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
-    return interleave(family, 300, hypothesis_key=h), hypothesis, pieces[0], partition
+    return interleave(family, 1024, hypothesis_key=h), hypothesis, pieces[0], partition
 
 
-@pytest.mark.parametrize("case", ["atoms", "density", "n_dependent", "union", "union_blocks"])
+def _recorded_rows(monkeypatch):
+    """Every count row that ``FrequencyTest.rejects`` decides from now on."""
+    seen = []
+    decide = FrequencyTest.rejects
+
+    def recording(self, counts):
+        seen.append(np.atleast_2d(counts).copy())  # callers may reuse the array
+        return decide(self, counts)
+
+    monkeypatch.setattr(FrequencyTest, "rejects", recording)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "case", ["atoms", "density", "n_dependent", "union", "union_blocks", "tie", "tight"]
+)
 @pytest.mark.parametrize("role", ["hypothesis", "alternative"])
-def test_segment_replay_matches_per_n_loop(case, role):
+def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
     schedule, hypothesis, alternative, partition = _replay_case(case)
     model = hypothesis if role == "hypothesis" else alternative
-    n_max = 3 * PATH_SEGMENT + 8  # not a multiple of the segment length
-    ks = list(range(n_max + 1))
-    for replications in (PATH_BLOCK + 1, 1):  # the last block holds one path
-        rng = RngSpec(71, replications)
-        curve = discernibility_paths(
-            schedule, model, n_max, ks, replications, rng, role=role, partition=partition
-        )
-        want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
-        assert np.array_equal(curve.error_fraction, want)
-        if replications > 1:  # the curves compared are not trivial
-            assert 0.0 < want[1] < 1.0
+    seen = _recorded_rows(monkeypatch)
+    # 200 is not a multiple of the segment length and settles few paths;
+    # at 1024 most paths settle in most segments.
+    for n_max in (3 * PATH_SEGMENT + 8, 1024):
+        ks = list(range(n_max + 1))
+        for replications in (PATH_BLOCK + 1, 1):  # the last block holds one path
+            rng = RngSpec(71, replications)
+            seen.clear()
+            curve = discernibility_paths(
+                schedule, model, n_max, ks, replications, rng, role=role, partition=partition
+            )
+            replayed = list(seen)
+            seen.clear()
+            want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
+            assert np.array_equal(curve.error_fraction, want)
+            if replications == 1:
+                continue
+            if case != "tight":  # the curves compared are not trivial (tight rejects at once)
+                assert 0.0 < want[1] < 1.0
+            decided = sum(len(rows) for rows in replayed)
+            if n_max == 1024:  # settled paths skip rows; open paths of long segments remain
+                assert decided < replications * n_max
+                assert decided > 0 or case in ("n_dependent", "union", "union_blocks")
+            if case == "tie":  # no exact tie ever settles
+                def ties(rows):
+                    return 4 * rows[:, 0] == 3 * rows.sum(axis=1)
+
+                replayed, reference = np.concatenate(replayed), np.concatenate(seen)
+                assert ties(replayed).sum() == ties(reference).sum() > 0
+                # where segments have length 1 only exact ties stay open
+                assert ties(replayed[replayed.sum(axis=1) <= 88]).all()
 
 
 @pytest.mark.parametrize("case", ["atoms", "union"])
