@@ -78,7 +78,7 @@ def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Hu
     min_i P_i.phi - max_j Q_j.phi``: variables phi, t and s, maximize
     ``t - s`` subject to ``t <= P_i.phi``, ``s >= Q_j.phi`` and ``phi <= 1``.
     t and s are free, each a +/- pair of columns. Every right-hand side is 0
-    or 1, so the slack basis is feasible and phase 1 never runs. The
+    or 1, so the slack basis that ``solve_lp`` starts from is feasible. The
     multipliers of the P and Q rows are the optimal mixtures.
     """
     P, Q = _validate_families(a, b)
@@ -238,8 +238,12 @@ def critical_points(p: DensitySpec, q: DensitySpec) -> np.ndarray:
     """
     if not isinstance(p, DensitySpec) or not isinstance(q, DensitySpec):
         raise ValidationError("density distances expect two density specs")
-    (below_p, above_p, terms_p), (below_q, above_q, terms_q) = p.series(), q.series()
-    terms = {j: terms_p.get(j, 0.0) - terms_q.get(j, 0.0) for j in sorted(terms_p | terms_q)}
+    below_p, above_p, terms_p, scale_p = p.series()
+    below_q, above_q, terms_q, scale_q = q.series()
+    terms = {
+        j: terms_p.get(j, 0.0) / scale_p - terms_q.get(j, 0.0) / scale_q
+        for j in sorted(terms_p | terms_q)
+    }
     terms = {j: c for j, c in terms.items() if c != 0.0}
     w, a = 2.0 * np.pi * np.array(list(terms), dtype=float), np.array(list(terms.values()))
     if below_p == above_p and below_q == above_q:

@@ -9,6 +9,7 @@ family). Every operation here is a pure function of immutable inputs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -18,7 +19,7 @@ from .errors import ValidationError
 
 #: Tolerance for probability sums produced by exact arithmetic.
 EXACT_TOL = 1e-12
-#: Tolerance for probability sums produced by numerical integration.
+#: Tolerance for probability sums that carry rounding: inputs, differences of CDFs.
 QUADRATURE_TOL = 1e-9
 
 _TWO_PI = 2.0 * math.pi
@@ -106,41 +107,70 @@ def mixture(measures: Sequence[FiniteMeasure], coefficients: Sequence[float]) ->
     return FiniteMeasure(np.clip(coeffs, 0.0, None) @ stacked)
 
 
+def _no_parameter(value):
+    if value is not None:
+        raise ValueError("absent")
+
+
+def _positive_integer(value):
+    """An int >= 1, or an integral float such as 3.0; not a bool."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError("an integer >= 1")
+    return value
+
+
+def _tilt(value):
+    """A float in [0, 1), or an int there; not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:
+        raise ValueError("a number in [0, 1)")
+    return float(value)
+
+
+#: kind -> (JSON name of its parameter or None, check, series builder). A check
+#: returns the parameter normalized or raises ValueError naming its rule; a
+#: builder maps the parameter to ``DensitySpec.series``.
+_KINDS = {
+    "uniform": (None, _no_parameter, lambda _: (1.0, 1.0, {}, 1.0)),
+    "one_plus_sine": ("frequency", _positive_integer, lambda i: (1.0, 1.0, {i: 1.0}, 1.0)),
+    "cesaro_mixture": (
+        "order", _positive_integer, lambda m: (1.0, 1.0, dict.fromkeys(range(1, m + 1), 1.0), m)
+    ),
+    "pu_family": ("u", _tilt, lambda u: (1.0 - u, 1.0 + u, {}, 1.0)),
+}
+
+
+def _kind(kind) -> tuple:
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"unknown density kind {kind!r}")
+    return _KINDS[kind]
+
+
 @dataclass(frozen=True)
 class DensitySpec:
-    """One of the named densities on the open unit interval.
+    """One of the named densities on the open unit interval, each a jump at 1/2
+    plus a sine series (see ``series``).
 
-    kind
-        ``uniform`` | ``one_plus_sine`` | ``cesaro_mixture`` | ``pu_family``.
-    frequency
-        Oscillation index ``i >= 1`` (``one_plus_sine`` only).
-    order
-        Averaging order ``m >= 1`` (``cesaro_mixture`` only).
-    u
-        Tilt magnitude in ``[0, 1)`` (``pu_family`` only); the perturbation has
-        density -1 on (0, 1/2] and +1 on (1/2, 1) relative to uniform, so
-        ``u < 1`` keeps the density nonnegative.
+    ``uniform`` has no parameter. ``one_plus_sine`` is ``1 + sin(2 pi i x)``
+    with frequency ``i >= 1``; ``cesaro_mixture`` averages it over i = 1..m,
+    with order ``m >= 1``. ``pu_family`` is ``1 - u`` on (0, 1/2] and ``1 + u``
+    on (1/2, 1), with tilt ``u`` in [0, 1) so the density stays positive.
+    ``param`` is normalized on construction: an integral float such as 3.0
+    becomes an int, ``u`` a float; bools and strings raise ``ValidationError``.
     """
 
     kind: str
-    frequency: int = 0
-    order: int = 0
-    u: float = 0.0
+    param: Union[int, float, None] = None
 
     def __post_init__(self):
-        if self.kind == "uniform":
-            pass
-        elif self.kind == "one_plus_sine":
-            if not (isinstance(self.frequency, int) and self.frequency >= 1):
-                raise ValidationError("one_plus_sine requires integer frequency >= 1")
-        elif self.kind == "cesaro_mixture":
-            if not (isinstance(self.order, int) and self.order >= 1):
-                raise ValidationError("cesaro_mixture requires integer order >= 1")
-        elif self.kind == "pu_family":
-            if not (0.0 <= self.u < 1.0):
-                raise ValidationError("pu_family requires u in [0, 1)")
-        else:
-            raise ValidationError(f"unknown density kind {self.kind!r}")
+        name, check, _ = _kind(self.kind)
+        try:
+            object.__setattr__(self, "param", check(self.param))
+        except ValueError as rule:
+            raise ValidationError(
+                f"{self.kind} {name or 'parameter'} must be {rule}, got {self.param!r}"
+            ) from None
 
     # -- constructors ----------------------------------------------------------
     @staticmethod
@@ -149,48 +179,52 @@ class DensitySpec:
 
     @staticmethod
     def one_plus_sine(frequency: int) -> "DensitySpec":
-        return DensitySpec("one_plus_sine", frequency=frequency)
+        return DensitySpec("one_plus_sine", frequency)
 
     @staticmethod
     def cesaro_mixture(order: int) -> "DensitySpec":
-        return DensitySpec("cesaro_mixture", order=order)
+        return DensitySpec("cesaro_mixture", order)
 
     @staticmethod
     def pu_family(u: float) -> "DensitySpec":
-        return DensitySpec("pu_family", u=float(u))
+        return DensitySpec("pu_family", u)
+
+    # -- JSON round trip ---------------------------------------------------------
+    def to_json(self) -> dict:
+        name = _KINDS[self.kind][0]
+        return {"kind": self.kind} if name is None else {"kind": self.kind, name: self.param}
+
+    @staticmethod
+    def from_json(obj: dict) -> "DensitySpec":
+        """Inverse of ``to_json``; raises ``KeyError`` when the parameter is missing."""
+        name = _kind(obj["kind"])[0]
+        return DensitySpec(obj["kind"], None if name is None else obj[name])
 
     # -- pointwise evaluation ---------------------------------------------------
+    def series(self):
+        """``(below, above, terms, scale)``: the density is ``below`` on (0, 1/2]
+        and ``above`` on (1/2, 1), plus ``sum(c * sin(2 pi j x)) / scale`` over
+        ``terms = {j: c}``. The common scale keeps the running average's
+        arithmetic: its terms carry coefficient 1 and the sum is divided by m."""
+        return _KINDS[self.kind][2](self.param)
+
     def pdf(self, x):
         """Density at ``x`` (scalar or array), valid on (0, 1)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            return np.ones_like(x)
-        if self.kind == "one_plus_sine":
-            return 1.0 + np.sin(_TWO_PI * self.frequency * x)
-        if self.kind == "cesaro_mixture":
-            total = np.zeros_like(x)
-            for j in range(1, self.order + 1):
-                total += np.sin(_TWO_PI * j * x)
-            return 1.0 + total / self.order
-        # pu_family: the tilt is -u below 1/2 and +u above
-        return np.where(x <= 0.5, 1.0 - self.u, 1.0 + self.u)
+        below, above, terms, scale = self.series()
+        total = np.zeros_like(x)
+        for j, c in terms.items():
+            total += c * np.sin(_TWO_PI * j * x)
+        return np.where(x <= 0.5, below, above) + total / scale
 
     def cdf(self, x):
-        """Distribution function at ``x`` (scalar or array), closed form."""
+        """Distribution function at ``x`` (scalar or array) in [0, 1], closed form."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "uniform":
-            return x.copy()
-        if self.kind == "one_plus_sine":
-            i = self.frequency
-            return x + (1.0 - np.cos(_TWO_PI * i * x)) / (_TWO_PI * i)
-        if self.kind == "cesaro_mixture":
-            total = np.zeros_like(x)
-            for j in range(1, self.order + 1):
-                total += (1.0 - np.cos(_TWO_PI * j * x)) / (_TWO_PI * j)
-            return x + total / self.order
-        below = (1.0 - self.u) * x
-        above = 0.5 * (1.0 - self.u) + (1.0 + self.u) * (x - 0.5)
-        return np.where(x <= 0.5, below, above)
+        below, above, terms, scale = self.series()
+        total = np.zeros_like(x)
+        for j, c in terms.items():
+            total += c * (1.0 - np.cos(_TWO_PI * j * x)) / (_TWO_PI * j)
+        return np.where(x <= 0.5, below * x, 0.5 * below + above * (x - 0.5)) + total / scale
 
     def mass(self, lo: float, hi: float) -> float:
         """Exact integral of the density over ``(lo, hi]``."""
@@ -198,32 +232,15 @@ class DensitySpec:
             raise ValidationError(f"cell ({lo}, {hi}] not inside (0, 1)")
         return float(self.cdf(hi) - self.cdf(lo))
 
-    def series(self):
-        """``(below, above, terms)`` with the density equal to ``below`` on (0, 1/2]
-        and ``above`` on (1/2, 1), plus ``sum(c * sin(2 pi j x))`` over ``terms = {j: c}``."""
-        if self.kind == "one_plus_sine":
-            return 1.0, 1.0, {self.frequency: 1.0}
-        if self.kind == "cesaro_mixture":
-            return 1.0, 1.0, dict.fromkeys(range(1, self.order + 1), 1.0 / self.order)
-        if self.kind == "pu_family":
-            return 1.0 - self.u, 1.0 + self.u, {}
-        return 1.0, 1.0, {}
-
     def quantile(self, v):
-        """Inverse distribution function, vectorized.
-
-        Closed form for the piecewise-linear families; 60 bisection steps on the
-        closed-form distribution function otherwise (deterministic, accurate to
-        well below 1e-12).
-        """
+        """Inverse distribution function, vectorized: closed form for the kinds
+        without sine terms, 60 bisection steps on ``cdf`` otherwise
+        (deterministic, accurate to well below 1e-12)."""
         v = np.asarray(v, dtype=float)
-        if self.kind == "uniform":
-            return v.copy()
-        if self.kind == "pu_family":
-            half_mass = 0.5 * (1.0 - self.u)
-            below = v / (1.0 - self.u)
-            above = 0.5 + (v - half_mass) / (1.0 + self.u)
-            return np.where(v <= half_mass, below, above)
+        below, above, terms, _ = self.series()
+        if not terms:
+            half = 0.5 * below
+            return np.where(v <= half, v / below, 0.5 + (v - half) / above)
         lo = np.zeros_like(v)
         hi = np.ones_like(v)
         for _ in range(60):
@@ -234,13 +251,8 @@ class DensitySpec:
         return 0.5 * (lo + hi)
 
     def label(self) -> str:
-        if self.kind == "one_plus_sine":
-            return f"one_plus_sine({self.frequency})"
-        if self.kind == "cesaro_mixture":
-            return f"cesaro_mixture({self.order})"
-        if self.kind == "pu_family":
-            return f"pu_family({self.u:g})"
-        return "uniform"
+        value = f"{self.param:g}" if isinstance(self.param, float) else self.param
+        return self.kind if self.param is None else f"{self.kind}({value})"
 
 
 Model = Union[FiniteMeasure, DensitySpec]

@@ -102,12 +102,7 @@ class Scenario:
             },
         }
         if self.partition is not None:
-            cells = (
-                [list(c) for c in self.partition.cells]
-                if self.partition.kind == "intervals"
-                else [list(g) for g in self.partition.cells]
-            )
-            out["partition"] = {"cells": cells}
+            out["partition"] = {"cells": [list(c) for c in self.partition.cells]}
         if self.schedule is not None:
             out["schedule"] = {
                 "exponents": list(self.schedule.get("exponents", [])),
@@ -120,14 +115,7 @@ def _model_to_json(model) -> dict:
     if isinstance(model, FiniteMeasure):
         return {"weights": [float(w) for w in model.weights]}
     if isinstance(model, DensitySpec):
-        out = {"kind": model.kind}
-        if model.kind == "one_plus_sine":
-            out["frequency"] = model.frequency
-        elif model.kind == "cesaro_mixture":
-            out["order"] = model.order
-        elif model.kind == "pu_family":
-            out["u"] = model.u
-        return out
+        return model.to_json()
     if isinstance(model, PoissonModel):
         return {"mass": model.mass, "shape": [float(w) for w in model.shape.weights]}
     if isinstance(model, GaussianSequenceModel):
@@ -144,16 +132,7 @@ def _model_from_json(obj: dict, model_type: str):
         if model_type == "finite":
             return FiniteMeasure(obj["weights"])
         if model_type == "density":
-            kind = obj["kind"]
-            if kind == "uniform":
-                return DensitySpec.uniform()
-            if kind == "one_plus_sine":
-                return DensitySpec.one_plus_sine(int(obj["frequency"]))
-            if kind == "cesaro_mixture":
-                return DensitySpec.cesaro_mixture(int(obj["order"]))
-            if kind == "pu_family":
-                return DensitySpec.pu_family(float(obj["u"]))
-            raise ValidationError(f"unknown density kind {kind!r}")
+            return DensitySpec.from_json(obj)
         if model_type == "poisson":
             return PoissonModel(mass=float(obj["mass"]), shape=FiniteMeasure(obj["shape"]))
         if model_type == "gaussian_sequence":
@@ -182,6 +161,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     alternative = [_model_from_json(m, model_type) for m in data["alternative"]]
     partition = None
     if "partition" in data:
+        if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
+            raise ValidationError("scenario 'partition' lacks required key 'cells'")
         cells = data["partition"]["cells"]
         if model_type == "finite":
             partition = Partition.atoms(cells)
@@ -257,9 +238,6 @@ def scenario_mazur_mixture(m_max: int, grid_size: int = 64) -> Scenario:
 
 def scenario_kolmogorov_family(u_list: Sequence[float], n_grid: Sequence[int]) -> Scenario:
     """Piecewise-constant tilts of the uniform density, indexed by tilt size."""
-    for u in u_list:
-        if not (0.0 <= u < 1.0):
-            raise ValidationError(f"u={u} outside [0, 1)")
     return Scenario(
         name="kolmogorov-family",
         model_type="density",

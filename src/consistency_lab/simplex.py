@@ -1,17 +1,17 @@
-"""Dense two-phase simplex solver for the tiny linear programs used here.
+"""Dense simplex solver for the small linear programs used here.
 
-Instances have at most a few hundred variables, so a plain tableau method is
-fast, dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
+It solves ``min c.x`` subject to ``A x <= b``, ``x >= 0`` with ``b >= 0``, the
+form of the hull LP, starting from the feasible slack basis. Instances have at
+most a few hundred variables, so a plain tableau method is fast,
+dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
 largest-pivot tie-break for numerical stability, and falls back to Bland's
 anti-cycling rule when the objective stalls on a long run of degenerate
-pivots. When phase 1 does not run, the point and the row multipliers are
-refined against the final basis on the original rows, so that the rounding of
-many pivots does not reach them.
+pivots. The point and the row multipliers are refined against the final basis
+on the original rows, so that the rounding of many pivots does not reach them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -35,17 +35,16 @@ _RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LpResult:
-    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0``.
+    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  x >= 0``.
 
     ``duals`` holds one multiplier per ``A_ub`` row: the rate of change of the
-    optimum with the row's right-hand side, so ``<= 0``. It is ``None`` when
-    phase 1 ran (equality rows or a negative right-hand side).
+    optimum with the row's right-hand side, so ``<= 0``.
     """
 
     x: np.ndarray
     objective: float
     iterations: int
-    duals: Optional[np.ndarray]
+    duals: np.ndarray
 
 
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
@@ -116,110 +115,37 @@ def _refine(matrix: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndar
     return z
 
 
-def _rows(A, b, n, name):
-    """``(A, b)`` as float arrays with ``n`` columns; empty when ``A`` is None."""
-    if A is None:
-        return np.zeros((0, n)), np.zeros(0)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    if A.shape != (b.size, n):
-        raise ValidationError(f"{name} shapes inconsistent with objective")
-    return A, b
+def solve_lp(c, A_ub, b_ub, tol: float = DEFAULT_TOL, max_iterations: int = 20000) -> LpResult:
+    """Minimize ``c.x`` subject to ``A_ub x <= b_ub`` and ``x >= 0``, with ``b_ub >= 0``.
 
-
-def solve_lp(
-    c,
-    A_ub: Optional[np.ndarray] = None,
-    b_ub: Optional[np.ndarray] = None,
-    A_eq: Optional[np.ndarray] = None,
-    b_eq: Optional[np.ndarray] = None,
-    tol: float = DEFAULT_TOL,
-    max_iterations: int = 20000,
-) -> LpResult:
-    """Solve a small dense LP in the standard nonnegative form.
-
-    Phase 1 finds a basic feasible point through artificial variables; it is
-    skipped when every right-hand side is >= 0 and there are no equality rows.
-    Phase 2 optimizes the caller's objective. Raises ``NumericError`` with
-    diagnostics on infeasibility, unboundedness, or iteration overrun.
+    The tableau ``[A_ub | I | b_ub]`` starts from the slack basis, feasible since
+    ``b_ub >= 0``. Raises ``ValidationError`` on a negative right-hand side or
+    inconsistent shapes, ``NumericError`` on unboundedness or iteration overrun.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
-    A_ub, b_ub = _rows(A_ub, b_ub, n, "A_ub/b_ub")
-    A_eq, b_eq = _rows(A_eq, b_eq, n, "A_eq/b_eq")
-    n_ub = b_ub.size
-    m = n_ub + b_eq.size
+    A = np.atleast_2d(np.asarray(A_ub, dtype=float))
+    b = np.asarray(b_ub, dtype=float)
+    m = b.size
+    if A.shape != (m, n) or b.ndim != 1:
+        raise ValidationError("A_ub/b_ub shapes inconsistent with objective")
     if m == 0:
         raise ValidationError("LP needs at least one constraint")
+    if np.any(b < 0.0):
+        raise ValidationError("solve_lp needs b_ub >= 0, so that the slack basis is feasible")
 
-    # Columns: original vars, slacks for <= rows, artificials as needed.
-    body = np.zeros((m, n + n_ub))
-    body[:, :n] = np.vstack([A_ub, A_eq])
-    body[np.arange(n_ub), n + np.arange(n_ub)] = 1.0
-    b = np.concatenate([b_ub, b_eq])
-    flip = b < 0.0
+    body = np.hstack([A, np.eye(m)])
+    tableau = np.column_stack([body, b])
+    basis = n + np.arange(m)
+    cost = np.concatenate([c, np.zeros(m)])
+    iterations = _run_simplex(tableau, basis, cost, n + m, tol, max_iterations)
 
-    needs_artificial = [i >= n_ub or flip[i] for i in range(m)]
-    n_art = sum(needs_artificial)
-    tableau = np.zeros((m, n + n_ub + n_art + 1))
-    tableau[:, : n + n_ub] = np.where(flip[:, None], -body, body)
-    tableau[:, -1] = np.abs(b)
-    basis = np.zeros(m, dtype=int)
-    art = 0
-    for i in range(m):
-        if needs_artificial[i]:
-            col = n + n_ub + art
-            tableau[i, col] = 1.0
-            basis[i] = col
-            art += 1
-        else:
-            basis[i] = n + i
-
-    total_cols = n + n_ub + n_art
-    iterations = 0
-    if n_art:
-        phase1_cost = np.zeros(total_cols)
-        phase1_cost[n + n_ub :] = 1.0
-        iterations += _run_simplex(tableau, basis, phase1_cost, total_cols, tol, max_iterations)
-        residual = float(phase1_cost[basis] @ tableau[:, -1])
-        if residual > 1e3 * tol:
-            raise NumericError(f"LP infeasible (phase-1 residual {residual:.3e})")
-        # Drive leftover artificials out of the basis; drop redundant rows.
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= n + n_ub:
-                pivot_col = next(
-                    (j for j in range(n + n_ub) if abs(tableau[i, j]) > tol), None
-                )
-                if pivot_col is None:
-                    keep[i] = False
-                else:
-                    _pivot(tableau, basis, i, pivot_col)
-        if not keep.all():
-            tableau = tableau[keep]
-            basis = basis[keep]
-            m = int(keep.sum())
-
-    if np.any(basis >= n + n_ub):
-        raise NumericError("artificial variable stuck in basis")
-    work = tableau[:, : n + n_ub + 1].copy()
-    work[:, -1] = tableau[:, -1]
-    phase2_cost = np.zeros(n + n_ub)
-    phase2_cost[:n] = c
-    iterations += _run_simplex(work, basis, phase2_cost, n + n_ub, tol, max_iterations)
-
-    x = np.zeros(n + n_ub)
-    duals = None
-    if n_art:
-        x[basis] = work[:, -1]
-    else:
-        # The slack columns started as the identity, so they hold the inverse
-        # of the final basis, with the rounding of every pivot in it.
-        final = body[:, basis]
-        inverse = work[:, n : n + n_ub]
-        x[basis] = _refine(final, inverse, b)
-        duals = _refine(final.T, inverse.T, phase2_cost[basis])
+    # The slack columns started as the identity, so they hold the inverse of
+    # the final basis, with the rounding of every pivot in it.
+    final = body[:, basis]
+    inverse = tableau[:, n : n + m]
+    x = np.zeros(n + m)
+    x[basis] = _refine(final, inverse, b)
+    duals = _refine(final.T, inverse.T, cost[basis])
     solution = x[:n]
-    return LpResult(
-        x=solution, objective=float(c @ solution), iterations=iterations, duals=duals
-    )
+    return LpResult(x=solution, objective=float(c @ solution), iterations=iterations, duals=duals)

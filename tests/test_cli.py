@@ -5,9 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from consistency_lab.cli import main
+from consistency_lab.cli import load_scenario, main
 from consistency_lab.measures import FiniteMeasure
-from consistency_lab.reports import dumps_canonical, write_json
+from consistency_lab.reports import dumps_canonical, scenario_hash, write_json
 from consistency_lab.scenarios import (
     scenario_kolmogorov_family,
     scenario_nested_alternatives,
@@ -73,6 +73,69 @@ def test_malformed_json_reports_position(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "line 1" in err and "column" in err
+
+
+# -- scenario schema -------------------------------------------------------------------
+
+
+def _density_scenario(tmp_path, alternative, name="density.json", **extra):
+    data = {
+        "name": "density-parameters",
+        "model": {"type": "density"},
+        "hypothesis": [{"kind": "uniform"}],
+        "alternative": [alternative],
+        "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
+        **extra,
+    }
+    path = tmp_path / name
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize(
+    "alternative",
+    [
+        {"kind": "one_plus_sine", "frequency": 2.7},
+        {"kind": "one_plus_sine", "frequency": True},
+        {"kind": "pu_family", "u": "0.3"},
+    ],
+    ids=["fractional-frequency", "bool-frequency", "string-u"],
+)
+def test_density_parameter_not_coerced(tmp_path, capsys, alternative):
+    path = _density_scenario(tmp_path, alternative)
+    code = main(["distinguish", "--scenario", str(path)])
+    out, err = capsys.readouterr()
+    kind, param = alternative["kind"], list(alternative)[1]
+    assert code == 1
+    assert out == ""
+    assert f"{kind} {param} must be" in err
+
+
+@pytest.mark.parametrize(
+    "given, canonical",
+    [
+        ({"kind": "one_plus_sine", "frequency": 3}, {"kind": "one_plus_sine", "frequency": 3}),
+        ({"kind": "one_plus_sine", "frequency": 3.0}, {"kind": "one_plus_sine", "frequency": 3}),
+        ({"kind": "pu_family", "u": 0}, {"kind": "pu_family", "u": 0.0}),
+    ],
+    ids=["int-frequency", "integral-float-frequency", "int-u"],
+)
+def test_density_parameter_accepted_with_unchanged_hash(tmp_path, capsys, given, canonical):
+    path = _density_scenario(tmp_path, given)
+    code = main(["distinguish", "--scenario", str(path)])
+    assert code in (0, 2)  # separated, or a zero margin: either way not an error
+    assert "kraft_bound=" in capsys.readouterr().out
+    reference = _density_scenario(tmp_path, canonical, name="canonical.json")
+    assert scenario_hash(load_scenario(path).to_json_dict()) == scenario_hash(
+        load_scenario(reference).to_json_dict()
+    )
+
+
+def test_partition_without_cells_names_the_key(tmp_path, capsys):
+    path = _density_scenario(tmp_path, {"kind": "uniform"}, partition={"breakpoints": [0.5]})
+    code = main(["distinguish", "--scenario", str(path)])
+    assert code == 1
+    assert "scenario 'partition' lacks required key 'cells'" in capsys.readouterr().err
 
 
 # -- bound -----------------------------------------------------------------------------

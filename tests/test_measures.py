@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,8 @@ from consistency_lab.measures import (
     mixture,
     normalize,
 )
+from consistency_lab.reports import scenario_hash
+from consistency_lab.scenarios import Scenario, scenario_from_dict
 from quadrature_oracle import integrate, mass_quadrature, oscillation_depth
 
 
@@ -204,3 +207,109 @@ def test_quantile_inverts_cdf():
     ]:
         x = spec.quantile(u)
         assert_allclose(spec.cdf(x), u, atol=1e-10)
+
+
+# -- the per-kind table against the per-kind formulas -------------------------------------
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _reference_density(kind, param):
+    """``(pdf, cdf, quantile)`` of a kind as one formula each, in its own arithmetic order."""
+    if kind == "uniform":
+        return np.ones_like, np.copy, np.copy
+    if kind == "one_plus_sine":
+        i = param
+        return (
+            lambda x: 1.0 + np.sin(_TWO_PI * i * x),
+            lambda x: x + (1.0 - np.cos(_TWO_PI * i * x)) / (_TWO_PI * i),
+            None,
+        )
+    if kind == "cesaro_mixture":
+        def pdf(x):
+            total = np.zeros_like(x)
+            for j in range(1, param + 1):
+                total += np.sin(_TWO_PI * j * x)
+            return 1.0 + total / param
+
+        def cdf(x):
+            total = np.zeros_like(x)
+            for j in range(1, param + 1):
+                total += (1.0 - np.cos(_TWO_PI * j * x)) / (_TWO_PI * j)
+            return x + total / param
+
+        return pdf, cdf, None
+    u = param
+    half_mass = 0.5 * (1.0 - u)
+    return (
+        lambda x: np.where(x <= 0.5, 1.0 - u, 1.0 + u),
+        lambda x: np.where(x <= 0.5, (1.0 - u) * x, half_mass + (1.0 + u) * (x - 0.5)),
+        lambda v: np.where(v <= half_mass, v / (1.0 - u), 0.5 + (v - half_mass) / (1.0 + u)),
+    )
+
+
+def _reference_bisection(cdf, v):
+    lo, hi = np.zeros_like(v), np.ones_like(v)
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        under = cdf(mid) < v
+        lo, hi = np.where(under, mid, lo), np.where(under, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+EVERY_KIND = (
+    [DensitySpec.uniform()]
+    + [DensitySpec.one_plus_sine(i) for i in (1, 2, 3, 64, 1000)]
+    + [DensitySpec.cesaro_mixture(m) for m in (1, 2, 8, 200)]
+    + [DensitySpec.pu_family(u) for u in (0.0, 0.2, 1 / 3, 0.4, 0.6, 0.99)]
+)
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
+def test_density_table_equals_per_kind_formulas(spec):
+    grid = np.concatenate([
+        [0.0, 0.5, np.nextafter(0.5, 1.0), 1.0],
+        np.linspace(0.0, 1.0, 257),
+        np.random.default_rng(17).random(200),
+    ])
+    pdf, cdf, quantile = _reference_density(spec.kind, spec.param)
+    assert np.array_equal(spec.pdf(grid), pdf(grid))
+    assert np.array_equal(spec.cdf(grid), cdf(grid))
+    if quantile is None:
+        assert np.array_equal(spec.quantile(grid), _reference_bisection(cdf, grid))
+    else:
+        assert np.array_equal(spec.quantile(grid), quantile(grid))
+    for x in (0.0, 0.3, 0.5, 1.0):
+        assert spec.cdf(x) == cdf(np.asarray(x))
+
+
+def test_density_labels():
+    assert DensitySpec.uniform().label() == "uniform"
+    assert DensitySpec.one_plus_sine(3).label() == "one_plus_sine(3)"
+    assert DensitySpec.one_plus_sine(10**6).label() == "one_plus_sine(1000000)"
+    assert DensitySpec.cesaro_mixture(8).label() == "cesaro_mixture(8)"
+    assert DensitySpec.pu_family(0.2).label() == "pu_family(0.2)"
+    assert DensitySpec.pu_family(1 / 3).label() == "pu_family(0.333333)"
+
+
+@pytest.mark.parametrize("spec", EVERY_KIND, ids=lambda s: s.label())
+def test_density_json_round_trip(spec):
+    scenario = Scenario(name="x", model_type="density", hypothesis=[DensitySpec.uniform()],
+                        alternative=[spec])
+    data = scenario.to_json_dict()
+    parsed = scenario_from_dict(json.loads(json.dumps(data)))
+    assert parsed.alternative == [spec]
+    assert scenario_hash(parsed.to_json_dict()) == scenario_hash(data)
+
+
+def test_density_parameters_normalized_or_rejected():
+    assert DensitySpec.one_plus_sine(3.0) == DensitySpec.one_plus_sine(3)
+    assert type(DensitySpec.cesaro_mixture(4.0).param) is int
+    assert type(DensitySpec.pu_family(0).param) is float
+    for kind, value in [
+        ("one_plus_sine", 2.7), ("one_plus_sine", True), ("one_plus_sine", "3"),
+        ("cesaro_mixture", 0), ("cesaro_mixture", math.inf), ("pu_family", "0.3"),
+        ("pu_family", False), ("pu_family", math.nan), ("uniform", 1),
+    ]:
+        with pytest.raises(ValidationError, match=kind):
+            DensitySpec(kind, value)
