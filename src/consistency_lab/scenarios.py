@@ -8,6 +8,7 @@ construction order, so a seed pins every output byte.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from math import erfc, sqrt
@@ -414,19 +415,19 @@ class PoissonTwoStageTest:
 def poisson_count_threshold(mass0: float, n: int, target: float) -> tuple[float, float]:
     """Smallest deviation rate whose tail bound meets ``target``.
 
-    Scans a fixed grid of rates below the total mass; when even the largest
+    Searches a fixed grid of rates below the total mass; when even the largest
     rate misses the target, returns it anyway (the most conservative choice)
-    together with its bound.
+    together with its bound. The bound decreases in the rate, so a bisection
+    finds the first rate that meets the target.
     """
     rates = mass0 * np.arange(1, 1000) / 1000.0
-    chosen = rates[-1]
-    bound = poisson_atom_tail_bound(mass0, n, float(rates[-1]))
-    for rate in rates:
-        value = poisson_atom_tail_bound(mass0, n, float(rate))
-        if value <= target:
-            chosen, bound = float(rate), value
-            break
-    return float(chosen), float(bound)
+    first = bisect.bisect_left(
+        range(rates.size),
+        True,
+        key=lambda i: poisson_atom_tail_bound(mass0, n, float(rates[i])) <= target,
+    )
+    rate = float(rates[min(first, rates.size - 1)])
+    return rate, poisson_atom_tail_bound(mass0, n, rate)
 
 
 def build_nested_family(

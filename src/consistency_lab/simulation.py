@@ -9,7 +9,10 @@ bit-identical for a given seed regardless of the worker count.
 Draws of i.i.d. and Poisson models reach a test as cell counts. A density draw
 ``F^-1(u)`` is binned by comparing its uniform ``u`` with ``F`` at the interior
 cell edges, so no distribution function is inverted, and the counts of every
-replication in a block come from one ``bincount``. Blocks run in the calling
+replication in a block come from one ``bincount``. A Poisson process with mean
+measure ``n * mass * w`` has independent Poisson(``n * mass * w_j``) atom counts
+per cell, so Poisson error blocks draw those counts directly and never draw an
+atom; the total is their sum. Blocks run in the calling
 process, or in a :class:`WorkerPool` that a caller such as ``run_scenario``
 opens once and shares between its calls.
 
@@ -232,17 +235,24 @@ def _cell_counts(rows, cells, size: int, k: int) -> np.ndarray:
 
 
 def _simulate_error_block(args) -> float:
+    """Number of rejections (or acceptances) in ``size`` replications at ``rng``.
+
+    Gaussian sequences hand the test the observation vectors and i.i.d.
+    models the cell counts of ``n`` draws. Poisson models hand it the count of
+    each shape atom, drawn as independent Poisson(``n * mass * w_j``) variables
+    in one ``(size, k)`` call, so the cost does not grow with ``n``; a test
+    that ``consumes`` ``"poisson"`` also gets their row sums, the totals.
+    """
     test, model, n, count_kind, size, rng = args
     gen = rng.generator()
     if isinstance(model, GaussianSequenceModel):
         y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
         reject = test.rejects(y)
     elif isinstance(model, PoissonModel):
-        counts_per_rep = gen.poisson(n * model.mass, size=size)
-        atoms, k = _bin_draws(model.shape, None, gen.random(int(counts_per_rep.sum())))
-        counts = _cell_counts(np.repeat(np.arange(size), counts_per_rep), atoms, size, k)
+        lam = n * model.mass * model.shape.weights
+        counts = gen.poisson(lam, size=(size, lam.size))
         if getattr(test, "consumes", None) == "poisson":
-            reject = test.rejects((counts, counts_per_rep))
+            reject = test.rejects((counts, counts.sum(axis=1)))
         else:
             reject = test.rejects(counts)
     else:
@@ -332,7 +342,7 @@ def estimate_error(
     half_width = 1.959963984540054 * math.sqrt(
         max(estimate * (1.0 - estimate), 0.0) / replications
     )
-    if estimate < 5.0 / replications:
+    if estimate < 5.0 / replications or estimate > 1.0 - 5.0 / replications:
         ci_low, ci_high = wilson_interval(estimate, replications)
         method = "wilson"
     else:

@@ -11,8 +11,10 @@ from consistency_lab.reports import dumps_canonical, scenario_hash, write_json
 from consistency_lab.scenarios import (
     scenario_kolmogorov_family,
     scenario_nested_alternatives,
+    scenario_poisson,
     scenario_sine_indistinguishable,
 )
+from consistency_lab.simulation import PoissonModel
 
 
 def F(*weights):
@@ -222,6 +224,27 @@ def test_simulate_same_seed_byte_identical(scenario_file, tmp_path):
              "--reps", "200"]
         ) == 0
     assert read_tree(d1) == read_tree(d2)
+
+
+def test_simulate_poisson_multi_block_independent_of_workers(scenario_file, tmp_path):
+    h0 = PoissonModel(1.0, FiniteMeasure(np.array([0.5, 0.5])))
+    h1 = PoissonModel(1.5, FiniteMeasure(np.array([0.3, 0.7])))
+    path = scenario_file(scenario_poisson(h0, h1, n_grid=[8, 32]))
+    trees = {}
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert main(
+            ["simulate", "--scenario", str(path), "--out", str(out), "--seed", "3",
+             "--reps", "9000", "--workers", str(workers)]  # two blocks per estimate
+        ) == 0
+        trees[workers] = read_tree(out)
+    assert set(trees[1]) == set(trees[2]) and "poisson_errors.csv" in trees[1]
+    for name, data in trees[1].items():
+        other = trees[2][name]
+        assert data != other  # both record their worker count ...
+        assert data.replace(b'"workers": 1', b'"workers": 2').replace(
+            b"# workers=1", b"# workers=2"
+        ) == other  # ... and nothing else differs
 
 
 def test_simulate_plots_flag_emits_svg(scenario_file, tmp_path):

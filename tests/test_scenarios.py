@@ -10,9 +10,10 @@ from consistency_lab.errors import (
     ValidationError,
 )
 from consistency_lab.measures import FiniteMeasure, Partition
-from consistency_lab.partition_tests import exact_error
+from consistency_lab.partition_tests import build_frequency_test, exact_error, separation
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
+    PoissonTwoStageTest,
     build_nested_family,
     nested_schedule,
     poisson_count_threshold,
@@ -25,7 +26,12 @@ from consistency_lab.scenarios import (
     scenario_signal_detection,
     scenario_sine_indistinguishable,
 )
-from consistency_lab.simulation import PoissonModel, RngSpec, estimate_error
+from consistency_lab.simulation import (
+    PoissonModel,
+    RngSpec,
+    estimate_error,
+    poisson_atom_tail_bound,
+)
 
 
 def F(*weights):
@@ -264,6 +270,67 @@ def test_poisson_count_threshold_monotone_in_n():
     rate8, _ = poisson_count_threshold(1.0, 8, target=1.0 / 64)
     rate64, _ = poisson_count_threshold(1.0, 64, target=1.0 / 4096)
     assert rate64 <= rate8
+
+
+def _linear_scan_threshold(mass0, n, target):
+    """The first rate of the grid whose bound meets ``target``, found by a scan."""
+    rates = mass0 * np.arange(1, 1000) / 1000.0
+    for rate in rates:
+        value = poisson_atom_tail_bound(mass0, n, float(rate))
+        if value <= target:
+            return float(rate), value
+    return float(rates[-1]), poisson_atom_tail_bound(mass0, n, float(rates[-1]))
+
+
+def test_poisson_count_threshold_bisection_matches_linear_scan():
+    for mass0 in (0.5, 1.0, 1.5, 2.0):
+        for n in range(1, 4097):
+            target = 1.0 / (n * n)
+            assert poisson_count_threshold(mass0, n, target) == _linear_scan_threshold(
+                mass0, n, target
+            ), (mass0, n)
+    # a target no rate of the grid meets falls back to the largest rate
+    assert poisson_count_threshold(1.0, 1, 1e-300) == _linear_scan_threshold(1.0, 1, 1e-300)
+
+
+def _two_stage_exact(test, model, n, count):
+    """Exact rejection (or acceptance) probability of a two-stage test.
+
+    Conditions on the atom total ``N ~ Poisson(n * mass)``: the count stage
+    decides on ``N`` alone, an empty process is accepted, and otherwise the
+    frequency stage sees ``Multinomial(N, shape)`` counts. The sum over ``N``
+    stops once the Poisson tail left out is below 1e-12.
+    """
+    lam = n * model.mass
+    total = seen = 0.0
+    N = 0
+    while N <= lam or 1.0 - seen >= 1e-12:
+        pmf = math.exp(N * math.log(lam) - lam - math.lgamma(N + 1))
+        if abs(N - n * test.mass0) > n * test.deviation_rate:
+            reject = 1.0
+        elif N == 0:
+            reject = 0.0
+        else:
+            reject = exact_error(test.frequency_test, model.shape, N)[0]
+        total += pmf * (reject if count == "reject" else 1.0 - reject)
+        seen += pmf
+        N += 1
+    return total
+
+
+@pytest.mark.parametrize("n", [8, 32])
+def test_poisson_two_stage_monte_carlo_matches_exact_oracle(n):
+    h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7))
+    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], Partition.identity(2)), 1)
+    rate, _ = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
+    test = PoissonTwoStageTest(n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test)
+    reps = 20_000
+    for model, count, stream in ((h0, "reject", 0), (h1, "accept", 1)):
+        exact = _two_stage_exact(test, model, n, count)
+        assert 0.01 < exact < 0.99  # both stages and both outcomes matter here
+        mc = estimate_error(test, model, n, reps, RngSpec(131, stream), count=count)
+        sigma = math.sqrt(exact * (1 - exact) / reps)
+        assert abs(mc.estimate - exact) <= 4 * sigma, (count, mc.estimate, exact)
 
 
 # -- serialization round trip -------------------------------------------------------------

@@ -15,7 +15,9 @@ from consistency_lab.partition_tests import (
 )
 from consistency_lab.scenarios import (
     ConstantTestBuilder,
+    PoissonTwoStageTest,
     nested_schedule,
+    poisson_count_threshold,
     scenario_nested_alternatives,
 )
 from consistency_lab.scheduler import TestFamily, TestFamilyMember, UnionSchedule, interleave
@@ -230,6 +232,12 @@ def test_estimate_error_constant_accept_is_exact_zero():
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0))
     assert report.estimate == 0.0
     assert report.ci_method == "wilson"
+    # the type II error of the same test is exactly one: Wilson at that end too
+    report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0), count="accept")
+    assert report.estimate == 1.0
+    assert report.ci_method == "wilson"
+    assert (report.ci_low, report.ci_high) == wilson_interval(1.0, 1000)
+    assert 0.99 < report.ci_low < 1.0 and report.ci_high == 1.0
 
 
 def test_estimate_error_matches_exact_oracle():
@@ -373,20 +381,26 @@ def test_poisson_block_without_atoms_gives_zero_counts(consumes):
         assert not data[1].any()
 
 
-def test_poisson_block_counts_match_add_at():
+def test_poisson_block_counts_are_per_atom_poisson_draws():
     test = _RecordingTest("poisson")
     model = PoissonModel(0.5, F(0.2, 0.3, 0.5))
     _simulate_error_block((test, model, 4, "reject", 400, RngSpec(109, 0)))
     (counts, per_rep), = test.seen
     assert (per_rep == 0).any() and (per_rep > 0).any()
-    gen = RngSpec(109, 0).generator()  # the same draws, in the same order
-    per_rep_again = gen.poisson(4 * 0.5, size=400)
-    cum = np.cumsum(model.shape.weights)
-    cum[-1] = 1.0
-    atoms = np.searchsorted(cum, gen.random(int(per_rep_again.sum())), side="right")
-    rows = np.repeat(np.arange(400), per_rep_again)
-    assert np.array_equal(per_rep, per_rep_again)
-    assert np.array_equal(counts, _add_at_counts(rows, atoms, 400, 3))
+    # the block's only draw: one Poisson count per replication and atom
+    expected = RngSpec(109, 0).generator().poisson(4 * 0.5 * model.shape.weights, size=(400, 3))
+    assert np.array_equal(counts, expected)
+    assert np.array_equal(per_rep, counts.sum(1))
+
+
+def test_poisson_error_cost_does_not_grow_with_n():
+    n = 10**9  # an atom draw would need about 1e12 uniforms here
+    rate, _ = poisson_count_threshold(1.0, n, target=1.0 / (n * n))
+    test = PoissonTwoStageTest(n=n, mass0=1.0, deviation_rate=rate)
+    t0 = time.perf_counter()
+    report = estimate_error(test, PoissonModel(1.0, F(0.5, 0.5)), n, 1000, RngSpec(113, 0))
+    assert time.perf_counter() - t0 < 1.0
+    assert report.estimate == 0.0
 
 
 # -- discernibility paths -------------------------------------------------------------------
