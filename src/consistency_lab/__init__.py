@@ -51,10 +51,8 @@ from .scheduler import (
     interleave,
     tail_bound,
     tail_constant,
-    union_schedule,
 )
 from .simulation import (
-    DiscernibilityCurve,
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,

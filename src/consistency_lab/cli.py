@@ -17,7 +17,7 @@ from typing import Optional
 from . import __version__
 from .distances import hull_variation
 from .errors import ConstructionError, ValidationError
-from .measures import FiniteMeasure, discretize, induced_vector
+from .measures import FiniteMeasure, discretize
 from .partition_tests import separation
 from .reports import (
     format_value,
@@ -33,7 +33,6 @@ from .scenarios import Scenario, run_scenario, scenario_from_dict
 class RunConfig:
     """Verbatim run parameters; recorded in every output manifest."""
 
-    scenario_path: Path
     out_dir: Path
     seed: int
     replications: Optional[int]
@@ -81,13 +80,6 @@ def load_scenario(path: Path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _cell_measures(scenario: Scenario):
-    """Hypothesis/alternative reduced to cell-probability measures on the partition."""
-    h = [FiniteMeasure(induced_vector(m, scenario.partition)) for m in scenario.hypothesis]
-    a = [FiniteMeasure(induced_vector(m, scenario.partition)) for m in scenario.alternative]
-    return h, a
-
-
 def _manifest(scenario: Scenario, config: RunConfig, command: str) -> dict:
     return {
         "command": command,
@@ -108,7 +100,8 @@ def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
     if scenario.partition is None:
         raise ValidationError("distinguish requires a scenario with a partition")
     report = separation(scenario.hypothesis, scenario.alternative, scenario.partition)
-    h, a = _cell_measures(scenario)
+    h = [FiniteMeasure(v) for v in report.hypothesis_vectors]
+    a = [FiniteMeasure(v) for v in report.alternative_vectors]
     bound = 1.0 - hull_variation(h, a).value
     i, j = report.witness_pair
     print(f"margin={format_value(report.margin)}")
@@ -140,11 +133,20 @@ def cmd_bound(scenario: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _write_tables(run, out_dir: Path, manifest: dict, plots: bool) -> None:
+def _run_and_write(scenario: Scenario, config: RunConfig, command: str) -> int:
+    """Run every metric of the scenario, write its tables, reports and manifest; count tables."""
+    run = run_scenario(
+        scenario,
+        seed=config.seed,
+        replications=config.replications,
+        workers=config.workers,
+    )
+    manifest = _manifest(scenario, config, command)
+    out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in run.tables.items():
         write_csv(out_dir / f"{name}.csv", table.columns, table.rows, manifest)
-        if plots and len(table.rows) > 1:
+        if config.plots and len(table.rows) > 1:
             numeric = [
                 c
                 for c in range(len(table.columns))
@@ -163,18 +165,12 @@ def _write_tables(run, out_dir: Path, manifest: dict, plots: bool) -> None:
     for name, report in run.reports.items():
         write_json(out_dir / f"{name}.json", report)
     write_json(out_dir / "manifest.json", manifest)
+    return len(run.tables)
 
 
 def cmd_simulate(scenario: Scenario, config: RunConfig) -> int:
-    run = run_scenario(
-        scenario,
-        seed=config.seed,
-        replications=config.replications,
-        workers=config.workers,
-    )
-    manifest = _manifest(scenario, config, "simulate")
-    _write_tables(run, config.out_dir, manifest, config.plots)
-    print(f"wrote {len(run.tables)} metric tables to {config.out_dir}")
+    tables = _run_and_write(scenario, config, "simulate")
+    print(f"wrote {tables} metric tables to {config.out_dir}")
     return 0
 
 
@@ -183,14 +179,7 @@ def cmd_schedule(scenario: Scenario, config: RunConfig) -> int:
         raise ValidationError("schedules require finite-alphabet scenarios")
     if scenario.schedule is None:
         scenario.schedule = {"exponents": [], "onsets": []}  # derive certificates
-    manifest = _manifest(scenario, config, "schedule")
-    run = run_scenario(
-        scenario,
-        seed=config.seed,
-        replications=config.replications,
-        workers=config.workers,
-    )
-    _write_tables(run, config.out_dir, manifest, config.plots)
+    _run_and_write(scenario, config, "schedule")
     print(f"wrote schedule and discernibility curve to {config.out_dir}")
     return 0
 
@@ -234,7 +223,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = RunConfig(
-            scenario_path=args.scenario,
             out_dir=args.out,
             seed=_checked_seed(args.seed),
             replications=args.reps,

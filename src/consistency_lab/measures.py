@@ -36,7 +36,7 @@ class FiniteMeasure:
     __slots__ = ("_weights",)
 
     def __init__(self, weights: Sequence[float]):
-        w = np.asarray(weights, dtype=float)
+        w = _reals(weights, "weights")
         if w.ndim != 1 or w.size == 0:
             raise ValidationError("weights must be a nonempty 1-D vector")
         if not np.all(np.isfinite(w)):
@@ -107,35 +107,45 @@ def mixture(measures: Sequence[FiniteMeasure], coefficients: Sequence[float]) ->
     return FiniteMeasure(np.clip(coeffs, 0.0, None) @ stacked)
 
 
-def _no_parameter(value):
+def _no_parameter(value, name: str):
     if value is not None:
-        raise ValueError("absent")
+        raise ValidationError(f"{name} must be absent, got {value!r}")
 
 
-def _positive_integer(value):
-    """An int >= 1, or an integral float such as 3.0; not a bool."""
-    if isinstance(value, float) and value.is_integer():
-        value = int(value)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError("an integer >= 1")
-    return value
+def _integer(value, name: str, least: int = 1) -> int:
+    """An int >= ``least``, or an integral float such as 3.0; not a bool."""
+    number = int(value) if isinstance(value, float) and value.is_integer() else value
+    if isinstance(number, bool) or not isinstance(number, int) or number < least:
+        raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
-def _tilt(value):
+def _reals(values, name: str) -> np.ndarray:
+    """``values`` as floats; a bool or a string among them is a ``ValidationError`` on ``name``."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf" or (
+        not isinstance(values, np.ndarray)
+        and any(isinstance(v, bool) for v in np.asarray(values, dtype=object).flat)
+    ):
+        raise ValidationError(f"{name} must be numbers, got {values!r}")
+    return array.astype(float, copy=False)
+
+
+def _tilt(value, name: str) -> float:
     """A float in [0, 1), or an int there; not a bool or a string."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:
-        raise ValueError("a number in [0, 1)")
+        raise ValidationError(f"{name} must be a number in [0, 1), got {value!r}")
     return float(value)
 
 
 #: kind -> (JSON name of its parameter or None, check, series builder). A check
-#: returns the parameter normalized or raises ValueError naming its rule; a
+#: returns the parameter normalized or raises ``ValidationError`` naming it; a
 #: builder maps the parameter to ``DensitySpec.series``.
 _KINDS = {
     "uniform": (None, _no_parameter, lambda _: (1.0, 1.0, {}, 1.0)),
-    "one_plus_sine": ("frequency", _positive_integer, lambda i: (1.0, 1.0, {i: 1.0}, 1.0)),
+    "one_plus_sine": ("frequency", _integer, lambda i: (1.0, 1.0, {i: 1.0}, 1.0)),
     "cesaro_mixture": (
-        "order", _positive_integer, lambda m: (1.0, 1.0, dict.fromkeys(range(1, m + 1), 1.0), m)
+        "order", _integer, lambda m: (1.0, 1.0, dict.fromkeys(range(1, m + 1), 1.0), m)
     ),
     "pu_family": ("u", _tilt, lambda u: (1.0 - u, 1.0 + u, {}, 1.0)),
 }
@@ -165,12 +175,7 @@ class DensitySpec:
 
     def __post_init__(self):
         name, check, _ = _kind(self.kind)
-        try:
-            object.__setattr__(self, "param", check(self.param))
-        except ValueError as rule:
-            raise ValidationError(
-                f"{self.kind} {name or 'parameter'} must be {rule}, got {self.param!r}"
-            ) from None
+        object.__setattr__(self, "param", check(self.param, f"{self.kind} {name or 'parameter'}"))
 
     # -- constructors ----------------------------------------------------------
     @staticmethod

@@ -42,10 +42,6 @@ class SeparationReport:
     witness_pair: Tuple[int, int]
     partition: Partition | None = None
 
-    @property
-    def k(self) -> int:
-        return self.hypothesis_vectors.shape[1]
-
 
 def separation(
     theta0: Sequence[Model], theta1: Sequence[Model], partition: Partition
@@ -75,23 +71,16 @@ class FrequencyTest:
     so one instance serves every sample size.
     """
 
-    __slots__ = ("partition", "hypothesis_vectors", "alternative_vectors", "sample_size")
+    __slots__ = ("partition", "hypothesis_vectors", "alternative_vectors")
 
-    def __init__(self, partition, hypothesis_vectors, alternative_vectors, sample_size: int):
+    def __init__(self, partition, hypothesis_vectors, alternative_vectors):
         v0 = np.atleast_2d(np.asarray(hypothesis_vectors, dtype=float))
         v1 = np.atleast_2d(np.asarray(alternative_vectors, dtype=float))
         if v0.shape[1] != v1.shape[1]:
             raise ValidationError("vector sets live in different dimensions")
-        if sample_size < 1:
-            raise ValidationError("sample size must be >= 1")
         self.partition = partition
         self.hypothesis_vectors = v0
         self.alternative_vectors = v1
-        self.sample_size = int(sample_size)
-
-    @property
-    def k(self) -> int:
-        return self.hypothesis_vectors.shape[1]
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Decision for each row of count vectors: 1.0 reject, 0.0 accept."""
@@ -116,10 +105,6 @@ class FrequencyTest:
         """
         d0 = _nearest_distance(freq, self.hypothesis_vectors)
         return d0 - _nearest_distance(freq, self.alternative_vectors)
-
-    def decide(self, counts) -> bool:
-        """True when the single count vector is rejected."""
-        return bool(self.rejects(np.asarray(counts, dtype=float))[0] > 0.5)
 
 
 def _nearest_distance(freq: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -160,11 +145,8 @@ class UnionTest:
             out = np.maximum(out, member.margin(freq))
         return out
 
-    def decide(self, counts) -> bool:
-        return bool(self.rejects(np.asarray(counts, dtype=float))[0] > 0.5)
 
-
-def build_frequency_test(report: SeparationReport, n: int) -> FrequencyTest:
+def build_frequency_test(report: SeparationReport) -> FrequencyTest:
     """Frequency test for a positively separated partition report.
 
     Raises ``ConstructionError`` when the margin is zero: the hypothesis and
@@ -180,7 +162,6 @@ def build_frequency_test(report: SeparationReport, n: int) -> FrequencyTest:
         partition=report.partition,
         hypothesis_vectors=report.hypothesis_vectors,
         alternative_vectors=report.alternative_vectors,
-        sample_size=n,
     )
 
 
@@ -219,8 +200,8 @@ def multinomial_log_pmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return out
 
 
-def exact_error(test, p: FiniteMeasure, n: int | None = None) -> Tuple[float, float]:
-    """Exact rejection and acceptance probability of a test under ``p``.
+def exact_error(test, p: FiniteMeasure, n: int) -> Tuple[float, float]:
+    """Exact rejection and acceptance probability of a test on ``n`` draws from ``p``.
 
     Sums multinomial probabilities over the decision regions; the first value
     is the type I error when ``p`` plays the hypothesis, the second the type II
@@ -228,8 +209,6 @@ def exact_error(test, p: FiniteMeasure, n: int | None = None) -> Tuple[float, fl
     the outcome count exceeds the enumeration budget (callers fall back to
     Monte Carlo).
     """
-    if n is None:
-        n = test.sample_size
     k = p.alphabet_size
     if comb(n + k - 1, k - 1) > ENUMERATION_BUDGET:
         raise ResourceLimitError(

@@ -74,14 +74,10 @@ def write_csv(path: Path, columns: Sequence[str], rows, manifest: Mapping) -> No
 
 
 def svg_line_chart(
-    title: str,
-    x_values: Sequence[float],
-    series: Mapping[str, Sequence[float]],
-    width: int = 720,
-    height: int = 440,
+    title: str, x_values: Sequence[float], series: Mapping[str, Sequence[float]]
 ) -> str:
-    """Minimal multi-series line chart; enough for eyeballing error curves."""
-    margin = 60
+    """Minimal 720 x 440 multi-series line chart; enough for eyeballing error curves."""
+    width, height, margin = 720, 440, 60
     xs = [float(x) for x in x_values]
     finite = [
         float(v)

@@ -31,6 +31,8 @@ from .measures import (
     DensitySpec,
     FiniteMeasure,
     Partition,
+    _integer,
+    _reals,
     discretize,
 )
 from .partition_tests import (
@@ -86,6 +88,32 @@ class Scenario:
     sim: SimParams = field(default_factory=SimParams)
     model_options: dict = field(default_factory=dict)
 
+    def __post_init__(self):
+        """Checks that builders and JSON files alike pass through."""
+        if len(self.hypothesis) == 0 or len(self.alternative) == 0:
+            raise ValidationError("hypothesis and alternative families must be nonempty")
+        if self.model_type == "gaussian_sequence":
+            shape = np.shape(self.hypothesis[0])
+            if len(shape) != 1 or shape[0] == 0 or any(
+                np.shape(s) != shape for s in self.hypothesis + self.alternative
+            ):
+                raise ValidationError("every signal must be a nonempty vector of one dimension")
+            pairs = [(a, b) for a in self.hypothesis for b in self.alternative]
+            if min(np.abs(np.subtract(a, b)).max() for a, b in pairs) <= 0.0:
+                raise ConstructionError("signal sets are not separated (zero sup-norm margin)")
+            if any(eps <= 0 for eps in self.sim.epsilon_list):
+                raise ValidationError("noise levels must be positive")
+        if self.model_type == "poisson":
+            if len(self.hypothesis) != 1 or len(self.alternative) != 1:
+                raise ValidationError(
+                    "a Poisson scenario has exactly one hypothesis and one alternative"
+                )
+            h0, h1 = self.hypothesis[0], self.alternative[0]
+            same_mass = abs(h0.mass - h1.mass) <= 1e-12
+            same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
+            if same_mass and same_shape:
+                raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
+
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
         model = {"type": self.model_type}
@@ -119,8 +147,6 @@ def _model_to_json(model) -> dict:
         return model.to_json()
     if isinstance(model, PoissonModel):
         return {"mass": model.mass, "shape": [float(w) for w in model.shape.weights]}
-    if isinstance(model, GaussianSequenceModel):
-        return {"signal": [float(s) for s in model.signal]}
     if isinstance(model, np.ndarray):
         return {"signal": [float(s) for s in model]}
     raise ValidationError(f"cannot serialize model of type {type(model).__name__}")
@@ -135,10 +161,11 @@ def _model_from_json(obj: dict, model_type: str):
         if model_type == "density":
             return DensitySpec.from_json(obj)
         if model_type == "poisson":
-            return PoissonModel(mass=float(obj["mass"]), shape=FiniteMeasure(obj["shape"]))
+            shape = FiniteMeasure(_reals(obj["shape"], "shape"))
+            return PoissonModel(mass=obj["mass"], shape=shape)
         if model_type == "gaussian_sequence":
             # Noise level comes from the epsilon sweep, placeholder here.
-            return np.asarray(obj["signal"], dtype=float)
+            return _reals(obj["signal"], "signal")
     except KeyError as missing:
         raise ValidationError(f"model entry lacks required key {missing}") from None
     raise ValidationError(f"unknown model type {model_type!r}")
@@ -158,6 +185,9 @@ def scenario_from_dict(data: dict) -> Scenario:
     if model_type not in ("finite", "density", "poisson", "gaussian_sequence"):
         raise ValidationError(f"unknown model type {model_type!r}")
     options = {k: v for k, v in model.items() if k != "type"}
+    for key in ("grid_size", "cesaro_scan"):
+        if key in options:
+            _integer(options[key], f"model.{key}")
     hypothesis = [_model_from_json(m, model_type) for m in data["hypothesis"]]
     alternative = [_model_from_json(m, model_type) for m in data["alternative"]]
     partition = None
@@ -171,16 +201,17 @@ def scenario_from_dict(data: dict) -> Scenario:
             partition = Partition("intervals", cells)
     schedule = None
     if "schedule" in data:
+        stored = data["schedule"]
         schedule = {
-            "exponents": [float(c) for c in data["schedule"].get("exponents", [])],
-            "onsets": [int(v) for v in data["schedule"].get("onsets", [])],
+            "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
+            "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
         }
     sim_obj = data.get("sim", {})
     sim = SimParams(
-        replications=int(sim_obj.get("replications", 2000)),
-        n_grid=tuple(int(v) for v in sim_obj.get("n_grid", ())),
-        k_grid=tuple(int(v) for v in sim_obj.get("k_grid", ())),
-        epsilon_list=tuple(float(v) for v in sim_obj.get("epsilon_list", ())),
+        replications=_integer(sim_obj.get("replications", 2000), "sim.replications"),
+        n_grid=tuple(_integer(v, "sim.n_grid") for v in sim_obj.get("n_grid", ())),
+        k_grid=tuple(_integer(v, "sim.k_grid", 0) for v in sim_obj.get("k_grid", ())),
+        epsilon_list=tuple(_reals(sim_obj.get("epsilon_list", []), "sim.epsilon_list").tolist()),
     )
     return Scenario(
         name=str(data["name"]),
@@ -259,16 +290,8 @@ def scenario_signal_detection(
     """Finite signal sets in white noise, tested with linear statistics."""
     s0 = [np.asarray(s, dtype=float) for s in theta0]
     s1 = [np.asarray(s, dtype=float) for s in theta1]
-    if len(s0) == 0 or len(s1) == 0:
-        raise ValidationError("signal sets must be nonempty")
-    for s in s0 + s1:
-        if s.shape != (dimension,):
-            raise ValidationError(f"every signal must have dimension {dimension}")
-    margin = min(float(np.abs(a - b).max()) for a in s0 for b in s1)
-    if margin <= 0.0:
-        raise ConstructionError("signal sets are not separated (zero sup-norm margin)")
-    if any(eps <= 0 for eps in epsilon_list):
-        raise ValidationError("noise levels must be positive")
+    if any(s.shape != (dimension,) for s in s0 + s1):
+        raise ValidationError(f"every signal must have dimension {dimension}")
     return Scenario(
         name="signal-detection",
         model_type="gaussian_sequence",
@@ -330,10 +353,6 @@ def scenario_poisson(
     h0: PoissonModel, h1: PoissonModel, n_grid: Sequence[int]
 ) -> Scenario:
     """Two-stage testing of a mean measure: atom count, then atom frequencies."""
-    same_mass = abs(h0.mass - h1.mass) <= 1e-12
-    same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
-    if same_mass and same_shape:
-        raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
     return Scenario(
         name="poisson-mean-measure",
         model_type="poisson",
@@ -390,8 +409,6 @@ class PoissonTwoStageTest:
     nearest-set rule to the empirical atom distribution.
     """
 
-    consumes = "poisson"
-
     def __init__(self, n: int, mass0: float, deviation_rate: float, frequency_test=None):
         if deviation_rate <= 0.0:
             raise ValidationError("deviation rate must be positive")
@@ -400,15 +417,15 @@ class PoissonTwoStageTest:
         self.deviation_rate = float(deviation_rate)
         self.frequency_test = frequency_test
 
-    def rejects(self, batch) -> np.ndarray:
-        counts, totals = batch
-        totals = np.asarray(totals, dtype=float)
+    def rejects(self, counts: np.ndarray) -> np.ndarray:
+        """Decision for each row of per-atom counts; the row sums are the atom totals."""
+        totals = np.asarray(counts, dtype=float).sum(axis=1)
         count_reject = np.abs(totals - self.n * self.mass0) > self.n * self.deviation_rate
         if self.frequency_test is None:
             return count_reject.astype(float)
         freq_reject = self.frequency_test.rejects(counts) > 0.5
         # Empty processes carry no frequency information: accept there.
-        freq_reject &= np.asarray(totals) > 0
+        freq_reject &= totals > 0
         return (count_reject | freq_reject).astype(float)
 
 
@@ -470,7 +487,7 @@ def build_nested_family(
     family_exponents = []
     family_onsets = []
     for i in range(1, len(pieces) + 1):
-        test = FrequencyTest(identity, report.hypothesis_vectors, piece_vectors[:i], 1)
+        test = FrequencyTest(identity, report.hypothesis_vectors, piece_vectors[:i])
         c_i = min(piece_exponents[:i])
         if onsets is not None:
             onset = int(onsets[i - 1])
@@ -514,8 +531,9 @@ def _verify_onset(test, hypothesis, covered_pieces, exponent, index):
     )
 
 
-def nested_schedule(scenario: Scenario, n_max: Optional[int] = None) -> TestSchedule:
-    """Interleaved schedule for a nested-alternatives scenario."""
+def nested_schedule(scenario: Scenario) -> TestSchedule:
+    """Interleaved schedule for a nested-alternatives scenario, up to the largest
+    ``sim.n_grid`` entry or 1024."""
     if scenario.model_type != "finite":
         raise ValidationError("schedules require finite-alphabet scenarios")
     stored = scenario.schedule or {}
@@ -524,8 +542,7 @@ def nested_schedule(scenario: Scenario, n_max: Optional[int] = None) -> TestSche
     family, _, _ = build_nested_family(
         scenario.hypothesis, scenario.alternative, exponents, onsets
     )
-    if n_max is None:
-        n_max = max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
+    n_max = max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
     hyp_key = np.stack([m.weights for m in scenario.hypothesis])
     return interleave(family, n_max, hypothesis_key=hyp_key)
 
@@ -580,7 +597,6 @@ def run_scenario(
     seed: int,
     replications: Optional[int] = None,
     workers: int = 1,
-    n_max: Optional[int] = None,
 ) -> ScenarioRun:
     """Execute every metric the scenario supports; deterministic per seed.
 
@@ -608,7 +624,7 @@ def run_scenario(
                 tables["errors"] = _error_curve_table(scenario, reps, streams, pool)
         if scenario.model_type == "finite":
             if scenario.schedule is not None:
-                schedule = nested_schedule(scenario, n_max=n_max)
+                schedule = nested_schedule(scenario)
                 reports["schedule"] = schedule.to_json_dict()
                 tables["discernibility"] = _discernibility_table(
                     scenario, schedule, reps, streams, pool
@@ -695,7 +711,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
             for n in scenario.sim.n_grid:
                 rows.append((idx, label, n) + (math.nan,) * 6)
             continue
-        test = build_frequency_test(report, 1)
+        test = build_frequency_test(report)
         hyp_cells = [FiniteMeasure(v) for v in report.hypothesis_vectors]
         alt_cells = FiniteMeasure(report.alternative_vectors[0])
         for n in scenario.sim.n_grid:
@@ -812,7 +828,7 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     curves.append(
         discernibility_paths(
             schedule, hyp, n_max, k_grid, reps, streams.take(),
-            role="hypothesis", workers=pool, model_label="hypothesis",
+            role="hypothesis", workers=pool,
         )
     )
     labels.append("hypothesis")
@@ -820,14 +836,14 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
         curves.append(
             discernibility_paths(
                 schedule, piece, n_max, k_grid, reps, streams.take(),
-                role="alternative", workers=pool, model_label=f"piece_{idx}",
+                role="alternative", workers=pool,
             )
         )
         labels.append(f"piece_{idx}")
     rows = []
     for j, k in enumerate(k_grid):
         tail = min(1.0, schedule.certified_tail(int(k)))
-        rows.append((int(k), tail) + tuple(float(c.error_fraction[j]) for c in curves))
+        rows.append((int(k), tail) + tuple(float(c[j]) for c in curves))
     return Table(
         columns=["k", "certified_tail_clamped"] + [f"err_after_k_{l}" for l in labels],
         rows=rows,
@@ -842,7 +858,7 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
     if shapes_differ:
         identity = Partition.identity(h0.shape.alphabet_size)
         report = separation([h0.shape], [h1.shape], identity)
-        freq_test = build_frequency_test(report, 1)
+        freq_test = build_frequency_test(report)
     rows = []
     for n in scenario.sim.n_grid:
         rate, bound = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))

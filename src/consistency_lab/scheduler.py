@@ -28,7 +28,6 @@ __all__ = [
     "interleave",
     "tail_constant",
     "tail_bound",
-    "union_schedule",
 ]
 
 
@@ -317,8 +316,3 @@ class UnionSchedule:
 
     def alpha_tail(self, k: int) -> float:
         return self.first.alpha_tail(k) + self.second.alpha_tail(k)
-
-
-def union_schedule(first, second) -> UnionSchedule:
-    """Combine schedules for two alternative sets into one for their union."""
-    return UnionSchedule(first, second)

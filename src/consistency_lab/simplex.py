@@ -17,7 +17,11 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 
-DEFAULT_TOL = 1e-9
+#: Reduced costs and pivot entries within this of zero count as zero.
+_TOL = 1e-9
+
+#: Pivots after which the solver gives up.
+_MAX_ITERATIONS = 20000
 
 #: Degenerate pivots tolerated before switching to Bland's rule.
 _STALL_LIMIT = 100
@@ -58,7 +62,7 @@ def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, cost, ncols, tol, max_iterations):
+def _run_simplex(tableau, basis, cost, ncols):
     """Minimize ``cost`` over the canonical tableau; returns iteration count."""
     iterations = 0
     stall = 0
@@ -69,21 +73,21 @@ def _run_simplex(tableau, basis, cost, ncols, tol, max_iterations):
         entering = -1
         if bland:
             for j in range(ncols):
-                if reduced[j] < -tol:
+                if reduced[j] < -_TOL:
                     entering = j
                     break
         else:
             j = int(np.argmin(reduced))
-            if reduced[j] < -tol:
+            if reduced[j] < -_TOL:
                 entering = j
         if entering < 0:
             return iterations
         column = tableau[:, entering]
-        eligible = np.flatnonzero(column > tol)
+        eligible = np.flatnonzero(column > _TOL)
         if eligible.size == 0:
             raise NumericError("LP is unbounded below")
         ratios = tableau[eligible, -1] / column[eligible]
-        near = eligible[ratios <= ratios.min() + tol]
+        near = eligible[ratios <= ratios.min() + _TOL]
         if bland:
             leaving = int(near[np.argmin(basis[near])])
         else:
@@ -96,8 +100,8 @@ def _run_simplex(tableau, basis, cost, ncols, tol, max_iterations):
             stall = 0
         last_objective = objective
         iterations += 1
-        if iterations > max_iterations:
-            raise NumericError(f"simplex exceeded {max_iterations} iterations")
+        if iterations > _MAX_ITERATIONS:
+            raise NumericError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
 
 
 def _refine(matrix: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -115,7 +119,7 @@ def _refine(matrix: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndar
     return z
 
 
-def solve_lp(c, A_ub, b_ub, tol: float = DEFAULT_TOL, max_iterations: int = 20000) -> LpResult:
+def solve_lp(c, A_ub, b_ub) -> LpResult:
     """Minimize ``c.x`` subject to ``A_ub x <= b_ub`` and ``x >= 0``, with ``b_ub >= 0``.
 
     The tableau ``[A_ub | I | b_ub]`` starts from the slack basis, feasible since
@@ -138,7 +142,7 @@ def solve_lp(c, A_ub, b_ub, tol: float = DEFAULT_TOL, max_iterations: int = 2000
     tableau = np.column_stack([body, b])
     basis = n + np.arange(m)
     cost = np.concatenate([c, np.zeros(m)])
-    iterations = _run_simplex(tableau, basis, cost, n + m, tol, max_iterations)
+    iterations = _run_simplex(tableau, basis, cost, n + m)
 
     # The slack columns started as the identity, so they hold the inverse of
     # the final basis, with the rounding of every pivot in it.

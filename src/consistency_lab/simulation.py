@@ -25,9 +25,10 @@ prefix by prefix.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -46,6 +47,8 @@ PATH_BLOCK = 250
 PATH_SEGMENT = 64
 #: Stream stride reserved for one simulation task (blocks fit underneath).
 TASK_STRIDE = 1 << 20
+#: Two-sided 95% standard normal quantile.
+Z95 = 1.959963984540054
 
 
 @dataclass(frozen=True)
@@ -72,15 +75,10 @@ class SimulationReport:
     """Monte Carlo probability estimate with its confidence interval."""
 
     estimate: float
-    replications: int
     half_width_95: float
     ci_low: float
     ci_high: float
     ci_method: str
-    model_label: str
-    test_label: str
-    seed: int
-    stream: int
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,12 @@ class PoissonModel:
     shape: FiniteMeasure
 
     def __post_init__(self):
-        if not (math.isfinite(self.mass) and self.mass > 0.0):
-            raise ValidationError("total mass must be positive and finite")
+        mass = self.mass
+        if isinstance(mass, bool) or not isinstance(mass, numbers.Real) or not 0 < mass < math.inf:
+            raise ValidationError(f"mass must be a positive finite number, got {mass!r}")
+        object.__setattr__(self, "mass", float(mass))
         if not isinstance(self.shape, FiniteMeasure):
             raise ValidationError("shape must be a FiniteMeasure")
-
-    def label(self) -> str:
-        return f"poisson(mass={self.mass:g})"
 
 
 @dataclass(frozen=True)
@@ -185,8 +182,9 @@ def sample_gaussian_sequence(model: GaussianSequenceModel, rng: RngSpec) -> np.n
 # -- Monte Carlo error estimation ----------------------------------------------------
 
 
-def wilson_interval(estimate: float, replications: int, z: float = 1.959963984540054):
-    """Wilson score interval; stable near 0 and 1."""
+def wilson_interval(estimate: float, replications: int):
+    """95% Wilson score interval; stable near 0 and 1."""
+    z = Z95
     z2 = z * z
     denom = 1.0 + z2 / replications
     center = (estimate + z2 / (2.0 * replications)) / denom
@@ -240,8 +238,7 @@ def _simulate_error_block(args) -> float:
     Gaussian sequences hand the test the observation vectors and i.i.d.
     models the cell counts of ``n`` draws. Poisson models hand it the count of
     each shape atom, drawn as independent Poisson(``n * mass * w_j``) variables
-    in one ``(size, k)`` call, so the cost does not grow with ``n``; a test
-    that ``consumes`` ``"poisson"`` also gets their row sums, the totals.
+    in one ``(size, k)`` call, so the cost does not grow with ``n``.
     """
     test, model, n, count_kind, size, rng = args
     gen = rng.generator()
@@ -250,11 +247,7 @@ def _simulate_error_block(args) -> float:
         reject = test.rejects(y)
     elif isinstance(model, PoissonModel):
         lam = n * model.mass * model.shape.weights
-        counts = gen.poisson(lam, size=(size, lam.size))
-        if getattr(test, "consumes", None) == "poisson":
-            reject = test.rejects((counts, counts.sum(axis=1)))
-        else:
-            reject = test.rejects(counts)
+        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
     else:
         partition = getattr(test, "partition", None)
         cells, k = _bin_draws(model, partition, gen.random((size, n)))
@@ -318,8 +311,6 @@ def estimate_error(
     rng: RngSpec,
     count: str = "reject",
     workers: Union[int, WorkerPool] = 1,
-    model_label: str = "",
-    test_label: str = "",
 ) -> SimulationReport:
     """Monte Carlo estimate of a test's rejection (or acceptance) probability.
 
@@ -339,7 +330,7 @@ def estimate_error(
     ]
     totals = _map_blocks(_simulate_error_block, tasks, workers)
     estimate = float(sum(totals)) / replications
-    half_width = 1.959963984540054 * math.sqrt(
+    half_width = Z95 * math.sqrt(
         max(estimate * (1.0 - estimate), 0.0) / replications
     )
     if estimate < 5.0 / replications or estimate > 1.0 - 5.0 / replications:
@@ -351,30 +342,14 @@ def estimate_error(
         method = "normal"
     return SimulationReport(
         estimate=estimate,
-        replications=replications,
         half_width_95=half_width,
         ci_low=ci_low,
         ci_high=ci_high,
         ci_method=method,
-        model_label=model_label,
-        test_label=test_label,
-        seed=rng.seed,
-        stream=rng.stream,
     )
 
 
 # -- discernibility along growing sample paths ----------------------------------------
-
-
-@dataclass(frozen=True)
-class DiscernibilityCurve:
-    """Fraction of sample paths with at least one error past each index."""
-
-    k_grid: Tuple[int, ...]
-    error_fraction: np.ndarray
-    replications: int
-    role: str
-    model_label: str
 
 
 def _constant_segments(schedule, n_max: int) -> list:
@@ -437,16 +412,15 @@ def discernibility_paths(
     role: str = "hypothesis",
     partition: Optional[Partition] = None,
     workers: Union[int, WorkerPool] = 1,
-    model_label: str = "",
-) -> DiscernibilityCurve:
+) -> np.ndarray:
     """Error-after-k curve of a schedule along incrementally grown sample paths.
 
     Each path draws one nested sample ``X_1..X_{n_max}``; the scheduled test is
     re-evaluated on every prefix, and an error is a rejection under a
     hypothesis model (``role="hypothesis"``) or an acceptance under an
-    alternative model (``role="alternative"``). The curve at ``k`` is the
-    fraction of paths erring at some ``n`` in ``(k, n_max]``, which is
-    non-increasing in ``k`` by construction. The draws and decisions are
+    alternative model (``role="alternative"``). The returned array holds, for
+    each ``k`` of ``k_grid``, the fraction of paths erring at some ``n`` in
+    ``(k, n_max]``, which is non-increasing in ``k`` by construction. The draws and decisions are
     those of a per-``n`` loop. Over a run ``lo < n <= hi`` of one test object,
     the frequencies move by at most ``(hi - n) / hi`` in the sup norm and the
     test's 2-Lipschitz ``margin`` by at most twice that, so a path whose margin
@@ -472,11 +446,4 @@ def discernibility_paths(
         for b, size in enumerate(sizes)
     ]
     counts = _map_blocks(_simulate_path_block, tasks, workers)
-    total = np.sum(counts, axis=0)
-    return DiscernibilityCurve(
-        k_grid=ks,
-        error_fraction=total / replications,
-        replications=replications,
-        role=role,
-        model_label=model_label,
-    )
+    return np.sum(counts, axis=0) / replications

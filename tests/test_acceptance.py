@@ -133,7 +133,7 @@ def test_criterion_3_exponential_decay():
     t0 = time.time()
     p, q = F(0.5, 0.5), F(0.7, 0.3)
     rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep, 1)
+    test = build_frequency_test(rep)
     ns = [32, 64, 128, 256]
     errors = []
     for n in ns:
@@ -188,11 +188,11 @@ def test_criterion_5_discernibility():
             schedule, model, 2048, list(range(0, 2049, 64)), 1000,
             base.task(index), role=role,
         )
-        assert np.all(np.diff(curve.error_fraction) <= 1e-12)  # non-increasing
+        assert np.all(np.diff(curve) <= 1e-12)  # non-increasing
         at_k_star = discernibility_paths(
             schedule, model, 2048, [k_star], 1000, base.task(index + 10), role=role
         )
-        assert at_k_star.error_fraction[0] <= 0.01  # >= 99% of paths stay clean
+        assert at_k_star[0] <= 0.01  # >= 99% of paths stay clean
     elapsed = time.time() - t0
     assert elapsed < 300.0
     report(5, "discernibility", f"tail bound < 0.01 at k={k_star}, 1000 paths/model", t0)

@@ -140,6 +140,106 @@ def test_partition_without_cells_names_the_key(tmp_path, capsys):
     assert "scenario 'partition' lacks required key 'cells'" in capsys.readouterr().err
 
 
+_POISSON_H0 = {"mass": 1.0, "shape": [0.5, 0.5]}
+_POISSON_H1 = {"mass": 1.5, "shape": [0.3, 0.7]}
+
+
+@pytest.mark.parametrize(
+    "model, hypothesis, alternative, epsilon_list, code, message",
+    [
+        ("gaussian_sequence", [[1.0]], [[0.0, 0.0]], [0.5], 1, "one dimension"),
+        ("gaussian_sequence", [[1.0, 0.0]], [[1.0, 0.0]], [0.5], 2, "not separated"),
+        ("gaussian_sequence", [[0.0]], [[1.0]], [0.0], 1, "noise levels must be positive"),
+        ("finite", [], [{"weights": [0.9, 0.1]}], [], 1, "must be nonempty"),
+        ("poisson", [_POISSON_H0], [_POISSON_H0], [], 1, "mean measures coincide"),
+        ("poisson", [_POISSON_H0, _POISSON_H1], [_POISSON_H1], [], 1, "exactly one hypothesis"),
+    ],
+    ids=[
+        "signal-dimensions-differ",
+        "signal-zero-margin",
+        "signal-zero-noise",
+        "empty-hypothesis",
+        "poisson-coincide",
+        "two-poisson-hypotheses",
+    ],
+)
+def test_scenario_file_gets_the_builder_checks(
+    tmp_path, capsys, model, hypothesis, alternative, epsilon_list, code, message
+):
+    def entry(m):
+        return {"signal": m} if model == "gaussian_sequence" else m
+
+    data = {
+        "name": "checked",
+        "model": {"type": model},
+        "hypothesis": [entry(m) for m in hypothesis],
+        "alternative": [entry(m) for m in alternative],
+        "sim": {"replications": 200, "n_grid": [8], "epsilon_list": epsilon_list},
+    }
+    path = tmp_path / "checked.json"
+    path.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out_dir)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+    assert not out_dir.exists()
+
+
+_FINITE = {
+    "name": "json-numbers",
+    "model": {"type": "finite"},
+    "hypothesis": [{"weights": [0.5, 0.5]}],
+    "alternative": [{"weights": [0.9, 0.1]}],
+    "partition": {"cells": [[0], [1]]},
+    "sim": {"replications": 200},
+}
+_POISSON = {
+    "name": "json-numbers",
+    "model": {"type": "poisson"},
+    "hypothesis": [_POISSON_H0],
+    "alternative": [_POISSON_H1],
+}
+
+
+@pytest.mark.parametrize(
+    "scenario, field, value, key",
+    [
+        (_FINITE, ("alternative", 0, "weights"), ["0.1", "0.9"], "weights"),
+        (_FINITE, ("alternative", 0, "weights"), [True, False], "weights"),
+        (_POISSON, ("alternative", 0, "mass"), True, "mass"),
+        (_POISSON, ("alternative", 0, "mass"), "1.5", "mass"),
+        (_FINITE, ("sim", "replications"), 200.7, "sim.replications"),
+        (_FINITE, ("sim", "n_grid"), [8.9], "sim.n_grid"),
+        (_FINITE, ("sim", "k_grid"), [True], "sim.k_grid"),
+        (_FINITE, ("model", "grid_size"), "64", "model.grid_size"),
+    ],
+    ids=[
+        "string-weights",
+        "bool-weights",
+        "bool-mass",
+        "string-mass",
+        "fractional-replications",
+        "fractional-n-grid",
+        "bool-k-grid",
+        "string-grid-size",
+    ],
+)
+def test_json_numbers_are_checked_not_coerced(tmp_path, capsys, scenario, field, value, key):
+    data = json.loads(json.dumps(scenario))
+    *parents, last = field
+    target = data
+    for part in parents:
+        target = target[part]
+    target[last] = value
+    path = tmp_path / "numbers.json"
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", "--scenario", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{key} must be" in err
+
+
 # -- bound -----------------------------------------------------------------------------
 
 

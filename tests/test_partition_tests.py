@@ -83,11 +83,11 @@ def test_zero_mass_refinement_never_decreases_margin():
 
 def test_frequency_test_decisions_and_tie():
     rep = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
-    test = build_frequency_test(rep, 10)
-    assert test.decide([9, 1]) is True  # frequency equals the alternative
-    assert test.decide([5, 5]) is False
+    test = build_frequency_test(rep)
+    assert test.rejects([[9, 1]])[0] > 0.5  # frequency equals the alternative
+    assert not test.rejects([[5, 5]])[0] > 0.5
     # counts (7, 3): sup-distance 0.2 to both sets, tie accepts
-    assert test.decide([7, 3]) is False
+    assert not test.rejects([[7, 3]])[0] > 0.5
 
 
 def test_build_frequency_test_zero_margin():
@@ -95,16 +95,16 @@ def test_build_frequency_test_zero_margin():
         [DensitySpec.uniform()], [DensitySpec.one_plus_sine(2)], Partition.half_split()
     )
     with pytest.raises(ConstructionError):
-        build_frequency_test(rep, 5)
+        build_frequency_test(rep)
 
 
 def test_union_test_rejects_when_any_member_does():
     rep1 = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
     rep2 = separation([F(0.5, 0.5)], [F(0.1, 0.9)], Partition.identity(2))
-    union = UnionTest([build_frequency_test(rep1, 8), build_frequency_test(rep2, 8)])
-    assert union.decide([8, 0]) is True
-    assert union.decide([0, 8]) is True
-    assert union.decide([4, 4]) is False
+    union = UnionTest([build_frequency_test(rep1), build_frequency_test(rep2)])
+    assert union.rejects([[8, 0]])[0] > 0.5
+    assert union.rejects([[0, 8]])[0] > 0.5
+    assert not union.rejects([[4, 4]])[0] > 0.5
 
 
 def _broadcast_rejects(test, counts):
@@ -125,7 +125,7 @@ def test_rejects_matches_broadcast_reference():
             (lattice[:2], lattice[2:5]),
             (rng.dirichlet(np.ones(k), 3), rng.dirichlet(np.ones(k), 4)),
         ):
-            test = FrequencyTest(None, sets[0], sets[1], 1)
+            test = FrequencyTest(None, sets[0], sets[1])
             rows = [count_vectors(n, k) for n in range(0, 13)]
             rows.append(rng.integers(0, 40, size=(500, k)))
             for counts in rows:
@@ -143,8 +143,8 @@ def test_stacked_frequency_test_equals_union_of_singletons():
         for _ in range(4):
             pick = rng.choice(len(lattice), size=5, replace=False)
             hypothesis, pieces = lattice[pick[:2]], lattice[pick[2:]]
-            stacked = FrequencyTest(None, hypothesis, pieces, 1)
-            union = UnionTest([FrequencyTest(None, hypothesis, [q], 1) for q in pieces])
+            stacked = FrequencyTest(None, hypothesis, pieces)
+            union = UnionTest([FrequencyTest(None, hypothesis, [q]) for q in pieces])
             for n in range(1, 17):
                 outcomes = count_vectors(n, k)
                 assert np.array_equal(stacked.rejects(outcomes), union.rejects(outcomes))
@@ -159,9 +159,9 @@ def _margin_tests(rng, k):
     """A stacked test with random simplex vectors, one on the 1/4 lattice, and a union."""
     lattice = count_vectors(4, k) / 4.0  # frequencies j/n hit exact ties with these
     pick = rng.choice(len(lattice), size=4, replace=False)
-    stacked = FrequencyTest(None, rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3), 1)
-    on_lattice = FrequencyTest(None, lattice[pick[:2]], lattice[pick[2:]], 1)
-    union = UnionTest([stacked, FrequencyTest(None, lattice[pick[:1]], lattice[pick[3:]], 1)])
+    stacked = FrequencyTest(None, rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3))
+    on_lattice = FrequencyTest(None, lattice[pick[:2]], lattice[pick[2:]])
+    union = UnionTest([stacked, FrequencyTest(None, lattice[pick[:1]], lattice[pick[3:]])])
     return stacked, on_lattice, union
 
 
@@ -231,7 +231,7 @@ def test_count_vectors_matches_recursive_lexicographic_order():
 
 def test_exact_error_binomial_hand_example():
     rep = separation([F(0.5, 0.5)], [F(1, 0)], Partition.identity(2))
-    test = build_frequency_test(rep, 2)
+    test = build_frequency_test(rep)
     # rejects only on counts (2, 0): P = 1/4 under the fair coin
     reject_prob, accept_prob = exact_error(test, F(0.5, 0.5), 2)
     assert_allclose(reject_prob, 0.25, atol=1e-12)
@@ -240,7 +240,7 @@ def test_exact_error_binomial_hand_example():
 
 def test_exact_error_perfect_separation():
     rep = separation([F(1, 0)], [F(0, 1)], Partition.identity(2))
-    test = build_frequency_test(rep, 6)
+    test = build_frequency_test(rep)
     assert exact_error(test, F(1, 0), 6)[0] == 0.0
     assert exact_error(test, F(0, 1), 6)[1] == 0.0
 
@@ -250,7 +250,6 @@ def test_exact_error_constant_accept():
         partition=None,
         hypothesis_vectors=[[0.5, 0.5]],
         alternative_vectors=[[0.5, 0.5]],  # always a tie: accepts everything
-        sample_size=4,
     )
     reject_prob, accept_prob = exact_error(test, F(0.3, 0.7), 4)
     assert reject_prob == 0.0
@@ -259,7 +258,7 @@ def test_exact_error_constant_accept():
 
 def test_exact_error_budget():
     rep = separation([F(*([0.125] * 8))], [F(*([0.3] + [0.1] * 7))], Partition.identity(8))
-    test = build_frequency_test(rep, 1000)
+    test = build_frequency_test(rep)
     with pytest.raises(ResourceLimitError):
         exact_error(test, F(*([0.125] * 8)), 1000)
 
@@ -267,7 +266,7 @@ def test_exact_error_budget():
 def test_exact_error_monotone_and_slope_tracks_exponent():
     p, q = F(0.5, 0.5), F(0.7, 0.3)
     rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep, 1)
+    test = build_frequency_test(rep)
     ns = [8, 16, 32, 64]
     alphas, betas = [], []
     for n in ns:
@@ -287,7 +286,7 @@ def test_exact_error_monotone_and_slope_tracks_exponent():
 def test_exact_error_matches_monte_carlo():
     p, q = F(0.5, 0.5), F(0.8, 0.2)
     rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep, 12)
+    test = build_frequency_test(rep)
     exact = exact_error(test, p, 12)[0]
     mc = estimate_error(test, p, 12, 100_000, RngSpec(123, 0))
     sigma = math.sqrt(exact * (1 - exact) / 100_000)

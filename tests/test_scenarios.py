@@ -258,7 +258,7 @@ def test_poisson_two_stage_conditional_matches_exact():
     from consistency_lab.partition_tests import build_frequency_test, separation
 
     rep = separation([h0], [h1], Partition.identity(2))
-    freq_test = build_frequency_test(rep, 1)
+    freq_test = build_frequency_test(rep)
     k = 40
     exact = exact_error(freq_test, h0, k)[0]
     mc = estimate_error(freq_test, h0, k, 50_000, RngSpec(71, 0))
@@ -321,7 +321,7 @@ def _two_stage_exact(test, model, n, count):
 @pytest.mark.parametrize("n", [8, 32])
 def test_poisson_two_stage_monte_carlo_matches_exact_oracle(n):
     h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7))
-    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], Partition.identity(2)), 1)
+    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], Partition.identity(2)))
     rate, _ = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
     test = PoissonTwoStageTest(n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test)
     reps = 20_000
@@ -386,7 +386,7 @@ def test_discernibility_workers_do_not_change_results():
                   rng=Spec(99, 0), role="hypothesis")
     serial = discernibility_paths(schedule, F(0.5, 0.5), workers=1, **kwargs)
     parallel = discernibility_paths(schedule, F(0.5, 0.5), workers=2, **kwargs)
-    assert np.array_equal(serial.error_fraction, parallel.error_fraction)
+    assert np.array_equal(serial, parallel)
 
 
 @pytest.fixture

@@ -10,11 +10,11 @@ from consistency_lab.partition_tests import build_frequency_test, exact_error, s
 from consistency_lab.scheduler import (
     TestFamily,
     TestFamilyMember,
+    UnionSchedule,
     block_lengths,
     interleave,
     tail_bound,
     tail_constant,
-    union_schedule,
 )
 
 
@@ -22,7 +22,7 @@ def make_member(alternative, exponent, onset=1, hypothesis=(0.5, 0.5)):
     rep = separation(
         [FiniteMeasure(hypothesis)], [FiniteMeasure(alternative)], Partition.identity(2)
     )
-    test = build_frequency_test(rep, 1)
+    test = build_frequency_test(rep)
     return TestFamilyMember(build=lambda n: test, exponent=exponent, onset=onset)
 
 
@@ -212,13 +212,13 @@ def test_union_schedule_requires_shared_hypothesis():
     s1 = _single_schedule([0.9, 0.1], 1.0)
     s2 = _single_schedule([0.1, 0.9], 1.0, hypothesis=(0.4, 0.6))
     with pytest.raises(ValidationError):
-        union_schedule(s1, s2)
+        UnionSchedule(s1, s2)
 
 
 def test_union_schedule_bound_arithmetic():
     s1 = _single_schedule([0.9, 0.1], 1.0)
     s2 = _single_schedule([0.1, 0.9], 0.5)
-    union = union_schedule(s1, s2)
+    union = UnionSchedule(s1, s2)
     n = 10
     assert_allclose(
         union.alpha_bound_at(n), s1.alpha_bound_at(n) + s2.alpha_bound_at(n)
@@ -234,7 +234,7 @@ def test_union_schedule_exact_error_properties():
     hyp = FiniteMeasure([0.5, 0.5])
     s1 = _single_schedule([0.9, 0.1], 1.0)
     s2 = _single_schedule([0.1, 0.9], 1.0)
-    union = union_schedule(s1, s2)
+    union = UnionSchedule(s1, s2)
     for n in (4, 9):
         a_union = exact_error(union.test_at(n), hyp, n)[0]
         a1 = exact_error(s1.test_at(n), hyp, n)[0]
@@ -250,7 +250,7 @@ def test_union_schedule_exact_error_properties():
 def test_union_schedule_perfect_pieces():
     s1 = _single_schedule([1.0, 0.0], 2.0, hypothesis=(0.0, 1.0))
     s2 = _single_schedule([1.0, 0.0], 2.0, hypothesis=(0.0, 1.0))
-    union = union_schedule(s1, s2)
+    union = UnionSchedule(s1, s2)
     hyp = FiniteMeasure([0.0, 1.0])
     alt = FiniteMeasure([1.0, 0.0])
     assert exact_error(union.test_at(5), hyp, 5)[0] == 0.0

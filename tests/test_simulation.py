@@ -42,9 +42,9 @@ def F(*weights):
     return FiniteMeasure(np.array(weights, dtype=float))
 
 
-def make_test(hypothesis, alternative, n):
+def make_test(hypothesis, alternative):
     rep = separation([F(*hypothesis)], [F(*alternative)], Partition.identity(len(hypothesis)))
-    return build_frequency_test(rep, n)
+    return build_frequency_test(rep)
 
 
 # -- determinism ----------------------------------------------------------------------
@@ -70,7 +70,7 @@ def test_density_sampling_replay_and_distribution():
 
 
 def test_estimate_error_worker_count_does_not_change_result():
-    test = make_test([0.5, 0.5], [0.9, 0.1], 20)
+    test = make_test([0.5, 0.5], [0.9, 0.1])
     serial = estimate_error(test, F(0.5, 0.5), 20, 20_000, RngSpec(77, 0), workers=1)
     parallel = estimate_error(test, F(0.5, 0.5), 20, 20_000, RngSpec(77, 0), workers=2)
     assert serial.estimate == parallel.estimate
@@ -212,7 +212,7 @@ def test_gaussian_model_validation():
 
 
 def test_estimate_error_validates_budget():
-    test = make_test([0.5, 0.5], [0.9, 0.1], 5)
+    test = make_test([0.5, 0.5], [0.9, 0.1])
     with pytest.raises(ValidationError):
         estimate_error(test, F(0.5, 0.5), 5, 99, RngSpec(0, 0))
     with pytest.raises(ValidationError):
@@ -227,7 +227,6 @@ def test_estimate_error_constant_accept_is_exact_zero():
         partition=None,
         hypothesis_vectors=[[0.5, 0.5]],
         alternative_vectors=[[0.5, 0.5]],
-        sample_size=5,
     )
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0))
     assert report.estimate == 0.0
@@ -241,7 +240,7 @@ def test_estimate_error_constant_accept_is_exact_zero():
 
 
 def test_estimate_error_matches_exact_oracle():
-    test = make_test([0.5, 0.5], [1.0, 0.0], 2)
+    test = make_test([0.5, 0.5], [1.0, 0.0])
     exact = exact_error(test, F(0.5, 0.5), 2)[0]
     report = estimate_error(test, F(0.5, 0.5), 2, 100_000, RngSpec(43, 0))
     assert_allclose(exact, 0.25, atol=1e-12)
@@ -250,7 +249,7 @@ def test_estimate_error_matches_exact_oracle():
 
 
 def test_estimate_error_ci_shrinks_with_replications():
-    test = make_test([0.5, 0.5], [0.9, 0.1], 10)
+    test = make_test([0.5, 0.5], [0.9, 0.1])
     small = estimate_error(test, F(0.5, 0.5), 10, 10_000, RngSpec(47, 0))
     large = estimate_error(test, F(0.5, 0.5), 10, 20_000, RngSpec(47, 64))
     ratio = large.half_width_95 / small.half_width_95
@@ -258,7 +257,7 @@ def test_estimate_error_ci_shrinks_with_replications():
 
 
 def test_estimate_error_accept_side():
-    test = make_test([0.5, 0.5], [0.9, 0.1], 30)
+    test = make_test([0.5, 0.5], [0.9, 0.1])
     beta_exact = exact_error(test, F(0.9, 0.1), 30)[1]
     report = estimate_error(
         test, F(0.9, 0.1), 30, 50_000, RngSpec(53, 0), count="accept"
@@ -271,7 +270,7 @@ def test_estimate_error_density_model():
     uniform = DensitySpec.uniform()
     tilt = DensitySpec.pu_family(0.4)
     rep = separation([uniform], [tilt], Partition.half_split())
-    test = build_frequency_test(rep, 100)
+    test = build_frequency_test(rep)
     cell_law = FiniteMeasure(rep.hypothesis_vectors[0])
     exact = exact_error(test, cell_law, 100)[0]
     mc = estimate_error(test, uniform, 100, 20_000, RngSpec(59, 0))
@@ -357,40 +356,56 @@ def test_cell_counts_match_add_at():
 class _RecordingTest:
     """Rejects nothing and keeps what the block handed it."""
 
-    def __init__(self, consumes=None):
-        self.consumes = consumes
+    def __init__(self):
         self.seen = []
 
-    def rejects(self, data):
-        self.seen.append(data)
-        counts = data[0] if isinstance(data, tuple) else data
+    def rejects(self, counts):
+        self.seen.append(counts)
         return np.zeros(counts.shape[0])
 
 
-@pytest.mark.parametrize("consumes", [None, "poisson"])
-def test_poisson_block_without_atoms_gives_zero_counts(consumes):
-    test = _RecordingTest(consumes)
+def test_poisson_block_without_atoms_gives_zero_counts():
+    test = _RecordingTest()
     model = PoissonModel(1e-12, F(0.2, 0.3, 0.5))
     total = _simulate_error_block((test, model, 1, "reject", 300, RngSpec(107, 0)))
     assert total == 0.0
-    (data,) = test.seen
-    counts = data[0] if consumes == "poisson" else data
+    (counts,) = test.seen
     assert counts.shape == (300, 3)
     assert not counts.any()
-    if consumes == "poisson":
-        assert not data[1].any()
 
 
 def test_poisson_block_counts_are_per_atom_poisson_draws():
-    test = _RecordingTest("poisson")
+    test = _RecordingTest()
     model = PoissonModel(0.5, F(0.2, 0.3, 0.5))
     _simulate_error_block((test, model, 4, "reject", 400, RngSpec(109, 0)))
-    (counts, per_rep), = test.seen
+    (counts,) = test.seen
+    per_rep = counts.sum(1)
     assert (per_rep == 0).any() and (per_rep > 0).any()
     # the block's only draw: one Poisson count per replication and atom
     expected = RngSpec(109, 0).generator().poisson(4 * 0.5 * model.shape.weights, size=(400, 3))
     assert np.array_equal(counts, expected)
-    assert np.array_equal(per_rep, counts.sum(1))
+
+
+def _two_argument_decision(test, counts, totals):
+    """The two-stage decision from counts and separately passed atom totals."""
+    totals = np.asarray(totals, dtype=float)
+    count_reject = np.abs(totals - test.n * test.mass0) > test.n * test.deviation_rate
+    if test.frequency_test is None:
+        return count_reject.astype(float)
+    freq_reject = (test.frequency_test.rejects(counts) > 0.5) & (totals > 0)
+    return (count_reject | freq_reject).astype(float)
+
+
+def test_poisson_two_stage_rejects_takes_totals_as_row_sums():
+    counts = RngSpec(113, 0).generator().poisson([0.5, 1.0], size=(500, 2))
+    totals = counts.sum(axis=1)
+    assert (totals == 0).any() and (totals > 0).any()
+    report = separation([F(0.5, 0.5)], [F(0.3, 0.7)], Partition.identity(2))
+    for freq_test in (None, build_frequency_test(report)):
+        test = PoissonTwoStageTest(n=2, mass0=1.0, deviation_rate=1.0, frequency_test=freq_test)
+        decision = test.rejects(counts)
+        assert 0.0 < decision.mean() < 1.0
+        assert np.array_equal(decision, _two_argument_decision(test, counts, totals))
 
 
 def test_poisson_error_cost_does_not_grow_with_n():
@@ -411,7 +426,7 @@ def _schedule_for(alternatives, exponents, n_max):
     members = []
     for alt, c in zip(alternatives, exponents):
         rep = separation([hyp], [F(*alt)], Partition.identity(2))
-        test = build_frequency_test(rep, 1)
+        test = build_frequency_test(rep)
         members.append(TestFamilyMember(build=(lambda t: (lambda n: t))(test), exponent=c, onset=1))
     return interleave(TestFamily(tuple(members)), n_max, hypothesis_key=np.array([[0.5, 0.5]]))
 
@@ -422,7 +437,7 @@ def test_discernibility_curve_monotone_and_zero_at_end():
         schedule, F(0.5, 0.5), 256, list(range(0, 257, 32)), 400, RngSpec(61, 0),
         role="hypothesis",
     )
-    fractions = curve.error_fraction
+    fractions = curve
     assert np.all(np.diff(fractions) <= 1e-12)
     assert fractions[-1] == 0.0
 
@@ -430,17 +445,17 @@ def test_discernibility_curve_monotone_and_zero_at_end():
 def test_discernibility_perfect_family_never_errs():
     hyp = F(1.0, 0.0)
     rep = separation([hyp], [F(0.0, 1.0)], Partition.identity(2))
-    test = build_frequency_test(rep, 1)
+    test = build_frequency_test(rep)
     member = TestFamilyMember(build=lambda n: test, exponent=2.0, onset=1)
     schedule = interleave(TestFamily((member,)), 64, hypothesis_key=np.array([[1.0, 0.0]]))
     curve = discernibility_paths(
         schedule, hyp, 64, [0, 16, 64], 300, RngSpec(67, 0), role="hypothesis"
     )
-    assert np.all(curve.error_fraction == 0.0)
+    assert np.all(curve == 0.0)
     curve_alt = discernibility_paths(
         schedule, F(0.0, 1.0), 64, [0, 16, 64], 300, RngSpec(68, 0), role="alternative"
     )
-    assert np.all(curve_alt.error_fraction == 0.0)
+    assert np.all(curve_alt == 0.0)
 
 
 def test_discernibility_validation():
@@ -506,7 +521,7 @@ class _FreshTestBuilder:
 
     def __call__(self, n):
         t = self.tests[n % len(self.tests)]
-        return FrequencyTest(t.partition, t.hypothesis_vectors, t.alternative_vectors, n)
+        return FrequencyTest(t.partition, t.hypothesis_vectors, t.alternative_vectors)
 
 
 def _replay_case(case):
@@ -526,7 +541,7 @@ def _replay_case(case):
     """
     if case in ("tie", "tight"):
         hypothesis = [0.5, 0.5] if case == "tie" else [-1.0, 2.0]
-        test = FrequencyTest(None, [hypothesis], [[1.0, 0.0]], 1)
+        test = FrequencyTest(None, [hypothesis], [[1.0, 0.0]])
         builders = [ConstantTestBuilder(test)]
         if case == "tie":
             builders.insert(0, _FreshTestBuilder([test]))
@@ -542,13 +557,13 @@ def _replay_case(case):
         partition = Partition.atoms([[0, 1], [2, 3]])
     report = separation([hypothesis], pieces, partition)
     h, a = report.hypothesis_vectors, report.alternative_vectors
-    weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h), 1)
-    both = FrequencyTest(partition, h, a, 1)
+    weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h))
+    both = FrequencyTest(partition, h, a)
     if case == "union":
         first, second = (
             interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(t), 0.05),)), 1024,
                        hypothesis_key=h)
-            for t in (weak, FrequencyTest(partition, h, a[1:], 1))
+            for t in (weak, FrequencyTest(partition, h, a[1:]))
         )
         return UnionSchedule(first, second), hypothesis, pieces[0], partition
     if case == "union_blocks":  # member blocks end at 89 and at 164
@@ -601,7 +616,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
             replayed = list(seen)
             seen.clear()
             want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
-            assert np.array_equal(curve.error_fraction, want)
+            assert np.array_equal(curve, want)
             if replications == 1:
                 continue
             if case != "tight":  # the curves compared are not trivial (tight rejects at once)
@@ -630,7 +645,7 @@ def test_segment_replay_matches_per_n_loop_with_two_workers(case):
     )
     want = _reference_curve(schedule, hypothesis, partition, 200, ks, 2 * PATH_BLOCK + 3, rng,
                             "hypothesis")
-    assert np.array_equal(curve.error_fraction, want)
+    assert np.array_equal(curve, want)
 
 
 def test_path_replay_is_fast():
