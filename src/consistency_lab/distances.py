@@ -5,10 +5,11 @@ two finite families, which gives the floor ``1 - value`` on the sum of error
 probabilities achievable by any single-observation test. It solves the
 Kraft–Le Cam dual, the best separation of the families by a test
 ``phi in [0,1]^k``, reads the optimal mixtures off the row multipliers, and
-certifies the value by the duality gap between the two; ``optimal_test``
-constructs the likelihood-ratio test that attains the floor. ``ks_distance``
-and ``density_total_variation`` read the distribution-function gap of two
-named densities at its critical points, so both are exact to rounding.
+certifies the value by the duality gap between the two; ``optimal_test`` is
+that test, which attains the floor against every member of both families.
+``ks_distance`` and ``density_total_variation`` read the distribution-function
+gap of two named densities at its critical points, so both are exact to
+rounding.
 """
 from __future__ import annotations
 
@@ -20,9 +21,6 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .measures import DensitySpec, FiniteMeasure
 from .simplex import solve_lp
-
-#: Probabilities closer than this are treated as tied by the randomized test.
-TIE_TOL = 1e-12
 
 
 def total_variation(p: FiniteMeasure, q: FiniteMeasure) -> float:
@@ -40,10 +38,11 @@ class HullDistanceResult:
 
     ``mixture_p`` and ``mixture_q`` are one pair of optimal convex weights over
     the input families; ``value`` equals the total variation of the two induced
-    mixtures. ``duality_gap`` is ``value`` minus the separation of the two
-    families by the solver's test ``phi``; it is >= 0 for any weights and any
-    test, and certifies ``value`` to within itself. ``iterations`` counts
-    simplex pivots.
+    mixtures. ``phi`` is Kraft's test, the probability of rejecting the
+    hypothesis at each atom. ``duality_gap`` is ``value`` minus the separation
+    ``min_j Q_j.phi - max_i P_i.phi`` of the two families by ``phi``; it is
+    >= 0 for any weights and any test, and certifies ``value`` to within
+    itself. ``iterations`` counts simplex pivots plus bound flips.
     """
 
     value: float
@@ -51,6 +50,7 @@ class HullDistanceResult:
     mixture_q: np.ndarray
     iterations: int
     duality_gap: float
+    phi: np.ndarray
 
 
 #: Largest duality gap accepted as a certificate of the hull distance.
@@ -74,41 +74,39 @@ def _simplex_weights(w: np.ndarray) -> np.ndarray:
 def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> HullDistanceResult:
     """Minimize total variation over mixtures of ``a`` against mixtures of ``b``.
 
-    Solved as its Kraft–Le Cam dual, ``max over phi in [0,1]^k of
-    min_i P_i.phi - max_j Q_j.phi``: variables phi, t and s, maximize
-    ``t - s`` subject to ``t <= P_i.phi``, ``s >= Q_j.phi`` and ``phi <= 1``.
-    t and s are free, each a +/- pair of columns. Every right-hand side is 0
-    or 1, so the slack basis that ``solve_lp`` starts from is feasible. The
+    Solved as its Kraft–Le Cam dual, ``max over psi in [0,1]^k of
+    min_i P_i.psi - max_j Q_j.psi``, where ``psi = 1 - phi`` accepts the
+    hypothesis: variables psi, t and s, maximize ``t - s`` subject to
+    ``t <= P_i.psi`` and ``s >= Q_j.psi``. t and s are free, each a +/- pair
+    of columns, and ``psi <= 1`` is a bound of the solver, not a row, so the
+    tableau has one row per family member. Every right-hand side is 0, so
+    the slack basis that ``solve_lp`` starts from is feasible. The
     multipliers of the P and Q rows are the optimal mixtures.
     """
     P, Q = _validate_families(a, b)
     na, nb = P.shape[0], Q.shape[0]
     k = P.shape[1]
-    # Columns phi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.
+    # Columns psi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.
     t, minus_s = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 1.0])
-    A_ub = np.block([
-        [-P, np.tile(t, (na, 1))],
-        [Q, np.tile(minus_s, (nb, 1))],
-        [np.eye(k), np.zeros((k, 4))],
-    ])
-    b_ub = np.concatenate([np.zeros(na + nb), np.ones(k)])
+    A_ub = np.block([[-P, np.tile(t, (na, 1))], [Q, np.tile(minus_s, (nb, 1))]])
+    upper = np.concatenate([np.ones(k), np.full(4, np.inf)])
     cost = np.concatenate([np.zeros(k), -(t + minus_s)])  # minimize s - t
 
     stage = f"hull LP ({na}x{nb} on {k} atoms)"
     try:
-        result = solve_lp(cost, A_ub=A_ub, b_ub=b_ub)
+        result = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(na + nb), upper=upper)
     except NumericError as exc:
         raise NumericError(f"{stage}: {exc}") from exc
     lam = _simplex_weights(-result.duals[:na])
     mu = _simplex_weights(-result.duals[na : na + nb])
     value = 0.5 * float(np.abs(lam @ P - mu @ Q).sum())
-    phi = np.clip(result.x[:k], 0.0, 1.0)
-    gap = value - float((P @ phi).min() - (Q @ phi).max())
+    phi = 1.0 - np.clip(result.x[:k], 0.0, 1.0)
+    gap = value - float((Q @ phi).min() - (P @ phi).max())
     if not gap <= GAP_TOL:
         raise NumericError(f"{stage}: duality gap {gap:.3e} exceeds {GAP_TOL:.0e}")
     return HullDistanceResult(
         value=value, mixture_p=lam, mixture_q=mu, iterations=result.iterations,
-        duality_gap=gap,
+        duality_gap=gap, phi=phi,
     )
 
 
@@ -152,20 +150,13 @@ class Test:
 
 
 def optimal_test(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Test:
-    """Likelihood-ratio test between the closest hull mixtures.
+    """Kraft's test ``phi`` from the hull LP.
 
-    Rejects where the optimal alternative mixture outweighs the optimal
-    hypothesis mixture, accepts where it is lighter, and flips a fair coin on
-    ties; its type I + type II error against those mixtures equals the floor
-    ``1 - hull_variation(a, b).value`` exactly.
+    Against every member of either family its type I + type II error is at
+    most ``1 - value + duality_gap``, which is the floor
+    ``1 - hull_variation(a, b).value`` within the certificate.
     """
-    P, Q = _validate_families(a, b)
-    hull = hull_variation(a, b)
-    p_star = hull.mixture_p @ P
-    q_star = hull.mixture_q @ Q
-    diff = q_star - p_star
-    reject = np.where(diff > TIE_TOL, 1.0, np.where(diff < -TIE_TOL, 0.0, 0.5))
-    return Test(reject_prob=reject)
+    return Test(reject_prob=hull_variation(a, b).phi)
 
 
 #: Sign changes within this distance of the end of a smooth piece merge into the end.

@@ -1,13 +1,18 @@
 """Dense simplex solver for the small linear programs used here.
 
-It solves ``min c.x`` subject to ``A x <= b``, ``x >= 0`` with ``b >= 0``, the
-form of the hull LP, starting from the feasible slack basis. Instances have at
-most a few hundred variables, so a plain tableau method is fast,
-dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
+It solves ``min c.x`` subject to ``A x <= b``, ``0 <= x <= u`` with ``b >= 0``,
+the form of the hull LP, starting from the feasible slack basis. The bounds
+``u`` stay out of the tableau (Dantzig's upper-bounding technique): a
+nonbasic variable sits at 0 or at its bound, and one at its bound is replaced
+by ``u - x``, which negates its column. The ratio test lets the entering
+variable flip to its own bound and a basic variable leave at its upper bound.
+Instances have at most a few hundred variables, so a plain tableau method is
+fast, dependency-free, and easy to audit. Pivoting uses Dantzig's rule with a
 largest-pivot tie-break for numerical stability, and falls back to Bland's
 anti-cycling rule when the objective stalls on a long run of degenerate
-pivots. The point and the row multipliers are refined against the final basis
-on the original rows, so that the rounding of many pivots does not reach them.
+pivots. The point and the row multipliers are refined against the final
+signed basis on the original rows, so that the rounding of many pivots does
+not reach them.
 """
 from __future__ import annotations
 
@@ -20,7 +25,7 @@ from .errors import NumericError, ValidationError
 #: Reduced costs and pivot entries within this of zero count as zero.
 _TOL = 1e-9
 
-#: Pivots after which the solver gives up.
+#: Pivots plus bound flips after which the solver gives up.
 _MAX_ITERATIONS = 20000
 
 #: Degenerate pivots tolerated before switching to Bland's rule.
@@ -39,10 +44,11 @@ _RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class LpResult:
-    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  x >= 0``.
+    """Optimal point of ``min c.x  s.t.  A_ub x <= b_ub,  0 <= x <= upper``.
 
     ``duals`` holds one multiplier per ``A_ub`` row: the rate of change of the
-    optimum with the row's right-hand side, so ``<= 0``.
+    optimum with the row's right-hand side, so ``<= 0``. ``iterations`` counts
+    pivots plus bound flips.
     """
 
     x: np.ndarray
@@ -54,47 +60,61 @@ class LpResult:
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     pivot_row = tableau[row]
-    factors = tableau[:, col].copy()
+    factors = tableau[:, col, None].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, pivot_row)
+    tableau -= factors * pivot_row
     tableau[np.abs(tableau) < _FLUSH] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
 
 
-def _run_simplex(tableau, basis, cost, ncols):
-    """Minimize ``cost`` over the canonical tableau; returns iteration count."""
+def _flip(tableau: np.ndarray, sign: np.ndarray, col: int, bound: float) -> None:
+    """Substitute ``bound - x`` for the variable of ``col``, moving it to its other bound."""
+    tableau[:, -1] -= tableau[:, col] * bound
+    tableau[:, col] *= -1.0
+    sign[col] = -sign[col]
+
+
+def _run_simplex(tableau, basis, sign, upper):
+    """Minimize over the canonical tableau, whose last row holds the reduced costs
+    and minus the objective; returns the number of pivots plus bound flips."""
+    rows, ncols = basis.size, upper.size
+    costs, rhs = tableau[-1, :ncols], tableau[:rows, -1]
     iterations = 0
     stall = 0
-    last_objective = None
+    last_objective = 0.0
     while True:
-        reduced = cost[:ncols] - cost[basis] @ tableau[:, :ncols]
         bland = stall > _STALL_LIMIT
-        entering = -1
         if bland:
-            for j in range(ncols):
-                if reduced[j] < -_TOL:
-                    entering = j
-                    break
+            entering = int(np.argmax(costs < -_TOL))
         else:
-            j = int(np.argmin(reduced))
-            if reduced[j] < -_TOL:
-                entering = j
-        if entering < 0:
+            entering = int(np.argmin(costs))
+        if costs[entering] >= -_TOL:
             return iterations
-        column = tableau[:, entering]
-        eligible = np.flatnonzero(column > _TOL)
-        if eligible.size == 0:
-            raise NumericError("LP is unbounded below")
-        ratios = tableau[eligible, -1] / column[eligible]
-        near = eligible[ratios <= ratios.min() + _TOL]
-        if bland:
-            leaving = int(near[np.argmin(basis[near])])
+        # A positive entry lets its basic variable fall to 0, a negative one
+        # lifts it to its bound; the entering variable may reach its own.
+        column = tableau[:rows, entering]
+        size = np.abs(column)
+        room = np.where(column > 0.0, rhs, upper[basis] - rhs)
+        ratios = np.divide(room, size, out=np.full(rows, np.inf), where=size > _TOL)
+        step = ratios.min()
+        if upper[entering] <= step:
+            if upper[entering] == np.inf:
+                raise NumericError("LP is unbounded below")
+            _flip(tableau, sign, entering, upper[entering])
         else:
-            leaving = int(near[np.argmax(column[near])])
-        _pivot(tableau, basis, leaving, entering)
-        objective = float(cost[basis] @ tableau[:, -1])
-        if last_objective is not None and objective >= last_objective - 1e-12:
+            near = np.flatnonzero(ratios <= step + _TOL)
+            if bland:
+                leaving = int(near[np.argmin(basis[near])])
+            else:
+                leaving = int(near[np.argmax(size[near])])
+            at_bound = column[leaving] < 0.0
+            left = basis[leaving]
+            _pivot(tableau, basis, leaving, entering)
+            if at_bound:
+                _flip(tableau, sign, left, upper[left])
+        objective = -tableau[-1, -1]
+        if objective >= last_objective - 1e-12:
             stall += 1
         else:
             stall = 0
@@ -119,12 +139,14 @@ def _refine(matrix: np.ndarray, inverse: np.ndarray, rhs: np.ndarray) -> np.ndar
     return z
 
 
-def solve_lp(c, A_ub, b_ub) -> LpResult:
-    """Minimize ``c.x`` subject to ``A_ub x <= b_ub`` and ``x >= 0``, with ``b_ub >= 0``.
+def solve_lp(c, A_ub, b_ub, upper=None) -> LpResult:
+    """Minimize ``c.x`` subject to ``A_ub x <= b_ub`` and ``0 <= x <= upper``, with ``b_ub >= 0``.
 
+    ``upper`` may hold ``inf``; ``None`` leaves every variable unbounded above.
     The tableau ``[A_ub | I | b_ub]`` starts from the slack basis, feasible since
-    ``b_ub >= 0``. Raises ``ValidationError`` on a negative right-hand side or
-    inconsistent shapes, ``NumericError`` on unboundedness or iteration overrun.
+    ``b_ub >= 0``; the bounds stay out of it. Raises ``ValidationError`` on a
+    negative right-hand side, a negative or NaN bound, or inconsistent shapes,
+    ``NumericError`` on unboundedness or iteration overrun.
     """
     c = np.asarray(c, dtype=float)
     n = c.size
@@ -137,19 +159,27 @@ def solve_lp(c, A_ub, b_ub) -> LpResult:
         raise ValidationError("LP needs at least one constraint")
     if np.any(b < 0.0):
         raise ValidationError("solve_lp needs b_ub >= 0, so that the slack basis is feasible")
+    u = np.full(n, np.inf) if upper is None else np.asarray(upper, dtype=float)
+    if u.shape != (n,) or not np.all(u >= 0.0):
+        raise ValidationError("upper needs one bound >= 0 per variable")
 
     body = np.hstack([A, np.eye(m)])
-    tableau = np.column_stack([body, b])
-    basis = n + np.arange(m)
     cost = np.concatenate([c, np.zeros(m)])
-    iterations = _run_simplex(tableau, basis, cost, n + m)
+    tableau = np.vstack([np.column_stack([body, b]), np.append(cost, 0.0)])
+    basis = n + np.arange(m)
+    bound = np.concatenate([u, np.full(m, np.inf)])
+    sign = np.ones(n + m)
+    iterations = _run_simplex(tableau, basis, sign, bound)
 
-    # The slack columns started as the identity, so they hold the inverse of
-    # the final basis, with the rounding of every pivot in it.
-    final = body[:, basis]
-    inverse = tableau[:, n : n + m]
-    x = np.zeros(n + m)
-    x[basis] = _refine(final, inverse, b)
-    duals = _refine(final.T, inverse.T, cost[basis])
-    solution = x[:n]
+    # A variable at its bound was replaced by ``bound - x``, which negated its
+    # column; the slack columns, never flipped, started as the identity and so
+    # hold the inverse of the final signed basis, with the rounding of every
+    # pivot in it.
+    flipped = sign < 0.0
+    final = body[:, basis] * sign[basis]
+    inverse = tableau[:m, n : n + m]
+    y = np.zeros(n + m)
+    y[basis] = _refine(final, inverse, b - body[:, flipped] @ bound[flipped])
+    duals = _refine(final.T, inverse.T, (sign * cost)[basis])
+    solution = np.where(flipped, bound - y, y)[:n]
     return LpResult(x=solution, objective=float(c @ solution), iterations=iterations, duals=duals)

@@ -18,6 +18,7 @@ from consistency_lab.distances import (
 from consistency_lab.distances import Test as OneShotTest
 from consistency_lab.errors import NumericError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, discretize, mixture, normalize
+from consistency_lab.simplex import solve_lp
 from quadrature_oracle import density_total_variation_quadrature
 
 
@@ -354,7 +355,7 @@ def _highs_hull(a, b):
     return float(result.fun)
 
 
-@pytest.mark.parametrize("m, grid_size", [(8, 128), (8, 256), (16, 128), (32, 64)])
+@pytest.mark.parametrize("m, grid_size", [(8, 128), (8, 256), (16, 128), (32, 64), (32, 512)])
 def test_hull_variation_agrees_with_highs_and_is_certified(m, grid_size):
     a, b = _sine_families(m, grid_size)
     reference = _highs_hull(a, b)
@@ -374,6 +375,53 @@ def test_hull_variation_sine_1_8_grid_256_is_fast():
         hull_variation(a, b)
         times.append(time.perf_counter() - start)
     assert min(times) < 1.0
+
+
+def test_hull_variation_32_sines_grid_512_is_fast():
+    # the box phi <= 1 as k tableau rows took 2.5-3.1 s here; as bounds, 0.08 s
+    a, b = _sine_families(32, 512)
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        hull_variation(a, b)
+        times.append(time.perf_counter() - start)
+    assert min(times) < 0.2
+
+
+def _floors_families():
+    """The 21 hull LPs of the benchmark's ``floors`` workload."""
+    families = [_sine_families(m, 128) for m in (5, 7, 8)] + [_sine_families(16, 64)]
+    families += [_sine_families(m, 64) for m in range(1, 17)]
+    tilts = [discretize(DensitySpec.pu_family(u), 64) for u in (0.0, 0.2, 0.4)]
+    return families + [([discretize(DensitySpec.uniform(), 64)], tilts)]
+
+
+def test_hull_variation_equals_the_box_row_lp():
+    """The bounded solve against the dual with ``phi <= 1`` written as k rows."""
+    for a, b in _floors_families():
+        P, Q = np.stack([m.weights for m in a]), np.stack([m.weights for m in b])
+        (na, k), nb = P.shape, Q.shape[0]
+        t, minus_s = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 1.0])
+        A_ub = np.block([
+            [-P, np.tile(t, (na, 1))],
+            [Q, np.tile(minus_s, (nb, 1))],
+            [np.eye(k), np.zeros((k, 4))],
+        ])
+        b_ub = np.concatenate([np.zeros(na + nb), np.ones(k)])
+        rows = solve_lp(np.concatenate([np.zeros(k), -(t + minus_s)]), A_ub=A_ub, b_ub=b_ub)
+        assert abs(hull_variation(a, b).value + rows.objective) <= 1e-12
+
+
+def test_optimal_test_meets_the_floor_against_every_member():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        k = int(rng.integers(2, 6))
+        a = [normalize(rng.random(k)) for _ in range(int(rng.integers(1, 4)))]
+        b = [normalize(rng.random(k)) for _ in range(int(rng.integers(1, 4)))]
+        hull = hull_variation(a, b)
+        test = optimal_test(a, b)
+        worst = max(test.type1_error(p) + test.type2_error(q) for p in a for q in b)
+        assert worst <= 1.0 - hull.value + hull.duality_gap + 1e-12
 
 
 def test_hull_variation_rejects_a_large_duality_gap(monkeypatch):

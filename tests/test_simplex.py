@@ -73,6 +73,54 @@ def test_random_instances_against_vertex_enumeration():
         assert np.all(A @ res.x <= b + 1e-7)
 
 
+@pytest.mark.parametrize("upper", [[1.0, -1.0], [1.0, np.nan], [1.0], [1.0, 1.0, 1.0]])
+def test_bad_upper_bounds_rejected(upper):
+    with pytest.raises(ValidationError, match="upper"):
+        solve_lp([-1, -1], A_ub=[[1, 1]], b_ub=[1], upper=upper)
+
+
+def test_random_instances_with_the_box_as_bounds():
+    # the instances above, with the box given as bounds instead of two rows
+    rng = np.random.default_rng(42)
+    for _ in range(60):
+        m = int(rng.integers(3, 7))
+        A = rng.normal(size=(m, 2))
+        b = rng.random(m)
+        c = rng.normal(size=2)
+        rows = solve_lp(c, A_ub=np.vstack([A, np.eye(2)]), b_ub=np.concatenate([b, [10.0, 10.0]]))
+        bounded = solve_lp(c, A_ub=A, b_ub=b, upper=[10.0, 10.0])
+        assert abs(bounded.objective - rows.objective) <= 1e-9
+        assert np.all(bounded.x >= 0.0) and np.all(bounded.x <= 10.0)
+        assert np.all(A @ bounded.x <= b + 1e-9)
+        # the row multipliers certify the optimum: any duals <= 0 give the
+        # lower bound b.y + sum_j u_j min(0, c_j - A_j.y), and these meet it
+        y = bounded.duals
+        assert np.all(y <= 1e-12)
+        assert abs(b @ y + 10.0 * np.minimum(0.0, c - A.T @ y).sum() - bounded.objective) <= 1e-9
+
+
+def test_entering_variable_flips_to_its_bound():
+    # min -x1 - x2 s.t. x1 + x2 <= 1.5, x <= 1: x1 meets its bound before the
+    # row binds and flips without a pivot; x2 then enters the basis at 0.5.
+    res = solve_lp([-1, -1], A_ub=[[1, 1]], b_ub=[1.5], upper=[1.0, 1.0])
+    assert_allclose(res.x, [1.0, 0.5], atol=1e-15)
+    assert res.objective == pytest.approx(-1.5, abs=1e-15)
+    assert_allclose(res.duals, [-1.0], atol=1e-15)
+    assert res.iterations == 2
+
+
+def test_basic_variable_leaves_at_its_bound():
+    # min -3 x1 - 3 x2 s.t. 2 x1 + x2 <= 3, x <= (1, 2): x1 flips to 1, x2
+    # enters at 1, then x1 comes back down from its bound into the basis and
+    # lifts x2 until x2 leaves at its bound 2. The final basis holds x1 as
+    # 1 - x1, a negated column, with the row multiplier -3/2.
+    res = solve_lp([-3, -3], A_ub=[[2, 1]], b_ub=[3.0], upper=[1.0, 2.0])
+    assert_allclose(res.x, [0.5, 2.0], atol=1e-15)
+    assert res.objective == pytest.approx(-7.5, abs=1e-15)
+    assert_allclose(res.duals, [-1.5], atol=1e-15)
+    assert res.iterations == 3
+
+
 def test_refinement_from_a_poor_inverse_raises():
     # the correction doubles the error at every step instead of shrinking it
     with pytest.raises(NumericError, match="refinement left residual"):
