@@ -614,12 +614,13 @@ def run_scenario(
             tables["separation"] = _separation_table(scenario)
         if scenario.model_type == "density":
             tables["ks"] = _ks_table(scenario)
+            hull = None
             if scenario.model_options.get("grid_size"):
-                hull_table, hull_report = _hull_metrics(scenario)
+                hull_table, hull_report, hull = _hull_metrics(scenario)
                 tables["hull"] = hull_table
                 reports["hull"] = hull_report
             if scenario.model_options.get("cesaro_scan"):
-                tables["cesaro"] = _cesaro_table(scenario)
+                tables["cesaro"] = _cesaro_table(scenario, hull)
             if scenario.partition is not None and scenario.sim.n_grid:
                 tables["errors"] = _error_curve_table(scenario, reps, streams, pool)
         if scenario.model_type == "finite":
@@ -680,21 +681,28 @@ def _hull_metrics(scenario: Scenario):
         "lp_iterations": hull.iterations,
         "duality_gap": hull.duality_gap,
     }
-    return table, report
+    return table, report, hull
 
 
-def _cesaro_table(scenario: Scenario) -> Table:
+def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
+    """Mixture and hull floors of uniform against ``one_plus_sine`` 1..m.
+
+    ``scenario_hull``, the scenario's hull LP at its ``grid_size`` or None,
+    is the last row's LP when the scenario is uniform against that prefix."""
     m_max = int(scenario.model_options["cesaro_scan"])
     grid_size = int(scenario.model_options.get("grid_size", 64))
     uniform = DensitySpec.uniform()
     disc_uniform = [discretize(uniform, grid_size)]
+    sines = [DensitySpec.one_plus_sine(i) for i in range(1, m_max + 1)]
+    if scenario.hypothesis != [uniform] or scenario.alternative != sines:
+        scenario_hull = None
     rows = []
     for m in range(1, m_max + 1):
         tv = density_total_variation(DensitySpec.cesaro_mixture(m), uniform)
-        prefix = [
-            discretize(DensitySpec.one_plus_sine(i), grid_size) for i in range(1, m + 1)
-        ]
-        hull = hull_variation(disc_uniform, prefix)
+        if m == m_max and scenario_hull is not None:
+            hull = scenario_hull
+        else:
+            hull = hull_variation(disc_uniform, [discretize(s, grid_size) for s in sines[:m]])
         rows.append((m, tv, 1.0 - tv, hull.value, 1.0 - hull.value))
     return Table(
         columns=["m", "tv_mixture", "kraft_mixture", "hull_value", "kraft_hull"],

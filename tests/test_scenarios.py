@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from consistency_lab.errors import (
     DegenerateScenarioError,
     ValidationError,
 )
-from consistency_lab.measures import FiniteMeasure, Partition
+from consistency_lab.distances import hull_variation
+from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, discretize
 from consistency_lab.partition_tests import build_frequency_test, exact_error, separation
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
@@ -91,6 +93,46 @@ def test_mazur_scenario_values():
     assert all(b < a for a, b in zip(tvs, tvs[1:]))
     hulls = [r["hull_value"] for r in rows]
     assert all(b <= a + 1e-9 for a, b in zip(hulls, hulls[1:]))
+
+
+def _hull_lp_sizes(monkeypatch):
+    """Number of alternatives of every hull LP that ``scenarios`` solves from now on."""
+    sizes = []
+
+    def counting(a, b):
+        sizes.append(len(b))
+        return hull_variation(a, b)
+
+    monkeypatch.setattr(scenarios, "hull_variation", counting)
+    return sizes
+
+
+def test_mazur_scenario_solves_its_own_hull_lp_once(monkeypatch):
+    sizes = _hull_lp_sizes(monkeypatch)
+    run = run_scenario(scenario_mazur_mixture(4, grid_size=32), seed=1)
+    assert sizes == [4, 1, 2, 3]  # the m = 4 Cesaro row is the scenario's LP
+    assert table_dict(run.tables["cesaro"])[-1]["hull_value"] == run.reports["hull"]["value"]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"alternative": [DensitySpec.one_plus_sine(i) for i in range(2, 6)]},
+        {"alternative": [DensitySpec.one_plus_sine(i) for i in range(4, 0, -1)]},
+        {"hypothesis": [DensitySpec.pu_family(0.1)]},
+    ],
+    ids=["sines-2-5", "sines-4-1", "hypothesis"],
+)
+def test_cesaro_scan_solves_a_fresh_lp_for_other_families(change, monkeypatch):
+    scenario = dataclasses.replace(scenario_mazur_mixture(4, grid_size=32), **change)
+    sizes = _hull_lp_sizes(monkeypatch)
+    run = run_scenario(scenario, seed=1)
+    assert sizes == [len(scenario.alternative), 1, 2, 3, 4]
+    fresh = hull_variation(
+        [discretize(DensitySpec.uniform(), 32)],
+        [discretize(DensitySpec.one_plus_sine(i), 32) for i in range(1, 5)],
+    )
+    assert table_dict(run.tables["cesaro"])[-1]["hull_value"] == fresh.value
 
 
 # -- Kolmogorov scenario --------------------------------------------------------------

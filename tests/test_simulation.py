@@ -22,6 +22,7 @@ from consistency_lab.scenarios import (
 )
 from consistency_lab.scheduler import TestFamily, TestFamilyMember, UnionSchedule, interleave
 from consistency_lab.simulation import (
+    MAX_COUNTED_EDGES,
     PATH_BLOCK,
     PATH_SEGMENT,
     GaussianSequenceModel,
@@ -35,7 +36,12 @@ from consistency_lab.simulation import (
     sample_poisson_process,
     wilson_interval,
 )
-from consistency_lab.simulation import _bin_draws, _cell_counts, _simulate_error_block
+from consistency_lab.simulation import (
+    _bin_draws,
+    _cell_counts,
+    _cells_below,
+    _simulate_error_block,
+)
 
 
 def F(*weights):
@@ -88,6 +94,14 @@ def test_sample_iid_frequencies_within_three_sigma():
     draws = sample_iid(F(0.5, 0.5), 100_000, RngSpec(2, 0))
     freq = float((draws == 0).mean())
     assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
+
+
+def test_public_samplers_return_int64_atoms():
+    for weights in ([0.2, 0.3, 0.5], np.full(130, 1 / 130)):
+        model = FiniteMeasure(np.array(weights))
+        assert sample_iid(model, 100, RngSpec(3, 0)).dtype == np.int64
+        atoms = sample_poisson_process(PoissonModel(1.0, model), 100, RngSpec(3, 0))
+        assert atoms.dtype == np.int64
 
 
 def test_sample_iid_validation():
@@ -320,6 +334,31 @@ def test_edge_binning_extreme_uniforms(model):
     for partition in _DYADIC_PARTITIONS:
         cells, k = _bin_draws(model, partition, extremes)
         assert cells.tolist() == [0, k - 1]
+
+
+@pytest.mark.parametrize("n_edges", [1, 2, 3, 8, 64, 128, 129])
+def test_cells_below_equals_searchsorted(n_edges):
+    """Counted edges match ``searchsorted`` on and next to every edge, with and
+    without zero weights, which repeat a cumulative weight (and put one at 0)."""
+    gen = RngSpec(107, n_edges).generator()
+    weights = gen.random(n_edges + 1)
+    sparse = weights.copy()
+    sparse[::2] = 0.0
+    for w in (weights, sparse):
+        edges = np.cumsum(w / w.sum())[:-1]
+        uniforms = np.concatenate(
+            [
+                edges,
+                np.nextafter(edges, -np.inf),
+                np.nextafter(edges, np.inf),
+                [0.0, 1.0 - 2.0**-53],
+                gen.random(1000),
+            ]
+        )
+        for inclusive, side in ((True, "right"), (False, "left")):
+            cells = _cells_below(edges, uniforms, inclusive)
+            assert np.array_equal(cells, np.searchsorted(edges, uniforms, side=side))
+            assert (cells.dtype == np.uint8) == (n_edges <= MAX_COUNTED_EDGES)
 
 
 def test_bin_draws_rejects_density_without_interval_partition():
@@ -646,6 +685,23 @@ def test_segment_replay_matches_per_n_loop_with_two_workers(case):
     want = _reference_curve(schedule, hypothesis, partition, 200, ks, 2 * PATH_BLOCK + 3, rng,
                             "hypothesis")
     assert np.array_equal(curve, want)
+
+
+@pytest.mark.parametrize("size", [5, 130])  # 130 atoms bin by searchsorted
+def test_segment_replay_matches_per_n_loop_on_long_alphabets(size):
+    hypothesis = FiniteMeasure(np.full(size, 1.0 / size))
+    tilt = np.linspace(0.0, 2.0, size)
+    alternative = FiniteMeasure(tilt / tilt.sum())
+    test = build_frequency_test(separation([hypothesis], [alternative], Partition.identity(size)))
+    schedule = interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(test), 0.05),)), 1024)
+    n_max = PATH_SEGMENT + 8
+    ks = list(range(n_max + 1))
+    for model, role in ((hypothesis, "hypothesis"), (alternative, "alternative")):
+        rng = RngSpec(79, size)
+        curve = discernibility_paths(schedule, model, n_max, ks, PATH_BLOCK + 1, rng, role=role)
+        want = _reference_curve(schedule, model, None, n_max, ks, PATH_BLOCK + 1, rng, role)
+        assert np.array_equal(curve, want)
+        assert 0.0 < want[8] < 1.0
 
 
 def test_path_replay_is_fast():
