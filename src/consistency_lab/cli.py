@@ -17,7 +17,7 @@ from typing import Optional
 from . import __version__
 from .distances import hull_variation
 from .errors import ConstructionError, ValidationError
-from .measures import FiniteMeasure, discretize
+from .measures import FiniteMeasure
 from .partition_tests import separation
 from .reports import (
     format_value,
@@ -26,7 +26,13 @@ from .reports import (
     write_csv,
     write_json,
 )
-from .scenarios import Scenario, run_scenario, scenario_from_dict
+from .scenarios import (
+    Scenario,
+    bound_families,
+    run_scenario,
+    scenario_from_dict,
+    scheduled,
+)
 
 
 @dataclass
@@ -115,15 +121,7 @@ def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
 
 
 def cmd_bound(scenario: Scenario, config: RunConfig) -> int:
-    if scenario.model_type == "finite":
-        h, a = scenario.hypothesis, scenario.alternative
-    elif scenario.model_type == "density":
-        grid_size = int(scenario.model_options.get("grid_size", 64))
-        h = [discretize(m, grid_size) for m in scenario.hypothesis]
-        a = [discretize(m, grid_size) for m in scenario.alternative]
-    else:
-        raise ValidationError("bound requires finite or density models")
-    hull = hull_variation(h, a)
+    hull = hull_variation(*bound_families(scenario))
     print(f"hull_variation={format_value(hull.value)}")
     print(f"kraft_bound={format_value(1.0 - hull.value)}")
     print(f"mixture_p={','.join(format_value(float(x)) for x in hull.mixture_p)}")
@@ -175,11 +173,7 @@ def cmd_simulate(scenario: Scenario, config: RunConfig) -> int:
 
 
 def cmd_schedule(scenario: Scenario, config: RunConfig) -> int:
-    if scenario.model_type != "finite":
-        raise ValidationError("schedules require finite-alphabet scenarios")
-    if scenario.schedule is None:
-        scenario.schedule = {"exponents": [], "onsets": []}  # derive certificates
-    _run_and_write(scenario, config, "schedule")
+    _run_and_write(scheduled(scenario), config, "schedule")
     print(f"wrote schedule and discernibility curve to {config.out_dir}")
     return 0
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import erfc, sqrt
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -80,7 +80,7 @@ class Scenario:
     """A named experiment: model sets plus the knobs needed to run them."""
 
     name: str
-    model_type: str  # finite | density | poisson | gaussian_sequence
+    model_type: str  # a key of _MODEL_TYPES
     hypothesis: list
     alternative: list
     partition: Optional[Partition] = None
@@ -90,39 +90,23 @@ class Scenario:
 
     def __post_init__(self):
         """Checks that builders and JSON files alike pass through."""
+        row = _model_type(self.model_type)
         if len(self.hypothesis) == 0 or len(self.alternative) == 0:
             raise ValidationError("hypothesis and alternative families must be nonempty")
-        if self.model_type == "gaussian_sequence":
-            shape = np.shape(self.hypothesis[0])
-            if len(shape) != 1 or shape[0] == 0 or any(
-                np.shape(s) != shape for s in self.hypothesis + self.alternative
-            ):
-                raise ValidationError("every signal must be a nonempty vector of one dimension")
-            pairs = [(a, b) for a in self.hypothesis for b in self.alternative]
-            if min(np.abs(np.subtract(a, b)).max() for a, b in pairs) <= 0.0:
-                raise ConstructionError("signal sets are not separated (zero sup-norm margin)")
-            if any(eps <= 0 for eps in self.sim.epsilon_list):
-                raise ValidationError("noise levels must be positive")
-        if self.model_type == "poisson":
-            if len(self.hypothesis) != 1 or len(self.alternative) != 1:
-                raise ValidationError(
-                    "a Poisson scenario has exactly one hypothesis and one alternative"
-                )
-            h0, h1 = self.hypothesis[0], self.alternative[0]
-            same_mass = abs(h0.mass - h1.mass) <= 1e-12
-            same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
-            if same_mass and same_shape:
-                raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
+        if not all(isinstance(m, row.model) for m in self.hypothesis + self.alternative):
+            raise ValidationError(f"{self.model_type} models must be {row.model.__name__}")
+        row.check(self)
 
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
+        write = _MODEL_TYPES[self.model_type].write
         model = {"type": self.model_type}
         model.update(self.model_options)
         out = {
             "name": self.name,
             "model": model,
-            "hypothesis": [_model_to_json(m) for m in self.hypothesis],
-            "alternative": [_model_to_json(m) for m in self.alternative],
+            "hypothesis": [write(m) for m in self.hypothesis],
+            "alternative": [write(m) for m in self.alternative],
             "sim": {
                 "replications": self.sim.replications,
                 "n_grid": list(self.sim.n_grid),
@@ -140,35 +124,32 @@ class Scenario:
         return out
 
 
-def _model_to_json(model) -> dict:
-    if isinstance(model, FiniteMeasure):
-        return {"weights": [float(w) for w in model.weights]}
-    if isinstance(model, DensitySpec):
-        return model.to_json()
-    if isinstance(model, PoissonModel):
-        return {"mass": model.mass, "shape": [float(w) for w in model.shape.weights]}
-    if isinstance(model, np.ndarray):
-        return {"signal": [float(s) for s in model]}
-    raise ValidationError(f"cannot serialize model of type {type(model).__name__}")
+#: The model options a scenario file may set, each an integer >= 1.
+_MODEL_OPTIONS = ("grid_size", "cesaro_scan")
 
 
-def _model_from_json(obj: dict, model_type: str):
-    if not isinstance(obj, dict):
-        raise ValidationError(f"model entries must be objects, got {type(obj).__name__}")
-    try:
-        if model_type == "finite":
-            return FiniteMeasure(obj["weights"])
-        if model_type == "density":
-            return DensitySpec.from_json(obj)
-        if model_type == "poisson":
-            shape = FiniteMeasure(_reals(obj["shape"], "shape"))
-            return PoissonModel(mass=obj["mass"], shape=shape)
-        if model_type == "gaussian_sequence":
-            # Noise level comes from the epsilon sweep, placeholder here.
-            return _reals(obj["signal"], "signal")
-    except KeyError as missing:
-        raise ValidationError(f"model entry lacks required key {missing}") from None
-    raise ValidationError(f"unknown model type {model_type!r}")
+def _object(data: dict, key: str) -> dict:
+    """``data[key]``, an object; ``{}`` when absent."""
+    value = data.get(key, {})
+    if not isinstance(value, dict):
+        raise ValidationError(f"scenario {key!r} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _models(data: dict, key: str, read) -> list:
+    """The model entries under ``key``, each parsed by its type's reader."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ValidationError(f"scenario {key!r} must be a list, got {type(entries).__name__}")
+    models = []
+    for obj in entries:
+        if not isinstance(obj, dict):
+            raise ValidationError(f"model entries must be objects, got {type(obj).__name__}")
+        try:
+            models.append(read(obj))
+        except KeyError as missing:
+            raise ValidationError(f"model entry lacks required key {missing}") from None
+    return models
 
 
 def scenario_from_dict(data: dict) -> Scenario:
@@ -182,31 +163,31 @@ def scenario_from_dict(data: dict) -> Scenario:
     if not isinstance(model, dict) or "type" not in model:
         raise ValidationError("scenario 'model' must be an object with a 'type'")
     model_type = model["type"]
-    if model_type not in ("finite", "density", "poisson", "gaussian_sequence"):
-        raise ValidationError(f"unknown model type {model_type!r}")
+    row = _model_type(model_type)
     options = {k: v for k, v in model.items() if k != "type"}
-    for key in ("grid_size", "cesaro_scan"):
-        if key in options:
-            _integer(options[key], f"model.{key}")
-    hypothesis = [_model_from_json(m, model_type) for m in data["hypothesis"]]
-    alternative = [_model_from_json(m, model_type) for m in data["alternative"]]
+    for key, value in options.items():
+        if key not in _MODEL_OPTIONS:
+            raise ValidationError(
+                f"model.{key} is not a model option; the options are {', '.join(_MODEL_OPTIONS)}"
+            )
+        _integer(value, f"model.{key}")
+    hypothesis = _models(data, "hypothesis", row.read)
+    alternative = _models(data, "alternative", row.read)
     partition = None
     if "partition" in data:
+        if row.partition is None:
+            raise ValidationError(f"scenario 'partition' is not supported by {model_type} models")
         if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
-        cells = data["partition"]["cells"]
-        if model_type == "finite":
-            partition = Partition.atoms(cells)
-        else:
-            partition = Partition("intervals", cells)
+        partition = Partition(row.partition, data["partition"]["cells"])
     schedule = None
     if "schedule" in data:
-        stored = data["schedule"]
+        stored = _object(data, "schedule")
         schedule = {
             "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
             "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
         }
-    sim_obj = data.get("sim", {})
+    sim_obj = _object(data, "sim")
     sim = SimParams(
         replications=_integer(sim_obj.get("replications", 2000), "sim.replications"),
         n_grid=tuple(_integer(v, "sim.n_grid") for v in sim_obj.get("n_grid", ())),
@@ -531,12 +512,20 @@ def _verify_onset(test, hypothesis, covered_pieces, exponent, index):
     )
 
 
+def scheduled(scenario: Scenario) -> Scenario:
+    """``scenario`` with a schedule: its stored one, else an empty one whose
+    exponents and onsets ``nested_schedule`` derives and certifies."""
+    if not _MODEL_TYPES[scenario.model_type].schedules:
+        raise ValidationError("schedules require finite-alphabet scenarios")
+    if scenario.schedule is not None:
+        return scenario
+    return replace(scenario, schedule={"exponents": [], "onsets": []})
+
+
 def nested_schedule(scenario: Scenario) -> TestSchedule:
     """Interleaved schedule for a nested-alternatives scenario, up to the largest
     ``sim.n_grid`` entry or 1024."""
-    if scenario.model_type != "finite":
-        raise ValidationError("schedules require finite-alphabet scenarios")
-    stored = scenario.schedule or {}
+    stored = scheduled(scenario).schedule
     exponents = stored.get("exponents") or None
     onsets = stored.get("onsets") or None
     family, _, _ = build_nested_family(
@@ -545,6 +534,16 @@ def nested_schedule(scenario: Scenario) -> TestSchedule:
     n_max = max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
     hyp_key = np.stack([m.weights for m in scenario.hypothesis])
     return interleave(family, n_max, hypothesis_key=hyp_key)
+
+
+def bound_families(scenario: Scenario) -> tuple[list, list]:
+    """The finite hypothesis and alternative families whose hull distance is
+    the scenario's error floor."""
+    families = _MODEL_TYPES[scenario.model_type].bound
+    if families is None:
+        supported = " or ".join(name for name, row in _MODEL_TYPES.items() if row.bound)
+        raise ValidationError(f"bound requires {supported} models")
+    return families(scenario)
 
 
 # -- execution ---------------------------------------------------------------------
@@ -607,50 +606,59 @@ def run_scenario(
     if reps < 100:
         raise ValidationError("replications must be >= 100")
     streams = _StreamAllocator(seed)
-    tables: dict[str, Table] = {}
-    reports: dict[str, dict] = {}
+    run = ScenarioRun(tables={}, reports={})
     with WorkerPool(workers) as pool:
-        if scenario.model_type in ("finite", "density") and scenario.partition is not None:
-            tables["separation"] = _separation_table(scenario)
-        if scenario.model_type == "density":
-            tables["ks"] = _ks_table(scenario)
-            hull = None
-            if scenario.model_options.get("grid_size"):
-                hull_table, hull_report, hull = _hull_metrics(scenario)
-                tables["hull"] = hull_table
-                reports["hull"] = hull_report
-            if scenario.model_options.get("cesaro_scan"):
-                tables["cesaro"] = _cesaro_table(scenario, hull)
-            if scenario.partition is not None and scenario.sim.n_grid:
-                tables["errors"] = _error_curve_table(scenario, reps, streams, pool)
-        if scenario.model_type == "finite":
-            if scenario.schedule is not None:
-                schedule = nested_schedule(scenario)
-                reports["schedule"] = schedule.to_json_dict()
-                tables["discernibility"] = _discernibility_table(
-                    scenario, schedule, reps, streams, pool
-                )
-        if scenario.model_type == "gaussian_sequence":
-            tables["epsilon_sweep"] = _epsilon_table(scenario, reps, streams, pool)
-            tables["projection"] = _projection_table(scenario)
-        if scenario.model_type == "poisson":
-            tables["poisson_errors"] = _poisson_table(scenario, reps, streams, pool)
-
-    if not tables:
+        _MODEL_TYPES[scenario.model_type].run(scenario, run, reps, streams, pool)
+    if not run.tables:
         raise ValidationError(
             f"scenario {scenario.name!r} supports no metrics (missing partition/grids?)"
         )
-    return ScenarioRun(tables=tables, reports=reports)
+    return run
 
 
-def _separation_table(scenario: Scenario) -> Table:
+def _finite_tables(scenario, run, reps, streams, pool) -> None:
+    if scenario.partition is not None:
+        run.tables["separation"] = _separation_table(
+            scenario, lambda idx, alt: (f"alternative_{idx}", math.nan)
+        )
+    if scenario.schedule is not None:
+        schedule = nested_schedule(scenario)
+        run.reports["schedule"] = schedule.to_json_dict()
+        run.tables["discernibility"] = _discernibility_table(
+            scenario, schedule, reps, streams, pool
+        )
+
+
+def _density_tables(scenario, run, reps, streams, pool) -> None:
+    if scenario.partition is not None:
+        run.tables["separation"] = _separation_table(
+            scenario, lambda idx, alt: (alt.label(), _grid_margin(scenario, alt))
+        )
+    run.tables["ks"] = _ks_table(scenario)
+    hull = None
+    if scenario.model_options.get("grid_size"):
+        run.tables["hull"], run.reports["hull"], hull = _hull_metrics(scenario)
+    if scenario.model_options.get("cesaro_scan"):
+        run.tables["cesaro"] = _cesaro_table(scenario, hull)
+    if scenario.partition is not None and scenario.sim.n_grid:
+        run.tables["errors"] = _error_curve_table(scenario, reps, streams, pool)
+
+
+def _poisson_tables(scenario, run, reps, streams, pool) -> None:
+    run.tables["poisson_errors"] = _poisson_table(scenario, reps, streams, pool)
+
+
+def _signal_tables(scenario, run, reps, streams, pool) -> None:
+    run.tables["epsilon_sweep"] = _epsilon_table(scenario, reps, streams, pool)
+    run.tables["projection"] = _projection_table(scenario)
+
+
+def _separation_table(scenario: Scenario, describe) -> Table:
+    """Margin per alternative; ``describe(idx, alt)`` gives its label and grid margin."""
     rows = []
     for idx, alt in enumerate(scenario.alternative, start=1):
         report = separation(scenario.hypothesis, [alt], scenario.partition)
-        label = alt.label() if isinstance(alt, DensitySpec) else f"alternative_{idx}"
-        grid_margin = (
-            _grid_margin(scenario, alt) if isinstance(alt, DensitySpec) else math.nan
-        )
+        label, grid_margin = describe(idx, alt)
         rows.append((idx, label, report.margin, grid_margin))
     return Table(columns=["index", "model", "margin", "margin_grid"], rows=rows)
 
@@ -665,9 +673,7 @@ def _ks_table(scenario: Scenario) -> Table:
 
 def _hull_metrics(scenario: Scenario):
     grid_size = int(scenario.model_options["grid_size"])
-    h = [discretize(m, grid_size) for m in scenario.hypothesis]
-    a = [discretize(m, grid_size) for m in scenario.alternative]
-    hull = hull_variation(h, a)
+    hull = hull_variation(*_discretized(scenario))
     table = Table(
         columns=["grid_size", "hull_value", "kraft_bound", "lp_iterations"],
         rows=[(grid_size, hull.value, 1.0 - hull.value, hull.iterations)],
@@ -713,7 +719,7 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
 def _error_curve_table(scenario, reps, streams, pool) -> Table:
     rows = []
     for idx, alt in enumerate(scenario.alternative, start=1):
-        label = alt.label() if isinstance(alt, DensitySpec) else f"alternative_{idx}"
+        label = alt.label()
         report = separation(scenario.hypothesis, [alt], scenario.partition)
         if report.margin <= 0.0:
             for n in scenario.sim.n_grid:
@@ -742,9 +748,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
                     n,
                     alpha_exact,
                     beta_exact,
-                    (alpha_exact + beta_exact)
-                    if not math.isnan(alpha_exact)
-                    else math.nan,
+                    alpha_exact + beta_exact,  # NaN when enumeration exceeds its budget
                     alpha_mc.estimate,
                     beta_mc.estimate,
                     alpha_mc.half_width_95 + beta_mc.half_width_95,
@@ -767,11 +771,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
 
 
 def _epsilon_table(scenario, reps, streams, pool) -> Table:
-    pairs = [
-        (np.asarray(s0, dtype=float), np.asarray(s1, dtype=float))
-        for s0 in scenario.hypothesis
-        for s1 in scenario.alternative
-    ]
+    pairs = [(s0, s1) for s0 in scenario.hypothesis for s1 in scenario.alternative]
     rows = []
     for eps in scenario.sim.epsilon_list:
         worst_analytic = 0.0
@@ -816,8 +816,7 @@ def _epsilon_table(scenario, reps, streams, pool) -> Table:
 
 
 def _projection_table(scenario) -> Table:
-    s0s = [np.asarray(s, dtype=float) for s in scenario.hypothesis]
-    s1s = [np.asarray(s, dtype=float) for s in scenario.alternative]
+    s0s, s1s = scenario.hypothesis, scenario.alternative
     dimension = s0s[0].size
     full = min(float(np.abs(a - b).max()) for a in s0s for b in s1s)
     rows = []
@@ -902,3 +901,119 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
         ],
         rows=rows,
     )
+
+
+# -- model types -------------------------------------------------------------------
+
+
+class _ModelType(NamedTuple):
+    """One value of a scenario's ``model.type``: how its models are read,
+    written and checked, and which metrics and commands it supports."""
+
+    model: type  # class of every hypothesis and alternative member
+    read: Callable  # JSON model entry -> model; KeyError names a missing key
+    write: Callable  # model -> JSON model entry
+    check: Callable  # Scenario -> None; raises on a scenario the type cannot run
+    partition: Optional[str]  # kind of Partition its cells give; None: takes no partition
+    run: Callable  # (scenario, run, reps, streams, pool) adds the metric tables to run
+    bound: Optional[Callable]  # Scenario -> finite (h, a) families for bound; None: no bound
+    schedules: bool  # whether the schedule command and nested_schedule apply
+
+
+def _model_type(name) -> _ModelType:
+    if not isinstance(name, str) or name not in _MODEL_TYPES:
+        raise ValidationError(f"unknown model type {name!r}")
+    return _MODEL_TYPES[name]
+
+
+def _one_alphabet(measures: Sequence[FiniteMeasure]) -> None:
+    sizes = {m.alphabet_size for m in measures}
+    if len(sizes) != 1:
+        raise ValidationError(f"families live on different alphabets: {sorted(sizes)}")
+
+
+def _check_finite(scenario: Scenario) -> None:
+    _one_alphabet(scenario.hypothesis + scenario.alternative)
+    pieces = len(scenario.alternative)
+    for key, values in (scenario.schedule or {}).items():
+        if values and len(values) != pieces:  # an empty list is derived
+            raise ValidationError(
+                f"schedule.{key} must have one entry per alternative piece ({pieces}), "
+                f"got {len(values)}"
+            )
+
+
+def _check_poisson(scenario: Scenario) -> None:
+    if len(scenario.hypothesis) != 1 or len(scenario.alternative) != 1:
+        raise ValidationError("a Poisson scenario has exactly one hypothesis and one alternative")
+    h0, h1 = scenario.hypothesis[0], scenario.alternative[0]
+    _one_alphabet([h0.shape, h1.shape])
+    same_mass = abs(h0.mass - h1.mass) <= 1e-12
+    same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
+    if same_mass and same_shape:
+        raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
+
+
+def _check_signals(scenario: Scenario) -> None:
+    signals = scenario.hypothesis + scenario.alternative
+    shape = np.shape(signals[0])
+    if len(shape) != 1 or shape[0] == 0 or any(np.shape(s) != shape for s in signals):
+        raise ValidationError("every signal must be a nonempty vector of one dimension")
+    pairs = [(a, b) for a in scenario.hypothesis for b in scenario.alternative]
+    if min(np.abs(np.subtract(a, b)).max() for a, b in pairs) <= 0.0:
+        raise ConstructionError("signal sets are not separated (zero sup-norm margin)")
+    if any(eps <= 0 for eps in scenario.sim.epsilon_list):
+        raise ValidationError("noise levels must be positive")
+
+
+def _discretized(scenario: Scenario) -> tuple[list, list]:
+    """Both density families on the ``grid_size`` grid (64 when unset)."""
+    grid_size = int(scenario.model_options.get("grid_size", 64))
+    return (
+        [discretize(m, grid_size) for m in scenario.hypothesis],
+        [discretize(m, grid_size) for m in scenario.alternative],
+    )
+
+
+_MODEL_TYPES = {
+    "finite": _ModelType(
+        model=FiniteMeasure,
+        read=lambda obj: FiniteMeasure(obj["weights"]),
+        write=lambda m: {"weights": [float(w) for w in m.weights]},
+        check=_check_finite,
+        partition="atoms",
+        run=_finite_tables,
+        bound=lambda scenario: (scenario.hypothesis, scenario.alternative),
+        schedules=True,
+    ),
+    "density": _ModelType(
+        model=DensitySpec,
+        read=DensitySpec.from_json,
+        write=DensitySpec.to_json,
+        check=lambda scenario: None,
+        partition="intervals",
+        run=_density_tables,
+        bound=_discretized,
+        schedules=False,
+    ),
+    "poisson": _ModelType(
+        model=PoissonModel,
+        read=lambda obj: PoissonModel(obj["mass"], FiniteMeasure(_reals(obj["shape"], "shape"))),
+        write=lambda m: {"mass": m.mass, "shape": [float(w) for w in m.shape.weights]},
+        check=_check_poisson,
+        partition=None,
+        run=_poisson_tables,
+        bound=None,
+        schedules=False,
+    ),
+    "gaussian_sequence": _ModelType(
+        model=np.ndarray,  # the signal; its noise levels come from sim.epsilon_list
+        read=lambda obj: _reals(obj["signal"], "signal"),
+        write=lambda s: {"signal": [float(v) for v in s]},
+        check=_check_signals,
+        partition=None,
+        run=_signal_tables,
+        bound=None,
+        schedules=False,
+    ),
+}

@@ -153,6 +153,22 @@ _POISSON_H1 = {"mass": 1.5, "shape": [0.3, 0.7]}
         ("finite", [], [{"weights": [0.9, 0.1]}], [], 1, "must be nonempty"),
         ("poisson", [_POISSON_H0], [_POISSON_H0], [], 1, "mean measures coincide"),
         ("poisson", [_POISSON_H0, _POISSON_H1], [_POISSON_H1], [], 1, "exactly one hypothesis"),
+        (
+            "poisson",
+            [_POISSON_H0],
+            [{"mass": 1.5, "shape": [0.2, 0.3, 0.5]}],
+            [],
+            1,
+            "families live on different alphabets: [2, 3]",
+        ),
+        (
+            "finite",
+            [{"weights": [0.5, 0.5]}],
+            [{"weights": [0.2, 0.3, 0.5]}],
+            [],
+            1,
+            "families live on different alphabets: [2, 3]",
+        ),
     ],
     ids=[
         "signal-dimensions-differ",
@@ -161,6 +177,8 @@ _POISSON_H1 = {"mass": 1.5, "shape": [0.3, 0.7]}
         "empty-hypothesis",
         "poisson-coincide",
         "two-poisson-hypotheses",
+        "poisson-shapes-on-different-alphabets",
+        "finite-families-on-different-alphabets",
     ],
 )
 def test_scenario_file_gets_the_builder_checks(
@@ -238,6 +256,128 @@ def test_json_numbers_are_checked_not_coerced(tmp_path, capsys, scenario, field,
     out, err = capsys.readouterr()
     assert out == ""
     assert f"{key} must be" in err
+
+
+_NESTED = {
+    "name": "nested",
+    "model": {"type": "finite"},
+    "hypothesis": [{"weights": [0.5, 0.5]}],
+    "alternative": [{"weights": [0.9, 0.1]}, {"weights": [0.1, 0.9]}],
+    "sim": {"replications": 200, "n_grid": [64]},
+}
+_SIGNAL = {
+    "name": "signal",
+    "model": {"type": "gaussian_sequence"},
+    "hypothesis": [{"signal": [0.0]}],
+    "alternative": [{"signal": [1.0]}],
+    "sim": {"replications": 200, "epsilon_list": [0.5]},
+}
+_HALVES = {"cells": [[0, 1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, changes, message",
+    [
+        ("simulate", _FINITE, {"sim": [1]}, "scenario 'sim' must be an object, got list"),
+        (
+            "schedule",
+            _NESTED,
+            {"schedule": [1, 2]},
+            "scenario 'schedule' must be an object, got list",
+        ),
+        (
+            "distinguish",
+            _FINITE,
+            {"hypothesis": {"weights": [0.5, 0.5]}},
+            "scenario 'hypothesis' must be a list, got dict",
+        ),
+        (
+            "schedule",
+            _NESTED,
+            {"schedule": {"exponents": [0.01], "onsets": []}},
+            "schedule.exponents must have one entry per alternative piece (2), got 1",
+        ),
+        (
+            "schedule",
+            _NESTED,
+            {"schedule": {"exponents": [], "onsets": [8, 8, 8]}},
+            "schedule.onsets must have one entry per alternative piece (2), got 3",
+        ),
+        (
+            "distinguish",
+            _POISSON,
+            {"partition": _HALVES},
+            "scenario 'partition' is not supported by poisson models",
+        ),
+        (
+            "distinguish",
+            _SIGNAL,
+            {"partition": _HALVES},
+            "scenario 'partition' is not supported by gaussian_sequence models",
+        ),
+        (
+            "simulate",
+            _FINITE,
+            {"model": {"type": "finite", "gridsize": 64}},
+            "model.gridsize is not a model option; the options are grid_size, cesaro_scan",
+        ),
+    ],
+    ids=[
+        "sim-list",
+        "schedule-list",
+        "hypothesis-object",
+        "schedule-exponents-short",
+        "schedule-onsets-long",
+        "poisson-partition",
+        "signal-partition",
+        "misspelled-model-option",
+    ],
+)
+def test_invalid_scenario_file_names_the_key(
+    tmp_path, capsys, command, scenario, changes, message
+):
+    path = tmp_path / "invalid.json"
+    path.write_text(json.dumps({**scenario, **changes}))
+    out_dir = tmp_path / "o"
+    assert main([command, "--scenario", str(path), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
+_DENSITY = {
+    "name": "density",
+    "model": {"type": "density", "grid_size": 64},
+    "hypothesis": [{"kind": "uniform"}],
+    "alternative": [{"kind": "pu_family", "u": 0.4}],
+    "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
+    "sim": {"replications": 200, "n_grid": [16]},
+}
+
+
+@pytest.mark.parametrize(
+    "command, scenario, message",
+    [
+        ("bound", _POISSON, "bound requires finite or density models"),
+        ("schedule", _DENSITY, "schedules require finite-alphabet scenarios"),
+        (
+            "simulate",
+            {key: value for key, value in _FINITE.items() if key != "partition"},
+            "scenario 'json-numbers' supports no metrics (missing partition/grids?)",
+        ),
+    ],
+    ids=["bound-poisson", "schedule-density", "simulate-finite-without-partition"],
+)
+def test_unsupported_command_message_is_pinned(tmp_path, capsys, command, scenario, message):
+    path = tmp_path / "unsupported.json"
+    path.write_text(json.dumps(scenario))
+    out_dir = tmp_path / "o"
+    assert main([command, "--scenario", str(path), "--out", str(out_dir)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not out_dir.exists()
 
 
 # -- bound -----------------------------------------------------------------------------

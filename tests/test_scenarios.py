@@ -1,5 +1,9 @@
 import dataclasses
+import importlib.util
+import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from consistency_lab.errors import (
 from consistency_lab.distances import hull_variation
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, discretize
 from consistency_lab.partition_tests import build_frequency_test, exact_error, separation
+from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
     PoissonTwoStageTest,
@@ -396,6 +401,73 @@ def test_scenario_json_round_trip_runs_identically():
         assert set(run1.tables) == set(run2.tables)
         for name in run1.tables:
             assert run1.tables[name].rows == run2.tables[name].rows
+
+
+_BUILDER_HASHES = {
+    "sine": "d0212f628904b50d4432cab2489acd694a10f9ed04754ede91481a8f5356c168",
+    "mazur": "f5f4d02b5048446c04f084b08cbeebcefd0720755be1e0721f529d68dc0d873a",
+    "kolmogorov": "4e23a7a308b6c193fff1af77b82e7546e38698ec4252d5439c534e08dd2693e3",
+    "signal": "cbb2037d8e1b6866becdf1f5f0b9967597109e371b1c95d20d092e06c3962443",
+    "nested": "44ed08b664ac377e99a5d9d5a7148874ead6d1bc7736c0f71ae504f881f891b1",
+    "poisson": "f8a9edc21693ee3307670f090bbff83b75ea77a01e4d1ce6f829151d913ba47a",
+}
+
+
+def _builder(name):
+    return {
+        "sine": lambda: scenario_sine_indistinguishable(3),
+        "mazur": lambda: scenario_mazur_mixture(4),
+        "kolmogorov": lambda: scenario_kolmogorov_family([0.2, 0.4], n_grid=[16, 32]),
+        "signal": lambda: scenario_signal_detection(
+            [[0.0, 0.0]], [[1.0, 0.5]], 2, epsilon_list=[0.5, 1.0]
+        ),
+        "nested": lambda: scenario_nested_alternatives(
+            [F(0.9, 0.1), F(0.1, 0.9)], n_max=256, replications=200
+        ),
+        "poisson": lambda: scenario_poisson(
+            PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7)), n_grid=[8, 32]
+        ),
+    }[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDER_HASHES))
+def test_builder_scenario_hash_is_pinned(name):
+    """The hash every output manifest records; a serialization change moves it."""
+    assert scenario_hash(_builder(name).to_json_dict()) == _BUILDER_HASHES[name]
+
+
+def _bench_scenarios() -> dict:
+    """``SCENARIOS`` of ``bench/workloads.py``, the benchmark's scenario files."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.SCENARIOS
+
+
+_BENCH_HASHES = {
+    "sine-1-5-g128": "2cd352699b37241abec866496d08e5d9fcd907493f6ca3f93bc95699fec95b74",
+    "sine-1-7-g128": "e28e92d048df103810f95524d34b759ba52e993d7824176164740a75db9071a6",
+    "sine-1-8-g128": "5ccedf2c661aaf48295ff0614abd3253d46720209c8389ab551aa4f15824abed",
+    "mazur-16-g64": "fddc2c771dc559299bd3bbe2ccc3a2ad8d80d95daa3dfd28208b5fb5603e2f32",
+    "kolmogorov-0-02-04": "0214970762cb36e4225ebf89b27bb598d0b49000cd99c5465619907599af67ee",
+    "nested-2x2": "5f8e0ad26fbd1423632257cdc65ce4d6cf8b617f907fd0fab080452c501d7fb8",
+    "nested-3x3": "bcab4d620c1324198aea8e5eb9bd8366470c06370cfed1d5a9b2bce4768dcdb8",
+    "nested-2x2-no-grid": "171c229f0f40549835611dbeebf989e656ec1dafde83028b2cc6e2c38fb6ed41",
+    "kolmogorov-4cells": "52f27735b8e04e64601063a4c56508e527383e77e990e327ffa01a3c8bc9f424",
+    "sine-1-3-half": "21996d58663f7e294fe93d4afe89abd749c23413a4ccfc7ab92112d6af8d41ba",
+    "poisson-two-stage": "eed3364dc3b843b7127a248c47909f4f2fc362cbcbd30ce935d5eaa19cf9090b",
+    "signal-2d": "a4f9572f948cff9b2764565fb22b6bcbbc9b726e1d26f26f5c0f1cfb2c2680c0",
+}
+
+
+def test_bench_scenario_file_hashes_are_pinned():
+    scenarios_by_name = _bench_scenarios()
+    assert set(scenarios_by_name) == set(_BENCH_HASHES)
+    for name, data in scenarios_by_name.items():
+        parsed = scenario_from_dict(json.loads(json.dumps(data)))
+        assert scenario_hash(parsed.to_json_dict()) == _BENCH_HASHES[name], name
 
 
 def test_scenario_from_dict_validation():
