@@ -46,11 +46,8 @@ from .scheduler import (
     TestFamily,
     TestFamilyMember,
     TestSchedule,
-    UnionSchedule,
     block_lengths,
     interleave,
-    tail_bound,
-    tail_constant,
 )
 from .simulation import (
     GaussianSequenceModel,

@@ -134,17 +134,6 @@ class UnionTest:
             out = np.maximum(out, member.rejects(counts))
         return out
 
-    def margin(self, freq: np.ndarray) -> np.ndarray:
-        """Elementwise max of the member margins; 2-Lipschitz like each of them.
-
-        Clearly above ``TIE_TOL`` some member rejects; clearly below it every
-        member accepts.
-        """
-        out = self.members[0].margin(freq)
-        for member in self.members[1:]:
-            out = np.maximum(out, member.margin(freq))
-        return out
-
 
 def build_frequency_test(report: SeparationReport) -> FrequencyTest:
     """Frequency test for a positively separated partition report.

@@ -124,15 +124,28 @@ class Scenario:
         return out
 
 
-#: The model options a scenario file may set, each an integer >= 1.
+#: Keys a scenario file may set: top level, ``sim``, ``schedule``, ``model`` (integers >= 1).
+_SCENARIO_KEYS = ("name", "model", "hypothesis", "alternative", "partition", "schedule", "sim")
+_SIM_OPTIONS = ("replications", "n_grid", "k_grid", "epsilon_list")
+_SCHEDULE_OPTIONS = ("exponents", "onsets")
 _MODEL_OPTIONS = ("grid_size", "cesaro_scan")
 
 
-def _object(data: dict, key: str) -> dict:
-    """``data[key]``, an object; ``{}`` when absent."""
+def _known_keys(obj: dict, allowed: Sequence[str], prefix: str, kind: str) -> None:
+    """Raise on the first key of ``obj`` that ``allowed`` does not list."""
+    for key in obj:
+        if key not in allowed:
+            raise ValidationError(
+                f"{prefix}{key} is not a {kind}; the options are {', '.join(allowed)}"
+            )
+
+
+def _object(data: dict, key: str, options: Sequence[str]) -> dict:
+    """``data[key]``, an object whose keys ``options`` lists; ``{}`` when absent."""
     value = data.get(key, {})
     if not isinstance(value, dict):
         raise ValidationError(f"scenario {key!r} must be an object, got {type(value).__name__}")
+    _known_keys(value, options, f"{key}.", f"{key} option")
     return value
 
 
@@ -156,6 +169,7 @@ def scenario_from_dict(data: dict) -> Scenario:
     """Parse a scenario from its JSON object form, validating the schema."""
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")
+    _known_keys(data, _SCENARIO_KEYS, "", "scenario key")
     for key in ("name", "model", "hypothesis", "alternative"):
         if key not in data:
             raise ValidationError(f"scenario lacks required key {key!r}")
@@ -165,11 +179,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     model_type = model["type"]
     row = _model_type(model_type)
     options = {k: v for k, v in model.items() if k != "type"}
+    _known_keys(options, _MODEL_OPTIONS, "model.", "model option")
     for key, value in options.items():
-        if key not in _MODEL_OPTIONS:
-            raise ValidationError(
-                f"model.{key} is not a model option; the options are {', '.join(_MODEL_OPTIONS)}"
-            )
         _integer(value, f"model.{key}")
     hypothesis = _models(data, "hypothesis", row.read)
     alternative = _models(data, "alternative", row.read)
@@ -182,12 +193,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         partition = Partition(row.partition, data["partition"]["cells"])
     schedule = None
     if "schedule" in data:
-        stored = _object(data, "schedule")
+        if not row.schedules:
+            raise ValidationError(f"scenario 'schedule' is not supported by {model_type} models")
+        stored = _object(data, "schedule", _SCHEDULE_OPTIONS)
         schedule = {
             "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
             "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
         }
-    sim_obj = _object(data, "sim")
+    sim_obj = _object(data, "sim", _SIM_OPTIONS)
     sim = SimParams(
         replications=_integer(sim_obj.get("replications", 2000), "sim.replications"),
         n_grid=tuple(_integer(v, "sim.n_grid") for v in sim_obj.get("n_grid", ())),
@@ -468,7 +481,8 @@ def build_nested_family(
     family_exponents = []
     family_onsets = []
     for i in range(1, len(pieces) + 1):
-        test = FrequencyTest(identity, report.hypothesis_vectors, piece_vectors[:i])
+        # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
+        test = FrequencyTest(None, report.hypothesis_vectors, piece_vectors[:i])
         c_i = min(piece_exponents[:i])
         if onsets is not None:
             onset = int(onsets[i - 1])
@@ -532,8 +546,7 @@ def nested_schedule(scenario: Scenario) -> TestSchedule:
         scenario.hypothesis, scenario.alternative, exponents, onsets
     )
     n_max = max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
-    hyp_key = np.stack([m.weights for m in scenario.hypothesis])
-    return interleave(family, n_max, hypothesis_key=hyp_key)
+    return interleave(family, n_max)
 
 
 def bound_families(scenario: Scenario) -> tuple[list, list]:
@@ -917,7 +930,7 @@ class _ModelType(NamedTuple):
     partition: Optional[str]  # kind of Partition its cells give; None: takes no partition
     run: Callable  # (scenario, run, reps, streams, pool) adds the metric tables to run
     bound: Optional[Callable]  # Scenario -> finite (h, a) families for bound; None: no bound
-    schedules: bool  # whether the schedule command and nested_schedule apply
+    schedules: bool  # whether a file may hold a schedule, and the schedule command applies
 
 
 def _model_type(name) -> _ModelType:

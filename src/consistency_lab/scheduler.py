@@ -15,19 +15,14 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
-import numpy as np
-
 from .errors import ValidationError
 
 __all__ = [
     "TestFamilyMember",
     "TestFamily",
     "TestSchedule",
-    "UnionSchedule",
     "block_lengths",
     "interleave",
-    "tail_constant",
-    "tail_bound",
 ]
 
 
@@ -53,25 +48,6 @@ def block_lengths(exponents: Sequence[float]) -> list[int]:
             l += 1
         lengths.append(l)
     return lengths
-
-
-def tail_constant(c: float) -> float:
-    """Geometric tail constant ``1 / (1 - exp(-c))`` for per-index bounds ``exp(-cn)``."""
-    if c <= 0.0:
-        raise ValidationError("exponent must be positive")
-    return 1.0 / (1.0 - math.exp(-c))
-
-
-def tail_bound(k: int, c: float, C: float) -> float:
-    """Certified bound ``C * exp(-c k)`` on the probability of any error past index ``k``.
-
-    The value may exceed 1 for small ``k`` (vacuous); reports clamp it to 1.
-    """
-    if c <= 0.0 or C <= 0.0:
-        raise ValidationError("constants must be positive")
-    if k < 0:
-        raise ValidationError("k must be >= 0")
-    return C * math.exp(-c * k)
 
 
 @dataclass(frozen=True)
@@ -135,12 +111,10 @@ class TestSchedule:
     continuation of the last block.
     """
 
-    def __init__(self, family: TestFamily, blocks: Sequence[ScheduleBlock], n_max: int,
-                 hypothesis_key: Optional[np.ndarray] = None):
+    def __init__(self, family: TestFamily, blocks: Sequence[ScheduleBlock], n_max: int):
         self.family = family
         self.blocks = tuple(blocks)
         self.n_max = int(n_max)
-        self.hypothesis_key = hypothesis_key
         self._starts = [b.start for b in self.blocks]
 
     # -- assignment -------------------------------------------------------------
@@ -149,37 +123,15 @@ class TestSchedule:
             raise ValidationError("sample index must be >= 1")
         return self.blocks[bisect.bisect_right(self._starts, n) - 1]
 
-    def family_index_at(self, n: int) -> int:
-        return self._block_at(n).family_index
-
     def test_at(self, n: int):
         block = self._block_at(n)
         return self.family.members[block.family_index - 1].build(n)
-
-    @property
-    def boundaries(self) -> list[int]:
-        """Last sample size of each finite block."""
-        return [b.end for b in self.blocks if b.end is not None]
 
     # -- certified bounds ---------------------------------------------------------
     def alpha_bound_at(self, n: int) -> float:
         """Per-index certified type I bound; 1.0 where no certificate applies."""
         block = self._block_at(n)
         if n > block.onset:
-            return math.exp(-block.exponent * n)
-        return 1.0
-
-    def beta_bound_at(self, n: int, piece: Optional[int] = None) -> float:
-        """Per-index certified type II bound for alternative piece ``piece``.
-
-        Family ``i`` covers pieces ``1..i``; indices scheduled to a family that
-        does not cover the piece carry no certificate (bound 1.0). ``piece``
-        defaults to the full union, covered only by the last family.
-        """
-        if piece is None:
-            piece = len(self.family)
-        block = self._block_at(n)
-        if block.family_index >= piece and n > block.onset:
             return math.exp(-block.exponent * n)
         return 1.0
 
@@ -241,8 +193,7 @@ class TestSchedule:
         return {"n_max": self.n_max, "blocks": rows}
 
 
-def interleave(family: TestFamily, n_max: int,
-               hypothesis_key: Optional[np.ndarray] = None) -> TestSchedule:
+def interleave(family: TestFamily, n_max: int) -> TestSchedule:
     """Build the block schedule for a family of certified tests.
 
     Families are taken in index order; each boundary is the smallest admissible
@@ -283,36 +234,5 @@ def interleave(family: TestFamily, n_max: int,
         )
         if end is not None:
             start = end + 1
-    return TestSchedule(family, blocks, n_max, hypothesis_key=hypothesis_key)
+    return TestSchedule(family, blocks, n_max)
 
-
-class UnionSchedule:
-    """Pointwise union of two schedules sharing a hypothesis set.
-
-    Rejects at ``n`` when either constituent rejects; the certified type I
-    bound adds, the type II bound is the worse of the two (each alternative
-    member is covered by its own constituent).
-    """
-
-    def __init__(self, first, second):
-        key1, key2 = first.hypothesis_key, second.hypothesis_key
-        if key1 is None or key2 is None or not np.array_equal(key1, key2):
-            raise ValidationError("union requires schedules with the same hypothesis set")
-        self.first = first
-        self.second = second
-        self.hypothesis_key = key1
-        self.n_max = min(first.n_max, second.n_max)
-
-    def test_at(self, n: int):
-        from .partition_tests import UnionTest
-
-        return UnionTest([self.first.test_at(n), self.second.test_at(n)])
-
-    def alpha_bound_at(self, n: int) -> float:
-        return self.first.alpha_bound_at(n) + self.second.alpha_bound_at(n)
-
-    def beta_bound_at(self, n: int, piece: Optional[int] = None) -> float:
-        return max(self.first.beta_bound_at(n, piece), self.second.beta_bound_at(n, piece))
-
-    def alpha_tail(self, k: int) -> float:
-        return self.first.alpha_tail(k) + self.second.alpha_tail(k)

@@ -29,12 +29,12 @@ import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import DensitySpec, FiniteMeasure, Partition
+from .measures import DensitySpec, FiniteMeasure
 from .partition_tests import TIE_TOL
 
 #: Replications per RNG block in i.i.d. error estimation.
@@ -432,7 +432,6 @@ def discernibility_paths(
     replications: int,
     rng: RngSpec,
     role: str = "hypothesis",
-    partition: Optional[Partition] = None,
     workers: Union[int, WorkerPool] = 1,
 ) -> np.ndarray:
     """Error-after-k curve of a schedule along incrementally grown sample paths.
@@ -449,8 +448,10 @@ def discernibility_paths(
     at ``hi`` clears the tie tolerance by more than ``2 (hi - lo - 1) / hi``
     (plus ``1e-9`` for rounding) takes that decision at every ``n`` of the
     run. The prefixes of the other paths are decided in one ``rejects`` call.
-    The scheduled tests must have ``rejects`` and ``margin``. ``workers`` is a
-    worker count or a shared :class:`WorkerPool`.
+    The scheduled tests must have ``rejects``, ``margin`` and one shared
+    ``partition`` (``None``: finite atoms serve as cells), which bins each
+    block's draws once. ``workers`` is a worker count or a shared
+    :class:`WorkerPool`.
     """
     if role not in ("hypothesis", "alternative"):
         raise ValidationError("role must be 'hypothesis' or 'alternative'")
@@ -462,6 +463,9 @@ def discernibility_paths(
     if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")
     segments = _constant_segments(schedule, n_max)
+    partition = getattr(segments[0][2], "partition", None)
+    if any(getattr(test, "partition", None) is not partition for _, _, test in segments):
+        raise ValidationError("every scheduled test must carry the same partition")
     sizes = _block_sizes(replications, PATH_BLOCK)
     tasks = [
         (segments, model, partition, n_max, ks, role, size, rng.block(b))

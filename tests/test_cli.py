@@ -275,6 +275,16 @@ _SIGNAL = {
 _HALVES = {"cells": [[0, 1], [1, 2]]}
 
 
+_DENSITY = {
+    "name": "density",
+    "model": {"type": "density", "grid_size": 64},
+    "hypothesis": [{"kind": "uniform"}],
+    "alternative": [{"kind": "pu_family", "u": 0.4}],
+    "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
+    "sim": {"replications": 200, "n_grid": [16]},
+}
+
+
 @pytest.mark.parametrize(
     "command, scenario, changes, message",
     [
@@ -321,6 +331,32 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
             {"model": {"type": "finite", "gridsize": 64}},
             "model.gridsize is not a model option; the options are grid_size, cesaro_scan",
         ),
+        (
+            "simulate",
+            _DENSITY,
+            {"schedule": {"exponents": [0.1]}},
+            "scenario 'schedule' is not supported by density models",
+        ),
+        (
+            "simulate",
+            _FINITE,
+            {"partiton": _HALVES},
+            "partiton is not a scenario key; the options are "
+            "name, model, hypothesis, alternative, partition, schedule, sim",
+        ),
+        (
+            "simulate",
+            _FINITE,
+            {"sim": {"replicatons": 200}},
+            "sim.replicatons is not a sim option; "
+            "the options are replications, n_grid, k_grid, epsilon_list",
+        ),
+        (
+            "schedule",
+            _NESTED,
+            {"schedule": {"exponent": [0.1, 0.1]}},
+            "schedule.exponent is not a schedule option; the options are exponents, onsets",
+        ),
     ],
     ids=[
         "sim-list",
@@ -331,6 +367,10 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         "poisson-partition",
         "signal-partition",
         "misspelled-model-option",
+        "density-schedule",
+        "misspelled-top-level-key",
+        "misspelled-sim-key",
+        "misspelled-schedule-key",
     ],
 )
 def test_invalid_scenario_file_names_the_key(
@@ -344,16 +384,6 @@ def test_invalid_scenario_file_names_the_key(
     assert out == ""
     assert err == f"error: {message}\n"
     assert not out_dir.exists()
-
-
-_DENSITY = {
-    "name": "density",
-    "model": {"type": "density", "grid_size": 64},
-    "hypothesis": [{"kind": "uniform"}],
-    "alternative": [{"kind": "pu_family", "u": 0.4}],
-    "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
-    "sim": {"replications": 200, "n_grid": [16]},
-}
 
 
 @pytest.mark.parametrize(

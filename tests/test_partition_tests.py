@@ -156,13 +156,12 @@ def test_stacked_frequency_test_equals_union_of_singletons():
 
 
 def _margin_tests(rng, k):
-    """A stacked test with random simplex vectors, one on the 1/4 lattice, and a union."""
+    """A stacked test with random simplex vectors, and one on the 1/4 lattice."""
     lattice = count_vectors(4, k) / 4.0  # frequencies j/n hit exact ties with these
     pick = rng.choice(len(lattice), size=4, replace=False)
     stacked = FrequencyTest(None, rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3))
     on_lattice = FrequencyTest(None, lattice[pick[:2]], lattice[pick[2:]])
-    union = UnionTest([stacked, FrequencyTest(None, lattice[pick[:1]], lattice[pick[3:]])])
-    return stacked, on_lattice, union
+    return stacked, on_lattice
 
 
 def test_margin_is_two_lipschitz_along_count_paths():

@@ -213,8 +213,8 @@ def test_nested_single_piece_reduces_to_single_family():
         [F(0.9, 0.1)], n_max=128, replications=200
     )
     schedule = nested_schedule(scenario)
-    assert schedule.boundaries == []
-    assert schedule.family_index_at(100) == 1
+    # one block, family 1 from n = 1 on: no boundary, and n = 100 runs family 1
+    assert [(b.start, b.end, b.family_index) for b in schedule.blocks] == [(1, None, 1)]
 
 
 def test_nested_union_still_detects_first_piece():

@@ -20,7 +20,7 @@ from consistency_lab.scenarios import (
     poisson_count_threshold,
     scenario_nested_alternatives,
 )
-from consistency_lab.scheduler import TestFamily, TestFamilyMember, UnionSchedule, interleave
+from consistency_lab.scheduler import TestFamily, TestFamilyMember, interleave
 from consistency_lab.simulation import (
     MAX_COUNTED_EDGES,
     PATH_BLOCK,
@@ -467,7 +467,7 @@ def _schedule_for(alternatives, exponents, n_max):
         rep = separation([hyp], [F(*alt)], Partition.identity(2))
         test = build_frequency_test(rep)
         members.append(TestFamilyMember(build=(lambda t: (lambda n: t))(test), exponent=c, onset=1))
-    return interleave(TestFamily(tuple(members)), n_max, hypothesis_key=np.array([[0.5, 0.5]]))
+    return interleave(TestFamily(tuple(members)), n_max)
 
 
 def test_discernibility_curve_monotone_and_zero_at_end():
@@ -486,7 +486,7 @@ def test_discernibility_perfect_family_never_errs():
     rep = separation([hyp], [F(0.0, 1.0)], Partition.identity(2))
     test = build_frequency_test(rep)
     member = TestFamilyMember(build=lambda n: test, exponent=2.0, onset=1)
-    schedule = interleave(TestFamily((member,)), 64, hypothesis_key=np.array([[1.0, 0.0]]))
+    schedule = interleave(TestFamily((member,)), 64)
     curve = discernibility_paths(
         schedule, hyp, 64, [0, 16, 64], 300, RngSpec(67, 0), role="hypothesis"
     )
@@ -507,6 +507,19 @@ def test_discernibility_validation():
         discernibility_paths(
             schedule, F(0.5, 0.5), 64, [0], 100, RngSpec(0, 0), role="both"
         )
+
+
+def test_discernibility_rejects_mixed_partitions():
+    """A block's draws are binned once, so every scheduled test needs one partition."""
+    hypothesis, piece = F(0.25, 0.25, 0.25, 0.25), F(0.4, 0.3, 0.2, 0.1)
+    tests = [
+        build_frequency_test(separation([hypothesis], [piece], Partition.atoms(cells)))
+        for cells in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])
+    ]
+    family = TestFamily(tuple(TestFamilyMember(ConstantTestBuilder(t), 1.0) for t in tests))
+    schedule = interleave(family, 64)  # the second test takes over at n = 3
+    with pytest.raises(ValidationError, match="same partition"):
+        discernibility_paths(schedule, hypothesis, 64, [0], 100, RngSpec(0, 0))
 
 
 # -- segment replay against the per-n loop -----------------------------------------------
@@ -598,27 +611,12 @@ def _replay_case(case):
     h, a = report.hypothesis_vectors, report.alternative_vectors
     weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h))
     both = FrequencyTest(partition, h, a)
-    if case == "union":
-        first, second = (
-            interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(t), 0.05),)), 1024,
-                       hypothesis_key=h)
-            for t in (weak, FrequencyTest(partition, h, a[1:]))
-        )
-        return UnionSchedule(first, second), hypothesis, pieces[0], partition
-    if case == "union_blocks":  # member blocks end at 89 and at 164
-        first, second = (
-            interleave(TestFamily(tuple(TestFamilyMember(ConstantTestBuilder(t), c)
-                                        for t, c in zip((weak, both), (0.05, second_exponent)))),
-                       1024, hypothesis_key=h)
-            for second_exponent in (0.05, 0.03)
-        )
-        return UnionSchedule(first, second), hypothesis, pieces[0], partition
     if case == "n_dependent":
         builders = [_FreshTestBuilder([weak, both]), _FreshTestBuilder([both, weak])]
     else:
         builders = [ConstantTestBuilder(weak), ConstantTestBuilder(both)]
     family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
-    return interleave(family, 1024, hypothesis_key=h), hypothesis, pieces[0], partition
+    return interleave(family, 1024), hypothesis, pieces[0], partition
 
 
 def _recorded_rows(monkeypatch):
@@ -634,9 +632,7 @@ def _recorded_rows(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize(
-    "case", ["atoms", "density", "n_dependent", "union", "union_blocks", "tie", "tight"]
-)
+@pytest.mark.parametrize("case", ["atoms", "density", "n_dependent", "tie", "tight"])
 @pytest.mark.parametrize("role", ["hypothesis", "alternative"])
 def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
     schedule, hypothesis, alternative, partition = _replay_case(case)
@@ -649,9 +645,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
         for replications in (PATH_BLOCK + 1, 1):  # the last block holds one path
             rng = RngSpec(71, replications)
             seen.clear()
-            curve = discernibility_paths(
-                schedule, model, n_max, ks, replications, rng, role=role, partition=partition
-            )
+            curve = discernibility_paths(schedule, model, n_max, ks, replications, rng, role=role)
             replayed = list(seen)
             seen.clear()
             want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
@@ -663,7 +657,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
             decided = sum(len(rows) for rows in replayed)
             if n_max == 1024:  # settled paths skip rows; open paths of long segments remain
                 assert decided < replications * n_max
-                assert decided > 0 or case in ("n_dependent", "union", "union_blocks")
+                assert decided > 0 or case == "n_dependent"
             if case == "tie":  # no exact tie ever settles
                 def ties(rows):
                     return 4 * rows[:, 0] == 3 * rows.sum(axis=1)
@@ -674,14 +668,12 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
                 assert ties(replayed[replayed.sum(axis=1) <= 88]).all()
 
 
-@pytest.mark.parametrize("case", ["atoms", "union"])
+@pytest.mark.parametrize("case", ["atoms"])
 def test_segment_replay_matches_per_n_loop_with_two_workers(case):
     schedule, hypothesis, _, partition = _replay_case(case)
     ks = list(range(0, 201, 10))
     rng = RngSpec(73, 0)
-    curve = discernibility_paths(
-        schedule, hypothesis, 200, ks, 2 * PATH_BLOCK + 3, rng, partition=partition, workers=2
-    )
+    curve = discernibility_paths(schedule, hypothesis, 200, ks, 2 * PATH_BLOCK + 3, rng, workers=2)
     want = _reference_curve(schedule, hypothesis, partition, 200, ks, 2 * PATH_BLOCK + 3, rng,
                             "hypothesis")
     assert np.array_equal(curve, want)
