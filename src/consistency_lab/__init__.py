@@ -43,7 +43,6 @@ from .partition_tests import (
     separation,
 )
 from .scheduler import (
-    TestFamily,
     TestFamilyMember,
     TestSchedule,
     block_lengths,

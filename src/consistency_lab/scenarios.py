@@ -9,6 +9,7 @@ construction order, so a seed pins every output byte.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from math import erfc, sqrt
@@ -42,7 +43,7 @@ from .partition_tests import (
     exact_error,
     separation,
 )
-from .scheduler import TestFamily, TestFamilyMember, TestSchedule, interleave
+from .scheduler import TestFamilyMember, TestSchedule, interleave
 from .simulation import (
     GaussianSequenceModel,
     PoissonModel,
@@ -338,8 +339,11 @@ def scenario_nested_alternatives(
             k_grid=tuple(int(k) for k in k_grid),
         ),
     )
-    _, derived_exponents, onsets = build_nested_family(hypothesis, measures, exponents)
-    scenario.schedule = {"exponents": derived_exponents, "onsets": onsets}
+    members = build_nested_family(hypothesis, measures, exponents)
+    scenario.schedule = {
+        "exponents": [m.exponent for m in members],
+        "onsets": [m.onset for m in members],
+    }
     return scenario
 
 
@@ -446,7 +450,7 @@ def build_nested_family(
     pieces: Sequence[FiniteMeasure],
     exponents: Optional[Sequence[Optional[float]]] = None,
     onsets: Optional[Sequence[int]] = None,
-) -> tuple[TestFamily, list[float], list[int]]:
+) -> list[TestFamilyMember]:
     """Certified test family for the nested unions of alternative pieces.
 
     Member ``i`` tests the hypothesis against pieces ``1..i`` with one
@@ -478,8 +482,6 @@ def build_nested_family(
             piece_exponents.append(0.5 * value)
 
     members = []
-    family_exponents = []
-    family_onsets = []
     for i in range(1, len(pieces) + 1):
         # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
         test = FrequencyTest(None, report.hypothesis_vectors, piece_vectors[:i])
@@ -488,24 +490,8 @@ def build_nested_family(
             onset = int(onsets[i - 1])
         else:
             onset = _verify_onset(test, hypothesis, pieces[:i], c_i, index=i)
-        members.append(
-            TestFamilyMember(build=ConstantTestBuilder(test), exponent=c_i, onset=onset)
-        )
-        family_exponents.append(c_i)
-        family_onsets.append(onset)
-    return TestFamily(tuple(members)), family_exponents, family_onsets
-
-
-class ConstantTestBuilder:
-    """Test constructor that ignores the sample size; picklable for worker pools."""
-
-    __slots__ = ("test",)
-
-    def __init__(self, test):
-        self.test = test
-
-    def __call__(self, n: int):
-        return self.test
+        members.append(TestFamilyMember(test, exponent=c_i, onset=onset))
+    return members
 
 
 def _verify_onset(test, hypothesis, covered_pieces, exponent, index):
@@ -536,17 +522,18 @@ def scheduled(scenario: Scenario) -> Scenario:
     return replace(scenario, schedule={"exponents": [], "onsets": []})
 
 
+def _horizon(scenario: Scenario) -> int:
+    """Longest sample path a schedule runs: the largest ``sim.n_grid`` entry, or 1024."""
+    return max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
+
+
 def nested_schedule(scenario: Scenario) -> TestSchedule:
-    """Interleaved schedule for a nested-alternatives scenario, up to the largest
-    ``sim.n_grid`` entry or 1024."""
+    """Interleaved schedule for a nested-alternatives scenario, up to its horizon."""
     stored = scheduled(scenario).schedule
     exponents = stored.get("exponents") or None
     onsets = stored.get("onsets") or None
-    family, _, _ = build_nested_family(
-        scenario.hypothesis, scenario.alternative, exponents, onsets
-    )
-    n_max = max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
-    return interleave(family, n_max)
+    members = build_nested_family(scenario.hypothesis, scenario.alternative, exponents, onsets)
+    return interleave(members, _horizon(scenario))
 
 
 def bound_families(scenario: Scenario) -> tuple[list, list]:
@@ -572,19 +559,6 @@ class Table:
 class ScenarioRun:
     tables: dict
     reports: dict  # JSON-ready side reports (hull mixtures, schedules)
-
-
-class _StreamAllocator:
-    """Hands each simulation task a disjoint RNG stream range, in code order."""
-
-    def __init__(self, seed: int):
-        self.base = RngSpec(seed, 0)
-        self.next_task = 0
-
-    def take(self) -> RngSpec:
-        spec = self.base.task(self.next_task)
-        self.next_task += 1
-        return spec
 
 
 def _grid_margin(scenario: Scenario, alt) -> float:
@@ -618,7 +592,8 @@ def run_scenario(
     reps = replications if replications is not None else scenario.sim.replications
     if reps < 100:
         raise ValidationError("replications must be >= 100")
-    streams = _StreamAllocator(seed)
+    # One disjoint stream range per simulation task, taken in code order.
+    streams = map(RngSpec(seed).task, itertools.count())
     run = ScenarioRun(tables={}, reports={})
     with WorkerPool(workers) as pool:
         _MODEL_TYPES[scenario.model_type].run(scenario, run, reps, streams, pool)
@@ -748,11 +723,11 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
             alpha_mc = estimate_error(
-                test, scenario.hypothesis[0], n, reps, streams.take(),
+                test, scenario.hypothesis[0], n, reps, next(streams),
                 count="reject", workers=pool,
             )
             beta_mc = estimate_error(
-                test, alt, n, reps, streams.take(), count="accept", workers=pool
+                test, alt, n, reps, next(streams), count="accept", workers=pool
             )
             rows.append(
                 (
@@ -794,11 +769,11 @@ def _epsilon_table(scenario, reps, streams, pool) -> Table:
             test = LinearFunctionalTest(functional=s1 - s0, base=s0)
             worst_analytic = max(worst_analytic, test.error_sum_analytic(eps))
             alpha = estimate_error(
-                test, GaussianSequenceModel(s0, eps), 1, reps, streams.take(),
+                test, GaussianSequenceModel(s0, eps), 1, reps, next(streams),
                 count="reject", workers=pool,
             )
             beta = estimate_error(
-                test, GaussianSequenceModel(s1, eps), 1, reps, streams.take(),
+                test, GaussianSequenceModel(s1, eps), 1, reps, next(streams),
                 count="accept", workers=pool,
             )
             total = alpha.estimate + beta.estimate
@@ -847,7 +822,7 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     hyp = scenario.hypothesis[0]
     curves.append(
         discernibility_paths(
-            schedule, hyp, n_max, k_grid, reps, streams.take(),
+            schedule, hyp, n_max, k_grid, reps, next(streams),
             role="hypothesis", workers=pool,
         )
     )
@@ -855,7 +830,7 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     for idx, piece in enumerate(scenario.alternative, start=1):
         curves.append(
             discernibility_paths(
-                schedule, piece, n_max, k_grid, reps, streams.take(),
+                schedule, piece, n_max, k_grid, reps, next(streams),
                 role="alternative", workers=pool,
             )
         )
@@ -886,10 +861,10 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
             n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test
         )
         alpha = estimate_error(
-            test, h0, n, reps, streams.take(), count="reject", workers=pool
+            test, h0, n, reps, next(streams), count="reject", workers=pool
         )
         beta = estimate_error(
-            test, h1, n, reps, streams.take(), count="accept", workers=pool
+            test, h1, n, reps, next(streams), count="accept", workers=pool
         )
         rows.append(
             (
@@ -947,6 +922,12 @@ def _one_alphabet(measures: Sequence[FiniteMeasure]) -> None:
 
 def _check_finite(scenario: Scenario) -> None:
     _one_alphabet(scenario.hypothesis + scenario.alternative)
+    k_grid, n_max = list(scenario.sim.k_grid), _horizon(scenario)
+    if k_grid != sorted(k_grid) or any(not 0 <= k <= n_max for k in k_grid):
+        raise ValidationError(
+            f"sim.k_grid must be sorted and within [0, {n_max}], the schedule horizon "
+            "(the largest sim.n_grid entry, or 1024)"
+        )
     pieces = len(scenario.alternative)
     for key, values in (scenario.schedule or {}).items():
         if values and len(values) != pieces:  # an empty list is derived

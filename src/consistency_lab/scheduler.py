@@ -13,13 +13,12 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from .errors import ValidationError
 
 __all__ = [
     "TestFamilyMember",
-    "TestFamily",
     "TestSchedule",
     "block_lengths",
     "interleave",
@@ -52,15 +51,16 @@ def block_lengths(exponents: Sequence[float]) -> list[int]:
 
 @dataclass(frozen=True)
 class TestFamilyMember:
-    """One indexed test constructor with its certificate.
+    """One certified test of a family.
 
-    ``build(n)`` returns the test used at sample size ``n``; the certificate
-    states that both error probabilities are at most ``exp(-exponent * n)``
-    for ``n > onset`` (the type II side against the alternatives this member
-    covers).
+    The certificate states that both error probabilities of ``test`` are at
+    most ``exp(-exponent * n)`` for ``n > onset`` (the type II side against the
+    alternatives this member covers). Member ``i`` (1-based) covers the nested
+    alternative union of pieces ``1..i``. Path replay relies on ``test``
+    deciding from the cell frequencies alone, so one object serves every ``n``.
     """
 
-    build: Callable[[int], object]
+    test: object
     exponent: float
     onset: int = 1
 
@@ -69,29 +69,6 @@ class TestFamilyMember:
             raise ValidationError("member exponent must be positive and finite")
         if self.onset < 1:
             raise ValidationError("member onset must be >= 1")
-
-
-@dataclass(frozen=True)
-class TestFamily:
-    """Finite truncation of a countable family of certified tests.
-
-    Member ``i`` (1-based) is assumed to cover the nested alternative union of
-    pieces ``1..i``; reports state which pieces the truncation covers.
-    """
-
-    members: Tuple[TestFamilyMember, ...]
-
-    def __post_init__(self):
-        if len(self.members) == 0:
-            raise ValidationError("a test family needs at least one member")
-        object.__setattr__(self, "members", tuple(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    @property
-    def exponents(self) -> list[float]:
-        return [m.exponent for m in self.members]
 
 
 @dataclass(frozen=True)
@@ -111,8 +88,10 @@ class TestSchedule:
     continuation of the last block.
     """
 
-    def __init__(self, family: TestFamily, blocks: Sequence[ScheduleBlock], n_max: int):
-        self.family = family
+    def __init__(
+        self, members: Sequence[TestFamilyMember], blocks: Sequence[ScheduleBlock], n_max: int
+    ):
+        self.members = tuple(members)
         self.blocks = tuple(blocks)
         self.n_max = int(n_max)
         self._starts = [b.start for b in self.blocks]
@@ -125,7 +104,7 @@ class TestSchedule:
 
     def test_at(self, n: int):
         block = self._block_at(n)
-        return self.family.members[block.family_index - 1].build(n)
+        return self.members[block.family_index - 1].test
 
     # -- certified bounds ---------------------------------------------------------
     def alpha_bound_at(self, n: int) -> float:
@@ -171,7 +150,7 @@ class TestSchedule:
     def certified_tail(self, k: int) -> float:
         """Worst certified tail over the hypothesis side and every covered piece."""
         worst = self.alpha_tail(k)
-        for piece in range(1, len(self.family) + 1):
+        for piece in range(1, len(self.members) + 1):
             worst = max(worst, self.beta_tail(k, piece))
         return worst
 
@@ -193,7 +172,7 @@ class TestSchedule:
         return {"n_max": self.n_max, "blocks": rows}
 
 
-def interleave(family: TestFamily, n_max: int) -> TestSchedule:
+def interleave(members: Sequence[TestFamilyMember], n_max: int) -> TestSchedule:
     """Build the block schedule for a family of certified tests.
 
     Families are taken in index order; each boundary is the smallest admissible
@@ -201,8 +180,7 @@ def interleave(family: TestFamily, n_max: int) -> TestSchedule:
     past its onset. With a single member the schedule is that member at every
     sample size.
     """
-    lengths = block_lengths(family.exponents)
-    members = family.members
+    lengths = block_lengths([m.exponent for m in members])
     count = len(members)
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
@@ -234,5 +212,5 @@ def interleave(family: TestFamily, n_max: int) -> TestSchedule:
         )
         if end is not None:
             start = end + 1
-    return TestSchedule(family, blocks, n_max)
+    return TestSchedule(members, blocks, n_max)
 

@@ -375,20 +375,13 @@ def estimate_error(
 
 
 def _constant_segments(schedule, n_max: int) -> list:
-    """Runs ``(lo, hi, test)``: ``schedule.test_at(n)`` is ``test`` for ``lo < n <= hi``.
-
-    A run ends where the schedule hands out another object, or after
-    ``PATH_SEGMENT`` sample sizes. Block-constant builders give long runs;
-    builders that make a new test per ``n`` give runs of length 1.
-    """
+    """Runs ``(lo, hi, test)`` of at most ``PATH_SEGMENT`` sample sizes, cut from
+    the schedule's blocks up to ``n_max``: ``test`` serves every ``lo < n <= hi``."""
     segments = []
-    lo, test = 0, schedule.test_at(1)
-    for n in range(2, n_max + 1):
-        current = schedule.test_at(n)
-        if current is not test or n - 1 - lo == PATH_SEGMENT:
-            segments.append((lo, n - 1, test))
-            lo, test = n - 1, current
-    segments.append((lo, n_max, test))
+    for block in schedule.blocks:
+        end = n_max if block.end is None else min(block.end, n_max)
+        for lo in range(block.start - 1, end, PATH_SEGMENT):
+            segments.append((lo, min(lo + PATH_SEGMENT, end), schedule.test_at(lo + 1)))
     return segments
 
 
@@ -442,8 +435,10 @@ def discernibility_paths(
     alternative model (``role="alternative"``). The returned array holds, for
     each ``k`` of ``k_grid``, the fraction of paths erring at some ``n`` in
     ``(k, n_max]``, which is non-increasing in ``k`` by construction. The draws and decisions are
-    those of a per-``n`` loop. Over a run ``lo < n <= hi`` of one test object,
-    the frequencies move by at most ``(hi - n) / hi`` in the sup norm and the
+    those of a per-``n`` loop. Each schedule block is replayed in runs of at
+    most ``PATH_SEGMENT`` sample sizes. A scheduled test must decide from the
+    cell frequencies alone, so one object serves a whole block. Over a run
+    ``lo < n <= hi`` the frequencies move by at most ``(hi - n) / hi`` in the sup norm and the
     test's 2-Lipschitz ``margin`` by at most twice that, so a path whose margin
     at ``hi`` clears the tie tolerance by more than ``2 (hi - lo - 1) / hi``
     (plus ``1e-9`` for rounding) takes that decision at every ``n`` of the

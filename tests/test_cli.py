@@ -357,6 +357,13 @@ _DENSITY = {
             {"schedule": {"exponent": [0.1, 0.1]}},
             "schedule.exponent is not a schedule option; the options are exponents, onsets",
         ),
+        (
+            "schedule",
+            _NESTED,
+            {"sim": {"n_grid": [256], "k_grid": [0, 512]}},
+            "sim.k_grid must be sorted and within [0, 256], the schedule horizon "
+            "(the largest sim.n_grid entry, or 1024)",
+        ),
     ],
     ids=[
         "sim-list",
@@ -371,6 +378,7 @@ _DENSITY = {
         "misspelled-top-level-key",
         "misspelled-sim-key",
         "misspelled-schedule-key",
+        "k-grid-past-horizon",
     ],
 )
 def test_invalid_scenario_file_names_the_key(
@@ -496,22 +504,41 @@ def test_simulate_same_seed_byte_identical(scenario_file, tmp_path):
     assert read_tree(d1) == read_tree(d2)
 
 
-def test_simulate_poisson_multi_block_independent_of_workers(scenario_file, tmp_path):
+def _poisson_scenario():
     h0 = PoissonModel(1.0, FiniteMeasure(np.array([0.5, 0.5])))
     h1 = PoissonModel(1.5, FiniteMeasure(np.array([0.3, 0.7])))
-    path = scenario_file(scenario_poisson(h0, h1, n_grid=[8, 32]))
+    return scenario_poisson(h0, h1, n_grid=[8, 32])
+
+
+def _nested_scenario():
+    return scenario_nested_alternatives([F(0.9, 0.1), F(0.1, 0.9)], n_max=256)
+
+
+@pytest.mark.parametrize(
+    "command, scenario, reps, table",
+    [
+        ("simulate", _poisson_scenario, "9000", "poisson_errors.csv"),  # two blocks per estimate
+        ("schedule", _nested_scenario, "501", "discernibility.csv"),  # three blocks per curve
+    ],
+    ids=["simulate-poisson", "schedule-nested"],
+)
+def test_multi_block_outputs_independent_of_workers(
+    scenario_file, tmp_path, command, scenario, reps, table
+):
+    path = scenario_file(scenario())
     trees = {}
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
         assert main(
-            ["simulate", "--scenario", str(path), "--out", str(out), "--seed", "3",
-             "--reps", "9000", "--workers", str(workers)]  # two blocks per estimate
+            [command, "--scenario", str(path), "--out", str(out), "--seed", "3",
+             "--reps", reps, "--workers", str(workers)]
         ) == 0
         trees[workers] = read_tree(out)
-    assert set(trees[1]) == set(trees[2]) and "poisson_errors.csv" in trees[1]
+    assert set(trees[1]) == set(trees[2]) and table in trees[1]
     for name, data in trees[1].items():
         other = trees[2][name]
-        assert data != other  # both record their worker count ...
+        if name != "schedule.json":  # the manifest and tables record their worker count ...
+            assert data != other
         assert data.replace(b'"workers": 1', b'"workers": 2').replace(
             b"# workers=1", b"# workers=2"
         ) == other  # ... and nothing else differs

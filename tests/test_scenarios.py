@@ -219,12 +219,10 @@ def test_nested_single_piece_reduces_to_single_family():
 
 def test_nested_union_still_detects_first_piece():
     hyp = [F(0.5, 0.5)]
-    family, exponents, onsets = build_nested_family(
-        hyp, [F(0.9, 0.1), F(0.1, 0.9)]
-    )
-    union = family.members[1].build(1)
+    members = build_nested_family(hyp, [F(0.9, 0.1), F(0.1, 0.9)])
+    union = members[1].test
     beta_union = exact_error(union, F(0.9, 0.1), 64)[1]
-    solo = family.members[0].build(1)
+    solo = members[0].test
     beta_solo = exact_error(solo, F(0.9, 0.1), 64)[1]
     assert beta_union <= beta_solo + 1e-12
     assert beta_union < 1e-3

@@ -7,7 +7,7 @@ from numpy.testing import assert_allclose
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import FiniteMeasure, Partition
 from consistency_lab.partition_tests import build_frequency_test, separation
-from consistency_lab.scheduler import TestFamily, TestFamilyMember, block_lengths, interleave
+from consistency_lab.scheduler import TestFamilyMember, block_lengths, interleave
 
 
 def make_member(alternative, exponent, onset=1):
@@ -15,7 +15,7 @@ def make_member(alternative, exponent, onset=1):
         [FiniteMeasure([0.5, 0.5])], [FiniteMeasure(alternative)], Partition.identity(2)
     )
     test = build_frequency_test(rep)
-    return TestFamilyMember(build=lambda n: test, exponent=exponent, onset=onset)
+    return TestFamilyMember(test, exponent=exponent, onset=onset)
 
 
 def boundaries(schedule):
@@ -78,7 +78,7 @@ def test_block_lengths_validation():
 
 
 def test_interleave_single_family_runs_forever():
-    family = TestFamily((make_member([0.9, 0.1], 1.0),))
+    family = [make_member([0.9, 0.1], 1.0)]
     schedule = interleave(family, 50)
     assert boundaries(schedule) == []
     for n in (1, 7, 50):
@@ -86,9 +86,7 @@ def test_interleave_single_family_runs_forever():
 
 
 def test_interleave_two_families_example():
-    family = TestFamily(
-        (make_member([0.9, 0.1], 1.0, onset=1), make_member([0.1, 0.9], 1.0, onset=1))
-    )
+    family = [make_member([0.9, 0.1], 1.0, onset=1), make_member([0.1, 0.9], 1.0, onset=1)]
     schedule = interleave(family, 100)
     assert boundaries(schedule) == [2]
     assert scan(schedule, 1).family_index == 1
@@ -98,15 +96,13 @@ def test_interleave_two_families_example():
 
 
 def test_interleave_respects_onsets():
-    family = TestFamily(
-        (make_member([0.9, 0.1], 1.0, onset=1), make_member([0.1, 0.9], 1.0, onset=9))
-    )
+    family = [make_member([0.9, 0.1], 1.0, onset=1), make_member([0.1, 0.9], 1.0, onset=9)]
     schedule = interleave(family, 100)
     assert boundaries(schedule) == [10]  # onset + 1 dominates the block length
 
 
 def test_block_at_matches_linear_scan():
-    family = TestFamily(tuple(make_member([0.9, 0.1], c) for c in (1.0, 0.5, 0.2, 0.05)))
+    family = [make_member([0.9, 0.1], c) for c in (1.0, 0.5, 0.2, 0.05)]
     schedule = interleave(family, 400)
     assert len(schedule.blocks) == 4
     edges = {b.start for b in schedule.blocks} | set(boundaries(schedule))
@@ -117,9 +113,7 @@ def test_block_at_matches_linear_scan():
 
 
 def test_interleave_nmax_validation():
-    family = TestFamily(
-        (make_member([0.9, 0.1], 0.05), make_member([0.1, 0.9], 0.05))
-    )
+    family = [make_member([0.9, 0.1], 0.05), make_member([0.1, 0.9], 0.05)]
     # c = 0.05 at index 2 needs a long first block
     first_boundary = boundaries(interleave(family, 10_000))[0]
     with pytest.raises(ValidationError):
@@ -131,7 +125,7 @@ def test_bound_sums_below_basel_tail():
     # the tail of sum 1/i^2
     exponents = [1.0] * 6
     members = tuple(make_member([0.9, 0.1], c, onset=1) for c in exponents)
-    schedule = interleave(TestFamily(members), 10_000)
+    schedule = interleave(members, 10_000)
     for t, boundary in enumerate(boundaries(schedule)):
         family_indices = range(t + 2, len(exponents) + 1)
         basel = sum(1.0 / i**2 for i in family_indices) + 1.0 / (len(exponents)) ** 2
@@ -147,7 +141,7 @@ def test_alpha_tail_matches_direct_summation():
         make_member([0.9, 0.1], 0.7, onset=3),
         make_member([0.1, 0.9], 0.4, onset=5),
     )
-    schedule = interleave(TestFamily(members), 5_000)
+    schedule = interleave(members, 5_000)
     for k in (0, 2, 5, 17, 80):
         direct = sum(schedule.alpha_bound_at(n) for n in range(k + 1, 3_000))
         # add the closed-form geometric continuation past the truncation
@@ -161,7 +155,7 @@ def test_beta_tail_uncovered_piece_is_infinite_until_its_family_starts():
         make_member([0.9, 0.1], 1.0, onset=1),
         make_member([0.1, 0.9], 1.0, onset=1),
     )
-    schedule = interleave(TestFamily(members), 1_000)
+    schedule = interleave(members, 1_000)
     boundary = boundaries(schedule)[0]
     assert schedule.beta_tail(0, piece=2) >= boundary - 0  # block of uncertified ones
     assert schedule.beta_tail(boundary, piece=2) < 1.0

@@ -14,13 +14,12 @@ from consistency_lab.partition_tests import (
     separation,
 )
 from consistency_lab.scenarios import (
-    ConstantTestBuilder,
     PoissonTwoStageTest,
     nested_schedule,
     poisson_count_threshold,
     scenario_nested_alternatives,
 )
-from consistency_lab.scheduler import TestFamily, TestFamilyMember, interleave
+from consistency_lab.scheduler import TestFamilyMember, interleave
 from consistency_lab.simulation import (
     MAX_COUNTED_EDGES,
     PATH_BLOCK,
@@ -466,8 +465,8 @@ def _schedule_for(alternatives, exponents, n_max):
     for alt, c in zip(alternatives, exponents):
         rep = separation([hyp], [F(*alt)], Partition.identity(2))
         test = build_frequency_test(rep)
-        members.append(TestFamilyMember(build=(lambda t: (lambda n: t))(test), exponent=c, onset=1))
-    return interleave(TestFamily(tuple(members)), n_max)
+        members.append(TestFamilyMember(test, exponent=c, onset=1))
+    return interleave(members, n_max)
 
 
 def test_discernibility_curve_monotone_and_zero_at_end():
@@ -485,8 +484,7 @@ def test_discernibility_perfect_family_never_errs():
     hyp = F(1.0, 0.0)
     rep = separation([hyp], [F(0.0, 1.0)], Partition.identity(2))
     test = build_frequency_test(rep)
-    member = TestFamilyMember(build=lambda n: test, exponent=2.0, onset=1)
-    schedule = interleave(TestFamily((member,)), 64)
+    schedule = interleave([TestFamilyMember(test, exponent=2.0, onset=1)], 64)
     curve = discernibility_paths(
         schedule, hyp, 64, [0, 16, 64], 300, RngSpec(67, 0), role="hypothesis"
     )
@@ -516,8 +514,8 @@ def test_discernibility_rejects_mixed_partitions():
         build_frequency_test(separation([hypothesis], [piece], Partition.atoms(cells)))
         for cells in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])
     ]
-    family = TestFamily(tuple(TestFamilyMember(ConstantTestBuilder(t), 1.0) for t in tests))
-    schedule = interleave(family, 64)  # the second test takes over at n = 3
+    # the second test takes over at n = 3
+    schedule = interleave([TestFamilyMember(t, 1.0) for t in tests], 64)
     with pytest.raises(ValidationError, match="same partition"):
         discernibility_paths(schedule, hypothesis, 64, [0], 100, RngSpec(0, 0))
 
@@ -565,28 +563,18 @@ def _reference_curve(schedule, model, partition, n_max, k_grid, replications, rn
     return total / replications
 
 
-class _FreshTestBuilder:
-    """A new test object at every ``n``, cycling through the vector sets of ``tests``."""
-
-    def __init__(self, tests):
-        self.tests = tests
-
-    def __call__(self, n):
-        t = self.tests[n % len(self.tests)]
-        return FrequencyTest(t.partition, t.hypothesis_vectors, t.alternative_vectors)
-
-
 def _replay_case(case):
     """(schedule, hypothesis model, alternative model, partition) for one replay case.
 
     The first block tests against a point 40% of the way to the first piece,
     so its decisions differ often from the later test against both pieces.
-    Exponent 0.05 puts the block boundary at 88, inside the second segment.
+    Exponent 0.05 puts the block boundary at 89, inside the second segment.
 
     In the two-cell cases both roles draw their paths from (0.75, 0.25).
     ``tie`` tests (0.5, 0.5) against (1, 0): a path sits on an exact tie at
-    every ``n`` where its first-cell count is ``3n/4``; a new test object at
-    every ``n`` up to 88 makes segments of length 1 there. ``tight`` tests
+    every ``n`` where its first-cell count is ``3n/4``; 88 members of exponent
+    30 that share the test make blocks, and so segments, of length 1 for
+    ``n`` = 3..88. ``tight`` tests
     (-1, 2) against (1, 0), whose margin is twice the first-cell frequency:
     the 2-Lipschitz bound is attained, and a path whose first draw lands in
     the second cell accepts at ``n = 1`` and rejects soon after.
@@ -594,11 +582,11 @@ def _replay_case(case):
     if case in ("tie", "tight"):
         hypothesis = [0.5, 0.5] if case == "tie" else [-1.0, 2.0]
         test = FrequencyTest(None, [hypothesis], [[1.0, 0.0]])
-        builders = [ConstantTestBuilder(test)]
         if case == "tie":
-            builders.insert(0, _FreshTestBuilder([test]))
-        family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
-        return interleave(family, 1024), F(0.75, 0.25), F(0.75, 0.25), None
+            members = [TestFamilyMember(test, 30.0)] * 88
+        else:
+            members = [TestFamilyMember(test, 0.05)]
+        return interleave(members, 1024), F(0.75, 0.25), F(0.75, 0.25), None
     if case == "density":
         hypothesis = DensitySpec.uniform()
         pieces = [DensitySpec.pu_family(0.4), DensitySpec.one_plus_sine(1)]
@@ -611,12 +599,8 @@ def _replay_case(case):
     h, a = report.hypothesis_vectors, report.alternative_vectors
     weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h))
     both = FrequencyTest(partition, h, a)
-    if case == "n_dependent":
-        builders = [_FreshTestBuilder([weak, both]), _FreshTestBuilder([both, weak])]
-    else:
-        builders = [ConstantTestBuilder(weak), ConstantTestBuilder(both)]
-    family = TestFamily(tuple(TestFamilyMember(b, 0.05) for b in builders))
-    return interleave(family, 1024), hypothesis, pieces[0], partition
+    members = [TestFamilyMember(weak, 0.05), TestFamilyMember(both, 0.05)]
+    return interleave(members, 1024), hypothesis, pieces[0], partition
 
 
 def _recorded_rows(monkeypatch):
@@ -632,7 +616,7 @@ def _recorded_rows(monkeypatch):
     return seen
 
 
-@pytest.mark.parametrize("case", ["atoms", "density", "n_dependent", "tie", "tight"])
+@pytest.mark.parametrize("case", ["atoms", "density", "tie", "tight"])
 @pytest.mark.parametrize("role", ["hypothesis", "alternative"])
 def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
     schedule, hypothesis, alternative, partition = _replay_case(case)
@@ -657,7 +641,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
             decided = sum(len(rows) for rows in replayed)
             if n_max == 1024:  # settled paths skip rows; open paths of long segments remain
                 assert decided < replications * n_max
-                assert decided > 0 or case == "n_dependent"
+                assert decided > 0
             if case == "tie":  # no exact tie ever settles
                 def ties(rows):
                     return 4 * rows[:, 0] == 3 * rows.sum(axis=1)
@@ -665,7 +649,8 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
                 replayed, reference = np.concatenate(replayed), np.concatenate(seen)
                 assert ties(replayed).sum() == ties(reference).sum() > 0
                 # where segments have length 1 only exact ties stay open
-                assert ties(replayed[replayed.sum(axis=1) <= 88]).all()
+                n = replayed.sum(axis=1)
+                assert ties(replayed[(3 <= n) & (n <= 88)]).all()
 
 
 @pytest.mark.parametrize("case", ["atoms"])
@@ -685,7 +670,7 @@ def test_segment_replay_matches_per_n_loop_on_long_alphabets(size):
     tilt = np.linspace(0.0, 2.0, size)
     alternative = FiniteMeasure(tilt / tilt.sum())
     test = build_frequency_test(separation([hypothesis], [alternative], Partition.identity(size)))
-    schedule = interleave(TestFamily((TestFamilyMember(ConstantTestBuilder(test), 0.05),)), 1024)
+    schedule = interleave([TestFamilyMember(test, 0.05)], 1024)
     n_max = PATH_SEGMENT + 8
     ks = list(range(n_max + 1))
     for model, role in ((hypothesis, "hypothesis"), (alternative, "alternative")):
