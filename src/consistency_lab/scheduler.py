@@ -156,19 +156,18 @@ class TestSchedule:
 
     # -- serialization -------------------------------------------------------------
     def to_json_dict(self) -> dict:
-        rows = []
-        for block in self.blocks:
-            start = block.start
-            end = self.n_max if block.end is None else block.end
-            rows.append(
-                {
-                    "start": start,
-                    "end": end,
-                    "family_index": block.family_index,
-                    "exponent": block.exponent,
-                    "bound_at_start": min(1.0, self.alpha_bound_at(start)),
-                }
-            )
+        """The blocks that start by ``n_max``, each clipped to end there at the latest."""
+        rows = [
+            {
+                "start": block.start,
+                "end": self.n_max if block.end is None else min(block.end, self.n_max),
+                "family_index": block.family_index,
+                "exponent": block.exponent,
+                "bound_at_start": min(1.0, self.alpha_bound_at(block.start)),
+            }
+            for block in self.blocks
+            if block.start <= self.n_max
+        ]
         return {"n_max": self.n_max, "blocks": rows}
 
 

@@ -6,16 +6,16 @@ fixed-size blocks, block ``b`` of a task owning stream ``s`` draws from
 ``(seed, s + b)``, and aggregation walks blocks in index order, so results are
 bit-identical for a given seed regardless of the worker count.
 
-Draws of i.i.d. and Poisson models reach a test as cell counts. A draw's cell
-counts the interior edges below its uniform ``u``: cumulative weights, or
-``F`` at a density's interior cell edges, so no ``F`` is inverted. The counts
-are compact ``uint8`` cells, one comparison per edge, or ``searchsorted``
-above ``MAX_COUNTED_EDGES`` edges. Every replication's counts in a block come
-from one ``bincount``. A Poisson process with mean measure ``n * mass * w``
-has independent Poisson(``n * mass * w_j``) atom counts per cell, so Poisson
-error blocks draw those counts directly and never draw an atom; the total is
-their sum. Blocks run in the calling process, or in a :class:`WorkerPool` that
-a caller such as ``run_scenario`` opens once and shares between its calls.
+Tests of i.i.d. and Poisson models decide from cell counts, so an error block
+draws the counts of all its replications in one ``(size, k)`` call:
+multinomial(``n``, cell probabilities) for ``n`` i.i.d. draws, independent
+Poisson(``n * mass * w_j``) atom counts for a process with mean measure
+``n * mass * w``. Only the path replay draws observations. A draw's cell
+counts the interior edges below its uniform ``u`` (cumulative weights, or
+``F`` at a density's interior cell edges, so no ``F`` is inverted) into
+``uint8`` cells, or by ``searchsorted`` above ``MAX_COUNTED_EDGES`` edges.
+Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
+such as ``run_scenario`` opens once and shares between its calls.
 
 Sample paths are replayed in segments over which the schedule hands out one
 test. A path whose test margin at the segment's end lies farther from the tie
@@ -34,7 +34,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import DensitySpec, FiniteMeasure
+from .measures import DensitySpec, FiniteMeasure, induced_vector
 from .partition_tests import TIE_TOL
 
 #: Replications per RNG block in i.i.d. error estimation.
@@ -257,10 +257,10 @@ def _cell_counts(rows, cells, size: int, k: int) -> np.ndarray:
 def _simulate_error_block(args) -> float:
     """Number of rejections (or acceptances) in ``size`` replications at ``rng``.
 
-    Gaussian sequences hand the test the observation vectors and i.i.d.
-    models the cell counts of ``n`` draws. Poisson models hand it the count of
-    each shape atom, drawn as independent Poisson(``n * mass * w_j``) variables
-    in one ``(size, k)`` call, so the cost does not grow with ``n``.
+    Gaussian sequences hand the test the observation vectors; i.i.d. and
+    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
+    with ``n``: multinomial over the exact columns' cell probabilities, or
+    Poisson(``n * mass * w_j``) per shape atom.
     """
     test, model, n, count_kind, size, rng = args
     gen = rng.generator()
@@ -272,11 +272,12 @@ def _simulate_error_block(args) -> float:
         reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
     else:
         partition = getattr(test, "partition", None)
-        cells, k = _bin_draws(model, partition, gen.random((size, n)))
-        reject = test.rejects(_cell_counts(np.arange(size)[:, None], cells, size, k))
-    if count_kind == "accept":
-        reject = 1.0 - np.asarray(reject, dtype=float)
-    return float(np.asarray(reject, dtype=float).sum())
+        if partition is None and not isinstance(model, FiniteMeasure):
+            raise ValidationError(f"{type(model).__name__} draws need a partition")
+        probs = model.weights if partition is None else induced_vector(model, partition)
+        reject = test.rejects(gen.multinomial(n, probs, size=size))
+    reject = np.asarray(reject, dtype=float)
+    return float((1.0 - reject if count_kind == "accept" else reject).sum())
 
 
 def _block_sizes(total: int, block: int):
@@ -292,7 +293,7 @@ class WorkerPool:
 
     The processes start on the first call with more than one block and at
     more than one worker, and stop at :meth:`close` or at the end of a
-    ``with`` block. Results come back in task order.
+    ``with`` block. Each worker gets one chunk of blocks; results keep task order.
     """
 
     def __init__(self, workers: int):
@@ -304,7 +305,7 @@ class WorkerPool:
             return [fn(t) for t in tasks]
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.workers)
-        return list(self._executor.map(fn, tasks))
+        return list(self._executor.map(fn, tasks, chunksize=-(-len(tasks) // self.workers)))
 
     def close(self) -> None:
         if self._executor is not None:

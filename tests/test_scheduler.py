@@ -120,6 +120,16 @@ def test_interleave_nmax_validation():
         interleave(family, first_boundary - 1)
 
 
+def test_schedule_json_clips_blocks_to_n_max():
+    # the third block starts at 682, past n_max; the second ends at 681
+    schedule = interleave([TestFamilyMember(None, c) for c in (0.05, 0.05, 0.01)], 100)
+    assert [(b.start, b.end) for b in schedule.blocks] == [(1, 89), (90, 681), (682, None)]
+    rows = schedule.to_json_dict()["blocks"]
+    assert [(row["start"], row["end"]) for row in rows] == [(1, 89), (90, 100)]
+    assert [row["family_index"] for row in rows] == [1, 2]
+    assert rows[1]["bound_at_start"] == min(1.0, schedule.alpha_bound_at(90))
+
+
 def test_bound_sums_below_basel_tail():
     # with every exponent 1, the certified tail past boundary t is at most
     # the tail of sum 1/i^2

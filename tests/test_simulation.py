@@ -1,12 +1,15 @@
+import importlib.util
 import math
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.errors import ResourceLimitError, ValidationError
-from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition
+from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, induced_vector
 from consistency_lab.partition_tests import (
     FrequencyTest,
     build_frequency_test,
@@ -17,16 +20,20 @@ from consistency_lab.scenarios import (
     PoissonTwoStageTest,
     nested_schedule,
     poisson_count_threshold,
+    run_scenario,
+    scenario_from_dict,
     scenario_nested_alternatives,
 )
 from consistency_lab.scheduler import TestFamilyMember, interleave
 from consistency_lab.simulation import (
+    ERROR_BLOCK,
     MAX_COUNTED_EDGES,
     PATH_BLOCK,
     PATH_SEGMENT,
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,
+    WorkerPool,
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
@@ -384,7 +391,7 @@ def test_cell_counts_match_add_at():
     assert counts.shape == (size, k)
     assert np.array_equal(counts, _add_at_counts(rows, cells, size, k))
     assert np.array_equal(counts.sum(axis=1), per_row)
-    # one row of draws per replication, as the i.i.d. blocks pass them
+    # one row of draws per replication, as the path replay passes them
     grid = gen.integers(0, k, size=(size, 9))
     dense = _cell_counts(np.arange(size)[:, None], grid, size, k)
     flat_rows = np.repeat(np.arange(size), 9)
@@ -422,6 +429,93 @@ def test_poisson_block_counts_are_per_atom_poisson_draws():
     # the block's only draw: one Poisson count per replication and atom
     expected = RngSpec(109, 0).generator().poisson(4 * 0.5 * model.shape.weights, size=(400, 3))
     assert np.array_equal(counts, expected)
+
+
+@pytest.mark.parametrize(
+    "model, partition",
+    [
+        (F(0.2, 0.3, 0.5), None),
+        (F(0.1, 0.2, 0.3, 0.4), Partition.atoms([[0, 3], [1], [2]], alphabet_size=4)),
+        (DensitySpec.pu_family(0.4), Partition.intervals(np.arange(5) / 4)),
+    ],
+    ids=["atoms-as-cells", "atom-partition", "density"],
+)
+def test_iid_block_counts_are_multinomial_draws(model, partition):
+    test = _RecordingTest()
+    test.partition = partition
+    _simulate_error_block((test, model, 37, "reject", 400, RngSpec(131, 0)))
+    (counts,) = test.seen
+    # the block's only draw: the cell counts of 37 draws per replication
+    probs = model.weights if partition is None else induced_vector(model, partition)
+    expected = RngSpec(131, 0).generator().multinomial(37, probs, size=400)
+    assert np.array_equal(counts, expected)
+    assert counts.shape == (400, probs.size) and (counts.sum(axis=1) == 37).all()
+
+
+def test_iid_block_rejects_density_without_partition():
+    test = _RecordingTest()
+    test.partition = None
+    with pytest.raises(ValidationError, match="partition"):
+        _simulate_error_block((test, DensitySpec.uniform(), 5, "reject", 100, RngSpec(0, 0)))
+
+
+def test_iid_error_block_cost_does_not_grow_with_n():
+    n = 10**7  # drawing the observations would take 8192e7 uniforms here
+    uniform = DensitySpec.uniform()
+    test = build_frequency_test(
+        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    )
+    t0 = time.perf_counter()
+    total = _simulate_error_block((test, uniform, n, "reject", ERROR_BLOCK, RngSpec(137, 0)))
+    assert time.perf_counter() - t0 < 1.0
+    assert total == 0.0
+
+
+def test_density_estimate_is_independent_of_workers():
+    uniform = DensitySpec.uniform()
+    test = build_frequency_test(
+        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    )
+    reps = 3 * ERROR_BLOCK + 1  # four blocks, two per worker
+    serial = estimate_error(test, uniform, 8, reps, RngSpec(139, 0), workers=1)
+    parallel = estimate_error(test, uniform, 8, reps, RngSpec(139, 0), workers=2)
+    assert serial == parallel
+    assert 0.0 < serial.estimate < 1.0
+
+
+def test_worker_pool_keeps_task_order():
+    with WorkerPool(2) as pool:
+        assert pool.map(str, list(range(7))) == [str(i) for i in range(7)]
+
+
+def _workload_scenarios():
+    """The scenario files of the benchmark workloads, as dicts."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.SCENARIOS
+
+
+@pytest.mark.parametrize("seed", [1, 2, 7])
+@pytest.mark.parametrize("name", ["kolmogorov-4cells", "sine-1-3-half"])
+def test_error_table_monte_carlo_agrees_with_exact_columns(name, seed):
+    """Every row with finite exact columns passes a two-sided binomial test at 1e-6."""
+    binomtest = pytest.importorskip("scipy.stats").binomtest
+    scenario = scenario_from_dict(_workload_scenarios()[name])
+    reps = scenario.sim.replications
+    table = run_scenario(scenario, seed=seed).tables["errors"]
+    checked = 0
+    for values in table.rows:
+        row = dict(zip(table.columns, values))
+        if math.isnan(row["total_exact"]):
+            continue
+        for kind in ("alpha", "beta"):
+            hits = round(row[f"{kind}_mc"] * reps)
+            assert binomtest(hits, reps, row[f"{kind}_exact"]).pvalue >= 1e-6, (row, kind)
+            checked += 1
+    assert checked >= 2 * len(scenario.sim.n_grid)
 
 
 def _two_argument_decision(test, counts, totals):
