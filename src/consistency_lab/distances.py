@@ -9,7 +9,8 @@ certifies the value by the duality gap between the two; ``optimal_test`` is
 that test, which attains the floor against every member of both families.
 ``ks_distance`` and ``density_total_variation`` read the distribution-function
 gap of two named densities at its critical points, so both are exact to
-rounding.
+rounding; ``ks_distances`` and ``density_total_variations`` do so for a whole
+table of pairs at once.
 """
 from __future__ import annotations
 
@@ -165,6 +166,8 @@ _END_TOL = 1e-12
 _MIN_WIDTH = 1e-13
 #: Points times frequencies evaluated at once; bounds the memory of ``_trig``.
 _TRIG_BLOCK = 1 << 15
+#: Halvings of every root bracket, enough to bisect a bracket of [0, 1] to rounding.
+_BISECTIONS = 60
 
 
 def _trig(x, c, w, a):
@@ -178,6 +181,16 @@ def _trig(x, c, w, a):
     return out
 
 
+def _values(x, c, w, a):
+    """``g`` alone at the points ``x``, blocked as ``_trig`` blocks them, so that
+    each value is the first row of ``_trig`` bit for bit."""
+    out = np.empty(x.size)
+    step = max(1, _TRIG_BLOCK // w.size)
+    for i in range(0, x.size, step):
+        out[i : i + step] = c + np.sin(np.multiply.outer(x[i : i + step], w)) @ a
+    return out
+
+
 def _keeps_sign(f0, d0, f1, d1, bound, h):
     """Whether ``f`` has no root on an interval of width ``h``, given ``f`` and its
     slope ``d`` at both ends and ``|f''| <= bound``: by Taylor's theorem from each
@@ -187,14 +200,17 @@ def _keeps_sign(f0, d0, f1, d1, bound, h):
     return (sign == np.sign(f1)) & (ends > bound * h * h / 8.0)
 
 
-def _sign_changes(c, w, a, lo, hi):
-    """Every sign change of ``g = c + sum(a * sin(w x))`` inside ``(lo, hi)``.
+def _brackets(c, w, a, lo, hi):
+    """Rows ``x0``, ``x1`` and ``g(x0) > 0`` of one bracket per sign change of
+    ``g = c + sum(a * sin(w x))`` on ``[lo, hi]``.
 
     Certified: an interval is settled when ``g`` provably keeps its sign on it,
     or ``g'`` does, so that ``g`` is monotone and has a root exactly when its end
     values differ in sign. ``sum(|a| w**2)`` and ``sum(|a| w**3)`` bound ``|g''|``
-    and ``|g'''|``. Other intervals are halved. The roots are bisected to rounding.
+    and ``|g'''|``. Other intervals are halved. A constant ``g`` has no brackets.
     """
+    if not w.size:
+        return np.empty((3, 0))
     bounds = np.abs(a) @ w**2, np.abs(a) @ w**3
     x = np.linspace(lo, hi, int(4 * (hi - lo) * w.max() / (2 * np.pi)) + 2)
     nodes = np.vstack([x, _trig(x, c, w, a)])
@@ -212,21 +228,39 @@ def _sign_changes(c, w, a, lo, hi):
         mid = 0.5 * (left[0, ~settled] + right[0, ~settled])
         middle = np.vstack([mid, _trig(mid, c, w, a)])
         left, right = np.hstack([left[:, ~settled], middle]), np.hstack([middle, right[:, ~settled]])
-    x0, x1, positive = np.hstack(brackets)
-    for _ in range(60):
+    return np.hstack(brackets)
+
+
+def _sign_changes(pieces) -> list:
+    """Every sign change inside ``(lo, hi)`` of ``g = c + sum(a * sin(w x))``,
+    one array for each piece ``(c, w, a, lo, hi)``.
+
+    The brackets of all pieces are bisected to rounding in one loop that
+    evaluates ``g`` alone, each piece on its own brackets, so that every root
+    is the one its piece gives by itself.
+    """
+    brackets = [_brackets(*piece) for piece in pieces]
+    ends = np.cumsum([0] + [b.shape[1] for b in brackets])
+    spans = [slice(i, j) for i, j in zip(ends, ends[1:])]
+    x0, x1, positive = np.hstack([np.empty((3, 0)), *brackets])
+    rooted = [(piece[:3], span) for piece, span in zip(pieces, spans) if span.stop > span.start]
+    g = np.empty(x0.size)
+    for _ in range(_BISECTIONS):
         mid = 0.5 * (x0 + x1)
-        same = (_trig(mid, c, w, a)[0] > 0) == positive
+        for (c, w, a), span in rooted:
+            g[span] = _values(mid[span], c, w, a)
+        same = (g > 0) == positive
         x0, x1 = np.where(same, mid, x0), np.where(same, x1, mid)
     roots = 0.5 * (x0 + x1)
-    return roots[(roots - lo > _END_TOL) & (hi - roots > _END_TOL)]
+    return [
+        roots[span][(roots[span] - lo > _END_TOL) & (hi - roots[span] > _END_TOL)]
+        for (*_, lo, hi), span in zip(pieces, spans)
+    ]
 
 
-def critical_points(p: DensitySpec, q: DensitySpec) -> np.ndarray:
-    """Sorted points of [0, 1] between which ``G = F_p - F_q`` is monotone.
-
-    They are 0, 1, the jump of either density at 1/2, and every sign change of
-    ``f_p - f_q``, which on each smooth piece is a constant plus a sine series.
-    """
+def _gap_pieces(p: DensitySpec, q: DensitySpec):
+    """Smooth pieces ``(c, w, a, lo, hi)`` of ``f_p - f_q = c + sum(a * sin(w x))``
+    on ``[lo, hi]``; ``w`` and ``a`` are empty when the sine series cancel."""
     if not isinstance(p, DensitySpec) or not isinstance(q, DensitySpec):
         raise ValidationError("density distances expect two density specs")
     below_p, above_p, terms_p, scale_p = p.series()
@@ -238,13 +272,39 @@ def critical_points(p: DensitySpec, q: DensitySpec) -> np.ndarray:
     terms = {j: c for j, c in terms.items() if c != 0.0}
     w, a = 2.0 * np.pi * np.array(list(terms), dtype=float), np.array(list(terms.values()))
     if below_p == above_p and below_q == above_q:
-        pieces = [(0.0, 1.0, below_p - below_q)]
-    else:  # a jump at 1/2
-        pieces = [(0.0, 0.5, below_p - below_q), (0.5, 1.0, above_p - above_q)]
-    points = [[0.0]] + [[hi] for _, hi, _ in pieces]
-    if terms:
-        points += [_sign_changes(c, w, a, lo, hi) for lo, hi, c in pieces]
-    return np.sort(np.concatenate(points))
+        return [(below_p - below_q, w, a, 0.0, 1.0)]
+    # a jump at 1/2
+    return [(below_p - below_q, w, a, 0.0, 0.5), (above_p - above_q, w, a, 0.5, 1.0)]
+
+
+def _critical_point_sets(pairs) -> list:
+    """``critical_points(p, q)`` of every pair ``(p, q)``, with the roots of all
+    pairs bisected in one loop."""
+    gaps = [_gap_pieces(p, q) for p, q in pairs]
+    roots = iter(_sign_changes([piece for pieces in gaps for piece in pieces]))
+    return [
+        np.sort(np.concatenate([[0.0], [hi for *_, hi in pieces]] + [next(roots) for _ in pieces]))
+        for pieces in gaps
+    ]
+
+
+def critical_points(p: DensitySpec, q: DensitySpec) -> np.ndarray:
+    """Sorted points of [0, 1] between which ``G = F_p - F_q`` is monotone.
+
+    They are 0, 1, the jump of either density at 1/2, and every sign change of
+    ``f_p - f_q``, which on each smooth piece is a constant plus a sine series.
+    """
+    return _critical_point_sets([(p, q)])[0]
+
+
+def ks_distances(pairs) -> list:
+    """``ks_distance`` of every pair ``(p, q)``, with the roots of all pairs
+    bisected in one loop; each value equals the pair's own ``ks_distance``."""
+    pairs = list(pairs)
+    return [
+        float(np.abs(p.cdf(x) - q.cdf(x)).max())
+        for (p, q), x in zip(pairs, _critical_point_sets(pairs))
+    ]
 
 
 def ks_distance(spec1: DensitySpec, spec2: DensitySpec) -> float:
@@ -253,12 +313,20 @@ def ks_distance(spec1: DensitySpec, spec2: DensitySpec) -> float:
     Their closed-form gap is monotone between its critical points, so its
     largest magnitude there is exact to rounding.
     """
-    x = critical_points(spec1, spec2)
-    return float(np.abs(spec1.cdf(x) - spec2.cdf(x)).max())
+    return ks_distances([(spec1, spec2)])[0]
+
+
+def density_total_variations(pairs) -> list:
+    """``density_total_variation`` of every pair ``(p, q)``, with the roots of
+    all pairs bisected in one loop; each value equals the pair's own."""
+    pairs = list(pairs)
+    return [
+        0.5 * float(np.abs(np.diff(p.cdf(x) - q.cdf(x))).sum())
+        for (p, q), x in zip(pairs, _critical_point_sets(pairs))
+    ]
 
 
 def density_total_variation(p: DensitySpec, q: DensitySpec) -> float:
     """Total variation between two named densities, exact to rounding: half the
     summed change of the distribution-function gap between its critical points."""
-    x = critical_points(p, q)
-    return 0.5 * float(np.abs(np.diff(p.cdf(x) - q.cdf(x))).sum())
+    return density_total_variations([(p, q)])[0]

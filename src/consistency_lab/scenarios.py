@@ -18,9 +18,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .distances import (
-    density_total_variation,
+    density_total_variations,
     hull_variation,
-    ks_distance,
+    ks_distances,
 )
 from .errors import (
     ConstructionError,
@@ -653,9 +653,11 @@ def _separation_table(scenario: Scenario, describe) -> Table:
 
 def _ks_table(scenario: Scenario) -> Table:
     base = scenario.hypothesis[0]
-    rows = []
-    for idx, alt in enumerate(scenario.alternative, start=1):
-        rows.append((idx, alt.label(), ks_distance(alt, base)))
+    ks = ks_distances([(alt, base) for alt in scenario.alternative])
+    rows = [
+        (idx, alt.label(), d)
+        for idx, (alt, d) in enumerate(zip(scenario.alternative, ks), start=1)
+    ]
     return Table(columns=["index", "model", "ks_distance"], rows=rows)
 
 
@@ -690,13 +692,16 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     sines = [DensitySpec.one_plus_sine(i) for i in range(1, m_max + 1)]
     if scenario.hypothesis != [uniform] or scenario.alternative != sines:
         scenario_hull = None
+    disc_sines = [discretize(s, grid_size) for s in sines]
+    tvs = density_total_variations(
+        [(DensitySpec.cesaro_mixture(m), uniform) for m in range(1, m_max + 1)]
+    )
     rows = []
-    for m in range(1, m_max + 1):
-        tv = density_total_variation(DensitySpec.cesaro_mixture(m), uniform)
+    for m, tv in enumerate(tvs, start=1):
         if m == m_max and scenario_hull is not None:
             hull = scenario_hull
         else:
-            hull = hull_variation(disc_uniform, [discretize(s, grid_size) for s in sines[:m]])
+            hull = hull_variation(disc_uniform, disc_sines[:m])
         rows.append((m, tv, 1.0 - tv, hull.value, 1.0 - hull.value))
     return Table(
         columns=["m", "tv_mixture", "kraft_mixture", "hull_value", "kraft_hull"],

@@ -60,10 +60,10 @@ class LpResult:
 def _pivot(tableau: np.ndarray, basis: np.ndarray, row: int, col: int) -> None:
     tableau[row] /= tableau[row, col]
     pivot_row = tableau[row]
-    factors = tableau[:, col, None].copy()
+    factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= factors * pivot_row
-    tableau[np.abs(tableau) < _FLUSH] = 0.0
+    tableau -= np.multiply.outer(factors, pivot_row)
+    np.copyto(tableau, 0.0, where=np.abs(tableau) < _FLUSH)
     tableau[row, col] = 1.0
     basis[row] = col
 
@@ -80,15 +80,16 @@ def _run_simplex(tableau, basis, sign, upper):
     and minus the objective; returns the number of pivots plus bound flips."""
     rows, ncols = basis.size, upper.size
     costs, rhs = tableau[-1, :ncols], tableau[:rows, -1]
+    no_ratio = np.full(rows, np.inf)
     iterations = 0
     stall = 0
     last_objective = 0.0
     while True:
         bland = stall > _STALL_LIMIT
         if bland:
-            entering = int(np.argmax(costs < -_TOL))
+            entering = int((costs < -_TOL).argmax())
         else:
-            entering = int(np.argmin(costs))
+            entering = int(costs.argmin())
         if costs[entering] >= -_TOL:
             return iterations
         # A positive entry lets its basic variable fall to 0, a negative one
@@ -96,18 +97,18 @@ def _run_simplex(tableau, basis, sign, upper):
         column = tableau[:rows, entering]
         size = np.abs(column)
         room = np.where(column > 0.0, rhs, upper[basis] - rhs)
-        ratios = np.divide(room, size, out=np.full(rows, np.inf), where=size > _TOL)
+        ratios = np.divide(room, size, out=no_ratio.copy(), where=size > _TOL)
         step = ratios.min()
         if upper[entering] <= step:
             if upper[entering] == np.inf:
                 raise NumericError("LP is unbounded below")
             _flip(tableau, sign, entering, upper[entering])
         else:
-            near = np.flatnonzero(ratios <= step + _TOL)
+            near = (ratios <= step + _TOL).nonzero()[0]
             if bland:
-                leaving = int(near[np.argmin(basis[near])])
+                leaving = int(near[basis[near].argmin()])
             else:
-                leaving = int(near[np.argmax(size[near])])
+                leaving = int(near[size[near].argmax()])
             at_bound = column[leaving] < 0.0
             left = basis[leaving]
             _pivot(tableau, basis, leaving, entering)

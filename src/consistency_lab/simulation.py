@@ -244,13 +244,10 @@ def _bin_draws(model, partition, uniforms: np.ndarray):
     return atom_to_cell[atoms], partition.k
 
 
-def _cell_counts(rows, cells, size: int, k: int) -> np.ndarray:
-    """``(size, k)`` counts of the draws in ``cells`` per replication in ``rows``.
-
-    ``rows`` and ``cells`` broadcast against each other; a replication with
-    no draws gets a row of zeros.
-    """
-    flat = np.ravel(rows * k + cells)
+def _cell_counts(cells: np.ndarray, k: int) -> np.ndarray:
+    """``(size, k)`` counts of the cells in each row of the ``(size, draws)`` slab ``cells``."""
+    size = cells.shape[0]
+    flat = np.ravel(np.arange(0, size * k, k)[:, None] + cells)
     return np.bincount(flat, minlength=size * k).reshape(size, k)
 
 
@@ -391,11 +388,10 @@ def _simulate_path_block(args) -> np.ndarray:
     cells, k = _bin_draws(model, partition, rng.generator().random((size, n_max)))
     one_hot = np.arange(k, dtype=cells.dtype)[:, None, None]
     errs_on_reject = role == "hypothesis"
-    rows = np.arange(size)[:, None]
     counts = np.zeros((size, k), dtype=np.int64)
     last_error = np.zeros(size, dtype=np.int64)
     for lo, hi, test in segments:
-        start, counts = counts, counts + _cell_counts(rows, cells[:, lo:hi], size, k)
+        start, counts = counts, counts + _cell_counts(cells[:, lo:hi], k)
         # Settled paths: for lo < n <= hi, |f(n) - f(hi)| <= (hi - n)/hi in
         # the sup norm and the margin is 2-Lipschitz, so the margin keeps its
         # side of TIE_TOL, and with it the decision, over the whole segment

@@ -9,9 +9,11 @@ from numpy.testing import assert_allclose
 from consistency_lab.distances import (
     critical_points,
     density_total_variation,
+    density_total_variations,
     hull_variation,
     kraft_bound,
     ks_distance,
+    ks_distances,
     optimal_test,
     total_variation,
 )
@@ -301,13 +303,34 @@ def test_sine_gap_sign_changes_are_all_found(i):
     assert_allclose(inside, np.arange(2 * i) / (2 * i), rtol=0, atol=1e-12)
 
 
-def test_cesaro_gap_sign_changes_are_all_found():
+@pytest.mark.parametrize("m", [1, 2, 7, 8, 32, 64, 128])
+def test_cesaro_gap_sign_changes_are_all_found(m):
     # sum_{j<=m} sin(2 pi j x) = sin(pi m x) sin(pi (m+1) x) / sin(pi x): roots k/m and k/(m+1)
-    m = 64
-    points = critical_points(DensitySpec.cesaro_mixture(m), DensitySpec.uniform())
+    p, uniform = DensitySpec.cesaro_mixture(m), DensitySpec.uniform()
+    points = critical_points(p, uniform)
     roots = np.union1d(np.arange(1, m) / m, np.arange(1, m + 1) / (m + 1))
     assert roots.size == 2 * m - 1
-    assert_allclose(points, np.concatenate([[0.0], roots, [1.0]]), rtol=0, atol=1e-12)
+    assert points.size == roots.size + 2 and points[0] == 0.0 and points[-1] == 1.0
+    # sin(2 pi j x) rounds its argument by up to 2 pi m eps; at m = 128 that moves
+    # the largest root by 1.1e-15, ten ulps of a root near 1
+    assert np.abs(points[1:-1] - roots).max() <= (1e-15 if m <= 64 else 2e-15)
+    # G = F_p - F_u is monotone between the exact roots, so TV = 1/2 sum |dG| there
+    x = np.concatenate([[0.0], roots, [1.0]])
+    exact = 0.5 * np.abs(np.diff(p.cdf(x) - uniform.cdf(x))).sum()
+    assert abs(density_total_variation(p, uniform) - exact) <= 1e-15
+
+
+def test_batched_density_distances_equal_the_per_pair_ones_bit_for_bit():
+    uniform = DensitySpec.uniform()
+    tables = [
+        [(DensitySpec.one_plus_sine(i), uniform) for i in range(1, 33)],
+        [(DensitySpec.cesaro_mixture(m), uniform) for m in range(1, 33)],
+        ORACLE_PAIRS,
+    ]
+    for pairs in tables + [sum(tables, [])]:
+        assert ks_distances(pairs) == [ks_distance(p, q) for p, q in pairs]
+        assert density_total_variations(pairs) == [density_total_variation(p, q) for p, q in pairs]
+    assert ks_distances([]) == density_total_variations([]) == []
 
 
 def test_density_distances_validate_and_are_fast():
@@ -327,6 +350,11 @@ def test_density_distances_validate_and_are_fast():
     assert best_of_three(
         lambda: density_total_variation(DensitySpec.cesaro_mixture(64), uniform)
     ) < 0.1
+    # the 16-row tables of a Mazur scan of order 16
+    sines = [(DensitySpec.one_plus_sine(i), uniform) for i in range(1, 17)]
+    assert best_of_three(lambda: ks_distances(sines)) < 0.05
+    mixtures = [(DensitySpec.cesaro_mixture(m), uniform) for m in range(1, 17)]
+    assert best_of_three(lambda: density_total_variations(mixtures)) < 0.05
 
 
 # -- hull LP: the Kraft–Le Cam dual and its certificate ----------------------------------

@@ -383,19 +383,15 @@ def _add_at_counts(rows, cells, size, k):
 def test_cell_counts_match_add_at():
     gen = RngSpec(103, 0).generator()
     size, k = 50, 6
-    per_row = gen.poisson(3.0, size=size)
-    per_row[[0, 17, size - 1]] = 0  # replications with no draws
-    rows = np.repeat(np.arange(size), per_row)
-    cells = gen.integers(0, k, size=rows.size)
-    counts = _cell_counts(rows, cells, size, k)
+    # one row of uint8 cells per replication, as the path replay passes them
+    grid = gen.integers(0, k, size=(size, 9), dtype=np.uint8)
+    counts = _cell_counts(grid, k)
     assert counts.shape == (size, k)
-    assert np.array_equal(counts, _add_at_counts(rows, cells, size, k))
-    assert np.array_equal(counts.sum(axis=1), per_row)
-    # one row of draws per replication, as the path replay passes them
-    grid = gen.integers(0, k, size=(size, 9))
-    dense = _cell_counts(np.arange(size)[:, None], grid, size, k)
-    flat_rows = np.repeat(np.arange(size), 9)
-    assert np.array_equal(dense, _add_at_counts(flat_rows, grid.ravel(), size, k))
+    rows = np.repeat(np.arange(size), 9)
+    assert np.array_equal(counts, _add_at_counts(rows, grid.ravel(), size, k))
+    assert np.array_equal(counts.sum(axis=1), np.full(size, 9))
+    # a slab without draws counts nothing
+    assert np.array_equal(_cell_counts(grid[:, :0], k), np.zeros((size, k), dtype=np.int64))
 
 
 class _RecordingTest:
