@@ -56,8 +56,6 @@ from .simulation import (
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
-    sample_gaussian_sequence,
-    sample_iid,
     sample_poisson_process,
     wilson_interval,
 )

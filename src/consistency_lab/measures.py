@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -335,18 +335,21 @@ class Partition:
         return f"Partition({self.kind}, k={self.k})"
 
 
-def induced_vector(model: Model, partition: Partition) -> np.ndarray:
+def induced_vector(model: Model, partition: Optional[Partition]) -> np.ndarray:
     """Cell-probability vector of a measure under a partition.
 
     Component ``j`` is the mass the measure assigns to cell ``j``. Densities
-    pair with interval partitions, finite measures with atom partitions;
-    anything else is incompatible.
+    pair with interval partitions, finite measures with atom partitions or
+    with ``None``, under which their atoms are the cells; anything else is
+    incompatible. This decides which partitions a model's draws can fall into.
     """
     if isinstance(model, DensitySpec):
-        if partition.kind != "intervals":
+        if partition is None or partition.kind != "intervals":
             raise ValidationError("density models need an interval partition")
         return np.array([model.mass(lo, hi) for lo, hi in partition.cells])
     if isinstance(model, FiniteMeasure):
+        if partition is None:
+            return model.weights
         if partition.kind != "atoms":
             raise ValidationError("finite measures need an atom partition")
         if partition.alphabet_size != model.alphabet_size:

@@ -44,13 +44,16 @@ class SeparationReport:
 
 
 def separation(
-    theta0: Sequence[Model], theta1: Sequence[Model], partition: Partition
+    theta0: Sequence[Model], theta1: Sequence[Model], partition: Partition | None
 ) -> SeparationReport:
-    """Induced vectors of both families plus their minimal sup-norm distance."""
+    """Induced vectors of both families plus their minimal sup-norm distance;
+    ``partition=None`` takes a finite model's atoms as cells."""
     if len(theta0) == 0 or len(theta1) == 0:
         raise ValidationError("hypothesis and alternative families must be nonempty")
-    v0 = np.stack([induced_vector(m, partition) for m in theta0])
-    v1 = np.stack([induced_vector(m, partition) for m in theta1])
+    vectors = [induced_vector(m, partition) for m in (*theta0, *theta1)]
+    if len({v.size for v in vectors}) != 1:
+        raise ValidationError("measures live on different alphabets")
+    v0, v1 = np.stack(vectors[: len(theta0)]), np.stack(vectors[len(theta0) :])
     gaps = np.abs(v0[:, None, :] - v1[None, :, :]).max(axis=2)
     i, j = np.unravel_index(int(gaps.argmin()), gaps.shape)
     return SeparationReport(
@@ -223,10 +226,6 @@ class ChernoffExponent:
 
     value: float
     flag: str = "ok"
-
-    @property
-    def is_perfect(self) -> bool:
-        return self.flag == "perfect"
 
     @property
     def is_degenerate(self) -> bool:

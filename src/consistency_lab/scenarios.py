@@ -297,7 +297,7 @@ def scenario_signal_detection(
 
 
 def scenario_nested_alternatives(
-    pieces: Sequence,
+    pieces: Sequence[FiniteMeasure],
     hypothesis: Optional[Sequence[FiniteMeasure]] = None,
     n_max: int = 2048,
     k_grid: Sequence[int] = (),
@@ -305,41 +305,26 @@ def scenario_nested_alternatives(
 ) -> Scenario:
     """Nested unions of alternative pieces scheduled into one discernible sequence.
 
-    ``pieces`` holds ``FiniteMeasure`` entries or ``(FiniteMeasure, exponent)``
-    pairs; a missing exponent is derived as half the worst-pair Chernoff
+    Each piece's exponent is derived as half the worst-pair Chernoff
     information of the piece against the hypothesis (the half absorbs the union
     bound over pieces and finite-sample prefactors). Onsets are verified by
     exact enumeration on a fixed sample-size grid.
     """
-    if len(pieces) == 0:
-        raise ValidationError("at least one alternative piece required")
     hypothesis = list(hypothesis) if hypothesis else [FiniteMeasure([0.5, 0.5])]
-    measures = []
-    exponents: list[Optional[float]] = []
-    for piece in pieces:
-        if isinstance(piece, tuple):
-            measure, exponent = piece
-            exponents.append(float(exponent))
-        else:
-            measure, exponent = piece, None
-            exponents.append(None)
-        if not isinstance(measure, FiniteMeasure):
-            raise ValidationError("each piece must be a FiniteMeasure")
-        measures.append(measure)
     if not k_grid:
         k_grid = tuple(range(0, n_max + 1, max(1, n_max // 32)))
     scenario = Scenario(
-        name=f"nested-alternatives-{len(measures)}pieces",
+        name=f"nested-alternatives-{len(pieces)}pieces",
         model_type="finite",
         hypothesis=hypothesis,
-        alternative=measures,
+        alternative=list(pieces),
         sim=SimParams(
             replications=replications,
             n_grid=(int(n_max),),
             k_grid=tuple(int(k) for k in k_grid),
         ),
     )
-    members = build_nested_family(hypothesis, measures, exponents)
+    members = build_nested_family(hypothesis, scenario.alternative)
     scenario.schedule = {
         "exponents": [m.exponent for m in members],
         "onsets": [m.onset for m in members],
@@ -448,7 +433,7 @@ def poisson_count_threshold(mass0: float, n: int, target: float) -> tuple[float,
 def build_nested_family(
     hypothesis: Sequence[FiniteMeasure],
     pieces: Sequence[FiniteMeasure],
-    exponents: Optional[Sequence[Optional[float]]] = None,
+    exponents: Optional[Sequence[float]] = None,
     onsets: Optional[Sequence[int]] = None,
 ) -> list[TestFamilyMember]:
     """Certified test family for the nested unions of alternative pieces.
@@ -464,21 +449,17 @@ def build_nested_family(
     """
     if len(pieces) == 0:
         raise ValidationError("at least one piece required")
-    alphabet = hypothesis[0].alphabet_size
-    identity = Partition.identity(alphabet)
     piece_vectors = []
     piece_exponents = []
-    supplied = list(exponents) if exponents is not None else [None] * len(pieces)
     for index, piece in enumerate(pieces, start=1):
-        report = separation(hypothesis, [piece], identity)
+        report = separation(hypothesis, [piece], None)
         if report.margin <= 0.0:
             raise ConstructionError(f"piece {index} has zero separation margin")
         piece_vectors.append(report.alternative_vectors[0])
-        if supplied[index - 1] is not None:
-            piece_exponents.append(float(supplied[index - 1]))
+        if exponents is not None:
+            piece_exponents.append(float(exponents[index - 1]))
         else:
-            exponent = error_exponent(hypothesis, [piece])
-            value = min(exponent.value, PERFECT_EXPONENT_CAP)
+            value = min(error_exponent(hypothesis, [piece]).value, PERFECT_EXPONENT_CAP)
             piece_exponents.append(0.5 * value)
 
     members = []
@@ -709,6 +690,18 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     )
 
 
+def _error_pair(test, hypothesis, alternative, n, reps, streams, pool):
+    """Monte Carlo type I error of ``test`` under ``hypothesis``, then its type II
+    error under ``alternative``, each on the run's next stream."""
+    alpha = estimate_error(
+        test, hypothesis, n, reps, next(streams), count="reject", workers=pool
+    )
+    beta = estimate_error(
+        test, alternative, n, reps, next(streams), count="accept", workers=pool
+    )
+    return alpha, beta
+
+
 def _error_curve_table(scenario, reps, streams, pool) -> Table:
     rows = []
     for idx, alt in enumerate(scenario.alternative, start=1):
@@ -727,12 +720,8 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
                 beta_exact = exact_error(test, alt_cells, n)[1]
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
-            alpha_mc = estimate_error(
-                test, scenario.hypothesis[0], n, reps, next(streams),
-                count="reject", workers=pool,
-            )
-            beta_mc = estimate_error(
-                test, alt, n, reps, next(streams), count="accept", workers=pool
+            alpha_mc, beta_mc = _error_pair(
+                test, scenario.hypothesis[0], alt, n, reps, streams, pool
             )
             rows.append(
                 (
@@ -773,13 +762,9 @@ def _epsilon_table(scenario, reps, streams, pool) -> Table:
         for s0, s1 in pairs:
             test = LinearFunctionalTest(functional=s1 - s0, base=s0)
             worst_analytic = max(worst_analytic, test.error_sum_analytic(eps))
-            alpha = estimate_error(
-                test, GaussianSequenceModel(s0, eps), 1, reps, next(streams),
-                count="reject", workers=pool,
-            )
-            beta = estimate_error(
-                test, GaussianSequenceModel(s1, eps), 1, reps, next(streams),
-                count="accept", workers=pool,
+            alpha, beta = _error_pair(
+                test, GaussianSequenceModel(s0, eps), GaussianSequenceModel(s1, eps),
+                1, reps, streams, pool,
             )
             total = alpha.estimate + beta.estimate
             if total > worst_total:
@@ -822,30 +807,22 @@ def _projection_table(scenario) -> Table:
 def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     k_grid = scenario.sim.k_grid or tuple(range(0, schedule.n_max + 1, 64))
     n_max = schedule.n_max
-    curves = []
-    labels = []
-    hyp = scenario.hypothesis[0]
-    curves.append(
+    models = [("hypothesis", scenario.hypothesis[0], "hypothesis")] + [
+        (f"piece_{idx}", piece, "alternative")
+        for idx, piece in enumerate(scenario.alternative, start=1)
+    ]
+    curves = [
         discernibility_paths(
-            schedule, hyp, n_max, k_grid, reps, next(streams),
-            role="hypothesis", workers=pool,
+            schedule, model, n_max, k_grid, reps, next(streams), role=role, workers=pool
         )
-    )
-    labels.append("hypothesis")
-    for idx, piece in enumerate(scenario.alternative, start=1):
-        curves.append(
-            discernibility_paths(
-                schedule, piece, n_max, k_grid, reps, next(streams),
-                role="alternative", workers=pool,
-            )
-        )
-        labels.append(f"piece_{idx}")
+        for _, model, role in models
+    ]
     rows = []
     for j, k in enumerate(k_grid):
         tail = min(1.0, schedule.certified_tail(int(k)))
         rows.append((int(k), tail) + tuple(float(c[j]) for c in curves))
     return Table(
-        columns=["k", "certified_tail_clamped"] + [f"err_after_k_{l}" for l in labels],
+        columns=["k", "certified_tail_clamped"] + [f"err_after_k_{l}" for l, _, _ in models],
         rows=rows,
     )
 
@@ -856,21 +833,14 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
     shapes_differ = not np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
     freq_test = None
     if shapes_differ:
-        identity = Partition.identity(h0.shape.alphabet_size)
-        report = separation([h0.shape], [h1.shape], identity)
-        freq_test = build_frequency_test(report)
+        freq_test = build_frequency_test(separation([h0.shape], [h1.shape], None))
     rows = []
     for n in scenario.sim.n_grid:
         rate, bound = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
         test = PoissonTwoStageTest(
             n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test
         )
-        alpha = estimate_error(
-            test, h0, n, reps, next(streams), count="reject", workers=pool
-        )
-        beta = estimate_error(
-            test, h1, n, reps, next(streams), count="accept", workers=pool
-        )
+        alpha, beta = _error_pair(test, h0, h1, n, reps, streams, pool)
         rows.append(
             (
                 n,
@@ -927,6 +897,12 @@ def _one_alphabet(measures: Sequence[FiniteMeasure]) -> None:
 
 def _check_finite(scenario: Scenario) -> None:
     _one_alphabet(scenario.hypothesis + scenario.alternative)
+    atoms = scenario.hypothesis[0].alphabet_size
+    if scenario.partition is not None and scenario.partition.alphabet_size != atoms:
+        raise ValidationError(
+            f"scenario 'partition' covers {scenario.partition.alphabet_size} atoms, "
+            f"the models have {atoms}"
+        )
     k_grid, n_max = list(scenario.sim.k_grid), _horizon(scenario)
     if k_grid != sorted(k_grid) or any(not 0 <= k <= n_max for k in k_grid):
         raise ValidationError(

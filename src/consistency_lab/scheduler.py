@@ -13,7 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import ValidationError
 
@@ -114,15 +114,16 @@ class TestSchedule:
             return math.exp(-block.exponent * n)
         return 1.0
 
-    def _tail(self, k: int, covers: Callable[[ScheduleBlock], bool]) -> float:
-        """Sum of per-index certified bounds over all ``n > k`` (to infinity)."""
+    def beta_tail(self, k: int, piece: int) -> float:
+        """Certified bound on any false acceptance past ``k`` for one piece: the
+        sum of per-index certified bounds over all ``n > k`` (to infinity)."""
         total = 0.0
         for block in self.blocks:
             lo = max(k + 1, block.start)
             hi = block.end  # None = infinite
             if hi is not None and lo > hi:
                 continue
-            if not covers(block):
+            if block.family_index < piece:  # the block's test does not cover the piece
                 if hi is None:
                     return math.inf  # uncertified forever
                 total += hi - lo + 1
@@ -140,19 +141,14 @@ class TestSchedule:
         return total
 
     def alpha_tail(self, k: int) -> float:
-        """Certified bound on the probability of any false rejection past ``k``."""
-        return self._tail(k, lambda block: True)
-
-    def beta_tail(self, k: int, piece: int) -> float:
-        """Certified bound on any false acceptance past ``k`` for one piece."""
-        return self._tail(k, lambda block: block.family_index >= piece)
+        """Certified bound on the probability of any false rejection past ``k``:
+        every block certifies its type I error, as it covers piece 1."""
+        return self.beta_tail(k, 1)
 
     def certified_tail(self, k: int) -> float:
-        """Worst certified tail over the hypothesis side and every covered piece."""
-        worst = self.alpha_tail(k)
-        for piece in range(1, len(self.members) + 1):
-            worst = max(worst, self.beta_tail(k, piece))
-        return worst
+        """Worst certified tail over the hypothesis side and every covered piece;
+        the hypothesis side is piece 1's tail."""
+        return max(self.beta_tail(k, piece) for piece in range(1, len(self.members) + 1))
 
     # -- serialization -------------------------------------------------------------
     def to_json_dict(self) -> dict:

@@ -1,4 +1,4 @@
-"""Seeded sampling and Monte Carlo estimation for every model class.
+"""Seeded Monte Carlo estimation of test errors for every model class.
 
 Reproducibility contract: all randomness flows through counter-based Philox
 generators keyed by ``(seed, stream)``. Replications are split into
@@ -10,10 +10,11 @@ Tests of i.i.d. and Poisson models decide from cell counts, so an error block
 draws the counts of all its replications in one ``(size, k)`` call:
 multinomial(``n``, cell probabilities) for ``n`` i.i.d. draws, independent
 Poisson(``n * mass * w_j``) atom counts for a process with mean measure
-``n * mass * w``. Only the path replay draws observations. A draw's cell
-counts the interior edges below its uniform ``u`` (cumulative weights, or
-``F`` at a density's interior cell edges, so no ``F`` is inverted) into
-``uint8`` cells, or by ``searchsorted`` above ``MAX_COUNTED_EDGES`` edges.
+``n * mass * w``. Only the path replay and :func:`sample_poisson_process`
+draw observations. A draw's cell counts the interior edges below its uniform
+``u`` (cumulative weights, or ``F`` at a density's interior cell edges, so no
+``F`` is inverted) into ``uint8`` cells, or by ``searchsorted`` above
+``MAX_COUNTED_EDGES`` edges.
 Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
 
@@ -80,13 +81,10 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Monte Carlo probability estimate with its confidence interval."""
+    """Monte Carlo probability estimate with its 95% normal-approximation half-width."""
 
     estimate: float
     half_width_95: float
-    ci_low: float
-    ci_high: float
-    ci_method: str
 
 
 @dataclass(frozen=True)
@@ -126,7 +124,7 @@ class GaussianSequenceModel:
         return self.signal.size
 
 
-# -- raw samplers -----------------------------------------------------------------
+# -- binning and the Poisson process sampler ----------------------------------------
 
 
 def _cells_below(edges: np.ndarray, uniforms: np.ndarray, inclusive: bool) -> np.ndarray:
@@ -145,24 +143,6 @@ def _cells_below(edges: np.ndarray, uniforms: np.ndarray, inclusive: bool) -> np
 def _finite_atoms(measure: FiniteMeasure, uniforms: np.ndarray) -> np.ndarray:
     """Atom of each uniform: the number of interior cumulative weights at or below it."""
     return _cells_below(np.cumsum(measure.weights[:-1]), uniforms, inclusive=True)
-
-
-def sample_iid(model, n: int, rng: RngSpec) -> np.ndarray:
-    """Draw ``n`` independent observations from a finite measure or density.
-
-    A finite measure's draw is the ``int64`` atom index that counts the
-    interior cumulative weights at or below its uniform; densities invert
-    their closed-form distribution functions.
-    """
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    gen = rng.generator()
-    u = gen.random(n)
-    if isinstance(model, FiniteMeasure):
-        return _finite_atoms(model, u).astype(np.int64)
-    if isinstance(model, DensitySpec):
-        return model.quantile(u)
-    raise ValidationError(f"cannot sample from {type(model).__name__}")
 
 
 def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndarray:
@@ -194,12 +174,6 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
     return upper + lower
 
 
-def sample_gaussian_sequence(model: GaussianSequenceModel, rng: RngSpec) -> np.ndarray:
-    """One observation vector of the signal corrupted by white noise."""
-    gen = rng.generator()
-    return model.signal + model.noise * gen.standard_normal(model.dimension)
-
-
 # -- Monte Carlo error estimation ----------------------------------------------------
 
 
@@ -226,17 +200,15 @@ def _bin_draws(model, partition, uniforms: np.ndarray):
     interior edges of an interval partition, and ``F`` is never inverted;
     leaving out the edge at 1 keeps a rounded ``F(1)`` from making a cell
     ``k``. Finite atoms are binned through an atom partition, or serve as
-    cells when there is none.
+    cells when there is none. ``induced_vector`` first rejects a partition
+    the model's draws cannot fall into.
     """
+    induced_vector(model, partition)
     if isinstance(model, DensitySpec):
-        if partition is None or partition.kind != "intervals":
-            raise ValidationError("density sampling needs an interval partition")
         interior = np.array([hi for _, hi in partition.cells[:-1]])
         return _cells_below(model.cdf(interior), uniforms, inclusive=False), partition.k
-    if not isinstance(model, FiniteMeasure):
-        raise ValidationError(f"cannot bin draws from {type(model).__name__}")
     atoms = _finite_atoms(model, uniforms)
-    if partition is None or partition.kind != "atoms":
+    if partition is None:
         return atoms, model.alphabet_size
     atom_to_cell = np.zeros(partition.alphabet_size, dtype=np.min_scalar_type(partition.k - 1))
     for cell, group in enumerate(partition.cells):
@@ -268,10 +240,7 @@ def _simulate_error_block(args) -> float:
         lam = n * model.mass * model.shape.weights
         reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
     else:
-        partition = getattr(test, "partition", None)
-        if partition is None and not isinstance(model, FiniteMeasure):
-            raise ValidationError(f"{type(model).__name__} draws need a partition")
-        probs = model.weights if partition is None else induced_vector(model, partition)
+        probs = induced_vector(model, getattr(test, "partition", None))
         reject = test.rejects(gen.multinomial(n, probs, size=size))
     reject = np.asarray(reject, dtype=float)
     return float((1.0 - reject if count_kind == "accept" else reject).sum())
@@ -353,20 +322,7 @@ def estimate_error(
     half_width = Z95 * math.sqrt(
         max(estimate * (1.0 - estimate), 0.0) / replications
     )
-    if estimate < 5.0 / replications or estimate > 1.0 - 5.0 / replications:
-        ci_low, ci_high = wilson_interval(estimate, replications)
-        method = "wilson"
-    else:
-        ci_low = max(0.0, estimate - half_width)
-        ci_high = min(1.0, estimate + half_width)
-        method = "normal"
-    return SimulationReport(
-        estimate=estimate,
-        half_width_95=half_width,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        ci_method=method,
-    )
+    return SimulationReport(estimate=estimate, half_width_95=half_width)
 
 
 # -- discernibility along growing sample paths ----------------------------------------

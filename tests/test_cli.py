@@ -364,6 +364,15 @@ _DENSITY = {
             "sim.k_grid must be sorted and within [0, 256], the schedule horizon "
             "(the largest sim.n_grid entry, or 1024)",
         ),
+        (
+            "simulate",
+            _FINITE,
+            {
+                "hypothesis": [{"weights": [0.5, 0.25, 0.25]}],
+                "alternative": [{"weights": [0.8, 0.1, 0.1]}],
+            },
+            "scenario 'partition' covers 2 atoms, the models have 3",
+        ),
     ],
     ids=[
         "sim-list",
@@ -379,6 +388,7 @@ _DENSITY = {
         "misspelled-sim-key",
         "misspelled-schedule-key",
         "k-grid-past-horizon",
+        "partition-alphabet",
     ],
 )
 def test_invalid_scenario_file_names_the_key(

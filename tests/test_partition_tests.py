@@ -47,6 +47,19 @@ def test_separation_identity_partition():
     assert rep.witness_pair == (0, 0)
 
 
+def test_separation_without_partition_takes_atoms_as_cells():
+    hypothesis, alternative = [F(0.5, 0.5), F(0.6, 0.4)], [F(0.7, 0.3)]
+    rep = separation(hypothesis, alternative, None)
+    same = separation(hypothesis, alternative, Partition.identity(2))
+    assert np.array_equal(rep.hypothesis_vectors, same.hypothesis_vectors)
+    assert np.array_equal(rep.alternative_vectors, same.alternative_vectors)
+    assert (rep.margin, rep.witness_pair, rep.partition) == (same.margin, same.witness_pair, None)
+    with pytest.raises(ValidationError, match="different alphabets"):
+        separation([F(0.5, 0.5)], [F(0.2, 0.3, 0.5)], None)
+    with pytest.raises(ValidationError, match="interval partition"):
+        separation([DensitySpec.uniform()], [DensitySpec.pu_family(0.4)], None)
+
+
 def test_separation_sine_even_frequency_fails_half_split():
     rep = separation(
         [DensitySpec.uniform()], [DensitySpec.one_plus_sine(2)], Partition.half_split()
@@ -302,7 +315,7 @@ def test_chernoff_examples():
     assert abs(got.value - 0.0213238432721907) < 1e-6
 
     perfect = chernoff_information(F(1, 0), F(0, 1))
-    assert perfect.is_perfect and math.isinf(perfect.value)
+    assert perfect.flag == "perfect" and math.isinf(perfect.value)
 
     degenerate = chernoff_information(F(0.4, 0.6), F(0.4, 0.6))
     assert degenerate.is_degenerate and degenerate.value == 0.0

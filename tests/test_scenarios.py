@@ -34,6 +34,7 @@ from consistency_lab.scenarios import (
     scenario_sine_indistinguishable,
 )
 from consistency_lab.simulation import (
+    GaussianSequenceModel,
     PoissonModel,
     RngSpec,
     estimate_error,
@@ -376,6 +377,36 @@ def test_poisson_two_stage_monte_carlo_matches_exact_oracle(n):
         mc = estimate_error(test, model, n, reps, RngSpec(131, stream), count=count)
         sigma = math.sqrt(exact * (1 - exact) / reps)
         assert abs(mc.estimate - exact) <= 4 * sigma, (count, mc.estimate, exact)
+
+
+def test_monte_carlo_pairs_take_the_run_streams_in_order():
+    """Row ``i`` of an error table draws its type I error on stream task ``2i``
+    of the run's seed and its type II error on task ``2i + 1``."""
+    seed, reps = 5, 2000
+    streams = RngSpec(seed)
+    h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7))
+    run = run_scenario(scenario_poisson(h0, h1, n_grid=[8, 32]), seed, replications=reps)
+    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], None))
+    for i, row in enumerate(table_dict(run.tables["poisson_errors"])):
+        n = row["n"]
+        test = PoissonTwoStageTest(n, h0.mass, row["deviation_rate"], freq_test)
+        alpha = estimate_error(test, h0, n, reps, streams.task(2 * i))
+        beta = estimate_error(test, h1, n, reps, streams.task(2 * i + 1), count="accept")
+        assert (row["alpha_mc"], row["alpha_half_width"]) == (alpha.estimate, alpha.half_width_95)
+        assert (row["beta_mc"], row["beta_half_width"]) == (beta.estimate, beta.half_width_95)
+
+    scenario = scenario_signal_detection([[0.0, 0.0]], [[1.0, 0.5]], 2, epsilon_list=[0.5, 1.0])
+    run = run_scenario(scenario, seed, replications=reps)
+    s0, s1 = scenario.hypothesis[0], scenario.alternative[0]
+    test = LinearFunctionalTest(functional=s1 - s0, base=s0)
+    for i, row in enumerate(table_dict(run.tables["epsilon_sweep"])):
+        eps = row["epsilon"]
+        alpha = estimate_error(test, GaussianSequenceModel(s0, eps), 1, reps, streams.task(2 * i))
+        beta = estimate_error(
+            test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1), count="accept"
+        )
+        assert (row["alpha_mc"], row["beta_mc"]) == (alpha.estimate, beta.estimate)
+        assert row["total_half_width"] == alpha.half_width_95 + beta.half_width_95
 
 
 # -- serialization round trip -------------------------------------------------------------

@@ -37,8 +37,6 @@ from consistency_lab.simulation import (
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
-    sample_gaussian_sequence,
-    sample_iid,
     sample_poisson_process,
     wilson_interval,
 )
@@ -62,25 +60,6 @@ def make_test(hypothesis, alternative):
 # -- determinism ----------------------------------------------------------------------
 
 
-def test_sample_iid_replay_is_identical():
-    spec = RngSpec(987654321, 3)
-    a = sample_iid(F(0.2, 0.3, 0.5), 1000, spec)
-    b = sample_iid(F(0.2, 0.3, 0.5), 1000, spec)
-    assert np.array_equal(a, b)
-    c = sample_iid(F(0.2, 0.3, 0.5), 1000, RngSpec(987654321, 4))
-    assert not np.array_equal(a, c)
-
-
-def test_density_sampling_replay_and_distribution():
-    spec = DensitySpec.pu_family(0.4)
-    draws = sample_iid(spec, 200_000, RngSpec(5, 0))
-    again = sample_iid(spec, 200_000, RngSpec(5, 0))
-    assert np.array_equal(draws, again)
-    below = float((draws <= 0.5).mean())
-    sigma = math.sqrt(0.3 * 0.7 / 200_000)
-    assert abs(below - 0.3) <= 3 * sigma
-
-
 def test_estimate_error_worker_count_does_not_change_result():
     test = make_test([0.5, 0.5], [0.9, 0.1])
     serial = estimate_error(test, F(0.5, 0.5), 20, 20_000, RngSpec(77, 0), workers=1)
@@ -88,36 +67,14 @@ def test_estimate_error_worker_count_does_not_change_result():
     assert serial.estimate == parallel.estimate
 
 
-# -- i.i.d. sampling -------------------------------------------------------------------
-
-
-def test_sample_iid_point_mass():
-    draws = sample_iid(F(1, 0), 50, RngSpec(1, 0))
-    assert np.all(draws == 0)
-
-
-def test_sample_iid_frequencies_within_three_sigma():
-    draws = sample_iid(F(0.5, 0.5), 100_000, RngSpec(2, 0))
-    freq = float((draws == 0).mean())
-    assert abs(freq - 0.5) <= 3 * math.sqrt(0.25 / 100_000)
+# -- Poisson process -------------------------------------------------------------------
 
 
 def test_public_samplers_return_int64_atoms():
     for weights in ([0.2, 0.3, 0.5], np.full(130, 1 / 130)):
         model = FiniteMeasure(np.array(weights))
-        assert sample_iid(model, 100, RngSpec(3, 0)).dtype == np.int64
         atoms = sample_poisson_process(PoissonModel(1.0, model), 100, RngSpec(3, 0))
         assert atoms.dtype == np.int64
-
-
-def test_sample_iid_validation():
-    with pytest.raises(ValidationError):
-        sample_iid(F(0.5, 0.5), 0, RngSpec(0, 0))
-    with pytest.raises(ValidationError):
-        sample_iid("not a model", 5, RngSpec(0, 0))
-
-
-# -- Poisson process -------------------------------------------------------------------
 
 
 def test_poisson_process_mean_atom_count():
@@ -194,33 +151,6 @@ def test_poisson_tail_bound_dominates_monte_carlo():
 # -- Gaussian sequence model -------------------------------------------------------------
 
 
-def test_gaussian_sequence_noiseless_limit():
-    model = GaussianSequenceModel(signal=np.array([1.0, -2.0, 0.5]), noise=1e-15)
-    y = sample_gaussian_sequence(model, RngSpec(23, 0))
-    assert np.abs(y - model.signal).max() < 1e-12
-
-
-def test_gaussian_sequence_mean_of_large_sample():
-    model = GaussianSequenceModel(signal=np.zeros(10_000), noise=1.0)
-    y = sample_gaussian_sequence(model, RngSpec(29, 0))
-    assert abs(float(y.mean())) <= 3.0 / 100.0
-
-
-def test_gaussian_linear_statistic_moments():
-    rng = np.random.default_rng(31)
-    f = rng.normal(size=8)
-    signal = rng.normal(size=8)
-    eps = 0.7
-    model = GaussianSequenceModel(signal=signal, noise=eps)
-    stats = np.array(
-        [f @ sample_gaussian_sequence(model, RngSpec(37, i)) for i in range(10_000)]
-    )
-    want_mean = float(f @ signal)
-    want_var = eps**2 * float(f @ f)
-    assert abs(stats.mean() - want_mean) <= 3 * math.sqrt(want_var / 10_000)
-    assert abs(stats.var() - want_var) <= 5 * want_var / math.sqrt(10_000)
-
-
 def test_gaussian_model_validation():
     with pytest.raises(ValidationError):
         GaussianSequenceModel(signal=np.array([np.inf]), noise=1.0)
@@ -249,14 +179,10 @@ def test_estimate_error_constant_accept_is_exact_zero():
         alternative_vectors=[[0.5, 0.5]],
     )
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0))
-    assert report.estimate == 0.0
-    assert report.ci_method == "wilson"
-    # the type II error of the same test is exactly one: Wilson at that end too
+    assert report.estimate == 0.0 and report.half_width_95 == 0.0
+    # the type II error of the same test is exactly one
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0), count="accept")
-    assert report.estimate == 1.0
-    assert report.ci_method == "wilson"
-    assert (report.ci_low, report.ci_high) == wilson_interval(1.0, 1000)
-    assert 0.99 < report.ci_low < 1.0 and report.ci_high == 1.0
+    assert report.estimate == 1.0 and report.half_width_95 == 0.0
 
 
 def test_estimate_error_matches_exact_oracle():
@@ -372,6 +298,9 @@ def test_bin_draws_rejects_density_without_interval_partition():
         _bin_draws(DensitySpec.uniform(), Partition.identity(2), np.zeros(3))
     with pytest.raises(ValidationError):
         _bin_draws(DensitySpec.uniform(), None, np.zeros(3))
+    # finite atoms cannot fall into interval cells
+    with pytest.raises(ValidationError, match="atom partition"):
+        _bin_draws(F(0.5, 0.5), Partition.half_split(), np.zeros(3))
 
 
 def _add_at_counts(rows, cells, size, k):
@@ -595,6 +524,21 @@ def test_discernibility_validation():
         discernibility_paths(
             schedule, F(0.5, 0.5), 64, [0], 100, RngSpec(0, 0), role="both"
         )
+
+
+@pytest.mark.parametrize("atoms", [2, 3])
+def test_discernibility_rejects_finite_model_under_interval_partition(atoms):
+    """A finite model's draws have no interval cells to fall into."""
+    uniform = DensitySpec.uniform()
+    test = build_frequency_test(
+        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    )
+    schedule = interleave([TestFamilyMember(test, 1.0)], 64)
+    model = FiniteMeasure(np.full(atoms, 1.0 / atoms))
+    with pytest.raises(ValidationError, match="finite measures need an atom partition"):
+        discernibility_paths(schedule, model, 64, [0, 32], 300, RngSpec(0))
+    with pytest.raises(ValidationError, match="finite measures need an atom partition"):
+        estimate_error(test, model, 64, 300, RngSpec(0))
 
 
 def test_discernibility_rejects_mixed_partitions():
