@@ -20,16 +20,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measures import DensitySpec, FiniteMeasure
+from .measures import DensitySpec, FiniteMeasure, family_weights
 from .simplex import solve_lp
 
 
 def total_variation(p: FiniteMeasure, q: FiniteMeasure) -> float:
     """Half the L1 distance between two probability vectors."""
-    if p.alphabet_size != q.alphabet_size:
-        raise ValidationError(
-            f"alphabet sizes differ: {p.alphabet_size} vs {q.alphabet_size}"
-        )
+    family_weights([p], [q])
     return 0.5 * float(np.abs(p.weights - q.weights).sum())
 
 
@@ -58,15 +55,6 @@ class HullDistanceResult:
 GAP_TOL = 1e-9
 
 
-def _validate_families(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]):
-    if len(a) == 0 or len(b) == 0:
-        raise ValidationError("hypothesis and alternative families must be nonempty")
-    sizes = {m.alphabet_size for m in a} | {m.alphabet_size for m in b}
-    if len(sizes) != 1:
-        raise ValidationError(f"families live on different alphabets: {sorted(sizes)}")
-    return np.stack([m.weights for m in a]), np.stack([m.weights for m in b])
-
-
 def _simplex_weights(w: np.ndarray) -> np.ndarray:
     w = np.clip(w, 0.0, None)
     return w / w.sum()
@@ -84,7 +72,7 @@ def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Hu
     the slack basis that ``solve_lp`` starts from is feasible. The
     multipliers of the P and Q rows are the optimal mixtures.
     """
-    P, Q = _validate_families(a, b)
+    P, Q = family_weights(a, b)
     na, nb = P.shape[0], Q.shape[0]
     k = P.shape[1]
     # Columns psi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.

@@ -93,18 +93,24 @@ def normalize(weights: Sequence[float]) -> FiniteMeasure:
 
 def mixture(measures: Sequence[FiniteMeasure], coefficients: Sequence[float]) -> FiniteMeasure:
     """Convex combination of finite measures on a common alphabet."""
-    if len(measures) == 0:
-        raise ValidationError("mixture of an empty family")
-    sizes = {m.alphabet_size for m in measures}
-    if len(sizes) != 1:
-        raise ValidationError(f"mixture components have mixed alphabet sizes {sorted(sizes)}")
+    (stacked,) = family_weights(measures)
     coeffs = np.asarray(coefficients, dtype=float)
     if coeffs.shape != (len(measures),):
         raise ValidationError("one coefficient per component required")
     if np.any(coeffs < -EXACT_TOL) or abs(coeffs.sum() - 1.0) > QUADRATURE_TOL:
         raise ValidationError("coefficients must be convex weights")
-    stacked = np.stack([m.weights for m in measures])
     return FiniteMeasure(np.clip(coeffs, 0.0, None) @ stacked)
+
+
+def family_weights(*families: Sequence[FiniteMeasure]) -> tuple:
+    """Each family's weight matrix, one row per measure; raises ``ValidationError``
+    on an empty family or on measures that do not share one alphabet."""
+    if any(len(family) == 0 for family in families):
+        raise ValidationError("families must be nonempty")
+    sizes = {m.alphabet_size for family in families for m in family}
+    if len(sizes) != 1:
+        raise ValidationError(f"families live on different alphabets: {sorted(sizes)}")
+    return tuple(np.stack([m.weights for m in family]) for family in families)
 
 
 def _no_parameter(value, name: str):
@@ -231,12 +237,6 @@ class DensitySpec:
             total += c * (1.0 - np.cos(_TWO_PI * j * x)) / (_TWO_PI * j)
         return np.where(x <= 0.5, below * x, 0.5 * below + above * (x - 0.5)) + total / scale
 
-    def mass(self, lo: float, hi: float) -> float:
-        """Exact integral of the density over ``(lo, hi]``."""
-        if not (0.0 <= lo < hi <= 1.0):
-            raise ValidationError(f"cell ({lo}, {hi}] not inside (0, 1)")
-        return float(self.cdf(hi) - self.cdf(lo))
-
     def quantile(self, v):
         """Inverse distribution function, vectorized: closed form for the kinds
         without sine terms, 60 bisection steps on ``cdf`` otherwise
@@ -341,12 +341,12 @@ def induced_vector(model: Model, partition: Optional[Partition]) -> np.ndarray:
     Component ``j`` is the mass the measure assigns to cell ``j``. Densities
     pair with interval partitions, finite measures with atom partitions or
     with ``None``, under which their atoms are the cells; anything else is
-    incompatible. This decides which partitions a model's draws can fall into.
+    incompatible. Exact columns, error blocks and path replay bin by it.
     """
     if isinstance(model, DensitySpec):
         if partition is None or partition.kind != "intervals":
             raise ValidationError("density models need an interval partition")
-        return np.array([model.mass(lo, hi) for lo, hi in partition.cells])
+        return np.diff(model.cdf([0.0] + [hi for _, hi in partition.cells]))
     if isinstance(model, FiniteMeasure):
         if partition is None:
             return model.weights

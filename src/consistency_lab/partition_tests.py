@@ -16,7 +16,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, Model, Partition, induced_vector
+from .measures import FiniteMeasure, Model, Partition, family_weights, induced_vector
 
 #: Sup-norm distances closer than this count as a tie (ties accept).
 TIE_TOL = 1e-12
@@ -238,8 +238,7 @@ def chernoff_information(p: FiniteMeasure, q: FiniteMeasure) -> ChernoffExponent
     Computed as minus the minimum over the tilt parameter of the log moment
     term, by golden-section search (the objective is convex).
     """
-    if p.alphabet_size != q.alphabet_size:
-        raise ValidationError("measures live on different alphabets")
+    family_weights([p], [q])
     pw, qw = p.weights, q.weights
     if np.array_equal(pw, qw):
         return ChernoffExponent(0.0, "degenerate")
@@ -280,8 +279,7 @@ def error_exponent(
     Requires a positive separation margin on the identity partition; a pair of
     identical measures yields the degenerate zero exponent.
     """
-    if len(theta0) == 0 or len(theta1) == 0:
-        raise ValidationError("hypothesis and alternative families must be nonempty")
+    family_weights(theta0, theta1)
     best: ChernoffExponent | None = None
     for p in theta0:
         for q in theta1:

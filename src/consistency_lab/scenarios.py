@@ -35,6 +35,7 @@ from .measures import (
     _integer,
     _reals,
     discretize,
+    family_weights,
 )
 from .partition_tests import (
     FrequencyTest,
@@ -166,6 +167,18 @@ def _models(data: dict, key: str, read) -> list:
     return models
 
 
+def _cells(value, kind: str) -> list:
+    """A file's partition cells: lists of atoms (integers >= 0), or pairs of numbers."""
+    name = "partition.cells"
+    if not isinstance(value, list) or not all(isinstance(cell, list) for cell in value):
+        raise ValidationError(f"{name} must be a list of lists, got {value!r}")
+    if kind == "atoms":
+        return [[_integer(atom, name, 0) for atom in cell] for cell in value]
+    if any(len(cell) != 2 or any(isinstance(v, list) for v in cell) for cell in value):
+        raise ValidationError(f"{name} must be pairs of numbers, got {value!r}")
+    return _reals(value, name).tolist()
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse a scenario from its JSON object form, validating the schema."""
     if not isinstance(data, dict):
@@ -191,7 +204,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError(f"scenario 'partition' is not supported by {model_type} models")
         if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
-        partition = Partition(row.partition, data["partition"]["cells"])
+        partition = Partition(row.partition, _cells(data["partition"]["cells"], row.partition))
     schedule = None
     if "schedule" in data:
         if not row.schedules:
@@ -889,14 +902,8 @@ def _model_type(name) -> _ModelType:
     return _MODEL_TYPES[name]
 
 
-def _one_alphabet(measures: Sequence[FiniteMeasure]) -> None:
-    sizes = {m.alphabet_size for m in measures}
-    if len(sizes) != 1:
-        raise ValidationError(f"families live on different alphabets: {sorted(sizes)}")
-
-
 def _check_finite(scenario: Scenario) -> None:
-    _one_alphabet(scenario.hypothesis + scenario.alternative)
+    family_weights(scenario.hypothesis, scenario.alternative)
     atoms = scenario.hypothesis[0].alphabet_size
     if scenario.partition is not None and scenario.partition.alphabet_size != atoms:
         raise ValidationError(
@@ -922,7 +929,7 @@ def _check_poisson(scenario: Scenario) -> None:
     if len(scenario.hypothesis) != 1 or len(scenario.alternative) != 1:
         raise ValidationError("a Poisson scenario has exactly one hypothesis and one alternative")
     h0, h1 = scenario.hypothesis[0], scenario.alternative[0]
-    _one_alphabet([h0.shape, h1.shape])
+    family_weights([h0.shape], [h1.shape])
     same_mass = abs(h0.mass - h1.mass) <= 1e-12
     same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
     if same_mass and same_shape:

@@ -140,11 +140,6 @@ class TestSchedule:
                 total += math.exp(-c * cert_lo) * (1.0 - math.exp(-c * span)) / (1.0 - math.exp(-c))
         return total
 
-    def alpha_tail(self, k: int) -> float:
-        """Certified bound on the probability of any false rejection past ``k``:
-        every block certifies its type I error, as it covers piece 1."""
-        return self.beta_tail(k, 1)
-
     def certified_tail(self, k: int) -> float:
         """Worst certified tail over the hypothesis side and every covered piece;
         the hypothesis side is piece 1's tail."""

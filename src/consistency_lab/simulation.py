@@ -11,10 +11,10 @@ draws the counts of all its replications in one ``(size, k)`` call:
 multinomial(``n``, cell probabilities) for ``n`` i.i.d. draws, independent
 Poisson(``n * mass * w_j``) atom counts for a process with mean measure
 ``n * mass * w``. Only the path replay and :func:`sample_poisson_process`
-draw observations. A draw's cell counts the interior edges below its uniform
-``u`` (cumulative weights, or ``F`` at a density's interior cell edges, so no
-``F`` is inverted) into ``uint8`` cells, or by ``searchsorted`` above
-``MAX_COUNTED_EDGES`` edges.
+draw observations. Every draw falls into the cells of ``induced_vector``, the
+exact columns' vector: its cell counts the interior cumulative cell
+probabilities ``<= u`` of its uniform ``u``, into ``uint8`` cells, or by
+``searchsorted`` above ``MAX_COUNTED_EDGES`` edges.
 Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
 
@@ -35,7 +35,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import DensitySpec, FiniteMeasure, induced_vector
+from .measures import FiniteMeasure, induced_vector
 from .partition_tests import TIE_TOL
 
 #: Replications per RNG block in i.i.d. error estimation.
@@ -127,22 +127,26 @@ class GaussianSequenceModel:
 # -- binning and the Poisson process sampler ----------------------------------------
 
 
-def _cells_below(edges: np.ndarray, uniforms: np.ndarray, inclusive: bool) -> np.ndarray:
-    """``searchsorted(edges, uniforms)``, ``side="right"`` if ``inclusive`` else
-    ``"left"``: up to ``MAX_COUNTED_EDGES`` edges, a ``uint8`` sum of one
-    comparison per edge."""
+def _cells_below(edges: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges, uniforms, side="right")``: up to ``MAX_COUNTED_EDGES``
+    edges, a ``uint8`` sum of one comparison per edge."""
     if edges.size > MAX_COUNTED_EDGES:
-        return np.searchsorted(edges, uniforms, side="right" if inclusive else "left")
-    compare = np.greater_equal if inclusive else np.greater
+        return np.searchsorted(edges, uniforms, side="right")
     cells = np.zeros(uniforms.shape, dtype=np.uint8)
     for edge in edges:
-        cells += compare(uniforms, edge)
+        cells += uniforms >= edge
     return cells
 
 
-def _finite_atoms(measure: FiniteMeasure, uniforms: np.ndarray) -> np.ndarray:
-    """Atom of each uniform: the number of interior cumulative weights at or below it."""
-    return _cells_below(np.cumsum(measure.weights[:-1]), uniforms, inclusive=True)
+def _bin_draws(model, partition, uniforms: np.ndarray):
+    """Cell index of the draw behind every uniform, and the number of cells.
+
+    A draw's cell counts the interior cumulative probabilities of
+    ``induced_vector(model, partition)`` at or below its uniform; leaving out
+    the last keeps a rounded total from making a cell ``k``.
+    """
+    probs = induced_vector(model, partition)
+    return _cells_below(np.cumsum(probs[:-1]), uniforms), probs.size
 
 
 def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndarray:
@@ -154,7 +158,7 @@ def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndar
         raise ResourceLimitError(f"expected atom count {mean_atoms:.3e} exceeds 1e9")
     gen = rng.generator()
     count = int(gen.poisson(mean_atoms))
-    return _finite_atoms(model.shape, gen.random(count)).astype(np.int64)
+    return _bin_draws(model.shape, None, gen.random(count))[0].astype(np.int64)
 
 
 def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
@@ -189,31 +193,6 @@ def wilson_interval(estimate: float, replications: int):
         / denom
     )
     return max(0.0, center - half), min(1.0, center + half)
-
-
-def _bin_draws(model, partition, uniforms: np.ndarray):
-    """Cell index of the draw behind every uniform, and the number of cells.
-
-    A cell index counts interior edges with ``_cells_below``. A density draw
-    ``x = F^-1(u)`` lies in the first cell whose upper edge ``b_j`` has
-    ``u <= F(b_j)``, so its cell counts the ``F(b_j) < u`` over the ``k - 1``
-    interior edges of an interval partition, and ``F`` is never inverted;
-    leaving out the edge at 1 keeps a rounded ``F(1)`` from making a cell
-    ``k``. Finite atoms are binned through an atom partition, or serve as
-    cells when there is none. ``induced_vector`` first rejects a partition
-    the model's draws cannot fall into.
-    """
-    induced_vector(model, partition)
-    if isinstance(model, DensitySpec):
-        interior = np.array([hi for _, hi in partition.cells[:-1]])
-        return _cells_below(model.cdf(interior), uniforms, inclusive=False), partition.k
-    atoms = _finite_atoms(model, uniforms)
-    if partition is None:
-        return atoms, model.alphabet_size
-    atom_to_cell = np.zeros(partition.alphabet_size, dtype=np.min_scalar_type(partition.k - 1))
-    for cell, group in enumerate(partition.cells):
-        atom_to_cell[list(group)] = cell
-    return atom_to_cell[atoms], partition.k
 
 
 def _cell_counts(cells: np.ndarray, k: int) -> np.ndarray:

@@ -219,6 +219,15 @@ _POISSON = {
     "alternative": [_POISSON_H1],
 }
 
+_DENSITY = {
+    "name": "density",
+    "model": {"type": "density", "grid_size": 64},
+    "hypothesis": [{"kind": "uniform"}],
+    "alternative": [{"kind": "pu_family", "u": 0.4}],
+    "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
+    "sim": {"replications": 200, "n_grid": [16]},
+}
+
 
 @pytest.mark.parametrize(
     "scenario, field, value, key",
@@ -231,6 +240,11 @@ _POISSON = {
         (_FINITE, ("sim", "n_grid"), [8.9], "sim.n_grid"),
         (_FINITE, ("sim", "k_grid"), [True], "sim.k_grid"),
         (_FINITE, ("model", "grid_size"), "64", "model.grid_size"),
+        (_FINITE, ("partition", "cells"), [[0.5], [1]], "partition.cells"),
+        (_FINITE, ("partition", "cells"), [[True], [False]], "partition.cells"),
+        (_FINITE, ("partition", "cells"), "ab", "partition.cells"),
+        (_DENSITY, ("partition", "cells"), [["0", "0.5"], ["0.5", "1"]], "partition.cells"),
+        (_DENSITY, ("partition", "cells"), [[False, 0.5], [0.5, True]], "partition.cells"),
     ],
     ids=[
         "string-weights",
@@ -241,6 +255,11 @@ _POISSON = {
         "fractional-n-grid",
         "bool-k-grid",
         "string-grid-size",
+        "fractional-atom",
+        "bool-atoms",
+        "string-atom-cells",
+        "string-edges",
+        "bool-edges",
     ],
 )
 def test_json_numbers_are_checked_not_coerced(tmp_path, capsys, scenario, field, value, key):
@@ -273,16 +292,6 @@ _SIGNAL = {
     "sim": {"replications": 200, "epsilon_list": [0.5]},
 }
 _HALVES = {"cells": [[0, 1], [1, 2]]}
-
-
-_DENSITY = {
-    "name": "density",
-    "model": {"type": "density", "grid_size": 64},
-    "hypothesis": [{"kind": "uniform"}],
-    "alternative": [{"kind": "pu_family", "u": 0.4}],
-    "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
-    "sim": {"replications": 200, "n_grid": [16]},
-}
 
 
 @pytest.mark.parametrize(
@@ -373,6 +382,24 @@ _DENSITY = {
             },
             "scenario 'partition' covers 2 atoms, the models have 3",
         ),
+        (
+            "simulate",
+            _DENSITY,
+            {"partition": {"cells": [[0], [1]]}},
+            "partition.cells must be pairs of numbers, got [[0], [1]]",
+        ),
+        (
+            "simulate",
+            _DENSITY,
+            {"partition": {"cells": [[0, 0.5, 0.7], [0.5, 1]]}},
+            "partition.cells must be pairs of numbers, got [[0, 0.5, 0.7], [0.5, 1]]",
+        ),
+        (
+            "simulate",
+            _FINITE,
+            {"partition": {"cells": 3}},
+            "partition.cells must be a list of lists, got 3",
+        ),
     ],
     ids=[
         "sim-list",
@@ -389,6 +416,9 @@ _DENSITY = {
         "misspelled-schedule-key",
         "k-grid-past-horizon",
         "partition-alphabet",
+        "one-edge-cells",
+        "three-edge-cell",
+        "number-cells",
     ],
 )
 def test_invalid_scenario_file_names_the_key(

@@ -1,20 +1,24 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from consistency_lab.distances import hull_variation, total_variation
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import (
     DensitySpec,
     FiniteMeasure,
     Partition,
     discretize,
+    family_weights,
     induced_vector,
     mixture,
     normalize,
 )
+from consistency_lab.partition_tests import chernoff_information, error_exponent
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import Scenario, scenario_from_dict
 from quadrature_oracle import integrate, mass_quadrature, oscillation_depth
@@ -72,7 +76,7 @@ def test_density_nonnegative_and_normalized():
         DensitySpec.pu_family(0.9),
     ]:
         assert np.all(spec.pdf(x) >= -1e-12)
-        assert abs(spec.mass(0.0, 1.0) - 1.0) <= 1e-12
+        assert abs(induced_vector(spec, Partition.half_split()).sum() - 1.0) <= 1e-12
 
 
 def test_induced_vector_uniform_half_split():
@@ -107,7 +111,8 @@ def test_quadrature_matches_closed_form_cells():
             a, b = np.sort(rng.random(2))
             if b - a < 1e-3:
                 continue
-            assert abs(spec.mass(a, b) - mass_quadrature(spec, a, b)) < 1e-9
+            mass = induced_vector(spec, Partition.intervals([0.0, a, b, 1.0]))[1]
+            assert abs(mass - mass_quadrature(spec, a, b)) < 1e-9
 
 
 def test_quadrature_rejects_empty_interval_and_depth():
@@ -194,6 +199,26 @@ def test_induced_vector_incompatible_pairs():
         induced_vector(FiniteMeasure([0.5, 0.5]), Partition.half_split())
     with pytest.raises(ValidationError):
         induced_vector(FiniteMeasure([0.5, 0.5]), Partition.identity(3))
+
+
+def test_family_weights_is_the_one_family_check():
+    two, three = FiniteMeasure([0.5, 0.5]), FiniteMeasure([0.2, 0.3, 0.5])
+    hypothesis, alternative = family_weights([two, FiniteMeasure([0.9, 0.1])], [two])
+    assert_allclose(hypothesis, [[0.5, 0.5], [0.9, 0.1]])
+    assert_allclose(alternative, [[0.5, 0.5]])
+    with pytest.raises(ValidationError, match="^families must be nonempty$"):
+        family_weights([two], [])
+    mixed = re.escape("families live on different alphabets: [2, 3]")
+    for check in (
+        lambda: family_weights([two], [three]),
+        lambda: mixture([two, three], [0.5, 0.5]),
+        lambda: total_variation(two, three),
+        lambda: hull_variation([two], [three]),
+        lambda: chernoff_information(two, three),
+        lambda: error_exponent([two], [three]),
+    ):
+        with pytest.raises(ValidationError, match=f"^{mixed}$"):
+            check()
 
 
 def test_quantile_inverts_cdf():

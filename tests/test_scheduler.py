@@ -142,8 +142,8 @@ def test_bound_sums_below_basel_tail():
         # the running family also contributes its own geometric tail; compare
         # against the chain with the first covered index included
         chain = sum(1.0 / i**2 for i in range(t + 1, len(exponents) + 1))
-        assert schedule.alpha_tail(boundary) <= chain + 1e-9
-    assert schedule.alpha_tail(boundaries(schedule)[0]) < math.pi**2 / 6
+        assert schedule.beta_tail(boundary, 1) <= chain + 1e-9
+    assert schedule.beta_tail(boundaries(schedule)[0], 1) < math.pi**2 / 6
 
 
 def test_alpha_tail_matches_direct_summation():
@@ -157,7 +157,7 @@ def test_alpha_tail_matches_direct_summation():
         # add the closed-form geometric continuation past the truncation
         c = schedule.blocks[-1].exponent
         direct += math.exp(-c * 3_000) / (1 - math.exp(-c))
-        assert_allclose(schedule.alpha_tail(k), direct, rtol=1e-9)
+        assert_allclose(schedule.beta_tail(k, 1), direct, rtol=1e-9)
 
 
 def test_beta_tail_uncovered_piece_is_infinite_until_its_family_starts():

@@ -287,10 +287,9 @@ def test_cells_below_equals_searchsorted(n_edges):
                 gen.random(1000),
             ]
         )
-        for inclusive, side in ((True, "right"), (False, "left")):
-            cells = _cells_below(edges, uniforms, inclusive)
-            assert np.array_equal(cells, np.searchsorted(edges, uniforms, side=side))
-            assert (cells.dtype == np.uint8) == (n_edges <= MAX_COUNTED_EDGES)
+        cells = _cells_below(edges, uniforms)
+        assert np.array_equal(cells, np.searchsorted(edges, uniforms, side="right"))
+        assert (cells.dtype == np.uint8) == (n_edges <= MAX_COUNTED_EDGES)
 
 
 def test_bin_draws_rejects_density_without_interval_partition():
@@ -301,6 +300,38 @@ def test_bin_draws_rejects_density_without_interval_partition():
     # finite atoms cannot fall into interval cells
     with pytest.raises(ValidationError, match="atom partition"):
         _bin_draws(F(0.5, 0.5), Partition.half_split(), np.zeros(3))
+
+
+@pytest.mark.parametrize(
+    "model, partition",
+    [
+        (F(0.1, 0.2, 0.3, 0.4), Partition.atoms([[0, 3], [1], [2]])),
+        (DensitySpec.one_plus_sine(3), Partition.intervals([0.0, 0.1, 0.35, 0.7, 1.0])),
+        (F(0.1, 0.2, 0.3, 0.4), None),
+    ],
+    ids=["atom-groups-out-of-order", "sine-non-dyadic-edges", "atoms-as-cells"],
+)
+def test_bin_draws_follows_induced_vector(model, partition):
+    """A draw's cell counts the cumulative probabilities of ``induced_vector``, the
+    exact columns' cells, at or below its uniform; so the cells occur at its rates."""
+    uniforms = RngSpec(109, 0).generator().random((40, 1000))
+    probs = induced_vector(model, partition)
+    cells, k = _bin_draws(model, partition, uniforms)
+    assert k == probs.size
+    expected = np.searchsorted(np.cumsum(probs)[:-1], uniforms, side="right")
+    assert np.array_equal(cells, expected)
+    assert_allclose(np.bincount(cells.ravel(), minlength=k) / cells.size, probs, atol=0.01)
+
+
+def test_poisson_process_atoms_follow_the_shape_cumulative_weights():
+    model = PoissonModel(2.0, F(0.1, 0.2, 0.3, 0.4))
+    rng = RngSpec(113, 0)
+    atoms = sample_poisson_process(model, 500, rng)
+    gen = rng.generator()
+    uniforms = gen.random(int(gen.poisson(500 * model.mass)))
+    expected = np.searchsorted(np.cumsum(model.shape.weights)[:-1], uniforms, side="right")
+    assert atoms.dtype == np.int64
+    assert np.array_equal(atoms, expected)
 
 
 def _add_at_counts(rows, cells, size, k):
