@@ -127,8 +127,12 @@ def _integer(value, name: str, least: int = 1) -> int:
 
 
 def _reals(values, name: str) -> np.ndarray:
-    """``values`` as floats; a bool or a string among them is a ``ValidationError`` on ``name``."""
-    array = np.asarray(values)
+    """``values`` as floats; a bool, a string or a ragged list among them is a
+    ``ValidationError`` on ``name``."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        raise ValidationError(f"{name} must be numbers, got {values!r}") from None
     if array.dtype.kind not in "iuf" or (
         not isinstance(values, np.ndarray)
         and any(isinstance(v, bool) for v in np.asarray(values, dtype=object).flat)

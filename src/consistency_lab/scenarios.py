@@ -462,24 +462,22 @@ def build_nested_family(
     """
     if len(pieces) == 0:
         raise ValidationError("at least one piece required")
-    piece_vectors = []
-    piece_exponents = []
-    for index, piece in enumerate(pieces, start=1):
-        report = separation(hypothesis, [piece], None)
+    reports = [separation(hypothesis, [piece], None) for piece in pieces]
+    for index, report in enumerate(reports, start=1):
         if report.margin <= 0.0:
             raise ConstructionError(f"piece {index} has zero separation margin")
-        piece_vectors.append(report.alternative_vectors[0])
-        if exponents is not None:
-            piece_exponents.append(float(exponents[index - 1]))
-        else:
-            value = min(error_exponent(hypothesis, [piece]).value, PERFECT_EXPONENT_CAP)
-            piece_exponents.append(0.5 * value)
+    piece_vectors = [report.alternative_vectors[0] for report in reports]
+    if exponents is None:
+        exponents = [
+            0.5 * min(error_exponent(hypothesis, [piece]).value, PERFECT_EXPONENT_CAP)
+            for piece in pieces
+        ]
 
     members = []
     for i in range(1, len(pieces) + 1):
         # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
-        test = FrequencyTest(None, report.hypothesis_vectors, piece_vectors[:i])
-        c_i = min(piece_exponents[:i])
+        test = FrequencyTest(None, reports[0].hypothesis_vectors, piece_vectors[:i])
+        c_i = min(float(c) for c in exponents[:i])
         if onsets is not None:
             onset = int(onsets[i - 1])
         else:

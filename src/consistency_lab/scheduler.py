@@ -7,6 +7,9 @@ block boundaries chosen so that every per-index error-bound sequence is
 summable (the i-th family's block is long enough that its geometric bound tail
 is below 1/i^2). Summability of the bounds is what turns per-test consistency
 into almost-surely-finitely-many errors along a single growing sample path.
+
+A schedule is its members and its block ends; :meth:`TestSchedule.blocks` lays
+out the blocks for the certified tails, the JSON report and the path replay.
 """
 from __future__ import annotations
 
@@ -71,68 +74,67 @@ class TestFamilyMember:
             raise ValidationError("member onset must be >= 1")
 
 
-@dataclass(frozen=True)
-class ScheduleBlock:
-    start: int
-    end: Optional[int]  # inclusive; None = runs forever
-    family_index: int  # 1-based
-    exponent: float
-    onset: int
-
-
 class TestSchedule:
     """Assignment of one family member to every sample size.
 
-    Blocks partition ``1..infinity``; the schedule is evaluated up to
-    ``n_max`` but its certified tails are computed over the infinite
-    continuation of the last block.
+    Member ``i`` (1-based) serves ``ends[i-2] + 1 .. ends[i-1]`` and the last
+    member every later ``n``, so ``len(ends) == len(members) - 1``. The
+    schedule is evaluated up to ``n_max`` but its certified tails are computed
+    over the infinite continuation of the last block.
     """
 
-    def __init__(
-        self, members: Sequence[TestFamilyMember], blocks: Sequence[ScheduleBlock], n_max: int
-    ):
+    def __init__(self, members: Sequence[TestFamilyMember], ends: Sequence[int], n_max: int):
         self.members = tuple(members)
-        self.blocks = tuple(blocks)
+        self.ends = tuple(ends)
         self.n_max = int(n_max)
-        self._starts = [b.start for b in self.blocks]
 
-    # -- assignment -------------------------------------------------------------
-    def _block_at(self, n: int) -> ScheduleBlock:
-        if n < 1:
-            raise ValidationError("sample index must be >= 1")
-        return self.blocks[bisect.bisect_right(self._starts, n) - 1]
+    def blocks(self, horizon: Optional[int] = None) -> list:
+        """``(index, member, start, end)`` per block, 1-based ``index``, ``end=None``
+        for the last; with a ``horizon``, the blocks that start by it, each
+        clipped to end there at the latest."""
+        starts = (1,) + tuple(end + 1 for end in self.ends)
+        rows = zip(range(1, len(self.members) + 1), self.members, starts, self.ends + (None,))
+        if horizon is None:
+            return list(rows)
+        return [
+            (index, member, start, horizon if end is None else min(end, horizon))
+            for index, member, start, end in rows
+            if start <= horizon
+        ]
 
     def test_at(self, n: int):
-        block = self._block_at(n)
-        return self.members[block.family_index - 1].test
+        if n < 1:
+            raise ValidationError("sample index must be >= 1")
+        return self.members[bisect.bisect_left(self.ends, n)].test
 
     # -- certified bounds ---------------------------------------------------------
     def alpha_bound_at(self, n: int) -> float:
         """Per-index certified type I bound; 1.0 where no certificate applies."""
-        block = self._block_at(n)
-        if n > block.onset:
-            return math.exp(-block.exponent * n)
+        if n < 1:
+            raise ValidationError("sample index must be >= 1")
+        member = self.members[bisect.bisect_left(self.ends, n)]
+        if n > member.onset:
+            return math.exp(-member.exponent * n)
         return 1.0
 
     def beta_tail(self, k: int, piece: int) -> float:
         """Certified bound on any false acceptance past ``k`` for one piece: the
         sum of per-index certified bounds over all ``n > k`` (to infinity)."""
         total = 0.0
-        for block in self.blocks:
-            lo = max(k + 1, block.start)
-            hi = block.end  # None = infinite
+        for index, member, start, hi in self.blocks():  # hi None = infinite
+            lo = max(k + 1, start)
             if hi is not None and lo > hi:
                 continue
-            if block.family_index < piece:  # the block's test does not cover the piece
+            if index < piece:  # the block's test does not cover the piece
                 if hi is None:
                     return math.inf  # uncertified forever
                 total += hi - lo + 1
                 continue
-            uncert_hi = min(block.onset, hi) if hi is not None else block.onset
+            uncert_hi = min(member.onset, hi) if hi is not None else member.onset
             if lo <= uncert_hi:
                 total += uncert_hi - lo + 1
-            cert_lo = max(lo, block.onset + 1)
-            c = block.exponent
+            cert_lo = max(lo, member.onset + 1)
+            c = member.exponent
             if hi is None:
                 total += math.exp(-c * cert_lo) / (1.0 - math.exp(-c))
             elif cert_lo <= hi:
@@ -150,14 +152,13 @@ class TestSchedule:
         """The blocks that start by ``n_max``, each clipped to end there at the latest."""
         rows = [
             {
-                "start": block.start,
-                "end": self.n_max if block.end is None else min(block.end, self.n_max),
-                "family_index": block.family_index,
-                "exponent": block.exponent,
-                "bound_at_start": min(1.0, self.alpha_bound_at(block.start)),
+                "start": start,
+                "end": end,
+                "family_index": index,
+                "exponent": member.exponent,
+                "bound_at_start": min(1.0, self.alpha_bound_at(start)),
             }
-            for block in self.blocks
-            if block.start <= self.n_max
+            for index, member, start, end in self.blocks(self.n_max)
         ]
         return {"n_max": self.n_max, "blocks": rows}
 
@@ -171,36 +172,14 @@ def interleave(members: Sequence[TestFamilyMember], n_max: int) -> TestSchedule:
     sample size.
     """
     lengths = block_lengths([m.exponent for m in members])
-    count = len(members)
     if n_max < 1:
         raise ValidationError("n_max must be >= 1")
 
-    boundaries = []
+    ends = []
     previous = lengths[0]  # first block runs through the first boundary
-    for s in range(1, count):
-        boundary = max(previous + 1, lengths[s], members[s].onset + 1)
-        boundaries.append(boundary)
-        previous = boundary
-    if boundaries and n_max < boundaries[0]:
-        raise ValidationError(
-            f"n_max={n_max} is smaller than the first block boundary {boundaries[0]}"
-        )
-
-    blocks = []
-    start = 1
-    for s in range(count):
-        end = boundaries[s] if s < count - 1 else None
-        member = members[s]
-        blocks.append(
-            ScheduleBlock(
-                start=start,
-                end=end,
-                family_index=s + 1,
-                exponent=member.exponent,
-                onset=member.onset,
-            )
-        )
-        if end is not None:
-            start = end + 1
-    return TestSchedule(members, blocks, n_max)
-
+    for s in range(1, len(members)):
+        previous = max(previous + 1, lengths[s], members[s].onset + 1)
+        ends.append(previous)
+    if ends and n_max < ends[0]:
+        raise ValidationError(f"n_max={n_max} is smaller than the first block boundary {ends[0]}")
+    return TestSchedule(members, ends, n_max)

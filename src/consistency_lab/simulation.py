@@ -18,11 +18,12 @@ probabilities ``<= u`` of its uniform ``u``, into ``uint8`` cells, or by
 Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
 
-Sample paths are replayed in segments over which the schedule hands out one
-test. A path whose test margin at the segment's end lies farther from the tie
-tolerance than the frequencies can drift inside the segment is settled: it
-gets one decision for the whole segment. Only the other paths are decided
-prefix by prefix.
+Sample paths are replayed in segments, cut from the schedule's blocks, over
+which the schedule hands out one test. The running counts are kept one row
+per cell, the layout that ``margin`` and the prefix counts read. A path whose
+test margin at the segment's end lies farther from the tie tolerance than the
+frequencies can drift inside the segment is settled: it gets one decision for
+the whole segment. Only the other paths are decided prefix by prefix.
 """
 from __future__ import annotations
 
@@ -195,13 +196,6 @@ def wilson_interval(estimate: float, replications: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _cell_counts(cells: np.ndarray, k: int) -> np.ndarray:
-    """``(size, k)`` counts of the cells in each row of the ``(size, draws)`` slab ``cells``."""
-    size = cells.shape[0]
-    flat = np.ravel(np.arange(0, size * k, k)[:, None] + cells)
-    return np.bincount(flat, minlength=size * k).reshape(size, k)
-
-
 def _simulate_error_block(args) -> float:
     """Number of rejections (or acceptances) in ``size`` replications at ``rng``.
 
@@ -310,12 +304,11 @@ def estimate_error(
 def _constant_segments(schedule, n_max: int) -> list:
     """Runs ``(lo, hi, test)`` of at most ``PATH_SEGMENT`` sample sizes, cut from
     the schedule's blocks up to ``n_max``: ``test`` serves every ``lo < n <= hi``."""
-    segments = []
-    for block in schedule.blocks:
-        end = n_max if block.end is None else min(block.end, n_max)
-        for lo in range(block.start - 1, end, PATH_SEGMENT):
-            segments.append((lo, min(lo + PATH_SEGMENT, end), schedule.test_at(lo + 1)))
-    return segments
+    return [
+        (lo, min(lo + PATH_SEGMENT, end), schedule.test_at(lo + 1))
+        for _, _, start, end in schedule.blocks(n_max)
+        for lo in range(start - 1, end, PATH_SEGMENT)
+    ]
 
 
 def _simulate_path_block(args) -> np.ndarray:
@@ -323,25 +316,25 @@ def _simulate_path_block(args) -> np.ndarray:
     cells, k = _bin_draws(model, partition, rng.generator().random((size, n_max)))
     one_hot = np.arange(k, dtype=cells.dtype)[:, None, None]
     errs_on_reject = role == "hypothesis"
-    counts = np.zeros((size, k), dtype=np.int64)
+    counts = np.zeros((k, size), dtype=np.int64)  # one row per cell
     last_error = np.zeros(size, dtype=np.int64)
     for lo, hi, test in segments:
-        start, counts = counts, counts + _cell_counts(cells[:, lo:hi], k)
+        drawn = cells[None, :, lo:hi] == one_hot  # (cell, path, n) one-hot of draws lo..hi-1
+        start, counts = counts, counts + drawn.sum(axis=2)
         # Settled paths: for lo < n <= hi, |f(n) - f(hi)| <= (hi - n)/hi in
         # the sup norm and the margin is 2-Lipschitz, so the margin keeps its
         # side of TIE_TOL, and with it the decision, over the whole segment
         # (1e-9 absorbs rounding): a settled path errs at every n or at none.
-        margin = test.margin(np.ascontiguousarray(counts.T) / hi)  # one row per cell
+        margin = test.margin(counts / hi)
         settled = np.abs(margin - TIE_TOL) > 2.0 * (hi - lo - 1) / hi + 1e-9
         last_error[settled & ((margin > TIE_TOL) == errs_on_reject)] = hi
         # Open paths: decide the counts of every prefix n = lo+1..hi, one
         # (path, n) plane per cell: the running counts plus the cumulative
-        # one-hot of draws lo..hi-1.
+        # one-hot of the segment's draws.
         open_rows = np.flatnonzero(~settled)
         if open_rows.size == 0:
             continue
-        prefix = np.cumsum(cells[None, open_rows, lo:hi] == one_hot, axis=2)
-        prefix += start[open_rows].T[:, :, None]
+        prefix = np.cumsum(drawn[:, open_rows], axis=2) + start[:, open_rows, None]
         rejected = test.rejects(prefix.reshape(k, -1).T).reshape(open_rows.size, hi - lo) > 0.5
         errors = rejected == errs_on_reject
         erred = errors.any(axis=1)

@@ -228,6 +228,14 @@ _DENSITY = {
     "sim": {"replications": 200, "n_grid": [16]},
 }
 
+_SIGNAL = {
+    "name": "signal",
+    "model": {"type": "gaussian_sequence"},
+    "hypothesis": [{"signal": [0.0]}],
+    "alternative": [{"signal": [1.0]}],
+    "sim": {"replications": 200, "epsilon_list": [0.5]},
+}
+
 
 @pytest.mark.parametrize(
     "scenario, field, value, key",
@@ -245,6 +253,11 @@ _DENSITY = {
         (_FINITE, ("partition", "cells"), "ab", "partition.cells"),
         (_DENSITY, ("partition", "cells"), [["0", "0.5"], ["0.5", "1"]], "partition.cells"),
         (_DENSITY, ("partition", "cells"), [[False, 0.5], [0.5, True]], "partition.cells"),
+        (_FINITE, ("alternative", 0, "weights"), [[0.5], 0.5], "weights"),
+        (_POISSON, ("alternative", 0, "shape"), [[0.3], 0.7], "shape"),
+        (_SIGNAL, ("alternative", 0, "signal"), [[0.5], 1.0], "signal"),
+        (_SIGNAL, ("sim", "epsilon_list"), [[0.5], 1.0], "sim.epsilon_list"),
+        (_FINITE, ("schedule",), {"exponents": [[0.5], 0.5]}, "schedule.exponents"),
     ],
     ids=[
         "string-weights",
@@ -260,6 +273,11 @@ _DENSITY = {
         "string-atom-cells",
         "string-edges",
         "bool-edges",
+        "ragged-weights",
+        "ragged-shape",
+        "ragged-signal",
+        "ragged-epsilon-list",
+        "ragged-exponents",
     ],
 )
 def test_json_numbers_are_checked_not_coerced(tmp_path, capsys, scenario, field, value, key):
@@ -283,13 +301,6 @@ _NESTED = {
     "hypothesis": [{"weights": [0.5, 0.5]}],
     "alternative": [{"weights": [0.9, 0.1]}, {"weights": [0.1, 0.9]}],
     "sim": {"replications": 200, "n_grid": [64]},
-}
-_SIGNAL = {
-    "name": "signal",
-    "model": {"type": "gaussian_sequence"},
-    "hypothesis": [{"signal": [0.0]}],
-    "alternative": [{"signal": [1.0]}],
-    "sim": {"replications": 200, "epsilon_list": [0.5]},
 }
 _HALVES = {"cells": [[0, 1], [1, 2]]}
 

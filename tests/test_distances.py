@@ -303,21 +303,40 @@ def test_sine_gap_sign_changes_are_all_found(i):
     assert_allclose(inside, np.arange(2 * i) / (2 * i), rtol=0, atol=1e-12)
 
 
-@pytest.mark.parametrize("m", [1, 2, 7, 8, 32, 64, 128])
+CESARO_ORDERS = [1, 2, 7, 8, 32, 64, 128]
+
+
+def cesaro_closed_form(m):
+    """The critical points of ``cesaro_mixture(m)`` against uniform and their TV.
+
+    ``sum_{j<=m} sin(2 pi j x) = sin(pi m x) sin(pi (m+1) x) / sin(pi x)``, so
+    the sign changes are ``i/m`` and ``i/(m+1)``; ``G = F_p - F_u`` is monotone
+    between them, so the TV is ``1/2 sum |dG|`` over ``{0, 1}`` and those points.
+    """
+    p, uniform = DensitySpec.cesaro_mixture(m), DensitySpec.uniform()
+    roots = np.union1d(np.arange(1, m) / m, np.arange(1, m + 1) / (m + 1))
+    x = np.concatenate([[0.0], roots, [1.0]])
+    return x, 0.5 * np.abs(np.diff(p.cdf(x) - uniform.cdf(x))).sum()
+
+
+@pytest.mark.parametrize("m", CESARO_ORDERS)
 def test_cesaro_gap_sign_changes_are_all_found(m):
-    # sum_{j<=m} sin(2 pi j x) = sin(pi m x) sin(pi (m+1) x) / sin(pi x): roots k/m and k/(m+1)
     p, uniform = DensitySpec.cesaro_mixture(m), DensitySpec.uniform()
     points = critical_points(p, uniform)
-    roots = np.union1d(np.arange(1, m) / m, np.arange(1, m + 1) / (m + 1))
-    assert roots.size == 2 * m - 1
-    assert points.size == roots.size + 2 and points[0] == 0.0 and points[-1] == 1.0
+    exact_points, exact_tv = cesaro_closed_form(m)
+    assert exact_points.size == 2 * m + 1
+    assert points.size == exact_points.size and points[0] == 0.0 and points[-1] == 1.0
     # sin(2 pi j x) rounds its argument by up to 2 pi m eps; at m = 128 that moves
     # the largest root by 1.1e-15, ten ulps of a root near 1
-    assert np.abs(points[1:-1] - roots).max() <= (1e-15 if m <= 64 else 2e-15)
-    # G = F_p - F_u is monotone between the exact roots, so TV = 1/2 sum |dG| there
-    x = np.concatenate([[0.0], roots, [1.0]])
-    exact = 0.5 * np.abs(np.diff(p.cdf(x) - uniform.cdf(x))).sum()
-    assert abs(density_total_variation(p, uniform) - exact) <= 1e-15
+    assert np.abs(points - exact_points).max() <= (1e-15 if m <= 64 else 2e-15)
+    assert abs(density_total_variation(p, uniform) - exact_tv) <= 1e-15
+
+
+def test_cesaro_closed_form_holds_for_one_batched_table():
+    uniform = DensitySpec.uniform()
+    pairs = [(DensitySpec.cesaro_mixture(m), uniform) for m in CESARO_ORDERS]
+    for m, tv in zip(CESARO_ORDERS, density_total_variations(pairs)):
+        assert abs(tv - cesaro_closed_form(m)[1]) <= 1e-15
 
 
 def test_batched_density_distances_equal_the_per_pair_ones_bit_for_bit():

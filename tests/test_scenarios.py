@@ -215,7 +215,7 @@ def test_nested_single_piece_reduces_to_single_family():
     )
     schedule = nested_schedule(scenario)
     # one block, family 1 from n = 1 on: no boundary, and n = 100 runs family 1
-    assert [(b.start, b.end, b.family_index) for b in schedule.blocks] == [(1, None, 1)]
+    assert [(start, end, index) for index, _, start, end in schedule.blocks()] == [(1, None, 1)]
 
 
 def test_nested_union_still_detects_first_piece():

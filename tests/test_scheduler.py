@@ -20,12 +20,16 @@ def make_member(alternative, exponent, onset=1):
 
 def boundaries(schedule):
     """Last sample size of each finite block."""
-    return [b.end for b in schedule.blocks if b.end is not None]
+    return [end for _, _, _, end in schedule.blocks() if end is not None]
 
 
 def scan(schedule, n):
-    """The block holding ``n``, by a linear scan."""
-    return next(b for b in schedule.blocks if b.start <= n and (b.end is None or n <= b.end))
+    """The 1-based index of the block holding ``n``, by a linear scan."""
+    return next(
+        index
+        for index, _, start, end in schedule.blocks()
+        if start <= n and (end is None or n <= end)
+    )
 
 
 # -- block lengths -------------------------------------------------------------------
@@ -82,17 +86,17 @@ def test_interleave_single_family_runs_forever():
     schedule = interleave(family, 50)
     assert boundaries(schedule) == []
     for n in (1, 7, 50):
-        assert scan(schedule, n).family_index == 1
+        assert scan(schedule, n) == 1
 
 
 def test_interleave_two_families_example():
     family = [make_member([0.9, 0.1], 1.0, onset=1), make_member([0.1, 0.9], 1.0, onset=1)]
     schedule = interleave(family, 100)
     assert boundaries(schedule) == [2]
-    assert scan(schedule, 1).family_index == 1
-    assert scan(schedule, 2).family_index == 1
-    assert scan(schedule, 3).family_index == 2
-    assert scan(schedule, 100).family_index == 2
+    assert scan(schedule, 1) == 1
+    assert scan(schedule, 2) == 1
+    assert scan(schedule, 3) == 2
+    assert scan(schedule, 100) == 2
 
 
 def test_interleave_respects_onsets():
@@ -104,12 +108,12 @@ def test_interleave_respects_onsets():
 def test_block_at_matches_linear_scan():
     family = [make_member([0.9, 0.1], c) for c in (1.0, 0.5, 0.2, 0.05)]
     schedule = interleave(family, 400)
-    assert len(schedule.blocks) == 4
-    edges = {b.start for b in schedule.blocks} | set(boundaries(schedule))
+    assert len(schedule.blocks()) == 4
+    edges = {start for _, _, start, _ in schedule.blocks()} | set(boundaries(schedule))
     for n in sorted(edges | {e + 1 for e in edges} | {399, 400, 401, 10_000}):
-        assert schedule._block_at(n) is scan(schedule, n)
+        assert schedule.test_at(n) is family[scan(schedule, n) - 1].test
     with pytest.raises(ValidationError):
-        schedule._block_at(0)
+        schedule.test_at(0)
 
 
 def test_interleave_nmax_validation():
@@ -123,7 +127,12 @@ def test_interleave_nmax_validation():
 def test_schedule_json_clips_blocks_to_n_max():
     # the third block starts at 682, past n_max; the second ends at 681
     schedule = interleave([TestFamilyMember(None, c) for c in (0.05, 0.05, 0.01)], 100)
-    assert [(b.start, b.end) for b in schedule.blocks] == [(1, 89), (90, 681), (682, None)]
+    assert [(start, end) for _, _, start, end in schedule.blocks()] == [
+        (1, 89),
+        (90, 681),
+        (682, None),
+    ]
+    assert [(start, end) for _, _, start, end in schedule.blocks(100)] == [(1, 89), (90, 100)]
     rows = schedule.to_json_dict()["blocks"]
     assert [(row["start"], row["end"]) for row in rows] == [(1, 89), (90, 100)]
     assert [row["family_index"] for row in rows] == [1, 2]
@@ -146,7 +155,7 @@ def test_bound_sums_below_basel_tail():
     assert schedule.beta_tail(boundaries(schedule)[0], 1) < math.pi**2 / 6
 
 
-def test_alpha_tail_matches_direct_summation():
+def test_hypothesis_tail_matches_direct_summation():
     members = (
         make_member([0.9, 0.1], 0.7, onset=3),
         make_member([0.1, 0.9], 0.4, onset=5),
@@ -155,7 +164,7 @@ def test_alpha_tail_matches_direct_summation():
     for k in (0, 2, 5, 17, 80):
         direct = sum(schedule.alpha_bound_at(n) for n in range(k + 1, 3_000))
         # add the closed-form geometric continuation past the truncation
-        c = schedule.blocks[-1].exponent
+        c = schedule.members[-1].exponent
         direct += math.exp(-c * 3_000) / (1 - math.exp(-c))
         assert_allclose(schedule.beta_tail(k, 1), direct, rtol=1e-9)
 

@@ -42,7 +42,6 @@ from consistency_lab.simulation import (
 )
 from consistency_lab.simulation import (
     _bin_draws,
-    _cell_counts,
     _cells_below,
     _simulate_error_block,
 )
@@ -332,26 +331,6 @@ def test_poisson_process_atoms_follow_the_shape_cumulative_weights():
     expected = np.searchsorted(np.cumsum(model.shape.weights)[:-1], uniforms, side="right")
     assert atoms.dtype == np.int64
     assert np.array_equal(atoms, expected)
-
-
-def _add_at_counts(rows, cells, size, k):
-    counts = np.zeros((size, k), dtype=np.int64)
-    np.add.at(counts, (rows, cells), 1)
-    return counts
-
-
-def test_cell_counts_match_add_at():
-    gen = RngSpec(103, 0).generator()
-    size, k = 50, 6
-    # one row of uint8 cells per replication, as the path replay passes them
-    grid = gen.integers(0, k, size=(size, 9), dtype=np.uint8)
-    counts = _cell_counts(grid, k)
-    assert counts.shape == (size, k)
-    rows = np.repeat(np.arange(size), 9)
-    assert np.array_equal(counts, _add_at_counts(rows, grid.ravel(), size, k))
-    assert np.array_equal(counts.sum(axis=1), np.full(size, 9))
-    # a slab without draws counts nothing
-    assert np.array_equal(_cell_counts(grid[:, :0], k), np.zeros((size, k), dtype=np.int64))
 
 
 class _RecordingTest:
