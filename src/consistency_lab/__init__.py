@@ -32,13 +32,10 @@ from .measures import (
     normalize,
 )
 from .partition_tests import (
-    ChernoffExponent,
     FrequencyTest,
     SeparationReport,
     UnionTest,
     build_frequency_test,
-    chernoff_information,
-    error_exponent,
     exact_error,
     separation,
 )

@@ -38,9 +38,10 @@ from .measures import (
     family_weights,
 )
 from .partition_tests import (
+    TIE_TOL,
     FrequencyTest,
     build_frequency_test,
-    error_exponent,
+    deviation_exponents,
     exact_error,
     separation,
 )
@@ -55,10 +56,12 @@ from .simulation import (
     poisson_atom_tail_bound,
 )
 
-#: Sample sizes at which certified exponents are verified by exact enumeration.
-ONSET_GRID = (8, 16, 32, 64, 128, 256)
+#: Share of a member's smallest deviation exponent that it certifies; the rest
+#: pays for summing the per-cell terms from the onset on.
+CERTIFIED_FRACTION = 0.75
 
-#: Exponent assigned to pairs with disjoint supports (their true errors are 0).
+#: Exponent of a member whose measures leave no deviation term: every cell
+#: probability is 0 or 1, so its errors are 0.
 PERFECT_EXPONENT_CAP = 25.0
 
 
@@ -318,10 +321,10 @@ def scenario_nested_alternatives(
 ) -> Scenario:
     """Nested unions of alternative pieces scheduled into one discernible sequence.
 
-    Each piece's exponent is derived as half the worst-pair Chernoff
-    information of the piece against the hypothesis (the half absorbs the union
-    bound over pieces and finite-sample prefactors). Onsets are verified by
-    exact enumeration on a fixed sample-size grid.
+    The stored schedule holds each member's certificate from
+    :func:`build_nested_family`: both error probabilities of member ``i`` are
+    at most ``exp(-exponents[i] n)`` for every ``n > onsets[i]``, by the
+    per-cell Chernoff–Hoeffding bound on its cell frequencies.
     """
     hypothesis = list(hypothesis) if hypothesis else [FiniteMeasure([0.5, 0.5])]
     if not k_grid:
@@ -452,55 +455,63 @@ def build_nested_family(
     """Certified test family for the nested unions of alternative pieces.
 
     Member ``i`` tests the hypothesis against pieces ``1..i`` with one
-    nearest-set frequency test on the stacked piece vectors. It rejects exactly
-    when one of the per-piece tests would, since the nearest piece is nearer
-    than the hypothesis set iff some piece is. Its exponent is half the
-    smallest piece exponent among the covered pieces; its onset is the first
-    grid sample size at which exact enumeration confirms all covered error
-    probabilities sit below the certified bound. Raises ``ConstructionError``
-    (naming the piece) on a zero separation margin or an unverifiable bound.
+    nearest-set frequency test on the stacked piece vectors; the nearest piece
+    is nearer than the hypothesis set iff some piece is. With ``δ`` its
+    separation margin, it errs on draws from its measure ``p`` only if a cell
+    frequency lies ``t = (δ - TIE_TOL) / 2`` or more from ``p_j``, so each
+    error is at most ``Σ exp(-n e)`` over the :func:`deviation_exponents`
+    ``e`` of all its measures (the per-cell Chernoff–Hoeffding bound).
+    ``(c, onset)`` is certified iff every ``e > c`` and
+    ``Σ exp(-(onset + 1)(e - c)) <= 1``: the sum falls in ``n``, so both
+    errors are at most ``exp(-c n)`` for every ``n > onset``. One rule derives
+    and checks: ``c`` is ``CERTIFIED_FRACTION`` of the smallest ``e``
+    (``PERFECT_EXPONENT_CAP`` when no term is left) and the onset the smallest
+    the rule accepts, unless ``exponents`` (member ``i`` takes the smallest of
+    the first ``i``) or ``onsets`` are given; empty means derived. Raises
+    ``ConstructionError`` naming a piece without margin, and
+    ``ValidationError`` naming ``schedule.exponents`` and the member on a
+    given pair the bound does not imply.
     """
     if len(pieces) == 0:
         raise ValidationError("at least one piece required")
-    reports = [separation(hypothesis, [piece], None) for piece in pieces]
-    for index, report in enumerate(reports, start=1):
-        if report.margin <= 0.0:
-            raise ConstructionError(f"piece {index} has zero separation margin")
-    piece_vectors = [report.alternative_vectors[0] for report in reports]
-    if exponents is None:
-        exponents = [
-            0.5 * min(error_exponent(hypothesis, [piece]).value, PERFECT_EXPONENT_CAP)
-            for piece in pieces
-        ]
-
     members = []
     for i in range(1, len(pieces) + 1):
-        # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
-        test = FrequencyTest(None, reports[0].hypothesis_vectors, piece_vectors[:i])
-        c_i = min(float(c) for c in exponents[:i])
-        if onsets is not None:
-            onset = int(onsets[i - 1])
+        report = separation(hypothesis, pieces[:i], None)  # margins fall in i
+        if report.margin <= TIE_TOL:
+            raise ConstructionError(f"piece {i} has zero separation margin")
+        v0, v1 = report.hypothesis_vectors, report.alternative_vectors
+        terms = deviation_exponents(np.vstack([v0, v1]), (report.margin - TIE_TOL) / 2.0)
+        if exponents:
+            c = min(float(e) for e in exponents[:i])
         else:
-            onset = _verify_onset(test, hypothesis, pieces[:i], c_i, index=i)
-        members.append(TestFamilyMember(test, exponent=c_i, onset=onset))
+            c = CERTIFIED_FRACTION * float(terms.min()) if terms.size else PERFECT_EXPONENT_CAP
+        onset = int(onsets[i - 1]) if onsets else _first_onset(terms, c)
+        if not _certifies(terms, c, onset):
+            raise ValidationError(
+                f"schedule.exponents and schedule.onsets: member {i} certifies "
+                f"exp(-{c:.4g} n) from onset {onset}, which the per-cell bound does not "
+                f"imply (smallest term exponent {terms.min():.4g})"
+            )
+        # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
+        members.append(TestFamilyMember(FrequencyTest(None, v0, v1), exponent=c, onset=onset))
     return members
 
 
-def _verify_onset(test, hypothesis, covered_pieces, exponent, index):
-    for n in ONSET_GRID:
-        bound = math.exp(-exponent * n)
-        try:
-            alpha = max(exact_error(test, p, n)[0] for p in hypothesis)
-            beta = max(exact_error(test, q, n)[1] for q in covered_pieces)
-        except ResourceLimitError:
-            raise ConstructionError(
-                f"family member {index}: exact verification exceeds enumeration budget"
-            ) from None
-        if alpha <= bound and beta <= bound:
-            return n
-    raise ConstructionError(
-        f"family member {index}: certified exponent {exponent:.4g} not confirmed "
-        f"on the verification grid {ONSET_GRID}"
+def _certifies(terms: np.ndarray, exponent: float, onset: int) -> bool:
+    """Whether every term exceeds ``exponent`` and ``Σ exp(-(onset + 1)(e - exponent)) <= 1``."""
+    return bool(np.all(terms > exponent)) and (
+        float(np.exp(-(onset + 1) * (terms - exponent)).sum()) <= 1.0
+    )
+
+    """Smallest onset ``>= 1`` that :func:`_certifies` accepts; 1 when none can."""
+def _first_onset(terms: np.ndarray, exponent: float) -> int:
+    """Smallest onset ``>= 1`` that :func:`_certifies` accepts, else 1."""
+    if terms.size == 0 or terms.min() <= exponent:
+        return 1
+    # From ln(m) / (min e - exponent) on, each of the m terms is below 1/m.
+    last = max(1, math.ceil(math.log(terms.size) / (terms.min() - exponent)))
+    return 1 + bisect.bisect_left(
+        range(1, last + 1), True, key=lambda onset: _certifies(terms, exponent, onset)
     )
 
 
@@ -522,9 +533,7 @@ def _horizon(scenario: Scenario) -> int:
 def nested_schedule(scenario: Scenario) -> TestSchedule:
     """Interleaved schedule for a nested-alternatives scenario, up to its horizon."""
     stored = scheduled(scenario).schedule
-    exponents = stored.get("exponents") or None
-    onsets = stored.get("onsets") or None
-    members = build_nested_family(scenario.hypothesis, scenario.alternative, exponents, onsets)
+    members = build_nested_family(scenario.hypothesis, scenario.alternative, **stored)
     return interleave(members, _horizon(scenario))
 
 
@@ -726,13 +735,16 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
         hyp_cells = [FiniteMeasure(v) for v in report.hypothesis_vectors]
         alt_cells = FiniteMeasure(report.alternative_vectors[0])
         for n in scenario.sim.n_grid:
+            worst = 0  # the simulated hypothesis: the first, or the one attaining alpha_exact
             try:
-                alpha_exact = max(exact_error(test, h, n)[0] for h in hyp_cells)
+                alphas = [exact_error(test, h, n)[0] for h in hyp_cells]
                 beta_exact = exact_error(test, alt_cells, n)[1]
+                worst = int(np.argmax(alphas))
+                alpha_exact = alphas[worst]
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
             alpha_mc, beta_mc = _error_pair(
-                test, scenario.hypothesis[0], alt, n, reps, streams, pool
+                test, scenario.hypothesis[worst], alt, n, reps, streams, pool
             )
             rows.append(
                 (
@@ -921,6 +933,8 @@ def _check_finite(scenario: Scenario) -> None:
                 f"schedule.{key} must have one entry per alternative piece ({pieces}), "
                 f"got {len(values)}"
             )
+    if any((scenario.schedule or {}).values()):  # stored certificates are checked, not trusted
+        build_nested_family(scenario.hypothesis, scenario.alternative, **scenario.schedule)
 
 
 def _check_poisson(scenario: Scenario) -> None:

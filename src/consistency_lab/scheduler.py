@@ -156,6 +156,7 @@ class TestSchedule:
                 "end": end,
                 "family_index": index,
                 "exponent": member.exponent,
+                "onset": member.onset,
                 "bound_at_start": min(1.0, self.alpha_bound_at(start)),
             }
             for index, member, start, end in self.blocks(self.n_max)

@@ -334,6 +334,16 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
             "schedule.onsets must have one entry per alternative piece (2), got 3",
         ),
         (
+            "simulate",
+            _NESTED,
+            {
+                "alternative": [{"weights": [0.0, 1.0]}],
+                "schedule": {"exponents": [100], "onsets": [1]},
+            },
+            "schedule.exponents and schedule.onsets: member 1 certifies exp(-100 n) from "
+            "onset 1, which the per-cell bound does not imply (smallest term exponent 0.1308)",
+        ),
+        (
             "distinguish",
             _POISSON,
             {"partition": _HALVES},
@@ -418,6 +428,7 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         "hypothesis-object",
         "schedule-exponents-short",
         "schedule-onsets-long",
+        "schedule-not-implied",
         "poisson-partition",
         "signal-partition",
         "misspelled-model-option",
@@ -623,6 +634,9 @@ def test_schedule_writes_schedule_and_curve(scenario_file, tmp_path):
     assert code == 0
     schedule = json.loads((out_dir / "schedule.json").read_text())
     assert schedule["blocks"][0]["start"] == 1
+    for block in schedule["blocks"]:  # bound_at_start is exp(-c n) past the printed onset
+        c, onset, start = block["exponent"], block["onset"], block["start"]
+        assert block["bound_at_start"] == (math.exp(-c * start) if start > onset else 1.0)
     assert (out_dir / "discernibility.csv").exists()
 
 
@@ -651,7 +665,7 @@ def test_schedule_nmax_below_first_boundary_exit_one(tmp_path, capsys):
         "hypothesis": [{"weights": [0.5, 0.5]}],
         "alternative": [{"weights": [0.9, 0.1]}, {"weights": [0.1, 0.9]}],
         "sim": {"replications": 200, "n_grid": [16], "k_grid": [0, 8, 16]},
-        "schedule": {"exponents": [0.01, 0.01], "onsets": [8, 8]},
+        "schedule": {"exponents": [0.01, 0.01], "onsets": [21, 21]},  # the bound's onsets
     }
     path = tmp_path / "short.json"
     path.write_text(dumps_canonical(data))

@@ -18,7 +18,6 @@ from consistency_lab.measures import (
     mixture,
     normalize,
 )
-from consistency_lab.partition_tests import chernoff_information, error_exponent
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import Scenario, scenario_from_dict
 from quadrature_oracle import integrate, mass_quadrature, oscillation_depth
@@ -214,8 +213,6 @@ def test_family_weights_is_the_one_family_check():
         lambda: mixture([two, three], [0.5, 0.5]),
         lambda: total_variation(two, three),
         lambda: hull_variation([two], [three]),
-        lambda: chernoff_information(two, three),
-        lambda: error_exponent([two], [three]),
     ):
         with pytest.raises(ValidationError, match=f"^{mixed}$"):
             check()

@@ -11,9 +11,8 @@ from consistency_lab.partition_tests import (
     FrequencyTest,
     UnionTest,
     build_frequency_test,
-    chernoff_information,
     count_vectors,
-    error_exponent,
+    deviation_exponents,
     exact_error,
     multinomial_log_pmf,
     separation,
@@ -291,7 +290,7 @@ def test_exact_error_monotone_and_slope_tracks_exponent():
     for n in big_ns:
         errs.append(exact_error(test, p, n)[0] + exact_error(test, q, n)[1])
     slope = np.polyfit(big_ns, np.log(errs), 1)[0]
-    target = -chernoff_information(p, q).value
+    target = -chernoff_grid_oracle(p.weights, q.weights)
     assert abs(slope - target) <= 0.3 * abs(target)
 
 
@@ -305,40 +304,37 @@ def test_exact_error_matches_monte_carlo():
     assert abs(mc.estimate - exact) <= 3 * sigma
 
 
-# -- Chernoff information --------------------------------------------------------------
+# -- deviation exponents ---------------------------------------------------------------
 
 
-def test_chernoff_examples():
-    got = chernoff_information(F(0.5, 0.5), F(0.7, 0.3))
-    oracle = chernoff_grid_oracle(np.array([0.5, 0.5]), np.array([0.7, 0.3]))
-    assert abs(got.value - oracle) < 1e-9
-    assert abs(got.value - 0.0213238432721907) < 1e-6
-
-    perfect = chernoff_information(F(1, 0), F(0, 1))
-    assert perfect.flag == "perfect" and math.isinf(perfect.value)
-
-    degenerate = chernoff_information(F(0.4, 0.6), F(0.4, 0.6))
-    assert degenerate.is_degenerate and degenerate.value == 0.0
+def _kl(a, p):
+    return sum(x * math.log(x / y) for x, y in ((a, p), (1 - a, 1 - p)) if x > 0)
 
 
-def test_chernoff_symmetric_and_zero_iff_equal():
-    rng = np.random.default_rng(9)
-    for _ in range(30):
-        p = normalize(rng.random(3))
-        q = normalize(rng.random(3))
-        cpq = chernoff_information(p, q)
-        cqp = chernoff_information(q, p)
-        assert abs(cpq.value - cqp.value) < 1e-9
-        if not np.array_equal(p.weights, q.weights):
-            assert cpq.value > 0.0
-        assert chernoff_information(p, p).value == 0.0
+def test_deviation_exponents_hand_values_and_dropped_terms():
+    assert_allclose(deviation_exponents([[0.5, 0.5]], 0.2), [_kl(0.7, 0.5)] * 4, rtol=1e-14)
+    # 0.9 + 0.2 and 0.1 - 0.2 leave [0, 1]
+    assert_allclose(
+        np.sort(deviation_exponents([[0.9, 0.1]], 0.2)),
+        np.sort([_kl(0.3, 0.1), _kl(0.7, 0.9)]),
+        rtol=1e-14,
+    )
+    # frequencies 1 and 0 are reachable: probability 2^-n, exponent ln 2
+    assert_allclose(deviation_exponents([[0.5, 0.5]], 0.5), [math.log(2.0)] * 4, rtol=1e-14)
+    # a point mass has no deviation: every term is outside [0, 1] or infinite
+    assert deviation_exponents([[1.0, 0.0], [0.0, 1.0]], 0.3).size == 0
 
 
-def test_error_exponent_over_sets():
-    theta0 = [F(0.5, 0.5)]
-    theta1 = [F(0.7, 0.3), F(0.9, 0.1)]
-    worst = error_exponent(theta0, theta1)
-    assert abs(worst.value - chernoff_information(theta0[0], theta1[0]).value) < 1e-12
-
-    degenerate = error_exponent([F(0.5, 0.5)], [F(0.5, 0.5), F(0.9, 0.1)])
-    assert degenerate.is_degenerate
+def test_deviation_exponents_bound_binomial_tails():
+    """``P(X / n - p >= t) <= exp(-n kl(p + t || p))``, and likewise below, at every ``n``."""
+    rng = np.random.default_rng(5)
+    for p, t in zip(rng.uniform(0.02, 0.98, 20), rng.uniform(0.01, 0.4, 20)):
+        for n in (1, 2, 5, 17, 64, 200):
+            pmf = [math.comb(n, x) * p**x * (1 - p) ** (n - x) for x in range(n + 1)]
+            tails = {
+                p + t: sum(pmf[x] for x in range(n + 1) if x / n >= p + t),
+                p - t: sum(pmf[x] for x in range(n + 1) if x / n <= p - t),
+            }
+            for a, tail in tails.items():
+                if 0.0 <= a <= 1.0:
+                    assert tail <= math.exp(-n * _kl(a, p)) * (1 + 1e-12)

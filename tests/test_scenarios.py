@@ -246,6 +246,22 @@ def test_nested_zero_margin_piece_named():
         build_nested_family([F(0.5, 0.5)], [F(0.9, 0.1), F(0.5, 0.5)])
 
 
+def test_nested_family_checks_stored_certificates():
+    hypothesis, pieces = [F(0.5, 0.5)], [F(0.9, 0.1), F(0.1, 0.9)]
+    derived = build_nested_family(hypothesis, pieces)
+    exponents = [m.exponent for m in derived]
+    onsets = [m.onset for m in derived]
+    assert [m.onset for m in build_nested_family(hypothesis, pieces, exponents)] == onsets
+    stored = build_nested_family(hypothesis, pieces, exponents, onsets)
+    assert [(m.exponent, m.onset) for m in stored] == list(zip(exponents, onsets))
+    # one onset earlier, the summed terms exceed the bound
+    with pytest.raises(ValidationError, match="^schedule.exponents .*member 2 "):
+        build_nested_family(hypothesis, pieces, exponents, [onsets[0], onsets[1] - 1])
+    # an exponent above the smallest term exponent holds from no onset
+    with pytest.raises(ValidationError, match="^schedule.exponents .*member 1 "):
+        build_nested_family(hypothesis, pieces, [0.09, 0.09])
+
+
 def test_nested_scenario_curve_and_bounds():
     scenario = scenario_nested_alternatives(
         [F(0.9, 0.1), F(0.1, 0.9)], n_max=512, replications=300,
@@ -437,7 +453,7 @@ _BUILDER_HASHES = {
     "mazur": "f5f4d02b5048446c04f084b08cbeebcefd0720755be1e0721f529d68dc0d873a",
     "kolmogorov": "4e23a7a308b6c193fff1af77b82e7546e38698ec4252d5439c534e08dd2693e3",
     "signal": "cbb2037d8e1b6866becdf1f5f0b9967597109e371b1c95d20d092e06c3962443",
-    "nested": "44ed08b664ac377e99a5d9d5a7148874ead6d1bc7736c0f71ae504f881f891b1",
+    "nested": "39a780aea195cf6b75ddcaf1d1b740ca1f766e4fc6e18a702e8279e8a2416b7f",
     "poisson": "f8a9edc21693ee3307670f090bbff83b75ea77a01e4d1ce6f829151d913ba47a",
 }
 

@@ -453,6 +453,24 @@ def test_error_table_monte_carlo_agrees_with_exact_columns(name, seed):
     assert checked >= 2 * len(scenario.sim.n_grid)
 
 
+def test_error_table_simulates_the_hypothesis_attaining_alpha_exact():
+    """With several hypotheses, alpha_mc estimates the member whose exact alpha is the max."""
+    binomtest = pytest.importorskip("scipy.stats").binomtest
+    scenario = scenario_from_dict({
+        "name": "two-hypotheses",
+        "model": {"type": "density"},
+        "hypothesis": [{"kind": "uniform"}, {"kind": "pu_family", "u": 0.1}],
+        "alternative": [{"kind": "pu_family", "u": 0.6}],
+        "partition": {"cells": [[0.0, 0.5], [0.5, 1.0]]},
+        "sim": {"replications": 4000, "n_grid": [32]},
+    })
+    table = run_scenario(scenario, seed=3).tables["errors"]
+    (row,) = [dict(zip(table.columns, values)) for values in table.rows]
+    assert row["alpha_exact"] > 0.05  # attained by pu_family(0.1), not by uniform
+    hits = round(row["alpha_mc"] * 4000)
+    assert binomtest(hits, 4000, row["alpha_exact"]).pvalue >= 1e-6
+
+
 def _two_argument_decision(test, counts, totals):
     """The two-stage decision from counts and separately passed atom totals."""
     totals = np.asarray(totals, dtype=float)
