@@ -4,7 +4,8 @@ A positive separation margin between the cell-probability images of the
 hypothesis and alternative families certifies weak distinguishability on that
 partition; the nearest-set frequency test then turns the margin into a
 multinomial test whose exact error probabilities decay exponentially, at
-rates that :func:`deviation_exponents` bounds cell by cell.
+rates that :func:`deviation_exponents` bounds cell by cell. Only
+:func:`separation` reads a partition; a test holds cell vectors alone.
 """
 from __future__ import annotations
 
@@ -31,15 +32,14 @@ class SeparationReport:
     ``margin`` is the smallest sup-norm distance between a hypothesis vector
     and an alternative vector; it is positive exactly when the two finite
     vector sets are disjoint. ``witness_pair`` holds the indices of a closest
-    pair. The partition that produced the vectors rides along so that tests
-    built from the report can bin raw samples.
+    pair. Each vector is a cell law: simulating a member means drawing cell
+    counts from it.
     """
 
     hypothesis_vectors: np.ndarray
     alternative_vectors: np.ndarray
     margin: float
     witness_pair: Tuple[int, int]
-    partition: Partition | None = None
 
 
 def separation(
@@ -60,7 +60,6 @@ def separation(
         alternative_vectors=v1,
         margin=float(gaps[i, j]),
         witness_pair=(int(i), int(j)),
-        partition=partition,
     )
 
 
@@ -73,14 +72,13 @@ class FrequencyTest:
     so one instance serves every sample size.
     """
 
-    __slots__ = ("partition", "hypothesis_vectors", "alternative_vectors")
+    __slots__ = ("hypothesis_vectors", "alternative_vectors")
 
-    def __init__(self, partition, hypothesis_vectors, alternative_vectors):
+    def __init__(self, hypothesis_vectors, alternative_vectors):
         v0 = np.atleast_2d(np.asarray(hypothesis_vectors, dtype=float))
         v1 = np.atleast_2d(np.asarray(alternative_vectors, dtype=float))
         if v0.shape[1] != v1.shape[1]:
             raise ValidationError("vector sets live in different dimensions")
-        self.partition = partition
         self.hypothesis_vectors = v0
         self.alternative_vectors = v1
 
@@ -149,11 +147,7 @@ def build_frequency_test(report: SeparationReport) -> FrequencyTest:
             "separation margin is zero: the families are weakly indistinguishable "
             "on this partition"
         )
-    return FrequencyTest(
-        partition=report.partition,
-        hypothesis_vectors=report.hypothesis_vectors,
-        alternative_vectors=report.alternative_vectors,
-    )
+    return FrequencyTest(report.hypothesis_vectors, report.alternative_vectors)
 
 
 def count_vectors(n: int, k: int) -> np.ndarray:

@@ -45,7 +45,7 @@ from .partition_tests import (
     exact_error,
     separation,
 )
-from .scheduler import TestFamilyMember, TestSchedule, interleave
+from .scheduler import TestFamilyMember, TestSchedule, interleave, summable
 from .simulation import (
     GaussianSequenceModel,
     PoissonModel,
@@ -100,6 +100,9 @@ class Scenario:
             raise ValidationError("hypothesis and alternative families must be nonempty")
         if not all(isinstance(m, row.model) for m in self.hypothesis + self.alternative):
             raise ValidationError(f"{self.model_type} models must be {row.model.__name__}")
+        for key in self.model_options:
+            if key not in row.options:
+                raise ValidationError(f"model.{key} is not supported by {self.model_type} models")
         row.check(self)
 
     # -- JSON round trip ---------------------------------------------------------
@@ -468,9 +471,9 @@ def build_nested_family(
     (``PERFECT_EXPONENT_CAP`` when no term is left) and the onset the smallest
     the rule accepts, unless ``exponents`` (member ``i`` takes the smallest of
     the first ``i``) or ``onsets`` are given; empty means derived. Raises
-    ``ConstructionError`` naming a piece without margin, and
-    ``ValidationError`` naming ``schedule.exponents`` and the member on a
-    given pair the bound does not imply.
+    ``ConstructionError`` naming a piece without margin or with a derived ``c``
+    that is not :func:`summable`, and ``ValidationError`` naming
+    ``schedule.exponents`` and the member on such a given ``c`` or pair.
     """
     if len(pieces) == 0:
         raise ValidationError("at least one piece required")
@@ -485,6 +488,10 @@ def build_nested_family(
             c = min(float(e) for e in exponents[:i])
         else:
             c = CERTIFIED_FRACTION * float(terms.min()) if terms.size else PERFECT_EXPONENT_CAP
+        if not summable(c):
+            where = f"schedule.exponents: member {i}" if exponents else f"piece {i}"
+            error = ValidationError if exponents else ConstructionError
+            raise error(f"{where} has exponent {c:.4g}; exp(-c) is not below 1: no summable bound")
         onset = int(onsets[i - 1]) if onsets else _first_onset(terms, c)
         if not _certifies(terms, c, onset):
             raise ValidationError(
@@ -492,8 +499,7 @@ def build_nested_family(
                 f"exp(-{c:.4g} n) from onset {onset}, which the per-cell bound does not "
                 f"imply (smallest term exponent {terms.min():.4g})"
             )
-        # No partition: path replay then bins atoms as cells, with no identity lookup per draw.
-        members.append(TestFamilyMember(FrequencyTest(None, v0, v1), exponent=c, onset=onset))
+        members.append(TestFamilyMember(FrequencyTest(v0, v1), exponent=c, onset=onset))
     return members
 
 
@@ -503,7 +509,7 @@ def _certifies(terms: np.ndarray, exponent: float, onset: int) -> bool:
         float(np.exp(-(onset + 1) * (terms - exponent)).sum()) <= 1.0
     )
 
-    """Smallest onset ``>= 1`` that :func:`_certifies` accepts; 1 when none can."""
+
 def _first_onset(terms: np.ndarray, exponent: float) -> int:
     """Smallest onset ``>= 1`` that :func:`_certifies` accepts, else 1."""
     if terms.size == 0 or terms.min() <= exponent:
@@ -744,7 +750,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
             alpha_mc, beta_mc = _error_pair(
-                test, scenario.hypothesis[worst], alt, n, reps, streams, pool
+                test, hyp_cells[worst], alt_cells, n, reps, streams, pool
             )
             rows.append(
                 (
@@ -828,9 +834,13 @@ def _projection_table(scenario) -> Table:
 
 
 def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
+    """Certified tail and one replayed curve per hypothesis, then per piece."""
     k_grid = scenario.sim.k_grid or tuple(range(0, schedule.n_max + 1, 64))
     n_max = schedule.n_max
-    models = [("hypothesis", scenario.hypothesis[0], "hypothesis")] + [
+    models = [
+        ("hypothesis" if idx == 1 else f"hypothesis_{idx}", h, "hypothesis")
+        for idx, h in enumerate(scenario.hypothesis, start=1)
+    ] + [
         (f"piece_{idx}", piece, "alternative")
         for idx, piece in enumerate(scenario.alternative, start=1)
     ]
@@ -904,6 +914,7 @@ class _ModelType(NamedTuple):
     run: Callable  # (scenario, run, reps, streams, pool) adds the metric tables to run
     bound: Optional[Callable]  # Scenario -> finite (h, a) families for bound; None: no bound
     schedules: bool  # whether a file may hold a schedule, and the schedule command applies
+    options: tuple = ()  # the model options (of _MODEL_OPTIONS) its metrics read
 
 
 def _model_type(name) -> _ModelType:
@@ -989,6 +1000,7 @@ _MODEL_TYPES = {
         run=_density_tables,
         bound=_discretized,
         schedules=False,
+        options=_MODEL_OPTIONS,
     ),
     "poisson": _ModelType(
         model=PoissonModel,

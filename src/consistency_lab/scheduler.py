@@ -9,7 +9,8 @@ is below 1/i^2). Summability of the bounds is what turns per-test consistency
 into almost-surely-finitely-many errors along a single growing sample path.
 
 A schedule is its members and its block ends; :meth:`TestSchedule.blocks` lays
-out the blocks for the certified tails, the JSON report and the path replay.
+out the blocks for the certified tail (one closed form over the last block),
+the JSON report and the path replay.
 """
 from __future__ import annotations
 
@@ -25,7 +26,13 @@ __all__ = [
     "TestSchedule",
     "block_lengths",
     "interleave",
+    "summable",
 ]
+
+
+def summable(exponent: float) -> bool:
+    """Whether ``exp(-exponent n)`` has a finite tail sum: ``exp(-exponent) < 1``."""
+    return 0.0 < exponent < math.inf and math.exp(-exponent) < 1.0
 
 
 def block_lengths(exponents: Sequence[float]) -> list[int]:
@@ -38,8 +45,8 @@ def block_lengths(exponents: Sequence[float]) -> list[int]:
     cs = [float(c) for c in exponents]
     if len(cs) == 0:
         raise ValidationError("at least one exponent required")
-    if any(not math.isfinite(c) or c <= 0.0 for c in cs):
-        raise ValidationError("every exponent must be positive and finite")
+    if not all(summable(c) for c in cs):
+        raise ValidationError("every exponent must be finite with exp(-c) < 1")
     lengths = [1]
     for i, c in enumerate(cs[1:], start=2):
         target = (1.0 - math.exp(-c)) / (i * i)
@@ -68,8 +75,8 @@ class TestFamilyMember:
     onset: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.exponent) and self.exponent > 0.0):
-            raise ValidationError("member exponent must be positive and finite")
+        if not summable(self.exponent):
+            raise ValidationError("member exponent must be finite with exp(-exponent) < 1")
         if self.onset < 1:
             raise ValidationError("member onset must be >= 1")
 
@@ -108,44 +115,15 @@ class TestSchedule:
         return self.members[bisect.bisect_left(self.ends, n)].test
 
     # -- certified bounds ---------------------------------------------------------
-    def alpha_bound_at(self, n: int) -> float:
-        """Per-index certified type I bound; 1.0 where no certificate applies."""
-        if n < 1:
-            raise ValidationError("sample index must be >= 1")
-        member = self.members[bisect.bisect_left(self.ends, n)]
-        if n > member.onset:
-            return math.exp(-member.exponent * n)
-        return 1.0
-
-    def beta_tail(self, k: int, piece: int) -> float:
-        """Certified bound on any false acceptance past ``k`` for one piece: the
-        sum of per-index certified bounds over all ``n > k`` (to infinity)."""
-        total = 0.0
-        for index, member, start, hi in self.blocks():  # hi None = infinite
-            lo = max(k + 1, start)
-            if hi is not None and lo > hi:
-                continue
-            if index < piece:  # the block's test does not cover the piece
-                if hi is None:
-                    return math.inf  # uncertified forever
-                total += hi - lo + 1
-                continue
-            uncert_hi = min(member.onset, hi) if hi is not None else member.onset
-            if lo <= uncert_hi:
-                total += uncert_hi - lo + 1
-            cert_lo = max(lo, member.onset + 1)
-            c = member.exponent
-            if hi is None:
-                total += math.exp(-c * cert_lo) / (1.0 - math.exp(-c))
-            elif cert_lo <= hi:
-                span = hi - cert_lo + 1
-                total += math.exp(-c * cert_lo) * (1.0 - math.exp(-c * span)) / (1.0 - math.exp(-c))
-        return total
-
     def certified_tail(self, k: int) -> float:
-        """Worst certified tail over the hypothesis side and every covered piece;
-        the hypothesis side is piece 1's tail."""
-        return max(self.beta_tail(k, piece) for piece in range(1, len(self.members) + 1))
+        """Bound on any error past ``k``: the sum over ``n > k`` of the last piece's
+        per-index bounds, 1 before the last member's certified range and
+        ``exp(-c n)`` in it. Only the last member covers that piece, so the
+        hypothesis side and every other piece have terms no larger."""
+        _, last, start, _ = self.blocks()[-1]
+        cert_lo = max(k + 1, start, last.onset + 1)
+        c = last.exponent
+        return (cert_lo - k - 1) + math.exp(-c * cert_lo) / (1.0 - math.exp(-c))
 
     # -- serialization -------------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -157,7 +135,9 @@ class TestSchedule:
                 "family_index": index,
                 "exponent": member.exponent,
                 "onset": member.onset,
-                "bound_at_start": min(1.0, self.alpha_bound_at(start)),
+                "bound_at_start": (
+                    1.0 if start <= member.onset else math.exp(-member.exponent * start)
+                ),
             }
             for index, member, start, end in self.blocks(self.n_max)
         ]

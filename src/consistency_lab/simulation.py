@@ -6,13 +6,13 @@ fixed-size blocks, block ``b`` of a task owning stream ``s`` draws from
 ``(seed, s + b)``, and aggregation walks blocks in index order, so results are
 bit-identical for a given seed regardless of the worker count.
 
-Tests of i.i.d. and Poisson models decide from cell counts, so an error block
-draws the counts of all its replications in one ``(size, k)`` call:
-multinomial(``n``, cell probabilities) for ``n`` i.i.d. draws, independent
-Poisson(``n * mass * w_j``) atom counts for a process with mean measure
-``n * mass * w``. Only the path replay and :func:`sample_poisson_process`
-draw observations. Every draw falls into the cells of ``induced_vector``, the
-exact columns' vector: its cell counts the interior cumulative cell
+Tests of i.i.d. and Poisson models decide from cell counts, and an i.i.d.
+model is its cell law: a :class:`FiniteMeasure` whose atoms are the test's
+cells. An error block draws the counts of all its replications in one
+``(size, k)`` call: multinomial(``n``, cell law) for ``n`` i.i.d. draws,
+independent Poisson(``n * mass * w_j``) atom counts for a process with mean
+measure ``n * mass * w``. Only the path replay and
+:func:`sample_poisson_process` draw observations. A draw's cell counts the interior cumulative cell
 probabilities ``<= u`` of its uniform ``u``, into ``uint8`` cells, or by
 ``searchsorted`` above ``MAX_COUNTED_EDGES`` edges.
 Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
@@ -139,14 +139,14 @@ def _cells_below(edges: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return cells
 
 
-def _bin_draws(model, partition, uniforms: np.ndarray):
+def _bin_draws(model: FiniteMeasure, uniforms: np.ndarray):
     """Cell index of the draw behind every uniform, and the number of cells.
 
-    A draw's cell counts the interior cumulative probabilities of
-    ``induced_vector(model, partition)`` at or below its uniform; leaving out
-    the last keeps a rounded total from making a cell ``k``.
+    A draw's cell counts the interior cumulative probabilities of the cell law
+    ``model`` at or below its uniform; leaving out the last keeps a rounded
+    total from making a cell ``k``.
     """
-    probs = induced_vector(model, partition)
+    probs = induced_vector(model, None)
     return _cells_below(np.cumsum(probs[:-1]), uniforms), probs.size
 
 
@@ -159,7 +159,7 @@ def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndar
         raise ResourceLimitError(f"expected atom count {mean_atoms:.3e} exceeds 1e9")
     gen = rng.generator()
     count = int(gen.poisson(mean_atoms))
-    return _bin_draws(model.shape, None, gen.random(count))[0].astype(np.int64)
+    return _bin_draws(model.shape, gen.random(count))[0].astype(np.int64)
 
 
 def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
@@ -201,8 +201,8 @@ def _simulate_error_block(args) -> float:
 
     Gaussian sequences hand the test the observation vectors; i.i.d. and
     Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
-    with ``n``: multinomial over the exact columns' cell probabilities, or
-    Poisson(``n * mass * w_j``) per shape atom.
+    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
+    per shape atom.
     """
     test, model, n, count_kind, size, rng = args
     gen = rng.generator()
@@ -213,8 +213,7 @@ def _simulate_error_block(args) -> float:
         lam = n * model.mass * model.shape.weights
         reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
     else:
-        probs = induced_vector(model, getattr(test, "partition", None))
-        reject = test.rejects(gen.multinomial(n, probs, size=size))
+        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
     reject = np.asarray(reject, dtype=float)
     return float((1.0 - reject if count_kind == "accept" else reject).sum())
 
@@ -276,11 +275,12 @@ def estimate_error(
 ) -> SimulationReport:
     """Monte Carlo estimate of a test's rejection (or acceptance) probability.
 
-    ``count="reject"`` estimates the type I error under a hypothesis model;
-    ``count="accept"`` the type II error under an alternative model. Blocks of
-    replications own disjoint RNG streams and are reduced in index order, so
-    the result depends only on ``rng`` and the arguments. ``workers`` is a
-    worker count or a :class:`WorkerPool` shared with other calls.
+    ``count="reject"`` estimates the type I error under a hypothesis model,
+    ``count="accept"`` the type II error under an alternative model; a model is
+    a cell law, a :class:`PoissonModel` or a :class:`GaussianSequenceModel`.
+    Blocks of replications own disjoint RNG streams and are reduced in index
+    order, so the result depends only on ``rng`` and the arguments.
+    ``workers`` is a worker count or a :class:`WorkerPool` shared with other calls.
     """
     if replications < 100:
         raise ValidationError("replications must be >= 100")
@@ -312,8 +312,8 @@ def _constant_segments(schedule, n_max: int) -> list:
 
 
 def _simulate_path_block(args) -> np.ndarray:
-    segments, model, partition, n_max, k_grid, role, size, rng = args
-    cells, k = _bin_draws(model, partition, rng.generator().random((size, n_max)))
+    segments, model, n_max, k_grid, role, size, rng = args
+    cells, k = _bin_draws(model, rng.generator().random((size, n_max)))
     one_hot = np.arange(k, dtype=cells.dtype)[:, None, None]
     errs_on_reject = role == "hypothesis"
     counts = np.zeros((k, size), dtype=np.int64)  # one row per cell
@@ -354,23 +354,15 @@ def discernibility_paths(
 ) -> np.ndarray:
     """Error-after-k curve of a schedule along incrementally grown sample paths.
 
-    Each path draws one nested sample ``X_1..X_{n_max}``; the scheduled test is
-    re-evaluated on every prefix, and an error is a rejection under a
-    hypothesis model (``role="hypothesis"``) or an acceptance under an
-    alternative model (``role="alternative"``). The returned array holds, for
-    each ``k`` of ``k_grid``, the fraction of paths erring at some ``n`` in
-    ``(k, n_max]``, which is non-increasing in ``k`` by construction. The draws and decisions are
-    those of a per-``n`` loop. Each schedule block is replayed in runs of at
-    most ``PATH_SEGMENT`` sample sizes. A scheduled test must decide from the
-    cell frequencies alone, so one object serves a whole block. Over a run
-    ``lo < n <= hi`` the frequencies move by at most ``(hi - n) / hi`` in the sup norm and the
-    test's 2-Lipschitz ``margin`` by at most twice that, so a path whose margin
-    at ``hi`` clears the tie tolerance by more than ``2 (hi - lo - 1) / hi``
-    (plus ``1e-9`` for rounding) takes that decision at every ``n`` of the
-    run. The prefixes of the other paths are decided in one ``rejects`` call.
-    The scheduled tests must have ``rejects``, ``margin`` and one shared
-    ``partition`` (``None``: finite atoms serve as cells), which bins each
-    block's draws once. ``workers`` is a worker count or a shared
+    Each path draws one nested sample ``X_1..X_{n_max}`` from the cell law
+    ``model``, and the scheduled test is re-evaluated on every prefix; an error
+    is a rejection in the ``"hypothesis"`` role and an acceptance in the
+    ``"alternative"`` role. For each ``k`` of ``k_grid`` the returned array
+    holds the fraction of paths erring at some ``n`` in ``(k, n_max]``, which
+    is non-increasing in ``k``. The draws and decisions are those of a
+    per-``n`` loop; the replay in segments (see the module docstring) needs
+    tests that decide from the cell frequencies alone, with ``rejects`` and a
+    2-Lipschitz ``margin``. ``workers`` is a worker count or a shared
     :class:`WorkerPool`.
     """
     if role not in ("hypothesis", "alternative"):
@@ -383,12 +375,9 @@ def discernibility_paths(
     if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")
     segments = _constant_segments(schedule, n_max)
-    partition = getattr(segments[0][2], "partition", None)
-    if any(getattr(test, "partition", None) is not partition for _, _, test in segments):
-        raise ValidationError("every scheduled test must carry the same partition")
     sizes = _block_sizes(replications, PATH_BLOCK)
     tasks = [
-        (segments, model, partition, n_max, ks, role, size, rng.block(b))
+        (segments, model, n_max, ks, role, size, rng.block(b))
         for b, size in enumerate(sizes)
     ]
     counts = _map_blocks(_simulate_path_block, tasks, workers)

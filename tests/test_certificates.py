@@ -16,6 +16,7 @@ from consistency_lab.partition_tests import count_vectors, exact_error
 from consistency_lab.scenarios import (
     build_nested_family,
     nested_schedule,
+    run_scenario,
     scenario_nested_alternatives,
 )
 from consistency_lab.simulation import RngSpec, discernibility_paths
@@ -126,3 +127,29 @@ def test_discernibility_paths_match_exact_curve(name):
         for k, estimate in zip(k_grid, paths):
             exact = min(1.0, curve[k])
             assert binomtest(round(estimate * reps), reps, exact).pvalue >= 1e-6, (role, k)
+
+
+def test_discernibility_table_replays_every_hypothesis():
+    """``discernibility.csv`` has one replayed column per hypothesis. Against
+    (0.9, 0.1), (0.6, 0.4) errs after k = 32 with probability 0.061, twenty
+    times as often as (0.5, 0.5); each column passes a binomial test at 1e-6."""
+    binomtest = pytest.importorskip("scipy.stats").binomtest
+    hypothesis, reps = [F(0.5, 0.5), F(0.6, 0.4)], 2000
+    scenario = scenario_nested_alternatives(
+        [F(0.9, 0.1)], hypothesis=hypothesis, n_max=256, k_grid=(0, 32, 64), replications=reps
+    )
+    table = run_scenario(scenario, seed=5).tables["discernibility"]
+    assert table.columns == [
+        "k",
+        "certified_tail_clamped",
+        "err_after_k_hypothesis",
+        "err_after_k_hypothesis_2",
+        "err_after_k_piece_1",
+    ]
+    row = dict(zip(table.columns, table.rows[1]))
+    assert row["k"] == 32
+    schedule = nested_schedule(scenario)
+    for column, model in zip(table.columns[2:4], hypothesis):
+        (exact,) = exact_curve(schedule, model.weights, 256, [32])
+        assert binomtest(round(row[column] * reps), reps, exact).pvalue >= 1e-6, column
+    assert round(exact, 3) == 0.061

@@ -247,7 +247,7 @@ _SIGNAL = {
         (_FINITE, ("sim", "replications"), 200.7, "sim.replications"),
         (_FINITE, ("sim", "n_grid"), [8.9], "sim.n_grid"),
         (_FINITE, ("sim", "k_grid"), [True], "sim.k_grid"),
-        (_FINITE, ("model", "grid_size"), "64", "model.grid_size"),
+        (_DENSITY, ("model", "grid_size"), "64", "model.grid_size"),
         (_FINITE, ("partition", "cells"), [[0.5], [1]], "partition.cells"),
         (_FINITE, ("partition", "cells"), [[True], [False]], "partition.cells"),
         (_FINITE, ("partition", "cells"), "ab", "partition.cells"),
@@ -357,9 +357,33 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         ),
         (
             "simulate",
-            _FINITE,
-            {"model": {"type": "finite", "gridsize": 64}},
+            _DENSITY,
+            {"model": {"type": "density", "gridsize": 64}},
             "model.gridsize is not a model option; the options are grid_size, cesaro_scan",
+        ),
+        (
+            "simulate",
+            _FINITE,
+            {"model": {"type": "finite", "grid_size": 64}},
+            "model.grid_size is not supported by finite models",
+        ),
+        (
+            "bound",
+            _FINITE,
+            {"model": {"type": "finite", "cesaro_scan": 4}},
+            "model.cesaro_scan is not supported by finite models",
+        ),
+        (
+            "simulate",
+            _POISSON,
+            {"model": {"type": "poisson", "cesaro_scan": 4}},
+            "model.cesaro_scan is not supported by poisson models",
+        ),
+        (
+            "simulate",
+            _SIGNAL,
+            {"model": {"type": "gaussian_sequence", "grid_size": 64}},
+            "model.grid_size is not supported by gaussian_sequence models",
         ),
         (
             "simulate",
@@ -432,6 +456,10 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         "poisson-partition",
         "signal-partition",
         "misspelled-model-option",
+        "finite-grid-size",
+        "finite-cesaro-scan",
+        "poisson-cesaro-scan",
+        "signal-grid-size",
         "density-schedule",
         "misspelled-top-level-key",
         "misspelled-sim-key",
@@ -655,6 +683,62 @@ def test_schedule_zero_margin_piece_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "piece 2" in err
+
+
+@pytest.mark.parametrize(
+    "pieces, schedule, code, message",
+    [
+        (
+            [[0.5 + 1e-8, 0.5 - 1e-8]],
+            None,
+            2,
+            "verdict: piece 1 has exponent 2.094e-17; exp(-c) is not below 1: "
+            "no summable bound",
+        ),
+        (  # the deviation exponents cancel to a negative number
+            [[0.5 + 1e-9, 0.5 - 1e-9]],
+            None,
+            2,
+            "verdict: piece 1 has exponent -1.124e-18; exp(-c) is not below 1: "
+            "no summable bound",
+        ),
+        (
+            [[0.9, 0.1]],
+            {"exponents": [1e-300]},
+            1,
+            "error: schedule.exponents: member 1 has exponent 1e-300; exp(-c) is not "
+            "below 1: no summable bound",
+        ),
+        (
+            [[0.9, 0.1], [0.1, 0.9]],
+            {"exponents": [1e-300, 1e-300]},
+            1,
+            "error: schedule.exponents: member 1 has exponent 1e-300; exp(-c) is not "
+            "below 1: no summable bound",
+        ),
+    ],
+    ids=["derived-tiny", "derived-negative", "stored-one-member", "stored-two-members"],
+)
+def test_schedule_without_a_summable_certificate_names_its_source(
+    tmp_path, capsys, pieces, schedule, code, message
+):
+    data = {
+        "name": "unsummable",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.5, 0.5]}],
+        "alternative": [{"weights": w} for w in pieces],
+        "sim": {"replications": 200, "n_grid": [64]},
+    }
+    if schedule is not None:
+        data["schedule"] = schedule
+    path = tmp_path / "unsummable.json"
+    path.write_text(json.dumps(data))
+    out_dir = tmp_path / "o"
+    assert main(["schedule", "--scenario", str(path), "--out", str(out_dir)]) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"{message}\n"
+    assert not out_dir.exists()
 
 
 def test_schedule_nmax_below_first_boundary_exit_one(tmp_path, capsys):

@@ -52,7 +52,7 @@ def test_separation_without_partition_takes_atoms_as_cells():
     same = separation(hypothesis, alternative, Partition.identity(2))
     assert np.array_equal(rep.hypothesis_vectors, same.hypothesis_vectors)
     assert np.array_equal(rep.alternative_vectors, same.alternative_vectors)
-    assert (rep.margin, rep.witness_pair, rep.partition) == (same.margin, same.witness_pair, None)
+    assert (rep.margin, rep.witness_pair) == (same.margin, same.witness_pair)
     with pytest.raises(ValidationError, match="different alphabets"):
         separation([F(0.5, 0.5)], [F(0.2, 0.3, 0.5)], None)
     with pytest.raises(ValidationError, match="interval partition"):
@@ -137,7 +137,7 @@ def test_rejects_matches_broadcast_reference():
             (lattice[:2], lattice[2:5]),
             (rng.dirichlet(np.ones(k), 3), rng.dirichlet(np.ones(k), 4)),
         ):
-            test = FrequencyTest(None, sets[0], sets[1])
+            test = FrequencyTest(sets[0], sets[1])
             rows = [count_vectors(n, k) for n in range(0, 13)]
             rows.append(rng.integers(0, 40, size=(500, k)))
             for counts in rows:
@@ -155,8 +155,8 @@ def test_stacked_frequency_test_equals_union_of_singletons():
         for _ in range(4):
             pick = rng.choice(len(lattice), size=5, replace=False)
             hypothesis, pieces = lattice[pick[:2]], lattice[pick[2:]]
-            stacked = FrequencyTest(None, hypothesis, pieces)
-            union = UnionTest([FrequencyTest(None, hypothesis, [q]) for q in pieces])
+            stacked = FrequencyTest(hypothesis, pieces)
+            union = UnionTest([FrequencyTest(hypothesis, [q]) for q in pieces])
             for n in range(1, 17):
                 outcomes = count_vectors(n, k)
                 assert np.array_equal(stacked.rejects(outcomes), union.rejects(outcomes))
@@ -171,8 +171,8 @@ def _margin_tests(rng, k):
     """A stacked test with random simplex vectors, and one on the 1/4 lattice."""
     lattice = count_vectors(4, k) / 4.0  # frequencies j/n hit exact ties with these
     pick = rng.choice(len(lattice), size=4, replace=False)
-    stacked = FrequencyTest(None, rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3))
-    on_lattice = FrequencyTest(None, lattice[pick[:2]], lattice[pick[2:]])
+    stacked = FrequencyTest(rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 3))
+    on_lattice = FrequencyTest(lattice[pick[:2]], lattice[pick[2:]])
     return stacked, on_lattice
 
 
@@ -258,7 +258,6 @@ def test_exact_error_perfect_separation():
 
 def test_exact_error_constant_accept():
     test = FrequencyTest(
-        partition=None,
         hypothesis_vectors=[[0.5, 0.5]],
         alternative_vectors=[[0.5, 0.5]],  # always a tie: accepts everything
     )

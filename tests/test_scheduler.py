@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -136,47 +137,97 @@ def test_schedule_json_clips_blocks_to_n_max():
     rows = schedule.to_json_dict()["blocks"]
     assert [(row["start"], row["end"]) for row in rows] == [(1, 89), (90, 100)]
     assert [row["family_index"] for row in rows] == [1, 2]
-    assert rows[1]["bound_at_start"] == min(1.0, schedule.alpha_bound_at(90))
+    # the second member (exponent 0.05, onset 1) at its start
+    assert rows[1]["bound_at_start"] == math.exp(-0.05 * 90)
+    assert rows[0]["bound_at_start"] == 1.0  # n = 1 is not past the onset
+
+
+def _bound(schedule, n, piece):
+    """Per-index certified bound on erring at ``n`` for draws from ``piece``
+    (piece 1 also stands for the hypothesis side): 1 where the serving member
+    does not cover the piece or ``n`` is not past its onset."""
+    index = bisect.bisect_left(schedule.ends, n) + 1
+    member = schedule.members[index - 1]
+    if index < piece or n <= member.onset:
+        return 1.0
+    return math.exp(-member.exponent * n)
+
+
+def _direct_tail(schedule, k, piece):
+    """``_bound`` summed over ``k < n <= N``, with ``N`` 500 past the start of the
+    last member's certified range, plus its geometric continuation past ``N``."""
+    _, last, start, _ = schedule.blocks()[-1]
+    end = max(k, start, last.onset) + 500
+    c = last.exponent
+    direct = math.fsum(_bound(schedule, n, piece) for n in range(k + 1, end + 1))
+    return direct + math.exp(-c * (end + 1)) / (1 - math.exp(-c))
 
 
 def test_bound_sums_below_basel_tail():
-    # with every exponent 1, the certified tail past boundary t is at most
-    # the tail of sum 1/i^2
+    # with every exponent 1, the hypothesis-side tail past boundary t is at
+    # most the tail of sum 1/i^2
     exponents = [1.0] * 6
     members = tuple(make_member([0.9, 0.1], c, onset=1) for c in exponents)
     schedule = interleave(members, 10_000)
     for t, boundary in enumerate(boundaries(schedule)):
-        family_indices = range(t + 2, len(exponents) + 1)
-        basel = sum(1.0 / i**2 for i in family_indices) + 1.0 / (len(exponents)) ** 2
         # the running family also contributes its own geometric tail; compare
         # against the chain with the first covered index included
         chain = sum(1.0 / i**2 for i in range(t + 1, len(exponents) + 1))
-        assert schedule.beta_tail(boundary, 1) <= chain + 1e-9
-    assert schedule.beta_tail(boundaries(schedule)[0], 1) < math.pi**2 / 6
+        assert _direct_tail(schedule, boundary, 1) <= chain + 1e-9
+    assert _direct_tail(schedule, boundaries(schedule)[0], 1) < math.pi**2 / 6
 
 
 def test_hypothesis_tail_matches_direct_summation():
+    """The hypothesis side's direct sum never exceeds the certified tail, and
+    equals it once the last block has begun."""
     members = (
         make_member([0.9, 0.1], 0.7, onset=3),
         make_member([0.1, 0.9], 0.4, onset=5),
     )
     schedule = interleave(members, 5_000)
+    start = schedule.blocks()[-1][2]
     for k in (0, 2, 5, 17, 80):
-        direct = sum(schedule.alpha_bound_at(n) for n in range(k + 1, 3_000))
-        # add the closed-form geometric continuation past the truncation
-        c = schedule.members[-1].exponent
-        direct += math.exp(-c * 3_000) / (1 - math.exp(-c))
-        assert_allclose(schedule.beta_tail(k, 1), direct, rtol=1e-9)
+        assert _direct_tail(schedule, k, 1) <= schedule.certified_tail(k) * (1 + 1e-12)
+        if k >= start - 1:
+            assert_allclose(schedule.certified_tail(k), _direct_tail(schedule, k, 1), rtol=1e-12)
 
 
-def test_beta_tail_uncovered_piece_is_infinite_until_its_family_starts():
+def test_certified_tail_is_the_last_piece_direct_sum_on_random_schedules():
+    """The closed form equals the last piece's per-index bounds summed one by
+    one, and no other piece's sum is larger."""
+    rng = np.random.default_rng(2203)
+    for _ in range(60):
+        size = int(rng.integers(1, 5))
+        members = [
+            TestFamilyMember(None, float(c), int(onset))
+            for c, onset in zip(10 ** rng.uniform(-1.5, 0.5, size), rng.integers(1, 60, size))
+        ]
+        schedule = interleave(members, 10_000)
+        start = schedule.blocks()[-1][2]
+        for k in sorted({0, 1, start - 2, start - 1, start, start + 7, int(rng.integers(0, 400))}):
+            k = max(k, 0)
+            tail = schedule.certified_tail(k)
+            assert_allclose(tail, _direct_tail(schedule, k, size), rtol=1e-12)
+            for piece in range(1, size):
+                assert _direct_tail(schedule, k, piece) <= tail * (1 + 1e-12)
+
+
+def test_certified_tail_counts_the_uncovered_block_until_the_last_family_starts():
     members = (
         make_member([0.9, 0.1], 1.0, onset=1),
         make_member([0.1, 0.9], 1.0, onset=1),
     )
     schedule = interleave(members, 1_000)
     boundary = boundaries(schedule)[0]
-    assert schedule.beta_tail(0, piece=2) >= boundary - 0  # block of uncertified ones
-    assert schedule.beta_tail(boundary, piece=2) < 1.0
+    # one uncertified 1 for every n of the first block past k
+    assert schedule.certified_tail(0) >= boundary
+    assert schedule.certified_tail(boundary) < 1.0
     assert schedule.certified_tail(boundary + 50) < schedule.certified_tail(boundary)
 
+
+@pytest.mark.parametrize("exponent", [0.0, -1.0, 1e-300, 1e-17, math.nan, math.inf])
+def test_exponents_without_a_summable_tail_are_rejected(exponent):
+    with pytest.raises(ValidationError, match="exp"):
+        TestFamilyMember(None, exponent)
+    with pytest.raises(ValidationError, match="exp"):
+        block_lengths([1.0, exponent])

@@ -173,7 +173,6 @@ def test_estimate_error_constant_accept_is_exact_zero():
 
     # identical vector sets: every outcome is a tie, ties accept
     test = FrequencyTest(
-        partition=None,
         hypothesis_vectors=[[0.5, 0.5]],
         alternative_vectors=[[0.5, 0.5]],
     )
@@ -218,7 +217,7 @@ def test_estimate_error_density_model():
     test = build_frequency_test(rep)
     cell_law = FiniteMeasure(rep.hypothesis_vectors[0])
     exact = exact_error(test, cell_law, 100)[0]
-    mc = estimate_error(test, uniform, 100, 20_000, RngSpec(59, 0))
+    mc = estimate_error(test, cell_law, 100, 20_000, RngSpec(59, 0))
     sigma = math.sqrt(max(exact * (1 - exact), 1e-9) / 20_000)
     assert abs(mc.estimate - exact) <= 4 * sigma
 
@@ -250,7 +249,7 @@ def test_edge_binning_equals_quantile_binning(model):
     points = model.quantile(uniforms)
     for partition in _DYADIC_PARTITIONS:
         his = np.array([hi for _, hi in partition.cells])
-        cells, k = _bin_draws(model, partition, uniforms)
+        cells, k = _bin_draws(FiniteMeasure(induced_vector(model, partition)), uniforms)
         assert k == partition.k
         assert cells.shape == uniforms.shape
         assert np.array_equal(cells, np.searchsorted(his, points, side="left"))
@@ -263,7 +262,7 @@ def test_edge_binning_equals_quantile_binning(model):
 def test_edge_binning_extreme_uniforms(model):
     extremes = np.array([0.0, 1.0 - 2.0**-53])
     for partition in _DYADIC_PARTITIONS:
-        cells, k = _bin_draws(model, partition, extremes)
+        cells, k = _bin_draws(FiniteMeasure(induced_vector(model, partition)), extremes)
         assert cells.tolist() == [0, k - 1]
 
 
@@ -292,13 +291,9 @@ def test_cells_below_equals_searchsorted(n_edges):
 
 
 def test_bin_draws_rejects_density_without_interval_partition():
-    with pytest.raises(ValidationError):
-        _bin_draws(DensitySpec.uniform(), Partition.identity(2), np.zeros(3))
-    with pytest.raises(ValidationError):
-        _bin_draws(DensitySpec.uniform(), None, np.zeros(3))
-    # finite atoms cannot fall into interval cells
-    with pytest.raises(ValidationError, match="atom partition"):
-        _bin_draws(F(0.5, 0.5), Partition.half_split(), np.zeros(3))
+    """Draws fall into the atoms of a cell law; a density has none."""
+    with pytest.raises(ValidationError, match="interval partition"):
+        _bin_draws(DensitySpec.uniform(), np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -315,7 +310,7 @@ def test_bin_draws_follows_induced_vector(model, partition):
     exact columns' cells, at or below its uniform; so the cells occur at its rates."""
     uniforms = RngSpec(109, 0).generator().random((40, 1000))
     probs = induced_vector(model, partition)
-    cells, k = _bin_draws(model, partition, uniforms)
+    cells, k = _bin_draws(FiniteMeasure(probs), uniforms)
     assert k == probs.size
     expected = np.searchsorted(np.cumsum(probs)[:-1], uniforms, side="right")
     assert np.array_equal(cells, expected)
@@ -377,19 +372,18 @@ def test_poisson_block_counts_are_per_atom_poisson_draws():
 )
 def test_iid_block_counts_are_multinomial_draws(model, partition):
     test = _RecordingTest()
-    test.partition = partition
-    _simulate_error_block((test, model, 37, "reject", 400, RngSpec(131, 0)))
+    probs = induced_vector(model, partition)
+    _simulate_error_block((test, FiniteMeasure(probs), 37, "reject", 400, RngSpec(131, 0)))
     (counts,) = test.seen
     # the block's only draw: the cell counts of 37 draws per replication
-    probs = model.weights if partition is None else induced_vector(model, partition)
     expected = RngSpec(131, 0).generator().multinomial(37, probs, size=400)
     assert np.array_equal(counts, expected)
     assert counts.shape == (400, probs.size) and (counts.sum(axis=1) == 37).all()
 
 
 def test_iid_block_rejects_density_without_partition():
+    """An i.i.d. model is a cell law; a density gives one only under a partition."""
     test = _RecordingTest()
-    test.partition = None
     with pytest.raises(ValidationError, match="partition"):
         _simulate_error_block((test, DensitySpec.uniform(), 5, "reject", 100, RngSpec(0, 0)))
 
@@ -397,23 +391,23 @@ def test_iid_block_rejects_density_without_partition():
 def test_iid_error_block_cost_does_not_grow_with_n():
     n = 10**7  # drawing the observations would take 8192e7 uniforms here
     uniform = DensitySpec.uniform()
-    test = build_frequency_test(
-        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    )
+    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    test = build_frequency_test(report)
+    law = FiniteMeasure(report.hypothesis_vectors[0])
     t0 = time.perf_counter()
-    total = _simulate_error_block((test, uniform, n, "reject", ERROR_BLOCK, RngSpec(137, 0)))
+    total = _simulate_error_block((test, law, n, "reject", ERROR_BLOCK, RngSpec(137, 0)))
     assert time.perf_counter() - t0 < 1.0
     assert total == 0.0
 
 
 def test_density_estimate_is_independent_of_workers():
     uniform = DensitySpec.uniform()
-    test = build_frequency_test(
-        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    )
+    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    test = build_frequency_test(report)
+    law = FiniteMeasure(report.hypothesis_vectors[0])
     reps = 3 * ERROR_BLOCK + 1  # four blocks, two per worker
-    serial = estimate_error(test, uniform, 8, reps, RngSpec(139, 0), workers=1)
-    parallel = estimate_error(test, uniform, 8, reps, RngSpec(139, 0), workers=2)
+    serial = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=1)
+    parallel = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=2)
     assert serial == parallel
     assert 0.0 < serial.estimate < 1.0
 
@@ -554,56 +548,16 @@ def test_discernibility_validation():
         )
 
 
-@pytest.mark.parametrize("atoms", [2, 3])
-def test_discernibility_rejects_finite_model_under_interval_partition(atoms):
-    """A finite model's draws have no interval cells to fall into."""
-    uniform = DensitySpec.uniform()
-    test = build_frequency_test(
-        separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    )
-    schedule = interleave([TestFamilyMember(test, 1.0)], 64)
-    model = FiniteMeasure(np.full(atoms, 1.0 / atoms))
-    with pytest.raises(ValidationError, match="finite measures need an atom partition"):
-        discernibility_paths(schedule, model, 64, [0, 32], 300, RngSpec(0))
-    with pytest.raises(ValidationError, match="finite measures need an atom partition"):
-        estimate_error(test, model, 64, 300, RngSpec(0))
-
-
-def test_discernibility_rejects_mixed_partitions():
-    """A block's draws are binned once, so every scheduled test needs one partition."""
-    hypothesis, piece = F(0.25, 0.25, 0.25, 0.25), F(0.4, 0.3, 0.2, 0.1)
-    tests = [
-        build_frequency_test(separation([hypothesis], [piece], Partition.atoms(cells)))
-        for cells in ([[0, 1], [2, 3]], [[0, 2], [1, 3]])
-    ]
-    # the second test takes over at n = 3
-    schedule = interleave([TestFamilyMember(t, 1.0) for t in tests], 64)
-    with pytest.raises(ValidationError, match="same partition"):
-        discernibility_paths(schedule, hypothesis, 64, [0], 100, RngSpec(0, 0))
-
-
 # -- segment replay against the per-n loop -----------------------------------------------
 
 
-def _reference_path_block(schedule, model, partition, n_max, k_grid, role, size, rng):
+def _reference_path_block(schedule, model, n_max, k_grid, role, size, rng):
     """The replay as a per-n loop: one ``rejects`` call per prefix length."""
     gen = rng.generator()
-    if isinstance(model, FiniteMeasure):
-        cum = np.cumsum(model.weights)
-        cum[-1] = 1.0
-        cells = np.searchsorted(cum, gen.random((size, n_max)), side="right")
-        k = model.alphabet_size
-        if partition is not None and partition.kind == "atoms":
-            lookup = np.zeros(partition.alphabet_size, dtype=np.int64)
-            for cell, group in enumerate(partition.cells):
-                for atom in group:
-                    lookup[atom] = cell
-            cells = lookup[cells]
-            k = partition.k
-    else:
-        his = np.array([hi for _, hi in partition.cells])
-        cells = np.searchsorted(his, model.quantile(gen.random((size, n_max))), side="left")
-        k = partition.k
+    cum = np.cumsum(model.weights)
+    cum[-1] = 1.0
+    cells = np.searchsorted(cum, gen.random((size, n_max)), side="right")
+    k = model.alphabet_size
     counts = np.zeros((size, k), dtype=np.int64)
     rows = np.arange(size)
     last_error = np.zeros(size, dtype=np.int64)
@@ -615,22 +569,23 @@ def _reference_path_block(schedule, model, partition, n_max, k_grid, role, size,
     return np.array([(last_error > k).sum() for k in k_grid], dtype=np.int64)
 
 
-def _reference_curve(schedule, model, partition, n_max, k_grid, replications, rng, role):
+def _reference_curve(schedule, model, n_max, k_grid, replications, rng, role):
     full, rest = divmod(replications, PATH_BLOCK)
     sizes = [PATH_BLOCK] * full + ([rest] if rest else [])
     total = sum(
-        _reference_path_block(schedule, model, partition, n_max, k_grid, role, size, rng.block(b))
+        _reference_path_block(schedule, model, n_max, k_grid, role, size, rng.block(b))
         for b, size in enumerate(sizes)
     )
     return total / replications
 
 
 def _replay_case(case):
-    """(schedule, hypothesis model, alternative model, partition) for one replay case.
+    """(schedule, hypothesis cell law, alternative cell law) for one replay case.
 
     The first block tests against a point 40% of the way to the first piece,
     so its decisions differ often from the later test against both pieces.
     Exponent 0.05 puts the block boundary at 89, inside the second segment.
+    Both roles draw from the report's cell laws: the hypothesis and the first piece.
 
     In the two-cell cases both roles draw their paths from (0.75, 0.25).
     ``tie`` tests (0.5, 0.5) against (1, 0): a path sits on an exact tie at
@@ -643,12 +598,12 @@ def _replay_case(case):
     """
     if case in ("tie", "tight"):
         hypothesis = [0.5, 0.5] if case == "tie" else [-1.0, 2.0]
-        test = FrequencyTest(None, [hypothesis], [[1.0, 0.0]])
+        test = FrequencyTest([hypothesis], [[1.0, 0.0]])
         if case == "tie":
             members = [TestFamilyMember(test, 30.0)] * 88
         else:
             members = [TestFamilyMember(test, 0.05)]
-        return interleave(members, 1024), F(0.75, 0.25), F(0.75, 0.25), None
+        return interleave(members, 1024), F(0.75, 0.25), F(0.75, 0.25)
     if case == "density":
         hypothesis = DensitySpec.uniform()
         pieces = [DensitySpec.pu_family(0.4), DensitySpec.one_plus_sine(1)]
@@ -659,10 +614,10 @@ def _replay_case(case):
         partition = Partition.atoms([[0, 1], [2, 3]])
     report = separation([hypothesis], pieces, partition)
     h, a = report.hypothesis_vectors, report.alternative_vectors
-    weak = FrequencyTest(partition, h, h + 0.4 * (a[:1] - h))
-    both = FrequencyTest(partition, h, a)
+    weak = FrequencyTest(h, h + 0.4 * (a[:1] - h))
+    both = FrequencyTest(h, a)
     members = [TestFamilyMember(weak, 0.05), TestFamilyMember(both, 0.05)]
-    return interleave(members, 1024), hypothesis, pieces[0], partition
+    return interleave(members, 1024), FiniteMeasure(h[0]), FiniteMeasure(a[0])
 
 
 def _recorded_rows(monkeypatch):
@@ -681,7 +636,7 @@ def _recorded_rows(monkeypatch):
 @pytest.mark.parametrize("case", ["atoms", "density", "tie", "tight"])
 @pytest.mark.parametrize("role", ["hypothesis", "alternative"])
 def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
-    schedule, hypothesis, alternative, partition = _replay_case(case)
+    schedule, hypothesis, alternative = _replay_case(case)
     model = hypothesis if role == "hypothesis" else alternative
     seen = _recorded_rows(monkeypatch)
     # 200 is not a multiple of the segment length and settles few paths;
@@ -694,7 +649,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
             curve = discernibility_paths(schedule, model, n_max, ks, replications, rng, role=role)
             replayed = list(seen)
             seen.clear()
-            want = _reference_curve(schedule, model, partition, n_max, ks, replications, rng, role)
+            want = _reference_curve(schedule, model, n_max, ks, replications, rng, role)
             assert np.array_equal(curve, want)
             if replications == 1:
                 continue
@@ -717,12 +672,12 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
 
 @pytest.mark.parametrize("case", ["atoms"])
 def test_segment_replay_matches_per_n_loop_with_two_workers(case):
-    schedule, hypothesis, _, partition = _replay_case(case)
+    schedule, hypothesis, _ = _replay_case(case)
     ks = list(range(0, 201, 10))
     rng = RngSpec(73, 0)
-    curve = discernibility_paths(schedule, hypothesis, 200, ks, 2 * PATH_BLOCK + 3, rng, workers=2)
-    want = _reference_curve(schedule, hypothesis, partition, 200, ks, 2 * PATH_BLOCK + 3, rng,
-                            "hypothesis")
+    reps = 2 * PATH_BLOCK + 3
+    curve = discernibility_paths(schedule, hypothesis, 200, ks, reps, rng, workers=2)
+    want = _reference_curve(schedule, hypothesis, 200, ks, reps, rng, "hypothesis")
     assert np.array_equal(curve, want)
 
 
@@ -738,7 +693,7 @@ def test_segment_replay_matches_per_n_loop_on_long_alphabets(size):
     for model, role in ((hypothesis, "hypothesis"), (alternative, "alternative")):
         rng = RngSpec(79, size)
         curve = discernibility_paths(schedule, model, n_max, ks, PATH_BLOCK + 1, rng, role=role)
-        want = _reference_curve(schedule, model, None, n_max, ks, PATH_BLOCK + 1, rng, role)
+        want = _reference_curve(schedule, model, n_max, ks, PATH_BLOCK + 1, rng, role)
         assert np.array_equal(curve, want)
         assert 0.0 < want[8] < 1.0
 

@@ -1,0 +1,50 @@
+"""Source hygiene of the package: no bare strings besides docstrings, and no
+statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block."""
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+_EXITS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
+_DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _faults(source: str, name: str) -> list:
+    """``name:line: problem`` for each stray string and unreachable statement."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        for field, block in ast.iter_fields(node):
+            if not (isinstance(block, list) and block and isinstance(block[0], ast.stmt)):
+                continue
+            docstring = isinstance(node, _DOCUMENTED) and field == "body"
+            for position, stmt in enumerate(block):
+                bare = isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant)
+                if bare and isinstance(stmt.value.value, str) and not (docstring and position == 0):
+                    faults.append(f"{name}:{stmt.lineno}: bare string")
+            for before, after in zip(block, block[1:]):
+                if isinstance(before, _EXITS):
+                    faults.append(f"{name}:{after.lineno}: unreachable statement")
+    return faults
+
+
+def test_walker_finds_both_faults():
+    source = '''
+def f(x):
+    """Docstring."""
+    for y in x:
+        continue
+        y += 1
+    return x
+    """stray"""
+'''
+    assert sorted(_faults(source, "m.py")) == [
+        "m.py:6: unreachable statement",
+        "m.py:8: bare string",
+        "m.py:8: unreachable statement",
+    ]
+
+
+def test_package_has_no_stray_strings_or_unreachable_statements():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    faults = [f for p in paths for f in _faults(p.read_text(), str(p.relative_to(SRC)))]
+    assert faults == []
