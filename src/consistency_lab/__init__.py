@@ -37,6 +37,7 @@ from .partition_tests import (
     UnionTest,
     build_frequency_test,
     exact_error,
+    exact_errors,
     separation,
 )
 from .scheduler import (

@@ -10,7 +10,7 @@ class ConstructionError(RuntimeError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Raised when an exact computation would exceed its enumeration budget."""
+    """Raised when a computation would exceed its enumeration budget or memory limit."""
 
 
 class NumericError(RuntimeError):

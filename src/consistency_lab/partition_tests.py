@@ -21,8 +21,12 @@ from .measures import FiniteMeasure, Model, Partition, induced_vector
 #: Sup-norm distances closer than this count as a tie (ties accept).
 TIE_TOL = 1e-12
 
-#: Largest multinomial outcome count exact enumeration will attempt.
+#: Largest multinomial outcome count exact enumeration will attempt. The
+#: enumeration walks its outcomes in chunks, so the budget bounds time.
 ENUMERATION_BUDGET = 10_000_000
+#: Most outcomes one chunk of the enumeration holds: the chunk bounds memory.
+#: At 2**16 every error table of the built-in scenarios is one chunk.
+ENUMERATION_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -84,14 +88,17 @@ class FrequencyTest:
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Decision for each row of count vectors: 1.0 reject, 0.0 accept."""
-        # One row per cell, so that every reduction below runs over the
-        # leading axis: elementwise operations on contiguous rows.
+        # One row per cell, so that every reduction runs over the leading
+        # axis: elementwise operations on contiguous rows.
         cells = np.asarray(np.atleast_2d(counts).T, dtype=float, order="C")
         totals = cells.sum(axis=0)
         freq = np.divide(cells, totals, out=np.zeros_like(cells), where=totals > 0)
+        return self.decide(freq).astype(float)
+
+    def decide(self, freq: np.ndarray) -> np.ndarray:
+        """Rejection (``True``) for each column of a ``(k, N)`` frequency array."""
         d0 = _nearest_distance(freq, self.hypothesis_vectors)
-        d1 = _nearest_distance(freq, self.alternative_vectors)
-        return (d1 < d0 - TIE_TOL).astype(float)
+        return _nearest_distance(freq, self.alternative_vectors) < d0 - TIE_TOL
 
     def margin(self, freq: np.ndarray) -> np.ndarray:
         """``d0 - d1`` for each column of a ``(k, N)`` frequency array.
@@ -110,11 +117,13 @@ class FrequencyTest:
 def _nearest_distance(freq: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """Sup-norm distance from each column of ``freq`` (k, N) to its nearest row of ``vectors``.
 
-    One vector at a time keeps every intermediate at the size of ``freq``.
+    One vector at a time, through one scratch array the size of ``freq``.
     """
     nearest = np.full(freq.shape[1], np.inf)
+    gap = np.empty_like(freq)
     for v in vectors:
-        np.minimum(nearest, np.abs(freq - v[:, None]).max(axis=0), out=nearest)
+        np.abs(np.subtract(freq, v[:, None], out=gap), out=gap)
+        np.minimum(nearest, gap.max(axis=0), out=nearest)
     return nearest
 
 
@@ -128,10 +137,13 @@ class UnionTest:
             raise ValidationError("union of zero tests")
         self.members = tuple(members)
 
-    def rejects(self, counts: np.ndarray) -> np.ndarray:
-        out = self.members[0].rejects(counts)
+    rejects = FrequencyTest.rejects
+
+    def decide(self, freq: np.ndarray) -> np.ndarray:
+        """Rejection for each column of a ``(k, N)`` frequency array: any member rejects."""
+        out = self.members[0].decide(freq)
         for member in self.members[1:]:
-            out = np.maximum(out, member.rejects(counts))
+            out |= member.decide(freq)
         return out
 
 
@@ -150,61 +162,130 @@ def build_frequency_test(report: SeparationReport) -> FrequencyTest:
     return FrequencyTest(report.hypothesis_vectors, report.alternative_vectors)
 
 
-def count_vectors(n: int, k: int) -> np.ndarray:
+def count_vectors(n: int, k: int, lead: np.ndarray | None = None) -> np.ndarray:
     """All length-``k`` nonnegative integer vectors summing to ``n``, in lexicographic order.
 
-    Built one column at a time: each partial row with ``r`` left to place has
-    ``r + 1`` children, taking ``0, ..., r`` in the next column in that order.
+    Built one column at a time: each partial vector with ``r`` left to place
+    has ``r + 1`` children, taking ``0, ..., r`` in the next coordinate in
+    that order. ``lead``, a ``(d, m)`` array, fixes the first ``d``
+    coordinates: only the completions of its columns, in column order. The
+    columns are built cells-first, ``(k, N)``; the result is their transpose.
     """
-    rows = np.zeros((1, 0), dtype=np.int64)
-    left = np.array([n], dtype=np.int64)
-    for _ in range(k - 1):
+    lead = np.zeros((0, 1), dtype=np.int64) if lead is None else lead
+    cols, left = list(lead), n - lead.sum(axis=0)
+    for _ in range(k - 1 - len(cols)):
         parent = np.repeat(np.arange(left.size), left + 1)
         starts = np.cumsum(left + 1) - (left + 1)
         value = np.arange(parent.size, dtype=np.int64) - starts[parent]
-        rows = np.column_stack([rows[parent], value])
+        cols = [col[parent] for col in cols] + [value]
         left = left[parent] - value
-    return np.column_stack([rows, left])
+    return np.stack(cols + [left]).T
 
 
-def multinomial_log_pmf(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Log-probability of each count row under a multinomial distribution."""
-    counts = np.atleast_2d(counts)
-    n = int(counts[0].sum())
-    lgamma_table = np.array([lgamma(i + 1) for i in range(n + 1)])
-    out = np.full(counts.shape[0], lgamma(n + 1))
-    out -= lgamma_table[counts].sum(axis=1)
-    with np.errstate(divide="ignore"):
-        logw = np.log(weights)
-    for j in range(weights.size):
-        col = counts[:, j]
-        if weights[j] == 0.0:
-            out[col > 0] = -np.inf
+def _outcome_chunks(n: int, k: int, prefix: Tuple[int, ...] = ()):
+    """``count_vectors(n, k)`` cells-first, as ``(k, N)`` chunks of at most
+    ``ENUMERATION_CHUNK`` outcomes walked in order.
+
+    A chunk is a run of consecutive values of the coordinate after ``prefix``;
+    a value whose outcomes alone exceed a chunk recurses on the coordinate
+    after it.
+    """
+    left, rest = n - sum(prefix), k - len(prefix) - 1
+
+    def from_value(v):  # outcomes whose next coordinate is at least v
+        return comb(left - v + rest, rest)
+
+    if from_value(0) <= ENUMERATION_CHUNK:
+        yield count_vectors(n, k, np.array(prefix, dtype=np.int64).reshape(-1, 1)).T
+        return
+    v = 0
+    while v <= left:
+        end, hi = v, left + 1  # bisect for the longest run v..end-1 that fits
+        while end < hi:
+            mid = (end + hi + 1) // 2
+            if from_value(v) - from_value(mid) <= ENUMERATION_CHUNK:
+                end = mid
+            else:
+                hi = mid - 1
+        if end == v:
+            yield from _outcome_chunks(n, k, prefix + (v,))
+            end = v + 1
         else:
-            out += col * logw[j]
-    return out
+            lead = np.repeat(np.array(prefix, dtype=np.int64)[:, None], end - v, axis=1)
+            yield count_vectors(n, k, np.vstack([lead, np.arange(v, end)])).T
+        v = end
+
+
+def _log_factorials(n: int) -> np.ndarray:
+    """``lgamma(i + 1)`` for ``i = 0, ..., n``, without an intermediate list."""
+    return np.fromiter((lgamma(i + 1) for i in range(n + 1)), dtype=float, count=n + 1)
+
+
+def multinomial_log_pmf(
+    counts: np.ndarray, weights: np.ndarray, log_factorials: np.ndarray | None = None
+) -> np.ndarray:
+    """Log-probability of each count row under each row of ``weights``.
+
+    ``weights`` of shape ``(m, k)`` gives an ``(m, N)`` array, one vector of
+    ``k`` weights an ``(N,)`` array. ``log_factorials[i]`` is ``lgamma(i + 1)``
+    up to the largest count; it is tabulated here when not given.
+    """
+    cells = np.atleast_2d(counts).T
+    n = int(cells[:, 0].sum())
+    if log_factorials is None:
+        log_factorials = _log_factorials(n)
+    # lgamma(n + 1) - sum_j lgamma(c_j + 1), added cell by cell, for every measure.
+    logfact = log_factorials[cells[0]]
+    for col in cells[1:]:
+        logfact += log_factorials[col]
+    base = lgamma(n + 1) - logfact
+    w = np.atleast_2d(weights)
+    with np.errstate(divide="ignore"):
+        logw = np.log(w)
+    out = np.tile(base, (w.shape[0], 1))
+    for row, wi, logwi in zip(out, w, logw):
+        for j, col in enumerate(cells):
+            if wi[j] == 0.0:
+                row[col > 0] = -np.inf
+            else:
+                row += col * logwi[j]
+    return out if np.ndim(weights) == 2 else out[0]
+
+
+def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
+    """Exact rejection and acceptance probability of a test on ``n`` draws from each measure.
+
+    Returns one ``(reject, accept)`` pair per measure: the type I error when
+    the measure plays the hypothesis, the type II error when it plays the
+    alternative. Every outcome is enumerated and decided once for all
+    measures, in chunks of at most ``ENUMERATION_CHUNK`` outcomes, whose sums
+    add up in enumeration order. Raises ``ResourceLimitError`` when the
+    outcome count exceeds the enumeration budget (callers print NaN).
+    """
+    weights = np.stack([p.weights for p in measures])
+    k = weights.shape[1]
+    outcomes = comb(n + k - 1, k - 1)
+    if outcomes > ENUMERATION_BUDGET:
+        raise ResourceLimitError(
+            f"exact enumeration: {outcomes} outcomes at n = {n}, k = {k} exceed "
+            f"the {ENUMERATION_BUDGET} budget"
+        )
+    log_factorials = _log_factorials(n)
+    reject = np.zeros(len(measures))
+    accept = np.zeros(len(measures))
+    for cells in _outcome_chunks(n, k):
+        rejected = test.decide(cells / max(n, 1)).astype(float)
+        pmf = np.exp(multinomial_log_pmf(cells.T, weights, log_factorials))
+        for i, row in enumerate(pmf):
+            reject[i] += row @ rejected
+            accept[i] += row @ (1.0 - rejected)
+    return [(float(r), float(a)) for r, a in zip(reject, accept)]
 
 
 def exact_error(test, p: FiniteMeasure, n: int) -> Tuple[float, float]:
-    """Exact rejection and acceptance probability of a test on ``n`` draws from ``p``.
-
-    Sums multinomial probabilities over the decision regions; the first value
-    is the type I error when ``p`` plays the hypothesis, the second the type II
-    error when ``p`` plays the alternative. Raises ``ResourceLimitError`` when
-    the outcome count exceeds the enumeration budget (callers print NaN).
-    """
-    k = p.alphabet_size
-    if comb(n + k - 1, k - 1) > ENUMERATION_BUDGET:
-        raise ResourceLimitError(
-            f"enumerating {comb(n + k - 1, k - 1)} outcomes exceeds the "
-            f"{ENUMERATION_BUDGET} budget"
-        )
-    outcomes = count_vectors(n, k)
-    pmf = np.exp(multinomial_log_pmf(outcomes, p.weights))
-    reject = test.rejects(outcomes)
-    reject_prob = float(pmf @ reject)
-    accept_prob = float(pmf @ (1.0 - reject))
-    return reject_prob, accept_prob
+    """Exact rejection and acceptance probability of a test on ``n`` draws from ``p``:
+    :func:`exact_errors` for one measure."""
+    return exact_errors(test, [p], n)[0]
 
 
 def deviation_exponents(vectors: np.ndarray, radius: float) -> np.ndarray:

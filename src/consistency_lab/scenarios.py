@@ -42,7 +42,7 @@ from .partition_tests import (
     FrequencyTest,
     build_frequency_test,
     deviation_exponents,
-    exact_error,
+    exact_errors,
     separation,
 )
 from .scheduler import TestFamilyMember, TestSchedule, interleave, summable
@@ -743,8 +743,9 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
         for n in scenario.sim.n_grid:
             worst = 0  # the simulated hypothesis: the first, or the one attaining alpha_exact
             try:
-                alphas = [exact_error(test, h, n)[0] for h in hyp_cells]
-                beta_exact = exact_error(test, alt_cells, n)[1]
+                errors = exact_errors(test, hyp_cells + [alt_cells], n)
+                alphas = [alpha for alpha, _ in errors[:-1]]
+                beta_exact = errors[-1][1]
                 worst = int(np.argmax(alphas))
                 alpha_exact = alphas[worst]
             except ResourceLimitError:

@@ -20,10 +20,12 @@ such as ``run_scenario`` opens once and shares between its calls.
 
 Sample paths are replayed in segments, cut from the schedule's blocks, over
 which the schedule hands out one test. The running counts are kept one row
-per cell, the layout that ``margin`` and the prefix counts read. A path whose
+per cell, the layout that ``margin`` and ``decide`` read. A path whose
 test margin at the segment's end lies farther from the tie tolerance than the
 frequencies can drift inside the segment is settled: it gets one decision for
-the whole segment. Only the other paths are decided prefix by prefix.
+the whole segment. Only the other paths are decided prefix by prefix. A block
+draws and bins its uniforms a few paths at a time into one cell array, whose
+size is checked against ``MAX_PATH_CELL_BYTES`` first.
 """
 from __future__ import annotations
 
@@ -48,6 +50,12 @@ PATH_BLOCK = 250
 #: segments settle more paths; the open paths of one segment, at PATH_BLOCK
 #: paths, keep their prefix counts and distance arrays near 1 MiB.
 PATH_SEGMENT = 64
+#: Uniforms a path block draws and bins at a time: ``max(1, PATH_DRAW_CHUNK //
+#: n_max)`` paths, so the float draws stay near 32 MiB at any ``n_max``.
+PATH_DRAW_CHUNK = 1 << 22
+#: Largest cell array, one byte per draw up to 256 cells, that a path block
+#: allocates; a larger replay raises ``ResourceLimitError`` instead.
+MAX_PATH_CELL_BYTES = 1 << 30
 #: Most interior edges that binning counts one comparison at a time; longer
 #: tables fall back to ``searchsorted``. On one (250, 2048) block of uniforms
 #: (Intel Xeon, numpy 2.4.6, best of 7) counting took 2.1 ms against 11.0 ms
@@ -128,26 +136,32 @@ class GaussianSequenceModel:
 # -- binning and the Poisson process sampler ----------------------------------------
 
 
-def _cells_below(edges: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """``searchsorted(edges, uniforms, side="right")``: up to ``MAX_COUNTED_EDGES``
-    edges, a ``uint8`` sum of one comparison per edge."""
-    if edges.size > MAX_COUNTED_EDGES:
-        return np.searchsorted(edges, uniforms, side="right")
-    cells = np.zeros(uniforms.shape, dtype=np.uint8)
+def _cells_below(edges: np.ndarray, uniforms: np.ndarray, out=None) -> np.ndarray:
+    """``searchsorted(edges, uniforms, side="right")``, written into ``out`` when
+    given: up to ``MAX_COUNTED_EDGES`` edges, a ``uint8`` sum of one comparison
+    per edge."""
+    counted = edges.size <= MAX_COUNTED_EDGES
+    if out is None:
+        out = np.empty(uniforms.shape, dtype=np.uint8 if counted else np.intp)
+    if not counted:
+        out[...] = np.searchsorted(edges, uniforms, side="right")
+        return out
+    out[...] = 0
     for edge in edges:
-        cells += uniforms >= edge
-    return cells
+        out += uniforms >= edge
+    return out
 
 
-def _bin_draws(model: FiniteMeasure, uniforms: np.ndarray):
-    """Cell index of the draw behind every uniform, and the number of cells.
+def _bin_draws(model: FiniteMeasure, uniforms: np.ndarray, out=None):
+    """Cell index of the draw behind every uniform (into ``out`` when given),
+    and the number of cells.
 
     A draw's cell counts the interior cumulative probabilities of the cell law
     ``model`` at or below its uniform; leaving out the last keeps a rounded
     total from making a cell ``k``.
     """
     probs = induced_vector(model, None)
-    return _cells_below(np.cumsum(probs[:-1]), uniforms), probs.size
+    return _cells_below(np.cumsum(probs[:-1]), uniforms, out), probs.size
 
 
 def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndarray:
@@ -313,7 +327,20 @@ def _constant_segments(schedule, n_max: int) -> list:
 
 def _simulate_path_block(args) -> np.ndarray:
     segments, model, n_max, k_grid, role, size, rng = args
-    cells, k = _bin_draws(model, rng.generator().random((size, n_max)))
+    k = induced_vector(model, None).size
+    dtype = np.dtype(np.uint8 if k <= 256 else np.intp)
+    nbytes = size * n_max * dtype.itemsize
+    if nbytes > MAX_PATH_CELL_BYTES:
+        raise ResourceLimitError(
+            f"path replay: {size} paths at n_max = {n_max} need {nbytes} bytes "
+            f"of cells, above the {MAX_PATH_CELL_BYTES} byte limit"
+        )
+    cells = np.empty((size, n_max), dtype=dtype)
+    # Philox rows drawn in turn are the rows of one (size, n_max) draw.
+    gen, rows = rng.generator(), max(1, PATH_DRAW_CHUNK // n_max)
+    for first in range(0, size, rows):
+        chunk = cells[first : first + rows]
+        _bin_draws(model, gen.random(chunk.shape), chunk)
     one_hot = np.arange(k, dtype=cells.dtype)[:, None, None]
     errs_on_reject = role == "hypothesis"
     counts = np.zeros((k, size), dtype=np.int64)  # one row per cell
@@ -335,7 +362,8 @@ def _simulate_path_block(args) -> np.ndarray:
         if open_rows.size == 0:
             continue
         prefix = np.cumsum(drawn[:, open_rows], axis=2) + start[:, open_rows, None]
-        rejected = test.rejects(prefix.reshape(k, -1).T).reshape(open_rows.size, hi - lo) > 0.5
+        freq = prefix / np.arange(lo + 1, hi + 1)
+        rejected = test.decide(freq.reshape(k, -1)).reshape(open_rows.size, hi - lo)
         errors = rejected == errs_on_reject
         erred = errors.any(axis=1)
         last_error[open_rows[erred]] = hi - np.argmax(errors[erred, ::-1], axis=1)
@@ -361,7 +389,7 @@ def discernibility_paths(
     holds the fraction of paths erring at some ``n`` in ``(k, n_max]``, which
     is non-increasing in ``k``. The draws and decisions are those of a
     per-``n`` loop; the replay in segments (see the module docstring) needs
-    tests that decide from the cell frequencies alone, with ``rejects`` and a
+    tests that decide from the cell frequencies alone, with ``decide`` and a
     2-Lipschitz ``margin``. ``workers`` is a worker count or a shared
     :class:`WorkerPool`.
     """

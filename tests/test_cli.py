@@ -758,6 +758,23 @@ def test_schedule_nmax_below_first_boundary_exit_one(tmp_path, capsys):
     assert "first block boundary" in capsys.readouterr().err
 
 
+def test_schedule_too_large_to_replay_names_the_stage_and_size(tmp_path, capsys):
+    data = {
+        "name": "nested-huge",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.5, 0.5]}],
+        "alternative": [{"weights": [0.9, 0.1]}, {"weights": [0.1, 0.9]}],
+        "sim": {"replications": 300, "n_grid": [10_000_000], "k_grid": [0, 10_000_000]},
+    }
+    path = tmp_path / "huge.json"
+    path.write_text(dumps_canonical(data))
+    code = main(["schedule", "--scenario", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: path replay: 250 paths at n_max = 10000000 need ")
+    assert "2500000000 bytes" in err
+
+
 def _nested_without_grid(tmp_path) -> Path:
     """Finite nested scenario with neither ``sim.n_grid`` nor stored certificates."""
     data = {

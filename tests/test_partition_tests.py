@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from numpy.testing import assert_allclose
 
 from consistency_lab.errors import ConstructionError, ResourceLimitError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, normalize
+from consistency_lab import partition_tests
 from consistency_lab.partition_tests import (
     TIE_TOL,
     FrequencyTest,
@@ -14,6 +16,7 @@ from consistency_lab.partition_tests import (
     count_vectors,
     deviation_exponents,
     exact_error,
+    exact_errors,
     multinomial_log_pmf,
     separation,
 )
@@ -301,6 +304,71 @@ def test_exact_error_matches_monte_carlo():
     mc = estimate_error(test, p, 12, 100_000, RngSpec(123, 0))
     sigma = math.sqrt(exact * (1 - exact) / 100_000)
     assert abs(mc.estimate - exact) <= 3 * sigma
+
+
+def _exact_error_reference(test, p, n):
+    """One measure at a time over the whole enumeration, deciding count rows."""
+    outcomes = count_vectors(n, p.alphabet_size)
+    pmf = np.exp(multinomial_log_pmf(outcomes, p.weights))
+    reject = test.rejects(outcomes)
+    return float(pmf @ reject), float(pmf @ (1.0 - reject))
+
+
+def _error_cases():
+    """(test, measures, n) on 2, 3 and 4 atoms, a zero weight, and a ``UnionTest``."""
+    rng = np.random.default_rng(103)
+    for k, n in ((2, 40), (3, 30), (4, 20)):
+        hypothesis, pieces = rng.dirichlet(np.ones(k), 2), rng.dirichlet(np.ones(k), 2)
+        hypothesis[1, 0] = 0.0
+        hypothesis[1] /= hypothesis[1].sum()
+        measures = [FiniteMeasure(v) for v in (*hypothesis, *pieces)]
+        yield FrequencyTest(hypothesis, pieces), measures, n
+        union = UnionTest([FrequencyTest(hypothesis, [q]) for q in pieces])
+        yield union, measures, n
+
+
+def test_exact_errors_equal_one_measure_at_a_time_bit_for_bit():
+    for test, measures, n in _error_cases():
+        got = exact_errors(test, measures, n)
+        assert len(got) == len(measures)
+        for p, pair in zip(measures, got):
+            assert pair == exact_error(test, p, n) == _exact_error_reference(test, p, n)
+            assert_allclose(sum(pair), 1.0, atol=1e-12)
+
+
+def test_outcome_chunks_walk_count_vectors_in_order(monkeypatch):
+    for chunk in (1, 5, 64):
+        monkeypatch.setattr(partition_tests, "ENUMERATION_CHUNK", chunk)
+        for n, k in ((0, 3), (9, 1), (12, 2), (10, 3), (8, 4)):
+            chunks = list(partition_tests._outcome_chunks(n, k))
+            assert all(c.shape[0] == k and c.shape[1] <= chunk for c in chunks)
+            assert all(c.flags.c_contiguous for c in chunks)
+            assert np.array_equal(np.hstack(chunks).T, count_vectors(n, k))
+
+
+def test_exact_errors_in_small_chunks_match_one_chunk(monkeypatch):
+    cases = list(_error_cases())
+    one = [exact_errors(test, measures, n) for test, measures, n in cases]
+    monkeypatch.setattr(partition_tests, "ENUMERATION_CHUNK", 97)
+    for (test, measures, n), want in zip(cases, one):
+        got = exact_errors(test, measures, n)
+        assert_allclose(got, want, rtol=0.0, atol=1e-15)
+
+
+def test_exact_errors_near_the_budget_stay_in_bounded_memory():
+    """k = 4 at n = 380: 9.29M outcomes, which took 1.70 GiB built at once."""
+    p, q = F(0.25, 0.25, 0.25, 0.25), F(0.4, 0.3, 0.2, 0.1)
+    test = build_frequency_test(separation([p], [q], None))
+    assert math.comb(383, 3) == 9_290_431
+    tracemalloc.start()
+    try:
+        (alpha, accept), = exact_errors(test, [p], 380)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    assert 0.0 < alpha < 1e-4
+    assert_allclose(alpha + accept, 1.0, atol=1e-12)
 
 
 # -- deviation exponents ---------------------------------------------------------------

@@ -2,6 +2,7 @@ import importlib.util
 import math
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,11 @@ from consistency_lab.scenarios import (
     scenario_nested_alternatives,
 )
 from consistency_lab.scheduler import TestFamilyMember, interleave
+from consistency_lab import simulation
 from consistency_lab.simulation import (
     ERROR_BLOCK,
     MAX_COUNTED_EDGES,
+    MAX_PATH_CELL_BYTES,
     PATH_BLOCK,
     PATH_SEGMENT,
     GaussianSequenceModel,
@@ -43,6 +46,7 @@ from consistency_lab.simulation import (
 from consistency_lab.simulation import (
     _bin_draws,
     _cells_below,
+    _constant_segments,
     _simulate_error_block,
 )
 
@@ -621,16 +625,36 @@ def _replay_case(case):
 
 
 def _recorded_rows(monkeypatch):
-    """Every count row that ``FrequencyTest.rejects`` decides from now on."""
+    """Every frequency row that ``FrequencyTest.decide`` decides from now on, and
+    a ``None`` for every ``margin`` call: the replay calls ``margin`` once per
+    segment, the per-n loop never."""
     seen = []
-    decide = FrequencyTest.rejects
+    decide, margin = FrequencyTest.decide, FrequencyTest.margin
 
-    def recording(self, counts):
-        seen.append(np.atleast_2d(counts).copy())  # callers may reuse the array
-        return decide(self, counts)
+    def recording(self, freq):
+        seen.append(freq.T.copy())  # callers may reuse the array
+        return decide(self, freq)
 
-    monkeypatch.setattr(FrequencyTest, "rejects", recording)
+    def marking(self, freq):
+        seen.append(None)
+        return margin(self, freq)
+
+    monkeypatch.setattr(FrequencyTest, "decide", recording)
+    monkeypatch.setattr(FrequencyTest, "margin", marking)
     return seen
+
+
+def _rows_by_segment(seen, segments):
+    """``(lo, hi, rows)`` for every recorded ``decide`` call of a replay, with
+    the segment of the ``margin`` call before it; blocks walk every segment."""
+    out, index = [], -1
+    for rows in seen:
+        if rows is None:
+            index += 1
+        else:
+            lo, hi, _ = segments[index % len(segments)]
+            out.append((lo, hi, rows))
+    return out
 
 
 @pytest.mark.parametrize("case", ["atoms", "density", "tie", "tight"])
@@ -647,7 +671,7 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
             rng = RngSpec(71, replications)
             seen.clear()
             curve = discernibility_paths(schedule, model, n_max, ks, replications, rng, role=role)
-            replayed = list(seen)
+            replayed = _rows_by_segment(seen, _constant_segments(schedule, n_max))
             seen.clear()
             want = _reference_curve(schedule, model, n_max, ks, replications, rng, role)
             assert np.array_equal(curve, want)
@@ -655,19 +679,57 @@ def test_segment_replay_matches_per_n_loop(case, role, monkeypatch):
                 continue
             if case != "tight":  # the curves compared are not trivial (tight rejects at once)
                 assert 0.0 < want[1] < 1.0
-            decided = sum(len(rows) for rows in replayed)
+            decided = sum(len(rows) for _, _, rows in replayed)
             if n_max == 1024:  # settled paths skip rows; open paths of long segments remain
                 assert decided < replications * n_max
                 assert decided > 0
             if case == "tie":  # no exact tie ever settles
-                def ties(rows):
-                    return 4 * rows[:, 0] == 3 * rows.sum(axis=1)
+                def ties(rows):  # frequencies (3/4, 1/4), exact at counts (3n/4, n/4)
+                    return rows[:, 0] == 0.75
 
-                replayed, reference = np.concatenate(replayed), np.concatenate(seen)
-                assert ties(replayed).sum() == ties(reference).sum() > 0
+                reference = np.concatenate(seen)
+                assert sum(ties(rows).sum() for _, _, rows in replayed) == ties(reference).sum() > 0
                 # where segments have length 1 only exact ties stay open
-                n = replayed.sum(axis=1)
-                assert ties(replayed[(3 <= n) & (n <= 88)]).all()
+                single = [rows for lo, hi, rows in replayed if hi - lo == 1]
+                assert single and all(ties(rows).all() for rows in single)
+
+
+@pytest.mark.parametrize("case", ["atoms", "density"])
+def test_segment_replay_in_row_chunks_matches_per_n_loop(case, monkeypatch):
+    schedule, hypothesis, _ = _replay_case(case)
+    n_max, reps = 3 * PATH_SEGMENT + 8, PATH_BLOCK + 1
+    ks = list(range(0, n_max + 1, 4))
+    monkeypatch.setattr(simulation, "PATH_DRAW_CHUNK", 3 * n_max + 1)  # 3 paths at a time
+    curve = discernibility_paths(schedule, hypothesis, n_max, ks, reps, RngSpec(83, 0))
+    want = _reference_curve(schedule, hypothesis, n_max, ks, reps, RngSpec(83, 0), "hypothesis")
+    assert np.array_equal(curve, want)
+
+
+def test_path_replay_at_a_million_draws_stays_in_bounded_memory():
+    """100 paths at n_max 10^6, which took 956 MiB drawn at once."""
+    scenario = scenario_nested_alternatives([F(0.9, 0.1), F(0.1, 0.9)], n_max=10**6)
+    schedule = nested_schedule(scenario)
+    tracemalloc.start()
+    try:
+        curve = discernibility_paths(
+            schedule, F(0.5, 0.5), 10**6, [0, 1000, 10**6], 100, RngSpec(89, 0)
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 200e6
+    assert curve[0] > 0.0 and curve[-1] == 0.0
+
+
+def test_path_replay_above_its_cell_limit_fails_before_allocating():
+    schedule = _schedule_for([[0.9, 0.1]], [0.05], 10**7)
+    paths = MAX_PATH_CELL_BYTES // 10**7 + 1
+    with pytest.raises(ResourceLimitError) as info:
+        discernibility_paths(schedule, F(0.5, 0.5), 10**7, [0], paths, RngSpec(0, 0))
+    assert str(info.value) == (
+        f"path replay: {paths} paths at n_max = 10000000 need {paths * 10**7} bytes "
+        f"of cells, above the {MAX_PATH_CELL_BYTES} byte limit"
+    )
 
 
 @pytest.mark.parametrize("case", ["atoms"])
