@@ -54,7 +54,6 @@ from .simulation import (
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
-    sample_poisson_process,
     wilson_interval,
 )
 from .scenarios import (

@@ -719,13 +719,10 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
 def _error_pair(test, hypothesis, alternative, n, reps, streams, pool):
     """Monte Carlo type I error of ``test`` under ``hypothesis``, then its type II
     error under ``alternative``, each on the run's next stream."""
-    alpha = estimate_error(
-        test, hypothesis, n, reps, next(streams), count="reject", workers=pool
+    return tuple(
+        estimate_error(test, model, n, reps, next(streams), role=role, workers=pool)
+        for model, role in ((hypothesis, "hypothesis"), (alternative, "alternative"))
     )
-    beta = estimate_error(
-        test, alternative, n, reps, next(streams), count="accept", workers=pool
-    )
-    return alpha, beta
 
 
 def _error_curve_table(scenario, reps, streams, pool) -> Table:

@@ -11,11 +11,12 @@ model is its cell law: a :class:`FiniteMeasure` whose atoms are the test's
 cells. An error block draws the counts of all its replications in one
 ``(size, k)`` call: multinomial(``n``, cell law) for ``n`` i.i.d. draws,
 independent Poisson(``n * mass * w_j``) atom counts for a process with mean
-measure ``n * mass * w``. Only the path replay and
-:func:`sample_poisson_process` draw observations. A draw's cell counts the interior cumulative cell
-probabilities ``<= u`` of its uniform ``u``, into ``uint8`` cells, or by
-``searchsorted`` above ``MAX_COUNTED_EDGES`` edges.
-Blocks run in the calling process, or in a :class:`WorkerPool` that a caller
+measure ``n * mass * w``. Only the path replay draws observations. A
+draw's cell counts the interior cumulative cell probabilities ``<= u`` of its
+uniform ``u``, into ``uint8`` cells, or by ``searchsorted`` above
+``MAX_COUNTED_EDGES`` edges. Both estimators count the errors of a role:
+rejections under the hypothesis, acceptances under the alternative. Their
+blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
 
 Sample paths are replayed in segments, cut from the schedule's blocks, over
@@ -133,47 +134,19 @@ class GaussianSequenceModel:
         return self.signal.size
 
 
-# -- binning and the Poisson process sampler ----------------------------------------
+# -- binning, the Poisson tail bound and the block runner -----------------------------
 
 
-def _cells_below(edges: np.ndarray, uniforms: np.ndarray, out=None) -> np.ndarray:
-    """``searchsorted(edges, uniforms, side="right")``, written into ``out`` when
-    given: up to ``MAX_COUNTED_EDGES`` edges, a ``uint8`` sum of one comparison
-    per edge."""
-    counted = edges.size <= MAX_COUNTED_EDGES
-    if out is None:
-        out = np.empty(uniforms.shape, dtype=np.uint8 if counted else np.intp)
-    if not counted:
+def _cells_below(edges: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``searchsorted(edges, uniforms, side="right")``, written into ``out``: up to
+    ``MAX_COUNTED_EDGES`` edges, a sum of one comparison per edge."""
+    if edges.size > MAX_COUNTED_EDGES:
         out[...] = np.searchsorted(edges, uniforms, side="right")
         return out
     out[...] = 0
     for edge in edges:
         out += uniforms >= edge
     return out
-
-
-def _bin_draws(model: FiniteMeasure, uniforms: np.ndarray, out=None):
-    """Cell index of the draw behind every uniform (into ``out`` when given),
-    and the number of cells.
-
-    A draw's cell counts the interior cumulative probabilities of the cell law
-    ``model`` at or below its uniform; leaving out the last keeps a rounded
-    total from making a cell ``k``.
-    """
-    probs = induced_vector(model, None)
-    return _cells_below(np.cumsum(probs[:-1]), uniforms, out), probs.size
-
-
-def sample_poisson_process(model: PoissonModel, n: int, rng: RngSpec) -> np.ndarray:
-    """``int64`` atoms of one superposed process: a Poisson count of i.i.d. shape draws."""
-    if n < 1:
-        raise ValidationError("n must be >= 1")
-    mean_atoms = n * model.mass
-    if mean_atoms > 1e9:
-        raise ResourceLimitError(f"expected atom count {mean_atoms:.3e} exceeds 1e9")
-    gen = rng.generator()
-    count = int(gen.poisson(mean_atoms))
-    return _bin_draws(model.shape, gen.random(count))[0].astype(np.int64)
 
 
 def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
@@ -193,51 +166,12 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
     return upper + lower
 
 
-# -- Monte Carlo error estimation ----------------------------------------------------
-
-
-def wilson_interval(estimate: float, replications: int):
-    """95% Wilson score interval; stable near 0 and 1."""
-    z = Z95
-    z2 = z * z
-    denom = 1.0 + z2 / replications
-    center = (estimate + z2 / (2.0 * replications)) / denom
-    half = (
-        z
-        * math.sqrt(estimate * (1.0 - estimate) / replications + z2 / (4.0 * replications**2))
-        / denom
-    )
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def _simulate_error_block(args) -> float:
-    """Number of rejections (or acceptances) in ``size`` replications at ``rng``.
-
-    Gaussian sequences hand the test the observation vectors; i.i.d. and
-    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
-    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
-    per shape atom.
-    """
-    test, model, n, count_kind, size, rng = args
-    gen = rng.generator()
-    if isinstance(model, GaussianSequenceModel):
-        y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
-        reject = test.rejects(y)
-    elif isinstance(model, PoissonModel):
-        lam = n * model.mass * model.shape.weights
-        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
-    else:
-        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
-    reject = np.asarray(reject, dtype=float)
-    return float((1.0 - reject if count_kind == "accept" else reject).sum())
-
-
-def _block_sizes(total: int, block: int):
-    full, rest = divmod(total, block)
-    sizes = [block] * full
-    if rest:
-        sizes.append(rest)
-    return sizes
+def _errs_on_reject(role: str) -> bool:
+    """Whether rejections are the errors of ``role``: they are under the
+    ``"hypothesis"``, and acceptances are under the ``"alternative"``."""
+    if role not in ("hypothesis", "alternative"):
+        raise ValidationError("role must be 'hypothesis' or 'alternative'")
+    return role == "hypothesis"
 
 
 class WorkerPool:
@@ -271,11 +205,58 @@ class WorkerPool:
         self.close()
 
 
-def _map_blocks(fn, tasks, workers):
+def _run_blocks(fn, head: tuple, replications: int, block: int, rng: RngSpec, workers) -> list:
+    """``fn(head + (size, rng.block(b)))`` for every block ``b`` of at most
+    ``block`` of the ``replications``, in block order. ``workers`` is a worker
+    count or a shared :class:`WorkerPool`."""
+    tasks = [
+        head + (min(block, replications - first), rng.block(b))
+        for b, first in enumerate(range(0, replications, block))
+    ]
     if isinstance(workers, WorkerPool):
         return workers.map(fn, tasks)
     with WorkerPool(workers) as pool:
         return pool.map(fn, tasks)
+
+
+# -- Monte Carlo error estimation ----------------------------------------------------
+
+
+def wilson_interval(estimate: float, replications: int):
+    """95% Wilson score interval; stable near 0 and 1."""
+    z = Z95
+    z2 = z * z
+    denom = 1.0 + z2 / replications
+    center = (estimate + z2 / (2.0 * replications)) / denom
+    half = (
+        z
+        * math.sqrt(estimate * (1.0 - estimate) / replications + z2 / (4.0 * replications**2))
+        / denom
+    )
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def _simulate_error_block(args) -> float:
+    """Number of errors in ``size`` replications at ``rng``: rejections when
+    ``errs_on_reject``, else acceptances.
+
+    Gaussian sequences hand the test the observation vectors; i.i.d. and
+    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
+    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
+    per shape atom.
+    """
+    test, model, n, errs_on_reject, size, rng = args
+    gen = rng.generator()
+    if isinstance(model, GaussianSequenceModel):
+        y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
+        reject = test.rejects(y)
+    elif isinstance(model, PoissonModel):
+        lam = n * model.mass * model.shape.weights
+        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
+    else:
+        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
+    reject = np.asarray(reject, dtype=float)
+    return float((reject if errs_on_reject else 1.0 - reject).sum())
 
 
 def estimate_error(
@@ -284,27 +265,22 @@ def estimate_error(
     n: int,
     replications: int,
     rng: RngSpec,
-    count: str = "reject",
+    role: str = "hypothesis",
     workers: Union[int, WorkerPool] = 1,
 ) -> SimulationReport:
-    """Monte Carlo estimate of a test's rejection (or acceptance) probability.
+    """Monte Carlo estimate of a test's error probability under ``model``.
 
-    ``count="reject"`` estimates the type I error under a hypothesis model,
-    ``count="accept"`` the type II error under an alternative model; a model is
-    a cell law, a :class:`PoissonModel` or a :class:`GaussianSequenceModel`.
+    An error is a rejection in the ``"hypothesis"`` role (the type I error)
+    and an acceptance in the ``"alternative"`` role (the type II error); a
+    model is a cell law, a :class:`PoissonModel` or a :class:`GaussianSequenceModel`.
     Blocks of replications own disjoint RNG streams and are reduced in index
     order, so the result depends only on ``rng`` and the arguments.
     ``workers`` is a worker count or a :class:`WorkerPool` shared with other calls.
     """
     if replications < 100:
         raise ValidationError("replications must be >= 100")
-    if count not in ("reject", "accept"):
-        raise ValidationError("count must be 'reject' or 'accept'")
-    sizes = _block_sizes(replications, ERROR_BLOCK)
-    tasks = [
-        (test, model, n, count, size, rng.block(b)) for b, size in enumerate(sizes)
-    ]
-    totals = _map_blocks(_simulate_error_block, tasks, workers)
+    head = (test, model, n, _errs_on_reject(role))
+    totals = _run_blocks(_simulate_error_block, head, replications, ERROR_BLOCK, rng, workers)
     estimate = float(sum(totals)) / replications
     half_width = Z95 * math.sqrt(
         max(estimate * (1.0 - estimate), 0.0) / replications
@@ -326,8 +302,11 @@ def _constant_segments(schedule, n_max: int) -> list:
 
 
 def _simulate_path_block(args) -> np.ndarray:
-    segments, model, n_max, k_grid, role, size, rng = args
-    k = induced_vector(model, None).size
+    segments, model, n_max, k_grid, errs_on_reject, size, rng = args
+    probs = induced_vector(model, None)
+    # A draw's cell counts the interior cumulative probabilities at or below
+    # its uniform; leaving out the last keeps a rounded total from making a cell k.
+    k, edges = probs.size, np.cumsum(probs[:-1])
     dtype = np.dtype(np.uint8 if k <= 256 else np.intp)
     nbytes = size * n_max * dtype.itemsize
     if nbytes > MAX_PATH_CELL_BYTES:
@@ -340,9 +319,8 @@ def _simulate_path_block(args) -> np.ndarray:
     gen, rows = rng.generator(), max(1, PATH_DRAW_CHUNK // n_max)
     for first in range(0, size, rows):
         chunk = cells[first : first + rows]
-        _bin_draws(model, gen.random(chunk.shape), chunk)
+        _cells_below(edges, gen.random(chunk.shape), chunk)
     one_hot = np.arange(k, dtype=cells.dtype)[:, None, None]
-    errs_on_reject = role == "hypothesis"
     counts = np.zeros((k, size), dtype=np.int64)  # one row per cell
     last_error = np.zeros(size, dtype=np.int64)
     for lo, hi, test in segments:
@@ -393,8 +371,7 @@ def discernibility_paths(
     2-Lipschitz ``margin``. ``workers`` is a worker count or a shared
     :class:`WorkerPool`.
     """
-    if role not in ("hypothesis", "alternative"):
-        raise ValidationError("role must be 'hypothesis' or 'alternative'")
+    errs_on_reject = _errs_on_reject(role)
     if n_max < 1 or n_max > schedule.n_max:
         raise ValidationError(f"n_max must be in [1, {schedule.n_max}]")
     if replications < 1:
@@ -402,11 +379,6 @@ def discernibility_paths(
     ks = tuple(int(k) for k in k_grid)
     if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")
-    segments = _constant_segments(schedule, n_max)
-    sizes = _block_sizes(replications, PATH_BLOCK)
-    tasks = [
-        (segments, model, n_max, ks, role, size, rng.block(b))
-        for b, size in enumerate(sizes)
-    ]
-    counts = _map_blocks(_simulate_path_block, tasks, workers)
+    head = (_constant_segments(schedule, n_max), model, n_max, ks, errs_on_reject)
+    counts = _run_blocks(_simulate_path_block, head, replications, PATH_BLOCK, rng, workers)
     return np.sum(counts, axis=0) / replications

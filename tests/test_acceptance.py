@@ -41,12 +41,22 @@ from consistency_lab.simulation import (
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
-    sample_poisson_process,
 )
 
 
 def F(*weights):
     return FiniteMeasure(np.array(weights, dtype=float))
+
+
+class _RecordingTest:
+    """Rejects nothing and keeps the count rows it was handed."""
+
+    def __init__(self):
+        self.seen = []
+
+    def rejects(self, counts):
+        self.seen.append(counts)
+        return np.zeros(counts.shape[0])
 
 
 def report(number, name, detail, t0):
@@ -244,7 +254,7 @@ def test_criterion_7_signal_detection():
         )
         beta = estimate_error(
             test, GaussianSequenceModel(np.array([1.0]), eps), 1, 100_000,
-            base.task(2 * index + 1), count="accept",
+            base.task(2 * index + 1), role="alternative",
         )
         totals.append(alpha.estimate + beta.estimate)
     assert totals[-1] <= 1e-4
@@ -271,17 +281,20 @@ def test_criterion_8_poisson_bound():
     sigma = math.sqrt(max(freq, 1e-6) * (1.0 - freq) / 1_000_000)
     assert freq <= bound + 3 * sigma
 
-    # conditional on the atom count, atoms are i.i.d. from the shape
+    # the atom counts a Poisson error block hands its test: Poisson(20) totals,
+    # and conditional on the total, atoms i.i.d. from the shape
     model = PoissonModel(1.0, F(0.3, 0.7))
-    base = RngSpec(8102, 0)
-    by_count = {}
-    for i in range(4000):
-        atoms = sample_poisson_process(model, 20, base.block(i))
-        by_count.setdefault(atoms.size, []).append(atoms)
-    count, groups = max(by_count.items(), key=lambda kv: len(kv[1]))
-    pooled = np.concatenate(groups)
-    freq0 = float((pooled == 0).mean())
-    half_width = 1.959963984540054 * math.sqrt(0.3 * 0.7 / pooled.size)
+    test = _RecordingTest()
+    estimate_error(test, model, 20, 4000, RngSpec(8102, 0))
+    counts = np.concatenate(test.seen)
+    totals = counts.sum(axis=1)
+    assert counts.shape == (4000, 2)
+    assert abs(float(totals.mean()) - 20.0) <= 3 * math.sqrt(20.0 / totals.size)
+    values, sizes = np.unique(totals, return_counts=True)
+    count = int(values[np.argmax(sizes)])
+    pooled = counts[totals == count]
+    freq0 = float(pooled[:, 0].sum() / pooled.sum())
+    half_width = 1.959963984540054 * math.sqrt(0.3 * 0.7 / pooled.sum())
     assert abs(freq0 - 0.3) <= half_width * 1.6  # 95% CI with slack for one draw
     elapsed = time.time() - t0
     assert elapsed < 120.0

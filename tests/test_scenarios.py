@@ -355,8 +355,9 @@ def test_poisson_count_threshold_bisection_matches_linear_scan():
     assert poisson_count_threshold(1.0, 1, 1e-300) == _linear_scan_threshold(1.0, 1, 1e-300)
 
 
-def _two_stage_exact(test, model, n, count):
-    """Exact rejection (or acceptance) probability of a two-stage test.
+def _two_stage_exact(test, model, n, role):
+    """Exact error probability of a two-stage test in ``role``: its rejection
+    probability under the hypothesis, its acceptance probability under the alternative.
 
     Conditions on the atom total ``N ~ Poisson(n * mass)``: the count stage
     decides on ``N`` alone, an empty process is accepted, and otherwise the
@@ -374,7 +375,7 @@ def _two_stage_exact(test, model, n, count):
             reject = 0.0
         else:
             reject = exact_error(test.frequency_test, model.shape, N)[0]
-        total += pmf * (reject if count == "reject" else 1.0 - reject)
+        total += pmf * (reject if role == "hypothesis" else 1.0 - reject)
         seen += pmf
         N += 1
     return total
@@ -387,12 +388,12 @@ def test_poisson_two_stage_monte_carlo_matches_exact_oracle(n):
     rate, _ = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
     test = PoissonTwoStageTest(n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test)
     reps = 20_000
-    for model, count, stream in ((h0, "reject", 0), (h1, "accept", 1)):
-        exact = _two_stage_exact(test, model, n, count)
+    for model, role, stream in ((h0, "hypothesis", 0), (h1, "alternative", 1)):
+        exact = _two_stage_exact(test, model, n, role)
         assert 0.01 < exact < 0.99  # both stages and both outcomes matter here
-        mc = estimate_error(test, model, n, reps, RngSpec(131, stream), count=count)
+        mc = estimate_error(test, model, n, reps, RngSpec(131, stream), role=role)
         sigma = math.sqrt(exact * (1 - exact) / reps)
-        assert abs(mc.estimate - exact) <= 4 * sigma, (count, mc.estimate, exact)
+        assert abs(mc.estimate - exact) <= 4 * sigma, (role, mc.estimate, exact)
 
 
 def test_monte_carlo_pairs_take_the_run_streams_in_order():
@@ -407,7 +408,7 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
         n = row["n"]
         test = PoissonTwoStageTest(n, h0.mass, row["deviation_rate"], freq_test)
         alpha = estimate_error(test, h0, n, reps, streams.task(2 * i))
-        beta = estimate_error(test, h1, n, reps, streams.task(2 * i + 1), count="accept")
+        beta = estimate_error(test, h1, n, reps, streams.task(2 * i + 1), role="alternative")
         assert (row["alpha_mc"], row["alpha_half_width"]) == (alpha.estimate, alpha.half_width_95)
         assert (row["beta_mc"], row["beta_half_width"]) == (beta.estimate, beta.half_width_95)
 
@@ -419,7 +420,8 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
         eps = row["epsilon"]
         alpha = estimate_error(test, GaussianSequenceModel(s0, eps), 1, reps, streams.task(2 * i))
         beta = estimate_error(
-            test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1), count="accept"
+            test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1),
+            role="alternative",
         )
         assert (row["alpha_mc"], row["beta_mc"]) == (alpha.estimate, beta.estimate)
         assert row["total_half_width"] == alpha.half_width_95 + beta.half_width_95

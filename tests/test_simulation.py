@@ -40,11 +40,9 @@ from consistency_lab.simulation import (
     discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
-    sample_poisson_process,
     wilson_interval,
 )
 from consistency_lab.simulation import (
-    _bin_draws,
     _cells_below,
     _constant_segments,
     _simulate_error_block,
@@ -68,48 +66,6 @@ def test_estimate_error_worker_count_does_not_change_result():
     serial = estimate_error(test, F(0.5, 0.5), 20, 20_000, RngSpec(77, 0), workers=1)
     parallel = estimate_error(test, F(0.5, 0.5), 20, 20_000, RngSpec(77, 0), workers=2)
     assert serial.estimate == parallel.estimate
-
-
-# -- Poisson process -------------------------------------------------------------------
-
-
-def test_public_samplers_return_int64_atoms():
-    for weights in ([0.2, 0.3, 0.5], np.full(130, 1 / 130)):
-        model = FiniteMeasure(np.array(weights))
-        atoms = sample_poisson_process(PoissonModel(1.0, model), 100, RngSpec(3, 0))
-        assert atoms.dtype == np.int64
-
-
-def test_poisson_process_mean_atom_count():
-    spec = RngSpec(11, 0)
-    counts = [
-        sample_poisson_process(PoissonModel(1.0, F(0.5, 0.5)), 100, spec.block(i)).size
-        for i in range(10_000)
-    ]
-    mean = float(np.mean(counts))
-    # Poisson(100): sd 10, standard error 0.1
-    assert abs(mean - 100.0) <= 3 * 0.1
-
-
-def test_poisson_process_tiny_mass_is_empty():
-    atoms = sample_poisson_process(PoissonModel(1e-12, F(1.0)), 1, RngSpec(3, 0))
-    assert atoms.size == 0
-
-
-def test_poisson_process_conditional_shape():
-    spec = RngSpec(13, 0)
-    model = PoissonModel(2.0, F(0.3, 0.7))
-    pooled = np.concatenate(
-        [sample_poisson_process(model, 10, spec.block(i)) for i in range(3000)]
-    )
-    freq = float((pooled == 0).mean())
-    sigma = math.sqrt(0.3 * 0.7 / pooled.size)
-    assert abs(freq - 0.3) <= 3 * sigma
-
-
-def test_poisson_process_resource_guard():
-    with pytest.raises(ResourceLimitError):
-        sample_poisson_process(PoissonModel(1e9, F(1.0)), 10, RngSpec(0, 0))
 
 
 # -- Poisson tail bound ----------------------------------------------------------------
@@ -183,7 +139,7 @@ def test_estimate_error_constant_accept_is_exact_zero():
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0))
     assert report.estimate == 0.0 and report.half_width_95 == 0.0
     # the type II error of the same test is exactly one
-    report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0), count="accept")
+    report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0), role="alternative")
     assert report.estimate == 1.0 and report.half_width_95 == 0.0
 
 
@@ -208,7 +164,7 @@ def test_estimate_error_accept_side():
     test = make_test([0.5, 0.5], [0.9, 0.1])
     beta_exact = exact_error(test, F(0.9, 0.1), 30)[1]
     report = estimate_error(
-        test, F(0.9, 0.1), 30, 50_000, RngSpec(53, 0), count="accept"
+        test, F(0.9, 0.1), 30, 50_000, RngSpec(53, 0), role="alternative"
     )
     sigma = math.sqrt(max(beta_exact * (1 - beta_exact), 1e-9) / 50_000)
     assert abs(report.estimate - beta_exact) <= 4 * sigma
@@ -246,6 +202,12 @@ _DYADIC_PARTITIONS = [
 ]
 
 
+def _bin(probs, uniforms):
+    """The path replay's binning: the cell of the draw from the cell law ``probs``
+    behind each uniform counts the interior cumulative probabilities at or below it."""
+    return _cells_below(np.cumsum(probs[:-1]), uniforms, np.empty(uniforms.shape, np.uint8))
+
+
 @pytest.mark.parametrize("model", _EDGE_MODELS, ids=DensitySpec.label)
 def test_edge_binning_equals_quantile_binning(model):
     """On dyadic edges, which bisection visits exactly, the cells agree draw for draw."""
@@ -253,8 +215,7 @@ def test_edge_binning_equals_quantile_binning(model):
     points = model.quantile(uniforms)
     for partition in _DYADIC_PARTITIONS:
         his = np.array([hi for _, hi in partition.cells])
-        cells, k = _bin_draws(FiniteMeasure(induced_vector(model, partition)), uniforms)
-        assert k == partition.k
+        cells, k = _bin(induced_vector(model, partition), uniforms), partition.k
         assert cells.shape == uniforms.shape
         assert np.array_equal(cells, np.searchsorted(his, points, side="left"))
         assert set(np.unique(cells)) == set(range(k))
@@ -266,11 +227,11 @@ def test_edge_binning_equals_quantile_binning(model):
 def test_edge_binning_extreme_uniforms(model):
     extremes = np.array([0.0, 1.0 - 2.0**-53])
     for partition in _DYADIC_PARTITIONS:
-        cells, k = _bin_draws(FiniteMeasure(induced_vector(model, partition)), extremes)
-        assert cells.tolist() == [0, k - 1]
+        cells = _bin(induced_vector(model, partition), extremes)
+        assert cells.tolist() == [0, partition.k - 1]
 
 
-@pytest.mark.parametrize("n_edges", [1, 2, 3, 8, 64, 128, 129])
+@pytest.mark.parametrize("n_edges", [1, 2, 3, 8, 64, MAX_COUNTED_EDGES, MAX_COUNTED_EDGES + 1])
 def test_cells_below_equals_searchsorted(n_edges):
     """Counted edges match ``searchsorted`` on and next to every edge, with and
     without zero weights, which repeat a cumulative weight (and put one at 0)."""
@@ -289,15 +250,10 @@ def test_cells_below_equals_searchsorted(n_edges):
                 gen.random(1000),
             ]
         )
-        cells = _cells_below(edges, uniforms)
+        out = np.empty(uniforms.shape, dtype=np.uint8)  # the replay's cells below 256
+        cells = _cells_below(edges, uniforms, out)
+        assert cells is out
         assert np.array_equal(cells, np.searchsorted(edges, uniforms, side="right"))
-        assert (cells.dtype == np.uint8) == (n_edges <= MAX_COUNTED_EDGES)
-
-
-def test_bin_draws_rejects_density_without_interval_partition():
-    """Draws fall into the atoms of a cell law; a density has none."""
-    with pytest.raises(ValidationError, match="interval partition"):
-        _bin_draws(DensitySpec.uniform(), np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -314,22 +270,10 @@ def test_bin_draws_follows_induced_vector(model, partition):
     exact columns' cells, at or below its uniform; so the cells occur at its rates."""
     uniforms = RngSpec(109, 0).generator().random((40, 1000))
     probs = induced_vector(model, partition)
-    cells, k = _bin_draws(FiniteMeasure(probs), uniforms)
-    assert k == probs.size
+    cells, k = _bin(probs, uniforms), probs.size
     expected = np.searchsorted(np.cumsum(probs)[:-1], uniforms, side="right")
     assert np.array_equal(cells, expected)
     assert_allclose(np.bincount(cells.ravel(), minlength=k) / cells.size, probs, atol=0.01)
-
-
-def test_poisson_process_atoms_follow_the_shape_cumulative_weights():
-    model = PoissonModel(2.0, F(0.1, 0.2, 0.3, 0.4))
-    rng = RngSpec(113, 0)
-    atoms = sample_poisson_process(model, 500, rng)
-    gen = rng.generator()
-    uniforms = gen.random(int(gen.poisson(500 * model.mass)))
-    expected = np.searchsorted(np.cumsum(model.shape.weights)[:-1], uniforms, side="right")
-    assert atoms.dtype == np.int64
-    assert np.array_equal(atoms, expected)
 
 
 class _RecordingTest:
@@ -346,7 +290,7 @@ class _RecordingTest:
 def test_poisson_block_without_atoms_gives_zero_counts():
     test = _RecordingTest()
     model = PoissonModel(1e-12, F(0.2, 0.3, 0.5))
-    total = _simulate_error_block((test, model, 1, "reject", 300, RngSpec(107, 0)))
+    total = _simulate_error_block((test, model, 1, True, 300, RngSpec(107, 0)))
     assert total == 0.0
     (counts,) = test.seen
     assert counts.shape == (300, 3)
@@ -356,7 +300,7 @@ def test_poisson_block_without_atoms_gives_zero_counts():
 def test_poisson_block_counts_are_per_atom_poisson_draws():
     test = _RecordingTest()
     model = PoissonModel(0.5, F(0.2, 0.3, 0.5))
-    _simulate_error_block((test, model, 4, "reject", 400, RngSpec(109, 0)))
+    _simulate_error_block((test, model, 4, True, 400, RngSpec(109, 0)))
     (counts,) = test.seen
     per_rep = counts.sum(1)
     assert (per_rep == 0).any() and (per_rep > 0).any()
@@ -377,7 +321,7 @@ def test_poisson_block_counts_are_per_atom_poisson_draws():
 def test_iid_block_counts_are_multinomial_draws(model, partition):
     test = _RecordingTest()
     probs = induced_vector(model, partition)
-    _simulate_error_block((test, FiniteMeasure(probs), 37, "reject", 400, RngSpec(131, 0)))
+    _simulate_error_block((test, FiniteMeasure(probs), 37, True, 400, RngSpec(131, 0)))
     (counts,) = test.seen
     # the block's only draw: the cell counts of 37 draws per replication
     expected = RngSpec(131, 0).generator().multinomial(37, probs, size=400)
@@ -389,7 +333,7 @@ def test_iid_block_rejects_density_without_partition():
     """An i.i.d. model is a cell law; a density gives one only under a partition."""
     test = _RecordingTest()
     with pytest.raises(ValidationError, match="partition"):
-        _simulate_error_block((test, DensitySpec.uniform(), 5, "reject", 100, RngSpec(0, 0)))
+        _simulate_error_block((test, DensitySpec.uniform(), 5, True, 100, RngSpec(0, 0)))
 
 
 def test_iid_error_block_cost_does_not_grow_with_n():
@@ -399,7 +343,7 @@ def test_iid_error_block_cost_does_not_grow_with_n():
     test = build_frequency_test(report)
     law = FiniteMeasure(report.hypothesis_vectors[0])
     t0 = time.perf_counter()
-    total = _simulate_error_block((test, law, n, "reject", ERROR_BLOCK, RngSpec(137, 0)))
+    total = _simulate_error_block((test, law, n, True, ERROR_BLOCK, RngSpec(137, 0)))
     assert time.perf_counter() - t0 < 1.0
     assert total == 0.0
 
@@ -542,6 +486,9 @@ def test_discernibility_perfect_family_never_errs():
 
 def test_discernibility_validation():
     schedule = _schedule_for([[0.9, 0.1]], [0.5], 64)
+    # paths are drawn from a cell law; a density gives one only under a partition
+    with pytest.raises(ValidationError, match="interval partition"):
+        discernibility_paths(schedule, DensitySpec.uniform(), 64, [0], 100, RngSpec(0, 0))
     with pytest.raises(ValidationError):
         discernibility_paths(schedule, F(0.5, 0.5), 64, [5, 3], 100, RngSpec(0, 0))
     with pytest.raises(ValidationError):

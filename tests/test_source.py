@@ -1,5 +1,6 @@
-"""Source hygiene of the package: no bare strings besides docstrings, and no
-statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block."""
+"""Source hygiene of the package: no bare strings besides docstrings, no
+statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
+and no private function, class or method that nothing in the package uses."""
 import ast
 from pathlib import Path
 
@@ -48,3 +49,52 @@ def test_package_has_no_stray_strings_or_unreachable_statements():
     assert paths
     faults = [f for p in paths for f in _faults(p.read_text(), str(p.relative_to(SRC)))]
     assert faults == []
+
+
+def _unreferenced(sources: dict) -> list:
+    """``name:line: unreferenced _f`` for each private function, class or
+    method (a ``_`` name that is not a dunder) of ``sources``, a map of file
+    name to source, that no name or attribute in any of them reads."""
+    defined, read = [], set()
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source, filename=name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append((name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [f"{name}:{line}: unreferenced {fn}" for name, line, fn in defined if fn not in read]
+
+
+def test_reference_check_finds_unused_private_names():
+    sources = {
+        "a.py": """
+def _used():
+    return 1
+
+
+def _unused():
+    return _used()
+
+
+class _Box:
+    def __init__(self):
+        self._helper()
+
+    def _helper(self):
+        pass
+
+    def _dead(self):
+        pass
+""",
+        "b.py": "from a import _Box\nbox = _Box()\n",
+    }
+    assert _unreferenced(sources) == ["a.py:6: unreferenced _unused", "a.py:17: unreferenced _dead"]
+
+
+def test_package_private_names_are_all_used():
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    assert _unreferenced(sources) == []
