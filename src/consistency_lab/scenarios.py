@@ -103,6 +103,12 @@ class Scenario:
         for key in self.model_options:
             if key not in row.options:
                 raise ValidationError(f"model.{key} is not supported by {self.model_type} models")
+        _check_supported(self.model_type, self.partition is not None, self.schedule is not None)
+        if self.partition is not None and self.partition.kind != row.partition:
+            raise ValidationError(
+                f"{self.model_type} models need a partition of {row.partition}, "
+                f"got one of {self.partition.kind}"
+            )
         row.check(self)
 
     # -- JSON round trip ---------------------------------------------------------
@@ -185,6 +191,18 @@ def _cells(value, kind: str) -> list:
     return _reals(value, name).tolist()
 
 
+def _check_supported(model_type: str, partition: bool, schedule: bool) -> None:
+    """Raise when a scenario of ``model_type`` has a partition or a schedule its
+    type does not take; a file is checked before either is parsed."""
+    row = _MODEL_TYPES[model_type]
+    for key, given, supported in (
+        ("partition", partition, row.partition),
+        ("schedule", schedule, row.schedules),
+    ):
+        if given and not supported:
+            raise ValidationError(f"scenario {key!r} is not supported by {model_type} models")
+
+
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse a scenario from its JSON object form, validating the schema."""
     if not isinstance(data, dict):
@@ -204,17 +222,14 @@ def scenario_from_dict(data: dict) -> Scenario:
         _integer(value, f"model.{key}")
     hypothesis = _models(data, "hypothesis", row.read)
     alternative = _models(data, "alternative", row.read)
+    _check_supported(model_type, "partition" in data, "schedule" in data)
     partition = None
     if "partition" in data:
-        if row.partition is None:
-            raise ValidationError(f"scenario 'partition' is not supported by {model_type} models")
         if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
         partition = Partition(row.partition, _cells(data["partition"]["cells"], row.partition))
     schedule = None
     if "schedule" in data:
-        if not row.schedules:
-            raise ValidationError(f"scenario 'schedule' is not supported by {model_type} models")
         stored = _object(data, "schedule", _SCHEDULE_OPTIONS)
         schedule = {
             "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),

@@ -483,6 +483,46 @@ def test_builder_scenario_hash_is_pinned(name):
     assert scenario_hash(_builder(name).to_json_dict()) == _BUILDER_HASHES[name]
 
 
+_EMPTY_SCHEDULE = {"exponents": [], "onsets": []}
+#: Per model type, the partitions and schedules its scenarios may not carry,
+#: with the message a scenario built in code raises, as its file does.
+_UNSUPPORTED = {
+    "finite": [
+        ({"partition": Partition.half_split()},
+         "finite models need a partition of atoms, got one of intervals"),
+    ],
+    "density": [
+        ({"partition": Partition.atoms([[0], [1]])},
+         "density models need a partition of intervals, got one of atoms"),
+        ({"schedule": _EMPTY_SCHEDULE}, "scenario 'schedule' is not supported by density models"),
+    ],
+    "poisson": [
+        ({"partition": Partition.identity(2)},
+         "scenario 'partition' is not supported by poisson models"),
+        ({"schedule": _EMPTY_SCHEDULE}, "scenario 'schedule' is not supported by poisson models"),
+    ],
+    "gaussian_sequence": [
+        ({"partition": Partition.half_split()},
+         "scenario 'partition' is not supported by gaussian_sequence models"),
+        ({"schedule": _EMPTY_SCHEDULE},
+         "scenario 'schedule' is not supported by gaussian_sequence models"),
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDER_HASHES))
+def test_built_scenarios_pass_the_checks_of_files(name):
+    """A builder's scenario round-trips through its file form, and a partition or
+    schedule its model type refuses in a file is refused at construction too."""
+    scenario = _builder(name)
+    data = scenario.to_json_dict()
+    assert scenario_from_dict(data).to_json_dict() == data
+    for changes, message in _UNSUPPORTED[scenario.model_type]:
+        with pytest.raises(ValidationError) as info:
+            dataclasses.replace(scenario, **changes)
+        assert str(info.value) == message
+
+
 def _bench_scenarios() -> dict:
     """``SCENARIOS`` of ``bench/workloads.py``, the benchmark's scenario files."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
