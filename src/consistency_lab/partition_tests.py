@@ -259,7 +259,8 @@ def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
     the measure plays the hypothesis, the type II error when it plays the
     alternative. Every outcome is enumerated and decided once for all
     measures, in chunks of at most ``ENUMERATION_CHUNK`` outcomes, whose sums
-    add up in enumeration order. Raises ``ResourceLimitError`` when the
+    add up in enumeration order. The sums are numpy reductions, not BLAS
+    dots, so they do not depend on the BLAS thread count. Raises ``ResourceLimitError`` when the
     outcome count exceeds the enumeration budget (callers print NaN).
     """
     weights = np.stack([p.weights for p in measures])
@@ -274,11 +275,10 @@ def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
     reject = np.zeros(len(measures))
     accept = np.zeros(len(measures))
     for cells in _outcome_chunks(n, k):
-        rejected = test.decide(cells / max(n, 1)).astype(float)
+        rejected = test.decide(cells / max(n, 1))
         pmf = np.exp(multinomial_log_pmf(cells.T, weights, log_factorials))
-        for i, row in enumerate(pmf):
-            reject[i] += row @ rejected
-            accept[i] += row @ (1.0 - rejected)
+        reject += pmf.sum(axis=1, where=rejected)
+        accept += pmf.sum(axis=1, where=~rejected)
     return [(float(r), float(a)) for r, a in zip(reject, accept)]
 
 

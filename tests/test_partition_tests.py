@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -307,11 +311,12 @@ def test_exact_error_matches_monte_carlo():
 
 
 def _exact_error_reference(test, p, n):
-    """One measure at a time over the whole enumeration, deciding count rows."""
+    """One measure at a time over the whole enumeration, deciding count rows,
+    with the sums ``exact_errors`` makes: numpy reductions, not BLAS dots."""
     outcomes = count_vectors(n, p.alphabet_size)
     pmf = np.exp(multinomial_log_pmf(outcomes, p.weights))
-    reject = test.rejects(outcomes)
-    return float(pmf @ reject), float(pmf @ (1.0 - reject))
+    rejected = test.rejects(outcomes) > 0.5
+    return float(pmf.sum(where=rejected)), float(pmf.sum(where=~rejected))
 
 
 def _error_cases():
@@ -334,6 +339,34 @@ def test_exact_errors_equal_one_measure_at_a_time_bit_for_bit():
         for p, pair in zip(measures, got):
             assert pair == exact_error(test, p, n) == _exact_error_reference(test, p, n)
             assert_allclose(sum(pair), 1.0, atol=1e-12)
+
+
+_THREAD_PROBE = """
+import numpy as np
+from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition
+from consistency_lab.partition_tests import build_frequency_test, exact_errors, separation
+report = separation(
+    [DensitySpec.uniform()], [DensitySpec.pu_family(0.2)], Partition.intervals(np.arange(5) / 4)
+)
+measures = [FiniteMeasure(v) for v in (*report.hypothesis_vectors, *report.alternative_vectors)]
+pairs = exact_errors(build_frequency_test(report), measures, 64)
+print([float.hex(x) for pair in pairs for x in pair])
+"""
+
+
+def test_exact_errors_do_not_depend_on_the_blas_thread_count():
+    """One call over 47,905 outcomes (k = 4, n = 64), under 1 and 2 OpenBLAS threads."""
+    assert math.comb(64 + 3, 3) == 47_905
+    src = Path(__file__).resolve().parents[1] / "src"
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        result = subprocess.run(
+            [sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
+        printed.append(result.stdout)
+    assert printed[0] == printed[1]
 
 
 def test_outcome_chunks_walk_count_vectors_in_order(monkeypatch):
