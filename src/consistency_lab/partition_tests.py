@@ -260,8 +260,9 @@ def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
     alternative. Every outcome is enumerated and decided once for all
     measures, in chunks of at most ``ENUMERATION_CHUNK`` outcomes, whose sums
     add up in enumeration order. The sums are numpy reductions, not BLAS
-    dots, so they do not depend on the BLAS thread count. Raises ``ResourceLimitError`` when the
-    outcome count exceeds the enumeration budget (callers print NaN).
+    dots, so they do not depend on the BLAS thread count. Raises
+    ``ResourceLimitError`` when the outcome count exceeds the enumeration
+    budget (callers print NaN).
     """
     weights = np.stack([p.weights for p in measures])
     k = weights.shape[1]

@@ -134,7 +134,7 @@ class GaussianSequenceModel:
         return self.signal.size
 
 
-# -- binning, the Poisson tail bound and the block runner -----------------------------
+# -- binning and the Poisson tail bound ---------------------------------------------
 
 
 def _cells_below(edges: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -164,6 +164,46 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
     upper = math.exp(-n * (lam + x) * math.log1p(x / lam) + n * x)
     lower = math.exp(-n * (lam - x) * math.log(1.0 - x / lam) - n * x)
     return upper + lower
+
+
+# -- Monte Carlo error estimation ----------------------------------------------------
+
+
+def wilson_interval(estimate: float, replications: int):
+    """95% Wilson score interval; stable near 0 and 1."""
+    z = Z95
+    z2 = z * z
+    denom = 1.0 + z2 / replications
+    center = (estimate + z2 / (2.0 * replications)) / denom
+    half = (
+        z
+        * math.sqrt(estimate * (1.0 - estimate) / replications + z2 / (4.0 * replications**2))
+        / denom
+    )
+    return max(0.0, center - half), min(1.0, center + half)
+
+
+def _simulate_error_block(args) -> float:
+    """Number of errors in ``size`` replications at ``rng``: rejections when
+    ``errs_on_reject``, else acceptances.
+
+    Gaussian sequences hand the test the observation vectors; i.i.d. and
+    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
+    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
+    per shape atom.
+    """
+    test, model, n, errs_on_reject, size, rng = args
+    gen = rng.generator()
+    if isinstance(model, GaussianSequenceModel):
+        y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
+        reject = test.rejects(y)
+    elif isinstance(model, PoissonModel):
+        lam = n * model.mass * model.shape.weights
+        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
+    else:
+        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
+    reject = np.asarray(reject, dtype=float)
+    return float((reject if errs_on_reject else 1.0 - reject).sum())
 
 
 def _errs_on_reject(role: str) -> bool:
@@ -217,46 +257,6 @@ def _run_blocks(fn, head: tuple, replications: int, block: int, rng: RngSpec, wo
         return workers.map(fn, tasks)
     with WorkerPool(workers) as pool:
         return pool.map(fn, tasks)
-
-
-# -- Monte Carlo error estimation ----------------------------------------------------
-
-
-def wilson_interval(estimate: float, replications: int):
-    """95% Wilson score interval; stable near 0 and 1."""
-    z = Z95
-    z2 = z * z
-    denom = 1.0 + z2 / replications
-    center = (estimate + z2 / (2.0 * replications)) / denom
-    half = (
-        z
-        * math.sqrt(estimate * (1.0 - estimate) / replications + z2 / (4.0 * replications**2))
-        / denom
-    )
-    return max(0.0, center - half), min(1.0, center + half)
-
-
-def _simulate_error_block(args) -> float:
-    """Number of errors in ``size`` replications at ``rng``: rejections when
-    ``errs_on_reject``, else acceptances.
-
-    Gaussian sequences hand the test the observation vectors; i.i.d. and
-    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
-    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
-    per shape atom.
-    """
-    test, model, n, errs_on_reject, size, rng = args
-    gen = rng.generator()
-    if isinstance(model, GaussianSequenceModel):
-        y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
-        reject = test.rejects(y)
-    elif isinstance(model, PoissonModel):
-        lam = n * model.mass * model.shape.weights
-        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
-    else:
-        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
-    reject = np.asarray(reject, dtype=float)
-    return float((reject if errs_on_reject else 1.0 - reject).sum())
 
 
 def estimate_error(
