@@ -276,6 +276,14 @@ def test_bin_draws_follows_induced_vector(model, partition):
     assert_allclose(np.bincount(cells.ravel(), minlength=k) / cells.size, probs, atol=0.01)
 
 
+def test_bin_draws_rejects_density_without_interval_partition():
+    """Draws fall into the cells of ``induced_vector``; a density has cells only
+    under an interval partition."""
+    for partition in (None, Partition.atoms([[0], [1]])):
+        with pytest.raises(ValidationError, match="interval partition"):
+            induced_vector(DensitySpec.uniform(), partition)
+
+
 class _RecordingTest:
     """Rejects nothing and keeps what the block handed it."""
 
@@ -307,6 +315,27 @@ def test_poisson_block_counts_are_per_atom_poisson_draws():
     # the block's only draw: one Poisson count per replication and atom
     expected = RngSpec(109, 0).generator().poisson(4 * 0.5 * model.shape.weights, size=(400, 3))
     assert np.array_equal(counts, expected)
+
+
+def test_poisson_process_mean_atom_count():
+    """The atom total a Poisson error block hands its test is Poisson(n * mass)."""
+    test = _RecordingTest()
+    estimate_error(test, PoissonModel(1.0, F(0.5, 0.5)), 100, 10_000, RngSpec(11, 0))
+    totals = np.concatenate(test.seen).sum(axis=1)
+    assert totals.size == 10_000
+    # Poisson(100): sd 10, standard error 0.1
+    assert abs(float(totals.mean()) - 100.0) <= 3 * 0.1
+
+
+def test_poisson_process_conditional_shape():
+    """Given the total, a Poisson error block's atoms are i.i.d. from the shape."""
+    test = _RecordingTest()
+    estimate_error(test, PoissonModel(2.0, F(0.3, 0.7)), 10, 3000, RngSpec(13, 0))
+    counts = np.concatenate(test.seen)
+    atoms = int(counts.sum())
+    freq = float(counts[:, 0].sum() / atoms)
+    sigma = math.sqrt(0.3 * 0.7 / atoms)
+    assert abs(freq - 0.3) <= 3 * sigma
 
 
 @pytest.mark.parametrize(
