@@ -1,7 +1,7 @@
 """Command-line front end: scenario loading, execution, report emission.
 
 Exit codes: 0 success, 1 operational error (bad input, missing file, worker
-failure), 2 domain verdict (zero separation margin on the requested partition,
+failure), 2 domain verdict (families not separated on the requested partition,
 or a schedule piece that cannot be built).
 """
 from __future__ import annotations
@@ -113,7 +113,7 @@ def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
     print(f"margin={format_value(report.margin)}")
     print(f"witness=hypothesis[{i}] vs alternative[{j}]")
     print(f"kraft_bound={format_value(bound)}")
-    if report.margin <= 0.0:
+    if report.radius <= 0.0:
         print("verdict=weakly-indistinguishable-on-this-partition")
         return 2
     print("verdict=separated")

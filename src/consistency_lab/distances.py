@@ -196,6 +196,9 @@ def _brackets(c, w, a, lo, hi):
     or ``g'`` does, so that ``g`` is monotone and has a root exactly when its end
     values differ in sign. ``sum(|a| w**2)`` and ``sum(|a| w**3)`` bound ``|g''|``
     and ``|g'''|``. Other intervals are halved. A constant ``g`` has no brackets.
+    A zero at ``lo`` or ``hi`` is a root at that end: its bracket is the end
+    point alone, which bisection leaves in place (dropping it would change the
+    piece's matrix shape, and with it the last bit of its other roots).
     """
     if not w.size:
         return np.empty((3, 0))
@@ -212,7 +215,9 @@ def _brackets(c, w, a, lo, hi):
             | _keeps_sign(left[2], left[3], right[2], right[3], bounds[1], h)
         )
         root = settled & ((left[1] > 0) != (right[1] > 0))
-        brackets.append(np.vstack([left[0, root], right[0, root], left[1, root] > 0]))
+        x0 = np.where((right[0] == hi) & (right[1] == 0.0), hi, left[0])
+        x1 = np.where((left[0] == lo) & (left[1] == 0.0), lo, right[0])
+        brackets.append(np.vstack([x0[root], x1[root], left[1, root] > 0]))
         mid = 0.5 * (left[0, ~settled] + right[0, ~settled])
         middle = np.vstack([mid, _trig(mid, c, w, a)])
         left, right = np.hstack([left[:, ~settled], middle]), np.hstack([middle, right[:, ~settled]])
@@ -225,7 +230,7 @@ def _sign_changes(pieces) -> list:
 
     The brackets of all pieces are bisected to rounding in one loop that
     evaluates ``g`` alone, each piece on its own brackets, so that every root
-    is the one its piece gives by itself.
+    is the one its piece gives by itself. It stops once a step moves no bracket.
     """
     brackets = [_brackets(*piece) for piece in pieces]
     ends = np.cumsum([0] + [b.shape[1] for b in brackets])
@@ -238,6 +243,8 @@ def _sign_changes(pieces) -> list:
         for (c, w, a), span in rooted:
             g[span] = _values(mid[span], c, w, a)
         same = (g > 0) == positive
+        if np.array_equal(np.where(same, x0, x1), mid):
+            break
         x0, x1 = np.where(same, mid, x0), np.where(same, x1, mid)
     roots = 0.5 * (x0 + x1)
     return [

@@ -1,11 +1,12 @@
 """Partition-level distinguishability checks and multinomial frequency tests.
 
-A positive separation margin between the cell-probability images of the
-hypothesis and alternative families certifies weak distinguishability on that
-partition; the nearest-set frequency test then turns the margin into a
-multinomial test whose exact error probabilities decay exponentially, at
-rates that :func:`deviation_exponents` bounds cell by cell. Only
-:func:`separation` reads a partition; a test holds cell vectors alone.
+A separation margin between the cell-probability images of the hypothesis
+and alternative families above the tie tolerance (a positive
+:attr:`SeparationReport.radius`, the one separation check) certifies weak
+distinguishability on that partition; the nearest-set frequency test then
+turns the margin into a multinomial test whose exact error probabilities decay
+exponentially, at rates that :func:`deviation_exponents` bounds cell by cell.
+Only :func:`separation` reads a partition; a test holds cell vectors alone.
 """
 from __future__ import annotations
 
@@ -34,8 +35,7 @@ class SeparationReport:
     """Cell-probability images of the two families and their sup-norm gap.
 
     ``margin`` is the smallest sup-norm distance between a hypothesis vector
-    and an alternative vector; it is positive exactly when the two finite
-    vector sets are disjoint. ``witness_pair`` holds the indices of a closest
+    and an alternative vector; ``witness_pair`` holds the indices of a closest
     pair. Each vector is a cell law: simulating a member means drawing cell
     counts from it.
     """
@@ -44,6 +44,13 @@ class SeparationReport:
     alternative_vectors: np.ndarray
     margin: float
     witness_pair: Tuple[int, int]
+
+    @property
+    def radius(self) -> float:
+        """``(margin - TIE_TOL) / 2``, positive exactly when the families are
+        separated: the nearest-set test errs only on frequencies that lie
+        ``radius`` or more from their cell law in some cell."""
+        return (self.margin - TIE_TOL) / 2.0
 
 
 def separation(
@@ -87,31 +94,32 @@ class FrequencyTest:
         self.alternative_vectors = v1
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
-        """Decision for each row of count vectors: 1.0 reject, 0.0 accept."""
+        """Rejection (``True``) for each row of count vectors."""
         # One row per cell, so that every reduction runs over the leading
         # axis: elementwise operations on contiguous rows.
         cells = np.asarray(np.atleast_2d(counts).T, dtype=float, order="C")
         totals = cells.sum(axis=0)
         freq = np.divide(cells, totals, out=np.zeros_like(cells), where=totals > 0)
-        return self.decide(freq).astype(float)
+        return self.decide(freq)
 
     def decide(self, freq: np.ndarray) -> np.ndarray:
         """Rejection (``True``) for each column of a ``(k, N)`` frequency array."""
         d0 = _nearest_distance(freq, self.hypothesis_vectors)
         return _nearest_distance(freq, self.alternative_vectors) < d0 - TIE_TOL
 
-    def margin(self, freq: np.ndarray) -> np.ndarray:
-        """``d0 - d1`` for each column of a ``(k, N)`` frequency array.
+    def settled(self, freq: np.ndarray, drift: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Which columns of a ``(k, N)`` frequency array keep their decision at
+        every frequency within ``drift / 2`` of them, and each column's decision.
 
-        ``d0`` and ``d1`` are the sup-norm distances to the nearest hypothesis
-        and alternative vector. Each is 1-Lipschitz in the sup norm, so the
-        margin is 2-Lipschitz: frequencies within ``r`` of ``f`` have a margin
-        within ``2r`` of ``margin(f)``. The margin certifies decisions away
-        from a tie (a margin clearly above ``TIE_TOL`` rejects, one clearly
-        below accepts); near a tie only :meth:`rejects` decides.
+        The margin ``d0 - d1`` (sup-norm distances to the nearest hypothesis
+        and alternative vector) is 2-Lipschitz in the sup norm, since each
+        distance is 1-Lipschitz. A column whose margin lies more than ``drift``
+        from ``TIE_TOL`` is settled: the margin keeps its side of the tie, and
+        with it the decision. Near a tie only :meth:`decide` decides.
         """
         d0 = _nearest_distance(freq, self.hypothesis_vectors)
-        return d0 - _nearest_distance(freq, self.alternative_vectors)
+        d1 = _nearest_distance(freq, self.alternative_vectors)
+        return np.abs(d0 - d1 - TIE_TOL) > drift, d1 < d0 - TIE_TOL
 
 
 def _nearest_distance(freq: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -148,13 +156,13 @@ class UnionTest:
 
 
 def build_frequency_test(report: SeparationReport) -> FrequencyTest:
-    """Frequency test for a positively separated partition report.
+    """Frequency test for a separated partition report.
 
-    Raises ``ConstructionError`` when the margin is zero: the hypothesis and
-    alternative images intersect and no frequency rule on this partition can
-    separate them.
+    Raises ``ConstructionError`` when the report's radius is not positive: the
+    hypothesis and alternative images meet within the tie tolerance and no
+    frequency rule on this partition can separate them.
     """
-    if report.margin <= 0.0:
+    if report.radius <= 0.0:
         raise ConstructionError(
             "separation margin is zero: the families are weakly indistinguishable "
             "on this partition"

@@ -38,7 +38,6 @@ from .measures import (
     family_weights,
 )
 from .partition_tests import (
-    TIE_TOL,
     FrequencyTest,
     build_frequency_test,
     deviation_exponents,
@@ -409,8 +408,7 @@ class LinearFunctionalTest:
 
     def rejects(self, y: np.ndarray) -> np.ndarray:
         y = np.atleast_2d(np.asarray(y, dtype=float))
-        stats = (y - self.base) @ self.functional
-        return (stats > self.threshold).astype(float)
+        return (y - self.base) @ self.functional > self.threshold
 
     def error_sum_analytic(self, noise: float) -> float:
         """Exact type I + type II error at a given noise level."""
@@ -435,15 +433,13 @@ class PoissonTwoStageTest:
         self.frequency_test = frequency_test
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
-        """Decision for each row of per-atom counts; the row sums are the atom totals."""
+        """Rejection for each row of per-atom counts; the row sums are the atom totals."""
         totals = np.asarray(counts, dtype=float).sum(axis=1)
-        count_reject = np.abs(totals - self.n * self.mass0) > self.n * self.deviation_rate
-        if self.frequency_test is None:
-            return count_reject.astype(float)
-        freq_reject = self.frequency_test.rejects(counts) > 0.5
-        # Empty processes carry no frequency information: accept there.
-        freq_reject &= totals > 0
-        return (count_reject | freq_reject).astype(float)
+        reject = np.abs(totals - self.n * self.mass0) > self.n * self.deviation_rate
+        if self.frequency_test is not None:
+            # Empty processes carry no frequency information: accept there.
+            reject |= self.frequency_test.rejects(counts) & (totals > 0)
+        return reject
 
 
 def poisson_count_threshold(mass0: float, n: int, target: float) -> tuple[float, float]:
@@ -474,9 +470,9 @@ def build_nested_family(
 
     Member ``i`` tests the hypothesis against pieces ``1..i`` with one
     nearest-set frequency test on the stacked piece vectors; the nearest piece
-    is nearer than the hypothesis set iff some piece is. With ``δ`` its
-    separation margin, it errs on draws from its measure ``p`` only if a cell
-    frequency lies ``t = (δ - TIE_TOL) / 2`` or more from ``p_j``, so each
+    is nearer than the hypothesis set iff some piece is. It errs on draws
+    from its measure ``p`` only if a cell frequency lies ``t`` or more from
+    ``p_j``, with ``t`` the :attr:`~.SeparationReport.radius`, so each
     error is at most ``Σ exp(-n e)`` over the :func:`deviation_exponents`
     ``e`` of all its measures (the per-cell Chernoff–Hoeffding bound).
     ``(c, onset)`` is certified iff every ``e > c`` and
@@ -486,7 +482,7 @@ def build_nested_family(
     (``PERFECT_EXPONENT_CAP`` when no term is left) and the onset the smallest
     the rule accepts, unless ``exponents`` (member ``i`` takes the smallest of
     the first ``i``) or ``onsets`` are given; empty means derived. Raises
-    ``ConstructionError`` naming a piece without margin or with a derived ``c``
+    ``ConstructionError`` naming a piece without radius or with a derived ``c``
     that is not :func:`summable`, and ``ValidationError`` naming
     ``schedule.exponents`` and the member on such a given ``c`` or pair.
     """
@@ -495,10 +491,10 @@ def build_nested_family(
     members = []
     for i in range(1, len(pieces) + 1):
         report = separation(hypothesis, pieces[:i], None)  # margins fall in i
-        if report.margin <= TIE_TOL:
+        if report.radius <= 0.0:
             raise ConstructionError(f"piece {i} has zero separation margin")
         v0, v1 = report.hypothesis_vectors, report.alternative_vectors
-        terms = deviation_exponents(np.vstack([v0, v1]), (report.margin - TIE_TOL) / 2.0)
+        terms = deviation_exponents(np.vstack([v0, v1]), report.radius)
         if exponents:
             c = min(float(e) for e in exponents[:i])
         else:
@@ -745,7 +741,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
     for idx, alt in enumerate(scenario.alternative, start=1):
         label = alt.label()
         report = separation(scenario.hypothesis, [alt], scenario.partition)
-        if report.margin <= 0.0:
+        if report.radius <= 0.0:
             for n in scenario.sim.n_grid:
                 rows.append((idx, label, n) + (math.nan,) * 6)
             continue
@@ -876,10 +872,8 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
 def _poisson_table(scenario, reps, streams, pool) -> Table:
     h0: PoissonModel = scenario.hypothesis[0]
     h1: PoissonModel = scenario.alternative[0]
-    shapes_differ = not np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
-    freq_test = None
-    if shapes_differ:
-        freq_test = build_frequency_test(separation([h0.shape], [h1.shape], None))
+    shapes = separation([h0.shape], [h1.shape], None)
+    freq_test = build_frequency_test(shapes) if shapes.radius > 0.0 else None
     rows = []
     for n in scenario.sim.n_grid:
         rate, bound = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
@@ -967,8 +961,7 @@ def _check_poisson(scenario: Scenario) -> None:
     h0, h1 = scenario.hypothesis[0], scenario.alternative[0]
     family_weights([h0.shape], [h1.shape])
     same_mass = abs(h0.mass - h1.mass) <= 1e-12
-    same_shape = np.allclose(h0.shape.weights, h1.shape.weights, atol=1e-12)
-    if same_mass and same_shape:
+    if same_mass and separation([h0.shape], [h1.shape], None).radius <= 0.0:
         raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
 
 

@@ -13,20 +13,20 @@ cells. An error block draws the counts of all its replications in one
 independent Poisson(``n * mass * w_j``) atom counts for a process with mean
 measure ``n * mass * w``. Only the path replay draws observations. A
 draw's cell counts the interior cumulative cell probabilities ``<= u`` of its
-uniform ``u``, into ``uint8`` cells, or by ``searchsorted`` above
-``MAX_COUNTED_EDGES`` edges. Both estimators count the errors of a role:
+uniform ``u``, one comparison per edge, into ``uint8`` cells up to 256 cells.
+Every test decides booleans. Both estimators count the errors of a role:
 rejections under the hypothesis, acceptances under the alternative. Their
 blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
 
 Sample paths are replayed in segments, cut from the schedule's blocks, over
 which the schedule hands out one test. The running counts are kept one row
-per cell, the layout that ``margin`` and ``decide`` read. A path whose
-test margin at the segment's end lies farther from the tie tolerance than the
-frequencies can drift inside the segment is settled: it gets one decision for
-the whole segment. Only the other paths are decided prefix by prefix. A block
-draws and bins its uniforms a few paths at a time into one cell array, whose
-size is checked against ``MAX_PATH_CELL_BYTES`` first.
+per cell, the layout that ``settled`` and ``decide`` read. A path whose
+decision at the segment's end holds at every frequency it can drift to inside
+the segment is settled: it gets that one decision for the whole segment. Only
+the other paths are decided prefix by prefix. A block draws and bins its
+uniforms a few paths at a time into one cell array, whose size is checked
+against ``MAX_PATH_CELL_BYTES`` first.
 """
 from __future__ import annotations
 
@@ -40,14 +40,13 @@ import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
 from .measures import FiniteMeasure, induced_vector
-from .partition_tests import TIE_TOL
 
 #: Replications per RNG block in i.i.d. error estimation.
 ERROR_BLOCK = 8192
 #: Sample paths per RNG block in discernibility runs.
 PATH_BLOCK = 250
 #: Longest run of sample sizes replayed at once. A path settles for a whole
-#: segment when its margin clears ``2 (hi - lo - 1) / hi``, so shorter
+#: segment when its decision holds within ``(hi - lo - 1) / hi``, so shorter
 #: segments settle more paths; the open paths of one segment, at PATH_BLOCK
 #: paths, keep their prefix counts and distance arrays near 1 MiB.
 PATH_SEGMENT = 64
@@ -57,13 +56,6 @@ PATH_DRAW_CHUNK = 1 << 22
 #: Largest cell array, one byte per draw up to 256 cells, that a path block
 #: allocates; a larger replay raises ``ResourceLimitError`` instead.
 MAX_PATH_CELL_BYTES = 1 << 30
-#: Most interior edges that binning counts one comparison at a time; longer
-#: tables fall back to ``searchsorted``. On one (250, 2048) block of uniforms
-#: (Intel Xeon, numpy 2.4.6, best of 7) counting took 2.1 ms against 11.0 ms
-#: for ``searchsorted`` at 8 edges, 18.8 against 32.0 ms at 64 and 36.6
-#: against 36.7 ms at 128, and lost at 160 (51.3 against 36.0 ms). Below 256
-#: edges a count fits in ``uint8``.
-MAX_COUNTED_EDGES = 128
 #: Stream stride reserved for one simulation task (blocks fit underneath).
 TASK_STRIDE = 1 << 20
 #: Two-sided 95% standard normal quantile.
@@ -138,11 +130,8 @@ class GaussianSequenceModel:
 
 
 def _cells_below(edges: np.ndarray, uniforms: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``searchsorted(edges, uniforms, side="right")``, written into ``out``: up to
-    ``MAX_COUNTED_EDGES`` edges, a sum of one comparison per edge."""
-    if edges.size > MAX_COUNTED_EDGES:
-        out[...] = np.searchsorted(edges, uniforms, side="right")
-        return out
+    """``searchsorted(edges, uniforms, side="right")``, written into ``out``: a
+    sum of one comparison per edge."""
     out[...] = 0
     for edge in edges:
         out += uniforms >= edge
@@ -183,7 +172,7 @@ def wilson_interval(estimate: float, replications: int):
     return max(0.0, center - half), min(1.0, center + half)
 
 
-def _simulate_error_block(args) -> float:
+def _simulate_error_block(args) -> int:
     """Number of errors in ``size`` replications at ``rng``: rejections when
     ``errs_on_reject``, else acceptances.
 
@@ -202,8 +191,7 @@ def _simulate_error_block(args) -> float:
         reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
     else:
         reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
-    reject = np.asarray(reject, dtype=float)
-    return float((reject if errs_on_reject else 1.0 - reject).sum())
+    return int(np.count_nonzero(reject == errs_on_reject))
 
 
 def _errs_on_reject(role: str) -> bool:
@@ -327,12 +315,11 @@ def _simulate_path_block(args) -> np.ndarray:
         drawn = cells[None, :, lo:hi] == one_hot  # (cell, path, n) one-hot of draws lo..hi-1
         start, counts = counts, counts + drawn.sum(axis=2)
         # Settled paths: for lo < n <= hi, |f(n) - f(hi)| <= (hi - n)/hi in
-        # the sup norm and the margin is 2-Lipschitz, so the margin keeps its
-        # side of TIE_TOL, and with it the decision, over the whole segment
-        # (1e-9 absorbs rounding): a settled path errs at every n or at none.
-        margin = test.margin(counts / hi)
-        settled = np.abs(margin - TIE_TOL) > 2.0 * (hi - lo - 1) / hi + 1e-9
-        last_error[settled & ((margin > TIE_TOL) == errs_on_reject)] = hi
+        # the sup norm, so a decision that holds within that drift holds over
+        # the whole segment (1e-9 absorbs rounding): a settled path errs at
+        # every n or at none.
+        settled, rejected = test.settled(counts / hi, 2.0 * (hi - lo - 1) / hi + 1e-9)
+        last_error[settled & (rejected == errs_on_reject)] = hi
         # Open paths: decide the counts of every prefix n = lo+1..hi, one
         # (path, n) plane per cell: the running counts plus the cumulative
         # one-hot of the segment's draws.
@@ -367,8 +354,9 @@ def discernibility_paths(
     holds the fraction of paths erring at some ``n`` in ``(k, n_max]``, which
     is non-increasing in ``k``. The draws and decisions are those of a
     per-``n`` loop; the replay in segments (see the module docstring) needs
-    tests that decide from the cell frequencies alone, with ``decide`` and a
-    2-Lipschitz ``margin``. ``workers`` is a worker count or a shared
+    tests that decide from the cell frequencies alone, with ``decide`` and
+    ``settled`` (as :class:`~.partition_tests.FrequencyTest` has them).
+    ``workers`` is a worker count or a shared
     :class:`WorkerPool`.
     """
     errs_on_reject = _errs_on_reject(role)

@@ -62,6 +62,23 @@ def test_distinguish_zero_margin_exit_two(scenario_file, capsys):
     assert "margin=0" in out
 
 
+def test_distinguish_margin_within_the_tie_tolerance_exit_two(tmp_path, capsys):
+    data = {
+        "name": "tied-pair",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.5, 0.5]}],
+        "alternative": [{"weights": [0.5 + 5e-13, 0.5 - 5e-13]}],
+        "partition": {"cells": [[0], [1]]},
+    }
+    path = tmp_path / "tied.json"
+    path.write_text(dumps_canonical(data))
+    code = main(["distinguish", "--scenario", str(path)])
+    out = capsys.readouterr().out
+    assert code == 2
+    assert 0.0 < float(out.splitlines()[0].split("=")[1]) <= 1e-12
+    assert "verdict=weakly-indistinguishable-on-this-partition" in out
+
+
 def test_distinguish_missing_file(tmp_path, capsys):
     code = main(["distinguish", "--scenario", str(tmp_path / "absent.json")])
     assert code == 1

@@ -117,6 +117,18 @@ def test_build_frequency_test_zero_margin():
         build_frequency_test(rep)
 
 
+def test_separated_exactly_when_the_radius_is_positive():
+    """A margin of 5e-13 lies within the tie tolerance: the nearest-set test
+    would tie at every frequency between the two vectors, so no test is built."""
+    rep = separation([F(0.5, 0.5)], [F(0.9, 0.1)], None)
+    assert rep.radius == (rep.margin - TIE_TOL) / 2.0 > 0.0
+    tied = separation([F(0.5, 0.5)], [F(0.5 + 5e-13, 0.5 - 5e-13)], None)
+    assert 0.0 < tied.margin <= TIE_TOL
+    assert tied.radius <= 0.0
+    with pytest.raises(ConstructionError):
+        build_frequency_test(tied)
+
+
 def test_union_test_rejects_when_any_member_does():
     rep1 = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
     rep2 = separation([F(0.5, 0.5)], [F(0.1, 0.9)], Partition.identity(2))
@@ -184,18 +196,24 @@ def _margin_tests(rng, k):
 
 
 def test_margin_is_two_lipschitz_along_count_paths():
+    """The frequencies at ``n <= hi`` lie within ``(hi - n)/hi`` of those at
+    ``hi``, so a path settled at ``hi`` for the drift ``2 (hi - n)/hi`` of the
+    2-Lipschitz margin decides at ``n`` as it does at ``hi``."""
     rng = np.random.default_rng(97)
+    settled_paths = 0
     for k in (2, 3, 4):
         tests = _margin_tests(rng, k)
         for hi in (1, 2, 7, 64, 200):
             cells = rng.integers(0, k, size=(50, hi))  # 50 paths of hi draws
             counts = np.cumsum(cells[:, :, None] == np.arange(k), axis=1)  # (path, n, cell)
-            n = np.arange(1, hi + 1)
-            freq = counts / n[None, :, None]
+            freq = counts / np.arange(1, hi + 1)[None, :, None]
             for test in tests:
-                margin = test.margin(freq.reshape(-1, k).T).reshape(50, hi)
-                drift = np.abs(margin - margin[:, -1:])
-                assert np.all(drift <= 2.0 * (hi - n) / hi + 1e-12)
+                for n in range(1, hi + 1):
+                    settled, rejects = test.settled(freq[:, -1].T, 2.0 * (hi - n) / hi + 1e-12)
+                    assert np.array_equal(rejects, test.decide(freq[:, -1].T))
+                    assert np.array_equal(test.decide(freq[:, n - 1].T)[settled], rejects[settled])
+                    settled_paths += int(settled.sum())
+    assert settled_paths > 0
 
 
 def test_margin_above_tie_tolerance_agrees_with_rejects():
@@ -208,10 +226,12 @@ def test_margin_above_tie_tolerance_agrees_with_rejects():
             counts = counts[counts.sum(axis=1) > 0]
             freq = (counts / counts.sum(axis=1, keepdims=True)).T
             for test in tests:
-                margin = test.margin(freq)
-                away = np.abs(margin - TIE_TOL) > 1e-9
-                assert np.array_equal(margin[away] > TIE_TOL, test.rejects(counts)[away] > 0.5)
-                certified += int(away.sum())
+                settled, rejects = test.settled(freq, 1e-9)
+                assert np.array_equal(rejects, test.rejects(counts))
+                d0 = np.abs(freq.T[:, None, :] - test.hypothesis_vectors).max(axis=2).min(axis=1)
+                d1 = np.abs(freq.T[:, None, :] - test.alternative_vectors).max(axis=2).min(axis=1)
+                assert np.array_equal(settled, np.abs(d0 - d1 - TIE_TOL) > 1e-9)
+                certified += int(settled.sum())
     assert certified > 0
 
 

@@ -16,7 +16,12 @@ from consistency_lab.errors import (
 )
 from consistency_lab.distances import hull_variation
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, discretize
-from consistency_lab.partition_tests import build_frequency_test, exact_error, separation
+from consistency_lab.partition_tests import (
+    UnionTest,
+    build_frequency_test,
+    exact_error,
+    separation,
+)
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
@@ -244,6 +249,9 @@ def test_nested_approaching_alternatives_have_positive_margins():
 def test_nested_zero_margin_piece_named():
     with pytest.raises(ConstructionError, match="piece 2"):
         build_nested_family([F(0.5, 0.5)], [F(0.9, 0.1), F(0.5, 0.5)])
+    # a margin within the tie tolerance is no margin
+    with pytest.raises(ConstructionError, match="^piece 1 has zero separation margin$"):
+        build_nested_family([F(0.5, 0.5)], [F(0.5 + 5e-13, 0.5 - 5e-13)])
 
 
 def test_nested_family_checks_stored_certificates():
@@ -310,6 +318,50 @@ def test_poisson_scenario_degenerate():
         scenario_poisson(
             PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.0, F(0.5, 0.5)), n_grid=[8]
         )
+
+
+#: Four millionths from (0.5, 0.5) in each atom: separated, far above the tie tolerance.
+_NEAR_HALF = F(0.500004, 0.499996)
+
+
+def test_poisson_near_equal_shapes_with_equal_mass_load():
+    scenario = scenario_poisson(
+        PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.0, _NEAR_HALF), n_grid=[8]
+    )
+    loaded = scenario_from_dict(scenario.to_json_dict())
+    assert loaded.alternative[0].shape.weights.tolist() == [0.500004, 0.499996]
+
+
+def test_poisson_near_equal_shapes_get_a_frequency_stage(monkeypatch):
+    built = []
+
+    class Recording(PoissonTwoStageTest):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(scenarios, "PoissonTwoStageTest", Recording)
+    h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, _NEAR_HALF)
+    run_scenario(scenario_poisson(h0, h1, n_grid=[8, 32]), seed=1, replications=100)
+    assert len(built) == 2
+    assert all(isinstance(t.frequency_test, scenarios.FrequencyTest) for t in built)
+
+
+def test_every_package_test_decides_booleans():
+    counts = np.array([[9, 1], [5, 5], [0, 0], [1, 9]])
+    freq_test = build_frequency_test(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None))
+    tests = [
+        freq_test,
+        UnionTest([freq_test]),
+        PoissonTwoStageTest(n=10, mass0=1.0, deviation_rate=0.5),
+        PoissonTwoStageTest(n=10, mass0=1.0, deviation_rate=0.5, frequency_test=freq_test),
+    ]
+    for test in tests:
+        assert test.rejects(counts).dtype == bool
+    assert freq_test.rejects(counts).tolist() == [True, False, False, False]
+    signal = LinearFunctionalTest(functional=np.array([1.0, 0.5]), base=np.zeros(2))
+    decisions = signal.rejects(np.array([[0.0, 0.0], [2.0, 1.0]]))
+    assert decisions.dtype == bool and decisions.tolist() == [False, True]
 
 
 def test_poisson_two_stage_conditional_matches_exact():

@@ -29,7 +29,6 @@ from consistency_lab.scheduler import TestFamilyMember, interleave
 from consistency_lab import simulation
 from consistency_lab.simulation import (
     ERROR_BLOCK,
-    MAX_COUNTED_EDGES,
     MAX_PATH_CELL_BYTES,
     PATH_BLOCK,
     PATH_SEGMENT,
@@ -231,10 +230,11 @@ def test_edge_binning_extreme_uniforms(model):
         assert cells.tolist() == [0, partition.k - 1]
 
 
-@pytest.mark.parametrize("n_edges", [1, 2, 3, 8, 64, MAX_COUNTED_EDGES, MAX_COUNTED_EDGES + 1])
+@pytest.mark.parametrize("n_edges", [1, 2, 3, 8, 64, 128, 129, 300])
 def test_cells_below_equals_searchsorted(n_edges):
     """Counted edges match ``searchsorted`` on and next to every edge, with and
-    without zero weights, which repeat a cumulative weight (and put one at 0)."""
+    without zero weights, which repeat a cumulative weight (and put one at 0),
+    into the replay's ``uint8`` cells below 256 cells and ``intp`` cells above."""
     gen = RngSpec(107, n_edges).generator()
     weights = gen.random(n_edges + 1)
     sparse = weights.copy()
@@ -250,7 +250,7 @@ def test_cells_below_equals_searchsorted(n_edges):
                 gen.random(1000),
             ]
         )
-        out = np.empty(uniforms.shape, dtype=np.uint8)  # the replay's cells below 256
+        out = np.empty(uniforms.shape, dtype=np.uint8 if n_edges < 256 else np.intp)
         cells = _cells_below(edges, uniforms, out)
         assert cells is out
         assert np.array_equal(cells, np.searchsorted(edges, uniforms, side="right"))
@@ -602,27 +602,27 @@ def _replay_case(case):
 
 def _recorded_rows(monkeypatch):
     """Every frequency row that ``FrequencyTest.decide`` decides from now on, and
-    a ``None`` for every ``margin`` call: the replay calls ``margin`` once per
+    a ``None`` for every ``settled`` call: the replay calls ``settled`` once per
     segment, the per-n loop never."""
     seen = []
-    decide, margin = FrequencyTest.decide, FrequencyTest.margin
+    decide, settled = FrequencyTest.decide, FrequencyTest.settled
 
     def recording(self, freq):
         seen.append(freq.T.copy())  # callers may reuse the array
         return decide(self, freq)
 
-    def marking(self, freq):
+    def marking(self, freq, drift):
         seen.append(None)
-        return margin(self, freq)
+        return settled(self, freq, drift)
 
     monkeypatch.setattr(FrequencyTest, "decide", recording)
-    monkeypatch.setattr(FrequencyTest, "margin", marking)
+    monkeypatch.setattr(FrequencyTest, "settled", marking)
     return seen
 
 
 def _rows_by_segment(seen, segments):
     """``(lo, hi, rows)`` for every recorded ``decide`` call of a replay, with
-    the segment of the ``margin`` call before it; blocks walk every segment."""
+    the segment of the ``settled`` call before it; blocks walk every segment."""
     out, index = [], -1
     for rows in seen:
         if rows is None:
@@ -719,7 +719,7 @@ def test_segment_replay_matches_per_n_loop_with_two_workers(case):
     assert np.array_equal(curve, want)
 
 
-@pytest.mark.parametrize("size", [5, 130])  # 130 atoms bin by searchsorted
+@pytest.mark.parametrize("size", [5, 130, 300])  # 300 atoms take intp cells
 def test_segment_replay_matches_per_n_loop_on_long_alphabets(size):
     hypothesis = FiniteMeasure(np.full(size, 1.0 / size))
     tilt = np.linspace(0.0, 2.0, size)

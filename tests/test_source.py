@@ -1,6 +1,7 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
-and no private function, class or method that nothing in the package uses."""
+no private function, class or method that nothing in the package uses, and one
+owner of the tie tolerance."""
 import ast
 from pathlib import Path
 
@@ -98,3 +99,39 @@ def test_package_private_names_are_all_used():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert sources
     assert _unreferenced(sources) == []
+
+
+def _names(source: str, name: str, target: str) -> list:
+    """``name:line: target`` for each name, attribute or import of ``target``."""
+    lines = set()
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Name) and node.id == target:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.Attribute) and node.attr == target:
+            lines.add(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and any(a.name == target for a in node.names):
+            lines.add(node.lineno)
+    return [f"{name}:{line}: {target}" for line in sorted(lines)]
+
+
+def test_name_check_finds_names_attributes_and_imports():
+    source = "from m import TIE_TOL\nx = TIE_TOL\ny = m.TIE_TOL\nz = 'TIE_TOL'\n"
+    assert _names(source, "a.py", "TIE_TOL") == [
+        "a.py:1: TIE_TOL", "a.py:2: TIE_TOL", "a.py:3: TIE_TOL",
+    ]
+
+
+def test_only_partition_tests_holds_the_tie_tolerance():
+    """Separation and ties are decided in ``partition_tests`` alone: other
+    modules read ``SeparationReport.radius`` and the tests' boolean decisions,
+    and no module compares vectors by ``allclose`` tolerances."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert "consistency_lab/partition_tests.py" in sources
+    faults = [
+        f
+        for name, source in sources.items()
+        if name != "consistency_lab/partition_tests.py"
+        for f in _names(source, name, "TIE_TOL")
+    ]
+    faults += [f for name, source in sources.items() for f in _names(source, name, "allclose")]
+    assert faults == []
