@@ -7,6 +7,8 @@ Kraft–Le Cam dual, the best separation of the families by a test
 ``phi in [0,1]^k``, reads the optimal mixtures off the row multipliers, and
 certifies the value by the duality gap between the two; ``optimal_test`` is
 that test, which attains the floor against every member of both families.
+``hull_variation_prefixes`` gives the certified value against every prefix of
+the second family from one LP that grows a row per prefix.
 ``ks_distance`` and ``density_total_variation`` read the distribution-function
 gap of two named densities at its critical points, so both are exact to
 rounding; ``ks_distances`` and ``density_total_variations`` do so for a whole
@@ -21,7 +23,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .measures import DensitySpec, FiniteMeasure, family_weights
-from .simplex import solve_lp
+from .simplex import solve_lp, solve_lp_prefixes
 
 
 def total_variation(p: FiniteMeasure, q: FiniteMeasure) -> float:
@@ -60,6 +62,33 @@ def _simplex_weights(w: np.ndarray) -> np.ndarray:
     return w / w.sum()
 
 
+def _hull_lp(P: np.ndarray, Q: np.ndarray):
+    """Objective, rows and bounds of the Kraft–Le Cam dual of ``P`` against ``Q``."""
+    na, nb, k = P.shape[0], Q.shape[0], P.shape[1]
+    # Columns psi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.
+    t, minus_s = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 1.0])
+    A_ub = np.block([[-P, np.tile(t, (na, 1))], [Q, np.tile(minus_s, (nb, 1))]])
+    upper = np.concatenate([np.ones(k), np.full(4, np.inf)])
+    cost = np.concatenate([np.zeros(k), -(t + minus_s)])  # minimize s - t
+    return cost, A_ub, np.zeros(na + nb), upper
+
+
+def _certified(P: np.ndarray, Q: np.ndarray, result, stage: str) -> HullDistanceResult:
+    """The hull distance read off the LP optimum, checked by its duality gap."""
+    na, nb, k = P.shape[0], Q.shape[0], P.shape[1]
+    lam = _simplex_weights(-result.duals[:na])
+    mu = _simplex_weights(-result.duals[na : na + nb])
+    value = 0.5 * float(np.abs(lam @ P - mu @ Q).sum())
+    phi = 1.0 - np.clip(result.x[:k], 0.0, 1.0)
+    gap = value - float((Q @ phi).min() - (P @ phi).max())
+    if not gap <= GAP_TOL:
+        raise NumericError(f"{stage}: duality gap {gap:.3e} exceeds {GAP_TOL:.0e}")
+    return HullDistanceResult(
+        value=value, mixture_p=lam, mixture_q=mu, iterations=result.iterations,
+        duality_gap=gap, phi=phi,
+    )
+
+
 def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> HullDistanceResult:
     """Minimize total variation over mixtures of ``a`` against mixtures of ``b``.
 
@@ -73,30 +102,36 @@ def hull_variation(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Hu
     multipliers of the P and Q rows are the optimal mixtures.
     """
     P, Q = family_weights(a, b)
-    na, nb = P.shape[0], Q.shape[0]
-    k = P.shape[1]
-    # Columns psi, then t+, t-, s+, s-, with t = t+ - t- and s = s+ - s-.
-    t, minus_s = np.array([1.0, -1.0, 0.0, 0.0]), np.array([0.0, 0.0, -1.0, 1.0])
-    A_ub = np.block([[-P, np.tile(t, (na, 1))], [Q, np.tile(minus_s, (nb, 1))]])
-    upper = np.concatenate([np.ones(k), np.full(4, np.inf)])
-    cost = np.concatenate([np.zeros(k), -(t + minus_s)])  # minimize s - t
-
-    stage = f"hull LP ({na}x{nb} on {k} atoms)"
+    stage = f"hull LP ({P.shape[0]}x{Q.shape[0]} on {P.shape[1]} atoms)"
     try:
-        result = solve_lp(cost, A_ub=A_ub, b_ub=np.zeros(na + nb), upper=upper)
+        result = solve_lp(*_hull_lp(P, Q))
     except NumericError as exc:
         raise NumericError(f"{stage}: {exc}") from exc
-    lam = _simplex_weights(-result.duals[:na])
-    mu = _simplex_weights(-result.duals[na : na + nb])
-    value = 0.5 * float(np.abs(lam @ P - mu @ Q).sum())
-    phi = 1.0 - np.clip(result.x[:k], 0.0, 1.0)
-    gap = value - float((Q @ phi).min() - (P @ phi).max())
-    if not gap <= GAP_TOL:
-        raise NumericError(f"{stage}: duality gap {gap:.3e} exceeds {GAP_TOL:.0e}")
-    return HullDistanceResult(
-        value=value, mixture_p=lam, mixture_q=mu, iterations=result.iterations,
-        duality_gap=gap, phi=phi,
-    )
+    return _certified(P, Q, result, stage)
+
+
+def hull_variation_prefixes(
+    a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]
+) -> list[HullDistanceResult]:
+    """``hull_variation(a, b[:j])`` for every ``j`` from 1 to ``len(b)``, within rounding.
+
+    Each prefix adds one row, the LP of ``b[j]``, to the one before it, so
+    one tableau grows a row at a time and each prefix restarts from the
+    optimal basis of the last by dual simplex (``solve_lp_prefixes``). Every
+    result carries its own duality-gap certificate, and its ``iterations``
+    count its own restart.
+    """
+    P, Q = family_weights(a, b)
+    na, nb = P.shape[0], Q.shape[0]
+    stage = f"hull LP scan ({na}x1..{nb} on {P.shape[1]} atoms)"
+    try:
+        results = solve_lp_prefixes(*_hull_lp(P, Q), first=na + 1)
+    except NumericError as exc:
+        raise NumericError(f"{stage}: {exc}") from exc
+    return [
+        _certified(P, Q[:j], result, f"{stage}, prefix {j}")
+        for j, result in enumerate(results, start=1)
+    ]
 
 
 def kraft_bound(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> float:

@@ -20,6 +20,7 @@ import numpy as np
 from .distances import (
     density_total_variations,
     hull_variation,
+    hull_variation_prefixes,
     ks_distances,
 )
 from .errors import (
@@ -91,6 +92,8 @@ class Scenario:
     schedule: Optional[dict] = None  # {"exponents": [...], "onsets": [...]}
     sim: SimParams = field(default_factory=SimParams)
     model_options: dict = field(default_factory=dict)
+    # (inputs, members) of the last nested family built; see _nested_family
+    _family: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Checks that builders and JSON files alike pass through."""
@@ -547,10 +550,27 @@ def _horizon(scenario: Scenario) -> int:
     return max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
 
 
+def _nested_family(scenario: Scenario, schedule: dict) -> list:
+    """``build_nested_family`` of the scenario's families under ``schedule``.
+
+    The scenario keeps the family with the inputs it was built from, so the
+    load-time check of stored certificates and ``nested_schedule`` share one
+    build, and a changed family or schedule builds anew.
+    """
+    inputs = (
+        tuple(scenario.hypothesis),
+        tuple(scenario.alternative),
+        *(tuple(schedule.get(key, ())) for key in _SCHEDULE_OPTIONS),
+    )
+    if scenario._family is None or scenario._family[0] != inputs:
+        members = build_nested_family(scenario.hypothesis, scenario.alternative, **schedule)
+        scenario._family = (inputs, members)
+    return scenario._family[1]
+
+
 def nested_schedule(scenario: Scenario) -> TestSchedule:
     """Interleaved schedule for a nested-alternatives scenario, up to its horizon."""
-    stored = scheduled(scenario).schedule
-    members = build_nested_family(scenario.hypothesis, scenario.alternative, **stored)
+    members = _nested_family(scenario, scheduled(scenario).schedule)
     return interleave(members, _horizon(scenario))
 
 
@@ -701,8 +721,10 @@ def _hull_metrics(scenario: Scenario):
 def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     """Mixture and hull floors of uniform against ``one_plus_sine`` 1..m.
 
+    Rows 1..m-1 take their hull LPs from one scan that grows a row at a time.
     ``scenario_hull``, the scenario's hull LP at its ``grid_size`` or None,
-    is the last row's LP when the scenario is uniform against that prefix."""
+    is the last row's LP when the scenario is uniform against that prefix;
+    otherwise the last row solves its own."""
     m_max = int(scenario.model_options["cesaro_scan"])
     grid_size = int(scenario.model_options.get("grid_size", 64))
     uniform = DensitySpec.uniform()
@@ -714,13 +736,12 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     tvs = density_total_variations(
         [(DensitySpec.cesaro_mixture(m), uniform) for m in range(1, m_max + 1)]
     )
-    rows = []
-    for m, tv in enumerate(tvs, start=1):
-        if m == m_max and scenario_hull is not None:
-            hull = scenario_hull
-        else:
-            hull = hull_variation(disc_uniform, disc_sines[:m])
-        rows.append((m, tv, 1.0 - tv, hull.value, 1.0 - hull.value))
+    hulls = hull_variation_prefixes(disc_uniform, disc_sines[:-1]) if m_max > 1 else []
+    hulls.append(scenario_hull or hull_variation(disc_uniform, disc_sines))
+    rows = [
+        (m, tv, 1.0 - tv, hull.value, 1.0 - hull.value)
+        for m, (tv, hull) in enumerate(zip(tvs, hulls), start=1)
+    ]
     return Table(
         columns=["m", "tv_mixture", "kraft_mixture", "hull_value", "kraft_hull"],
         rows=rows,
@@ -952,7 +973,7 @@ def _check_finite(scenario: Scenario) -> None:
                 f"got {len(values)}"
             )
     if any((scenario.schedule or {}).values()):  # stored certificates are checked, not trusted
-        build_nested_family(scenario.hypothesis, scenario.alternative, **scenario.schedule)
+        _nested_family(scenario, scenario.schedule)
 
 
 def _check_poisson(scenario: Scenario) -> None:

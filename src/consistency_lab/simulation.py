@@ -159,7 +159,15 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
 
 
 def wilson_interval(estimate: float, replications: int):
-    """95% Wilson score interval; stable near 0 and 1."""
+    """95% Wilson score interval; stable near 0 and 1.
+
+    Raises ``ValidationError`` unless ``replications >= 1`` and the estimate
+    is a proportion in [0, 1].
+    """
+    if not replications >= 1:
+        raise ValidationError(f"wilson_interval needs replications >= 1, got {replications!r}")
+    if not 0.0 <= estimate <= 1.0:
+        raise ValidationError(f"wilson_interval needs an estimate in [0, 1], got {estimate!r}")
     z = Z95
     z2 = z * z
     denom = 1.0 + z2 / replications

@@ -817,7 +817,7 @@ def test_schedule_without_n_grid_runs_to_default_horizon(tmp_path):
     assert rows[-1].startswith("1024,")
 
 
-def test_schedule_builds_the_family_once(tmp_path, monkeypatch):
+def _count_family_builds(monkeypatch) -> list:
     import consistency_lab.scenarios as scenarios
 
     calls = []
@@ -828,9 +828,26 @@ def test_schedule_builds_the_family_once(tmp_path, monkeypatch):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(scenarios, "build_nested_family", counting)
+    return calls
+
+
+def test_schedule_builds_the_family_once(tmp_path, monkeypatch):
+    calls = _count_family_builds(monkeypatch)
     code = main(["schedule", "--scenario", str(_nested_without_grid(tmp_path)),
                  "--out", str(tmp_path / "o")])
     assert code == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["schedule", "simulate"])
+def test_stored_certificates_build_the_family_once(command, scenario_file, tmp_path, monkeypatch):
+    # the load-time check of the stored certificates builds the family that
+    # the schedule then interleaves
+    path = scenario_file(scenario_nested_alternatives(
+        [F(0.9, 0.1), F(0.1, 0.9)], n_max=256, replications=200, k_grid=[0, 128, 256],
+    ))
+    calls = _count_family_builds(monkeypatch)
+    assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
 
 

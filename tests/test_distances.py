@@ -11,6 +11,7 @@ from consistency_lab.distances import (
     density_total_variation,
     density_total_variations,
     hull_variation,
+    hull_variation_prefixes,
     kraft_bound,
     ks_distance,
     ks_distances,
@@ -500,3 +501,70 @@ def test_hull_variation_solver_errors_name_the_stage(monkeypatch):
     monkeypatch.setattr(distances, "solve_lp", overrun)
     with pytest.raises(NumericError, match=r"^hull LP \(1x2 on 2 atoms\): simplex exceeded"):
         hull_variation([F(0.5, 0.5)], [F(1, 0), F(0, 1)])
+
+
+# -- the Cesàro hull scan: one LP grown a row at a time ------------------------------------
+
+
+@pytest.fixture(scope="module")
+def sine_scan_128():
+    """The scan of uniform against ``one_plus_sine`` 1..128 at grid 64, and the
+    cold ``hull_variation`` of every prefix."""
+    a, b = _sine_families(128, 64)
+    return a, b, hull_variation_prefixes(a, b), [hull_variation(a, b[:j]) for j in range(1, 129)]
+
+
+@pytest.mark.parametrize("m", [16, 64, 128])
+def test_hull_scan_matches_cold_lps_with_certificates(m, sine_scan_128):
+    a, b, _, cold = sine_scan_128
+    scan = hull_variation_prefixes(a, b[:m])
+    assert len(scan) == m
+    for j, (warm, fresh) in enumerate(zip(scan, cold), start=1):
+        assert abs(warm.value - fresh.value) <= 1e-12, j
+        assert warm.duality_gap <= 1e-12, j
+        assert warm.mixture_q.size == j
+        assert warm.mixture_p.sum() == pytest.approx(1.0, abs=1e-15)
+        assert warm.mixture_q.sum() == pytest.approx(1.0, abs=1e-15)
+    # one_plus_sine(64) is the uniform itself on 64 cells: the hull distance vanishes
+    if m >= 64:
+        assert scan[63].value <= 1e-15 and cold[62].value > 1e-3
+
+
+@pytest.mark.parametrize("m, share", [(64, 1 / 3), (128, 1 / 2)])
+def test_hull_scan_restarts_take_a_fraction_of_cold_pivots(m, share, sine_scan_128):
+    _, _, scan, cold = sine_scan_128
+    warm_pivots = sum(r.iterations for r in scan[: m - 1])
+    cold_pivots = sum(r.iterations for r in cold[: m - 1])
+    assert warm_pivots <= share * cold_pivots, (warm_pivots, cold_pivots)
+
+
+@pytest.mark.parametrize("j", [1, 16, 63, 64, 65, 128])
+def test_hull_scan_prefixes_agree_with_highs(j, sine_scan_128):
+    a, b, scan, _ = sine_scan_128
+    assert abs(scan[j - 1].value - _highs_hull(a, b[:j])) <= 1e-9
+
+
+def test_hull_scan_first_prefix_is_the_cold_lp():
+    a, b = _sine_families(8, 64)
+    first, cold = hull_variation_prefixes(a, b)[0], hull_variation(a, b[:1])
+    assert first.value == cold.value and first.iterations == cold.iterations
+    assert np.array_equal(first.phi, cold.phi)
+
+
+def test_hull_scan_certificate_failures_name_the_prefix(monkeypatch):
+    import consistency_lab.distances as distances
+
+    solve_lp_prefixes = distances.solve_lp_prefixes
+
+    def off_optimum(*args, **kwargs):
+        results = solve_lp_prefixes(*args, **kwargs)
+        last = results[-1]
+        duals = last.duals.copy()
+        duals[:3] = [-1.0, -1.0, 0.0]  # all alternative weight on the first member
+        return results[:-1] + [type(last)(last.x, last.objective, last.iterations, duals)]
+
+    monkeypatch.setattr(distances, "solve_lp_prefixes", off_optimum)
+    with pytest.raises(
+        NumericError, match=r"hull LP scan \(1x1\.\.2 on 3 atoms\), prefix 2: duality gap"
+    ):
+        hull_variation_prefixes([F(0, 0.5, 0.5)], [F(1, 0, 0), F(0, 0, 1)])

@@ -14,7 +14,7 @@ from consistency_lab.errors import (
     DegenerateScenarioError,
     ValidationError,
 )
-from consistency_lab.distances import hull_variation
+from consistency_lab.distances import hull_variation, hull_variation_prefixes
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, discretize
 from consistency_lab.partition_tests import (
     UnionTest,
@@ -107,21 +107,29 @@ def test_mazur_scenario_values():
 
 
 def _hull_lp_sizes(monkeypatch):
-    """Number of alternatives of every hull LP that ``scenarios`` solves from now on."""
+    """Kind and number of alternatives of every hull LP that ``scenarios``
+    solves from now on: ``("cold", j)`` for one LP, ``("scan", j)`` for the
+    prefixes ``1..j`` of one scan."""
     sizes = []
 
-    def counting(a, b):
-        sizes.append(len(b))
+    def cold(a, b):
+        sizes.append(("cold", len(b)))
         return hull_variation(a, b)
 
-    monkeypatch.setattr(scenarios, "hull_variation", counting)
+    def scan(a, b):
+        sizes.append(("scan", len(b)))
+        return hull_variation_prefixes(a, b)
+
+    monkeypatch.setattr(scenarios, "hull_variation", cold)
+    monkeypatch.setattr(scenarios, "hull_variation_prefixes", scan)
     return sizes
 
 
 def test_mazur_scenario_solves_its_own_hull_lp_once(monkeypatch):
     sizes = _hull_lp_sizes(monkeypatch)
     run = run_scenario(scenario_mazur_mixture(4, grid_size=32), seed=1)
-    assert sizes == [4, 1, 2, 3]  # the m = 4 Cesaro row is the scenario's LP
+    # rows 1..3 come from one scan; the m = 4 Cesaro row is the scenario's LP
+    assert sizes == [("cold", 4), ("scan", 3)]
     assert table_dict(run.tables["cesaro"])[-1]["hull_value"] == run.reports["hull"]["value"]
 
 
@@ -138,12 +146,27 @@ def test_cesaro_scan_solves_a_fresh_lp_for_other_families(change, monkeypatch):
     scenario = dataclasses.replace(scenario_mazur_mixture(4, grid_size=32), **change)
     sizes = _hull_lp_sizes(monkeypatch)
     run = run_scenario(scenario, seed=1)
-    assert sizes == [len(scenario.alternative), 1, 2, 3, 4]
+    assert sizes == [("cold", len(scenario.alternative)), ("scan", 3), ("cold", 4)]
     fresh = hull_variation(
         [discretize(DensitySpec.uniform(), 32)],
         [discretize(DensitySpec.one_plus_sine(i), 32) for i in range(1, 5)],
     )
     assert table_dict(run.tables["cesaro"])[-1]["hull_value"] == fresh.value
+
+
+def test_cesaro_scan_of_one_solves_no_scan(monkeypatch):
+    sizes = _hull_lp_sizes(monkeypatch)
+    run = run_scenario(scenario_mazur_mixture(1, grid_size=32), seed=1)
+    assert sizes == [("cold", 1)]
+    assert table_dict(run.tables["cesaro"])[-1]["hull_value"] == run.reports["hull"]["value"]
+
+
+def test_cesaro_rows_match_cold_lps_within_rounding():
+    run = run_scenario(scenario_mazur_mixture(6, grid_size=32), seed=1)
+    uniform = [discretize(DensitySpec.uniform(), 32)]
+    sines = [discretize(DensitySpec.one_plus_sine(i), 32) for i in range(1, 7)]
+    for m, row in enumerate(table_dict(run.tables["cesaro"]), start=1):
+        assert abs(row["hull_value"] - hull_variation(uniform, sines[:m]).value) <= 1e-12
 
 
 # -- Kolmogorov scenario --------------------------------------------------------------

@@ -3,7 +3,8 @@ import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.errors import NumericError, ValidationError
-from consistency_lab.simplex import _refine, solve_lp
+from consistency_lab import simplex
+from consistency_lab.simplex import _refine, solve_lp, solve_lp_prefixes
 
 
 def test_simple_maximization_as_min():
@@ -125,3 +126,92 @@ def test_refinement_from_a_poor_inverse_raises():
     # the correction doubles the error at every step instead of shrinking it
     with pytest.raises(NumericError, match="refinement left residual"):
         _refine(np.eye(2), 3.0 * np.eye(2), np.array([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("name", ["c", "A_ub", "b_ub"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_inputs_rejected_by_name(name, bad):
+    args = {"c": [-1.0, -1.0], "A_ub": [[1.0, 2.0], [3.0, 1.0]], "b_ub": [4.0, 6.0]}
+    values = np.array(args[name], dtype=float)
+    values.flat[-1] = bad
+    args[name] = values
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        solve_lp(**args)
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        solve_lp_prefixes(**args, first=1)  # the bad entry sits in an appended row
+
+
+def _random_boxed(rng, m, n):
+    """``min c.x`` over ``A x <= b``, ``0 <= x <= u``, with ``b >= 0`` and some
+    bounds infinite."""
+    A = rng.normal(size=(m, n))
+    b = rng.random(m)
+    u = np.where(rng.random(n) < 0.7, rng.random(n) * 3.0, np.inf)
+    A[:, u == np.inf] = np.abs(A[:, u == np.inf]) + 0.1  # keeps the optimum finite
+    return rng.normal(size=n), A, b, u
+
+
+def test_prefixes_match_cold_solves_of_every_prefix():
+    rng = np.random.default_rng(7)
+    for _ in range(60):
+        m, n = int(rng.integers(2, 12)), int(rng.integers(2, 8))
+        c, A, b, u = _random_boxed(rng, m, n)
+        first = int(rng.integers(1, m + 1))
+        warm = solve_lp_prefixes(c, A, b, u, first=first)
+        assert len(warm) == m - first + 1
+        for rows, result in enumerate(warm, start=first):
+            cold = solve_lp(c, A[:rows], b[:rows], u)
+            assert abs(result.objective - cold.objective) <= 1e-9
+            assert np.all(A[:rows] @ result.x <= b[:rows] + 1e-9)
+            assert np.all(result.x >= 0.0) and np.all(result.x <= u)
+            assert result.duals.shape == (rows,) and np.all(result.duals <= 1e-12)
+
+
+def test_prefixes_under_blands_rule_throughout(monkeypatch):
+    # a stall limit below zero puts both loops on Bland's rule from the first pivot
+    monkeypatch.setattr(simplex, "_STALL_LIMIT", -1)
+    rng = np.random.default_rng(8)
+    for _ in range(30):
+        c, A, b, u = _random_boxed(rng, 8, 5)
+        for rows, result in enumerate(solve_lp_prefixes(c, A, b, u, first=1), start=1):
+            assert abs(result.objective - solve_lp(c, A[:rows], b[:rows], u).objective) <= 1e-9
+
+
+def test_added_row_restarts_by_dual_pivots():
+    # max x + y on x + 2y <= 4 has its optimum (4, 0) with x unbounded above
+    # the second row; adding 3x + y <= 6 cuts it off, and one dual pivot
+    # moves to (1.6, 1.2), the vertex of both rows.
+    one, both = solve_lp_prefixes([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], first=1)
+    assert_allclose(one.x, [4.0, 0.0], atol=1e-15)
+    assert_allclose(both.x, [1.6, 1.2], atol=1e-15)
+    assert_allclose(both.duals, [-0.4, -0.2], atol=1e-15)
+    assert both.iterations == 1
+
+
+def test_added_row_flips_a_breakpoint_before_entering():
+    # max 0.1 x1 + 3 x2 over x <= 1: both sit at their bound under x1 + x2 <= 5.
+    # x1 + 3 x2 <= 1.5 cuts (1, 1) off by 2.5. The cheaper ratio, x1, falling
+    # to 0 leaves 1.5 of that, so x1 flips to its other bound and x2 enters at
+    # 0.5: one flip and one pivot.
+    one, both = solve_lp_prefixes(
+        [-0.1, -3.0], A_ub=[[1, 1], [1, 3]], b_ub=[5, 1.5], upper=[1, 1], first=1
+    )
+    assert_allclose(one.x, [1.0, 1.0], atol=1e-15)
+    assert_allclose(both.x, [0.0, 0.5], atol=1e-15)
+    assert_allclose(both.duals, [0.0, -1.0], atol=1e-15)
+    assert both.iterations == 2
+
+
+def test_all_rows_at_once_is_solve_lp():
+    rng = np.random.default_rng(9)
+    c, A, b, u = _random_boxed(rng, 6, 4)
+    (whole,) = solve_lp_prefixes(c, A, b, u, first=6)
+    cold = solve_lp(c, A, b, u)
+    assert whole.iterations == cold.iterations
+    assert np.array_equal(whole.x, cold.x) and np.array_equal(whole.duals, cold.duals)
+
+
+@pytest.mark.parametrize("first", [0, 3])
+def test_first_prefix_must_be_a_row_count(first):
+    with pytest.raises(ValidationError, match="first must be a row count from 1 to 2"):
+        solve_lp_prefixes([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], first=first)

@@ -188,6 +188,21 @@ def test_wilson_interval_bounds():
     assert 0.45 < low < 0.5 < high < 0.55
 
 
+@pytest.mark.parametrize(
+    "estimate, replications, message",
+    [
+        (0.5, 0, "replications >= 1"),
+        (0.5, -3, "replications >= 1"),
+        (1.5, 100, r"estimate in \[0, 1\], got 1.5"),
+        (-0.1, 100, r"estimate in \[0, 1\]"),
+        (math.nan, 100, r"estimate in \[0, 1\], got nan"),
+    ],
+)
+def test_wilson_interval_rejects_what_is_not_a_proportion(estimate, replications, message):
+    with pytest.raises(ValidationError, match=message):
+        wilson_interval(estimate, replications)
+
+
 # -- binning draws into cells and counting them -------------------------------------------
 
 _EDGE_MODELS = [DensitySpec.one_plus_sine(i) for i in (1, 2, 3)] + [
