@@ -36,13 +36,7 @@ class FiniteMeasure:
     __slots__ = ("_weights",)
 
     def __init__(self, weights: Sequence[float]):
-        w = _reals(weights, "weights")
-        if w.ndim != 1 or w.size == 0:
-            raise ValidationError("weights must be a nonempty 1-D vector")
-        if not np.all(np.isfinite(w)):
-            raise ValidationError("weights must be finite")
-        if np.any(w < 0):
-            raise ValidationError("weights must be nonnegative")
+        w = _weight_vector(_reals(weights, "weights"))
         total = float(w.sum())
         if abs(total - 1.0) > QUADRATURE_TOL:
             raise ValidationError(
@@ -72,19 +66,24 @@ class FiniteMeasure:
         return f"FiniteMeasure({np.array2string(self._weights, precision=6)})"
 
 
-def normalize(weights: Sequence[float]) -> FiniteMeasure:
-    """Scale a nonnegative vector to a probability vector.
-
-    Raises ``ValidationError`` on an all-zero vector, any negative entry, or
-    any non-finite entry.
-    """
-    w = np.asarray(weights, dtype=float)
+def _weight_vector(w: np.ndarray) -> np.ndarray:
+    """``w`` if it is a nonempty 1-D vector of finite, nonnegative entries."""
     if w.ndim != 1 or w.size == 0:
         raise ValidationError("weights must be a nonempty 1-D vector")
     if not np.all(np.isfinite(w)):
         raise ValidationError("weights must be finite")
     if np.any(w < 0):
         raise ValidationError("weights must be nonnegative")
+    return w
+
+
+def normalize(weights: Sequence[float]) -> FiniteMeasure:
+    """Scale a nonnegative vector to a probability vector.
+
+    Raises ``ValidationError`` on an all-zero vector, any negative entry, or
+    any non-finite entry.
+    """
+    w = _weight_vector(np.asarray(weights, dtype=float))
     total = float(w.sum())
     if total <= 0.0:
         raise ValidationError("at least one weight must be positive")
@@ -119,11 +118,12 @@ def _no_parameter(value, name: str):
 
 
 def _integer(value, name: str, least: int = 1) -> int:
-    """An int >= ``least``, or an integral float such as 3.0; not a bool."""
+    """An int >= ``least`` from a Python or numpy integer, or from an integral
+    float such as 3.0; not from a bool."""
     number = int(value) if isinstance(value, float) and value.is_integer() else value
-    if isinstance(number, bool) or not isinstance(number, int) or number < least:
+    if isinstance(number, bool) or not isinstance(number, numbers.Integral) or number < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
-    return number
+    return int(number)
 
 
 def _reals(values, name: str) -> np.ndarray:
@@ -279,24 +279,23 @@ class Partition:
     __slots__ = ("kind", "cells", "alphabet_size")
 
     def __init__(self, kind: str, cells, alphabet_size: int = 0):
-        if kind not in ("intervals", "atoms"):
-            raise ValidationError(f"unknown partition kind {kind!r}")
         if kind == "intervals":
             cells = tuple((float(lo), float(hi)) for lo, hi in cells)
-            if len(cells) < 2:
-                raise ValidationError("a partition needs at least 2 cells")
+        elif kind == "atoms":
+            cells = tuple(tuple(int(a) for a in group) for group in cells)
+        else:
+            raise ValidationError(f"unknown partition kind {kind!r}")
+        if len(cells) < 2:
+            raise ValidationError("a partition needs at least 2 cells")
+        if kind == "intervals":
             if cells[0][0] != 0.0 or cells[-1][1] != 1.0:
                 raise ValidationError("interval cells must cover (0, 1)")
-            for (lo, hi), (lo2, _) in zip(cells, cells[1:]):
-                if not lo < hi or lo2 != hi:
-                    raise ValidationError("interval cells must be increasing and contiguous")
-            if not cells[-1][0] < cells[-1][1]:
+            if any(not lo < hi for lo, hi in cells) or any(
+                hi != lo2 for (_, hi), (lo2, _) in zip(cells, cells[1:])
+            ):
                 raise ValidationError("interval cells must be increasing and contiguous")
             alphabet_size = 0
         else:
-            cells = tuple(tuple(int(a) for a in group) for group in cells)
-            if len(cells) < 2:
-                raise ValidationError("a partition needs at least 2 cells")
             seen = [a for group in cells for a in group]
             if alphabet_size <= 0:
                 alphabet_size = max(seen) + 1 if seen else 0

@@ -10,6 +10,7 @@ Only :func:`separation` reads a partition; a test holds cell vectors alone.
 """
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from math import comb, lgamma
 from typing import Sequence, Tuple
@@ -208,13 +209,10 @@ def _outcome_chunks(n: int, k: int, prefix: Tuple[int, ...] = ()):
         return
     v = 0
     while v <= left:
-        end, hi = v, left + 1  # bisect for the longest run v..end-1 that fits
-        while end < hi:
-            mid = (end + hi + 1) // 2
-            if from_value(v) - from_value(mid) <= ENUMERATION_CHUNK:
-                end = mid
-            else:
-                hi = mid - 1
+        # the longest run v..end-1 that fits: its outcomes grow with end
+        end = v + bisect.bisect_right(
+            range(v + 1, left + 2), ENUMERATION_CHUNK, key=lambda e: from_value(v) - from_value(e)
+        )
         if end == v:
             yield from _outcome_chunks(n, k, prefix + (v,))
             end = v + 1

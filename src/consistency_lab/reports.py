@@ -13,15 +13,11 @@ from typing import Mapping, Sequence
 
 
 def format_value(value) -> str:
+    """A bool as ``true``/``false``, a float to 17 significant digits (``nan``,
+    ``inf`` and ``-inf`` when not finite), anything else by ``str``."""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int,)):
-        return str(value)
     if isinstance(value, float):
-        if math.isnan(value):
-            return "nan"
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
         return format(value, ".17g")
     return str(value)
 
@@ -43,16 +39,12 @@ def dumps_canonical(obj, indent: int = 0) -> str:
             return "[]"
         parts = [f"{child}{dumps_canonical(item, indent + 1)}" for item in obj]
         return "[\n" + ",\n".join(parts) + f"\n{pad}]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        if math.isnan(obj) or math.isinf(obj):
-            raise ValueError("canonical JSON cannot carry non-finite floats")
-        return format(obj, ".17g")
+    if isinstance(obj, float) and not math.isfinite(obj):
+        raise ValueError("canonical JSON cannot carry non-finite floats")
+    if isinstance(obj, (int, float)):  # bools too
+        return format_value(obj)
     return json.dumps(str(obj))
 
 

@@ -72,12 +72,21 @@ def _phi(z: float) -> float:
 
 @dataclass(frozen=True)
 class SimParams:
-    """Simulation budget attached to a scenario."""
+    """Simulation budget attached to a scenario, checked and stored as ints and tuples."""
 
     replications: int = 2000
     n_grid: tuple = ()
     k_grid: tuple = ()
     epsilon_list: tuple = ()
+
+    def __post_init__(self):
+        for key, value in (
+            ("replications", _integer(self.replications, "sim.replications")),
+            ("n_grid", tuple(_integer(n, "sim.n_grid") for n in self.n_grid)),
+            ("k_grid", tuple(_integer(k, "sim.k_grid", 0) for k in self.k_grid)),
+            ("epsilon_list", tuple(_reals(self.epsilon_list, "sim.epsilon_list").tolist())),
+        ):
+            object.__setattr__(self, key, value)
 
 
 @dataclass
@@ -96,16 +105,27 @@ class Scenario:
     _family: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Checks that builders and JSON files alike pass through."""
+        """Every value check, for builders and files alike; normalizes options and schedule."""
         row = _model_type(self.model_type)
         if len(self.hypothesis) == 0 or len(self.alternative) == 0:
             raise ValidationError("hypothesis and alternative families must be nonempty")
         if not all(isinstance(m, row.model) for m in self.hypothesis + self.alternative):
             raise ValidationError(f"{self.model_type} models must be {row.model.__name__}")
+        _known_keys(self.model_options, _MODEL_OPTIONS, "model.", "model option")
         for key in self.model_options:
             if key not in row.options:
                 raise ValidationError(f"model.{key} is not supported by {self.model_type} models")
+        self.model_options = {
+            key: _integer(value, f"model.{key}", _MODEL_OPTIONS[key])
+            for key, value in self.model_options.items()
+        }
         _check_supported(self.model_type, self.partition is not None, self.schedule is not None)
+        if self.schedule is not None:
+            stored = _object(self.schedule, "schedule", _SCHEDULE_OPTIONS)
+            self.schedule = {
+                "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
+                "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
+            }
         if self.partition is not None and self.partition.kind != row.partition:
             raise ValidationError(
                 f"{self.model_type} models need a partition of {row.partition}, "
@@ -116,11 +136,9 @@ class Scenario:
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
         write = _MODEL_TYPES[self.model_type].write
-        model = {"type": self.model_type}
-        model.update(self.model_options)
         out = {
             "name": self.name,
-            "model": model,
+            "model": {"type": self.model_type, **self.model_options},
             "hypothesis": [write(m) for m in self.hypothesis],
             "alternative": [write(m) for m in self.alternative],
             "sim": {
@@ -133,18 +151,15 @@ class Scenario:
         if self.partition is not None:
             out["partition"] = {"cells": [list(c) for c in self.partition.cells]}
         if self.schedule is not None:
-            out["schedule"] = {
-                "exponents": list(self.schedule.get("exponents", [])),
-                "onsets": list(self.schedule.get("onsets", [])),
-            }
+            out["schedule"] = {key: list(values) for key, values in self.schedule.items()}
         return out
 
 
-#: Keys a scenario file may set: top level, ``sim``, ``schedule``, ``model`` (integers >= 1).
+#: Keys a scenario file may set: top level, ``sim``, ``schedule``, ``model`` (option: least value).
 _SCENARIO_KEYS = ("name", "model", "hypothesis", "alternative", "partition", "schedule", "sim")
 _SIM_OPTIONS = ("replications", "n_grid", "k_grid", "epsilon_list")
 _SCHEDULE_OPTIONS = ("exponents", "onsets")
-_MODEL_OPTIONS = ("grid_size", "cesaro_scan")
+_MODEL_OPTIONS = {"grid_size": 2, "cesaro_scan": 1}
 
 
 def _known_keys(obj: dict, allowed: Sequence[str], prefix: str, kind: str) -> None:
@@ -156,9 +171,8 @@ def _known_keys(obj: dict, allowed: Sequence[str], prefix: str, kind: str) -> No
             )
 
 
-def _object(data: dict, key: str, options: Sequence[str]) -> dict:
-    """``data[key]``, an object whose keys ``options`` lists; ``{}`` when absent."""
-    value = data.get(key, {})
+def _object(value, key: str, options: Sequence[str]) -> dict:
+    """``value``, the scenario's ``key``, if it is an object whose keys ``options`` lists."""
     if not isinstance(value, dict):
         raise ValidationError(f"scenario {key!r} must be an object, got {type(value).__name__}")
     _known_keys(value, options, f"{key}.", f"{key} option")
@@ -206,7 +220,9 @@ def _check_supported(model_type: str, partition: bool, schedule: bool) -> None:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
-    """Parse a scenario from its JSON object form, validating the schema."""
+    """Parse a scenario from its JSON object form. The parser checks the
+    file's shape: its objects and lists, required and unknown keys, model
+    entries and partition cells; the constructors check every value."""
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")
     _known_keys(data, _SCENARIO_KEYS, "", "scenario key")
@@ -218,10 +234,6 @@ def scenario_from_dict(data: dict) -> Scenario:
         raise ValidationError("scenario 'model' must be an object with a 'type'")
     model_type = model["type"]
     row = _model_type(model_type)
-    options = {k: v for k, v in model.items() if k != "type"}
-    _known_keys(options, _MODEL_OPTIONS, "model.", "model option")
-    for key, value in options.items():
-        _integer(value, f"model.{key}")
     hypothesis = _models(data, "hypothesis", row.read)
     alternative = _models(data, "alternative", row.read)
     _check_supported(model_type, "partition" in data, "schedule" in data)
@@ -230,29 +242,17 @@ def scenario_from_dict(data: dict) -> Scenario:
         if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
         partition = Partition(row.partition, _cells(data["partition"]["cells"], row.partition))
-    schedule = None
-    if "schedule" in data:
-        stored = _object(data, "schedule", _SCHEDULE_OPTIONS)
-        schedule = {
-            "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
-            "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
-        }
-    sim_obj = _object(data, "sim", _SIM_OPTIONS)
-    sim = SimParams(
-        replications=_integer(sim_obj.get("replications", 2000), "sim.replications"),
-        n_grid=tuple(_integer(v, "sim.n_grid") for v in sim_obj.get("n_grid", ())),
-        k_grid=tuple(_integer(v, "sim.k_grid", 0) for v in sim_obj.get("k_grid", ())),
-        epsilon_list=tuple(_reals(sim_obj.get("epsilon_list", []), "sim.epsilon_list").tolist()),
-    )
     return Scenario(
         name=str(data["name"]),
         model_type=model_type,
         hypothesis=hypothesis,
         alternative=alternative,
         partition=partition,
-        schedule=schedule,
-        sim=sim,
-        model_options=options,
+        schedule=(
+            _object(data["schedule"], "schedule", _SCHEDULE_OPTIONS) if "schedule" in data else None
+        ),
+        sim=SimParams(**_object(data.get("sim", {}), "sim", _SIM_OPTIONS)),
+        model_options={k: v for k, v in model.items() if k != "type"},
     )
 
 
@@ -277,7 +277,7 @@ def scenario_sine_indistinguishable(
         alternative=[DensitySpec.one_plus_sine(i) for i in range(1, i_max + 1)],
         partition=partition,
         sim=SimParams(replications=2000),
-        model_options={"grid_size": int(grid_size)},
+        model_options={"grid_size": grid_size},
     )
 
 
@@ -295,7 +295,7 @@ def scenario_mazur_mixture(m_max: int, grid_size: int = 64) -> Scenario:
         hypothesis=[DensitySpec.uniform()],
         alternative=[DensitySpec.one_plus_sine(i) for i in range(1, m_max + 1)],
         sim=SimParams(replications=2000),
-        model_options={"grid_size": int(grid_size), "cesaro_scan": int(m_max)},
+        model_options={"grid_size": grid_size, "cesaro_scan": m_max},
     )
 
 
@@ -307,7 +307,7 @@ def scenario_kolmogorov_family(u_list: Sequence[float], n_grid: Sequence[int]) -
         hypothesis=[DensitySpec.uniform()],
         alternative=[DensitySpec.pu_family(u) for u in u_list],
         partition=Partition.half_split(),
-        sim=SimParams(replications=4000, n_grid=tuple(int(n) for n in n_grid)),
+        sim=SimParams(replications=4000, n_grid=n_grid),
         model_options={"grid_size": 64},
     )
 
@@ -328,7 +328,7 @@ def scenario_signal_detection(
         model_type="gaussian_sequence",
         hypothesis=list(s0),
         alternative=list(s1),
-        sim=SimParams(replications=100000, epsilon_list=tuple(float(e) for e in epsilon_list)),
+        sim=SimParams(replications=100000, epsilon_list=epsilon_list),
     )
 
 
@@ -354,11 +354,7 @@ def scenario_nested_alternatives(
         model_type="finite",
         hypothesis=hypothesis,
         alternative=list(pieces),
-        sim=SimParams(
-            replications=replications,
-            n_grid=(int(n_max),),
-            k_grid=tuple(int(k) for k in k_grid),
-        ),
+        sim=SimParams(replications=replications, n_grid=(n_max,), k_grid=k_grid),
     )
     members = build_nested_family(hypothesis, scenario.alternative)
     scenario.schedule = {
@@ -377,7 +373,7 @@ def scenario_poisson(
         model_type="poisson",
         hypothesis=[h0],
         alternative=[h1],
-        sim=SimParams(replications=4000, n_grid=tuple(int(n) for n in n_grid)),
+        sim=SimParams(replications=4000, n_grid=n_grid),
     )
 
 
@@ -535,14 +531,16 @@ def _first_onset(terms: np.ndarray, exponent: float) -> int:
     )
 
 
+def _check_schedules(scenario: Scenario) -> None:
+    if not _MODEL_TYPES[scenario.model_type].schedules:
+        raise ValidationError("schedules require finite-alphabet scenarios")
+
+
 def scheduled(scenario: Scenario) -> Scenario:
     """``scenario`` with a schedule: its stored one, else an empty one whose
     exponents and onsets ``nested_schedule`` derives and certifies."""
-    if not _MODEL_TYPES[scenario.model_type].schedules:
-        raise ValidationError("schedules require finite-alphabet scenarios")
-    if scenario.schedule is not None:
-        return scenario
-    return replace(scenario, schedule={"exponents": [], "onsets": []})
+    _check_schedules(scenario)
+    return scenario if scenario.schedule is not None else replace(scenario, schedule={})
 
 
 def _horizon(scenario: Scenario) -> int:
@@ -570,7 +568,8 @@ def _nested_family(scenario: Scenario, schedule: dict) -> list:
 
 def nested_schedule(scenario: Scenario) -> TestSchedule:
     """Interleaved schedule for a nested-alternatives scenario, up to its horizon."""
-    members = _nested_family(scenario, scheduled(scenario).schedule)
+    _check_schedules(scenario)
+    members = _nested_family(scenario, scenario.schedule or {})
     return interleave(members, _horizon(scenario))
 
 
@@ -601,8 +600,8 @@ class ScenarioRun:
 
 def _grid_margin(scenario: Scenario, alt) -> float:
     """Separation margin recomputed on the discretized path, when grid aligns."""
-    grid_size = int(scenario.model_options.get("grid_size", 0))
-    if grid_size < 2 or scenario.partition is None:
+    grid_size = scenario.model_options.get("grid_size")
+    if grid_size is None or scenario.partition is None:
         return math.nan
     groups = []
     for lo, hi in scenario.partition.cells:
@@ -700,7 +699,7 @@ def _ks_table(scenario: Scenario) -> Table:
 
 
 def _hull_metrics(scenario: Scenario):
-    grid_size = int(scenario.model_options["grid_size"])
+    grid_size = scenario.model_options["grid_size"]
     hull = hull_variation(*_discretized(scenario))
     table = Table(
         columns=["grid_size", "hull_value", "kraft_bound", "lp_iterations"],
@@ -725,8 +724,8 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     ``scenario_hull``, the scenario's hull LP at its ``grid_size`` or None,
     is the last row's LP when the scenario is uniform against that prefix;
     otherwise the last row solves its own."""
-    m_max = int(scenario.model_options["cesaro_scan"])
-    grid_size = int(scenario.model_options.get("grid_size", 64))
+    m_max = scenario.model_options["cesaro_scan"]
+    grid_size = scenario.model_options.get("grid_size", 64)
     uniform = DensitySpec.uniform()
     disc_uniform = [discretize(uniform, grid_size)]
     sines = [DensitySpec.one_plus_sine(i) for i in range(1, m_max + 1)]
@@ -882,8 +881,8 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
     ]
     rows = []
     for j, k in enumerate(k_grid):
-        tail = min(1.0, schedule.certified_tail(int(k)))
-        rows.append((int(k), tail) + tuple(float(c[j]) for c in curves))
+        tail = min(1.0, schedule.certified_tail(k))
+        rows.append((k, tail) + tuple(float(c[j]) for c in curves))
     return Table(
         columns=["k", "certified_tail_clamped"] + [f"err_after_k_{l}" for l, _, _ in models],
         rows=rows,
@@ -942,7 +941,7 @@ class _ModelType(NamedTuple):
     run: Callable  # (scenario, run, reps, streams, pool) adds the metric tables to run
     bound: Optional[Callable]  # Scenario -> finite (h, a) families for bound; None: no bound
     schedules: bool  # whether a file may hold a schedule, and the schedule command applies
-    options: tuple = ()  # the model options (of _MODEL_OPTIONS) its metrics read
+    options: tuple = ()  # the model options (keys of _MODEL_OPTIONS) its metrics read
 
 
 def _model_type(name) -> _ModelType:
@@ -1000,7 +999,7 @@ def _check_signals(scenario: Scenario) -> None:
 
 def _discretized(scenario: Scenario) -> tuple[list, list]:
     """Both density families on the ``grid_size`` grid (64 when unset)."""
-    grid_size = int(scenario.model_options.get("grid_size", 64))
+    grid_size = scenario.model_options.get("grid_size", 64)
     return (
         [discretize(m, grid_size) for m in scenario.hypothesis],
         [discretize(m, grid_size) for m in scenario.alternative],
@@ -1027,7 +1026,7 @@ _MODEL_TYPES = {
         run=_density_tables,
         bound=_discretized,
         schedules=False,
-        options=_MODEL_OPTIONS,
+        options=tuple(_MODEL_OPTIONS),
     ),
     "poisson": _ModelType(
         model=PoissonModel,

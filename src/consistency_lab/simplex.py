@@ -132,7 +132,9 @@ def _run_simplex(tableau, basis, sign, upper):
         last_objective = objective
         iterations += 1
         if iterations > _MAX_ITERATIONS:
-            raise NumericError(f"simplex exceeded {_MAX_ITERATIONS} iterations")
+            raise NumericError(
+                f"simplex exceeded {_MAX_ITERATIONS} iterations, tableau {rows}x{ncols}"
+            )
 
 
 def _run_dual(tableau, basis, sign, upper):
@@ -183,7 +185,11 @@ def _run_dual(tableau, basis, sign, upper):
             short = rhs[leaving] + np.cumsum(size[order] * upper[eligible[order]])
             passed = int(np.searchsorted(short >= 0.0, True))
         if passed == eligible.size:
-            raise NumericError("LP is infeasible")
+            raise NumericError(
+                f"dual simplex broke down on row {leaving}, {violation[leaving]:.3e} outside its "
+                f"bounds, tableau {rows}x{costs.size}: no column can enter, although x = 0 is "
+                "feasible, so rounding broke the ratio test"
+            )
         near = order[passed:][ratios[order[passed:]] <= ratios[order[passed]] + _TOL]
         entering = int(eligible[near.min() if bland else near[size[near].argmax()]])
         if passed:
@@ -198,7 +204,9 @@ def _run_dual(tableau, basis, sign, upper):
         last_objective = objective
         iterations += passed + 1
         if iterations > _MAX_ITERATIONS:
-            raise NumericError(f"dual simplex exceeded {_MAX_ITERATIONS} iterations")
+            raise NumericError(
+                f"dual simplex exceeded {_MAX_ITERATIONS} iterations, tableau {rows}x{costs.size}"
+            )
 
 
 def _add_row(tableau, basis, sign, bound, a, b):
@@ -320,6 +328,7 @@ def solve_lp(c, A_ub, b_ub, upper=None) -> LpResult:
     ``b_ub >= 0``; the bounds stay out of it. Raises ``ValidationError`` naming
     the argument on a non-finite ``c``, ``A_ub`` or ``b_ub``, and on a negative
     right-hand side, a negative or NaN bound, or inconsistent shapes;
-    ``NumericError`` on unboundedness or iteration overrun.
+    ``NumericError`` on unboundedness, iteration overrun or a dual ratio test
+    that rounding leaves without an entering column.
     """
     return solve_lp_prefixes(c, A_ub, b_ub, upper, first=max(np.size(b_ub), 1))[0]

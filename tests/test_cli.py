@@ -5,9 +5,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from consistency_lab import partition_tests
 from consistency_lab.cli import load_scenario, main
-from consistency_lab.measures import FiniteMeasure
-from consistency_lab.reports import dumps_canonical, scenario_hash, write_json
+from consistency_lab.measures import FiniteMeasure, Partition
+from consistency_lab.partition_tests import separation
+from consistency_lab.reports import dumps_canonical, format_value, scenario_hash, write_json
 from consistency_lab.scenarios import (
     scenario_kolmogorov_family,
     scenario_nested_alternatives,
@@ -589,6 +591,52 @@ def test_simulate_writes_tables_and_manifest(scenario_file, tmp_path, capsys):
     assert '"replications": 300' in manifest
     first = (out_dir / "errors.csv").read_text().splitlines()
     assert first[0].startswith("# command=")
+
+
+def _csv_rows(path: Path) -> list:
+    """The header and data rows of a written table, without its manifest lines."""
+    return [line.split(",") for line in path.read_text().splitlines() if not line.startswith("#")]
+
+
+def test_simulate_finite_with_partition_writes_separation(tmp_path, capsys):
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps(_FINITE))
+    out_dir = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out_dir)]) == 0
+    assert capsys.readouterr().out == f"wrote 1 metric tables to {out_dir}\n"
+    margin = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2)).margin
+    assert _csv_rows(out_dir / "separation.csv") == [
+        ["index", "model", "margin", "margin_grid"],
+        ["1", "alternative_1", format_value(margin), "nan"],
+    ]
+
+
+def test_distinguish_without_partition_exit_one(tmp_path, capsys):
+    path = tmp_path / "finite.json"
+    path.write_text(json.dumps({k: v for k, v in _FINITE.items() if k != "partition"}))
+    assert main(["distinguish", "--scenario", str(path)]) == 1
+    assert capsys.readouterr() == ("", "error: distinguish requires a scenario with a partition\n")
+
+
+def test_errors_past_the_enumeration_budget_write_nan_exact_columns(
+    tmp_path, capsys, monkeypatch
+):
+    path = tmp_path / "density.json"
+    path.write_text(json.dumps(_DENSITY))
+    argv = ["simulate", "--scenario", str(path), "--out"]
+    assert main(argv + [str(tmp_path / "exact")]) == 0
+    monkeypatch.setattr(partition_tests, "ENUMERATION_BUDGET", 0)
+    assert main(argv + [str(tmp_path / "over")]) == 0
+    header, exact = _csv_rows(tmp_path / "exact" / "errors.csv")
+    over_header, over = _csv_rows(tmp_path / "over" / "errors.csv")
+    assert header == over_header
+    columns = ["alpha_exact", "beta_exact", "total_exact"]
+    assert all(exact[header.index(c)] != "nan" for c in columns)
+    assert [over[header.index(c)] for c in columns] == ["nan"] * 3
+    # the Monte Carlo columns take the same streams either way
+    assert [v for c, v in zip(header, over) if c not in columns] == [
+        v for c, v in zip(header, exact) if c not in columns
+    ]
 
 
 def test_simulate_zero_replications_is_validation_error(scenario_file, tmp_path, capsys):

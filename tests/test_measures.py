@@ -35,6 +35,23 @@ def test_normalize_rejects_bad_input(bad):
         normalize(bad)
 
 
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        ([], "weights must be a nonempty 1-D vector"),
+        ([[0.5, 0.5]], "weights must be a nonempty 1-D vector"),
+        ([np.nan, 1.0], "weights must be finite"),
+        ([-0.5, 1.5], "weights must be nonnegative"),
+    ],
+)
+def test_finite_measure_and_normalize_share_one_weight_check(bad, message):
+    for build in (FiniteMeasure, normalize):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(bad)
+    with pytest.raises(ValidationError, match="^at least one weight must be positive$"):
+        normalize([0.0, 0.0])
+
+
 def test_finite_measure_invariants_random():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -189,6 +206,23 @@ def test_partition_validation():
         Partition.atoms([[0, 1], [1, 2]])  # overlap
     with pytest.raises(ValidationError):
         Partition.identity(1)
+
+
+@pytest.mark.parametrize(
+    "kind, cells, message",
+    [
+        ("intervals", [(0.0, 1.0)], "a partition needs at least 2 cells"),
+        ("atoms", [[0, 1]], "a partition needs at least 2 cells"),
+        ("intervals", [(0.0, 0.6), (0.4, 1.0)], "interval cells must be increasing and contiguous"),
+        ("intervals", [(0.0, 1.0), (1.0, 1.0)], "interval cells must be increasing and contiguous"),
+        ("intervals", [(0.1, 0.5), (0.5, 1.0)], "interval cells must cover (0, 1)"),
+        ("cells", [[0], [1]], "unknown partition kind 'cells'"),
+    ],
+    ids=["one-interval", "one-group", "overlap", "empty-last-cell", "gap-at-0", "kind"],
+)
+def test_partition_messages(kind, cells, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        Partition(kind, cells)
 
 
 def test_induced_vector_incompatible_pairs():

@@ -399,6 +399,19 @@ def test_outcome_chunks_walk_count_vectors_in_order(monkeypatch):
             assert np.array_equal(np.hstack(chunks).T, count_vectors(n, k))
 
 
+@pytest.mark.parametrize(
+    "chunk, n, k, sizes",
+    [
+        (5, 10, 3, [5, 5, 1, 5, 5, 5, 4, 5, 3, 5, 2, 5, 1, 5, 4, 5, 1]),
+        (64, 8, 4, [45, 64, 56]),
+        (7, 6, 4, [7, 6, 5, 7, 3, 6, 5, 7, 3, 5, 7, 3, 7, 3, 6, 4]),
+    ],
+)
+def test_outcome_chunks_take_the_longest_runs_that_fit(monkeypatch, chunk, n, k, sizes):
+    monkeypatch.setattr(partition_tests, "ENUMERATION_CHUNK", chunk)
+    assert [c.shape[1] for c in partition_tests._outcome_chunks(n, k)] == sizes
+
+
 def test_exact_errors_in_small_chunks_match_one_chunk(monkeypatch):
     cases = list(_error_cases())
     one = [exact_errors(test, measures, n) for test, measures, n in cases]

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from consistency_lab import scenarios, simulation
+from consistency_lab.cli import load_scenario
 from consistency_lab.errors import (
     ConstructionError,
     DegenerateScenarioError,
@@ -26,6 +27,7 @@ from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
     PoissonTwoStageTest,
+    Scenario,
     build_nested_family,
     nested_schedule,
     poisson_count_threshold,
@@ -630,6 +632,157 @@ def test_bench_scenario_file_hashes_are_pinned():
     for name, data in scenarios_by_name.items():
         parsed = scenario_from_dict(json.loads(json.dumps(data)))
         assert scenario_hash(parsed.to_json_dict()) == _BENCH_HASHES[name], name
+
+
+_SINE_FILE = {
+    "name": "parity",
+    "model": {"type": "density", "grid_size": 64},
+    "hypothesis": [{"kind": "uniform"}],
+    "alternative": [{"kind": "one_plus_sine", "frequency": 1}],
+}
+_SINE_MODELS = dict(
+    name="parity",
+    model_type="density",
+    hypothesis=[DensitySpec.uniform()],
+    alternative=[DensitySpec.one_plus_sine(1)],
+)
+_FINITE_FILE = {
+    "name": "parity",
+    "model": {"type": "finite"},
+    "hypothesis": [{"weights": [0.5, 0.5]}],
+    "alternative": [{"weights": [0.9, 0.1]}],
+}
+_FINITE_MODELS = dict(
+    name="parity", model_type="finite", hypothesis=[F(0.5, 0.5)], alternative=[F(0.9, 0.1)]
+)
+_SIGNAL_FILE = {
+    "name": "parity",
+    "model": {"type": "gaussian_sequence"},
+    "hypothesis": [{"signal": [0.0]}],
+    "alternative": [{"signal": [1.0]}],
+}
+
+
+def _density_model(**options):
+    return {"model": {"type": "density", **options}}
+
+
+#: (file, its change, the same value given to a builder or constructor, message)
+_PARITY = {
+    "string-grid-size": (
+        _SINE_FILE, _density_model(grid_size="64"),
+        lambda: scenario_sine_indistinguishable(1, grid_size="64"),
+        "model.grid_size must be an integer >= 2, got '64'",
+    ),
+    "zero-grid-size": (
+        _SINE_FILE, _density_model(grid_size=0),
+        lambda: scenario_sine_indistinguishable(1, grid_size=0),
+        "model.grid_size must be an integer >= 2, got 0",
+    ),
+    "one-grid-size": (
+        _SINE_FILE, _density_model(grid_size=1),
+        lambda: scenario_mazur_mixture(1, grid_size=1),
+        "model.grid_size must be an integer >= 2, got 1",
+    ),
+    "bool-grid-size": (
+        _SINE_FILE, _density_model(grid_size=True),
+        lambda: scenario_sine_indistinguishable(1, grid_size=True),
+        "model.grid_size must be an integer >= 2, got True",
+    ),
+    "zero-cesaro-scan": (
+        _SINE_FILE, _density_model(cesaro_scan=0),
+        lambda: Scenario(**_SINE_MODELS, model_options={"cesaro_scan": 0}),
+        "model.cesaro_scan must be an integer >= 1, got 0",
+    ),
+    "misspelled-model-option": (
+        _SINE_FILE, _density_model(gridsize=64),
+        lambda: Scenario(**_SINE_MODELS, model_options={"gridsize": 64}),
+        "model.gridsize is not a model option; the options are grid_size, cesaro_scan",
+    ),
+    "finite-grid-size": (
+        _FINITE_FILE, {"model": {"type": "finite", "grid_size": 64}},
+        lambda: Scenario(**_FINITE_MODELS, model_options={"grid_size": 64}),
+        "model.grid_size is not supported by finite models",
+    ),
+    "zero-n-grid": (
+        _SINE_FILE, {"sim": {"n_grid": [0]}},
+        lambda: scenario_kolmogorov_family([0.4], n_grid=[0]),
+        "sim.n_grid must be an integer >= 1, got 0",
+    ),
+    "fractional-replications": (
+        _FINITE_FILE, {"sim": {"replications": 200.7}},
+        lambda: scenario_nested_alternatives([F(0.9, 0.1)], replications=200.7),
+        "sim.replications must be an integer >= 1, got 200.7",
+    ),
+    "bool-k-grid": (
+        _FINITE_FILE, {"sim": {"k_grid": [True]}},
+        lambda: scenario_nested_alternatives([F(0.9, 0.1)], k_grid=[True]),
+        "sim.k_grid must be an integer >= 0, got True",
+    ),
+    "string-epsilon-list": (
+        _SIGNAL_FILE, {"sim": {"epsilon_list": ["0.5"]}},
+        lambda: scenario_signal_detection([[0.0]], [[1.0]], 1, epsilon_list=["0.5"]),
+        "sim.epsilon_list must be numbers, got ['0.5']",
+    ),
+    "string-exponents": (
+        _FINITE_FILE, {"schedule": {"exponents": ["a"]}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"exponents": ["a"]}),
+        "schedule.exponents must be numbers, got ['a']",
+    ),
+    "zero-onset": (
+        _FINITE_FILE, {"schedule": {"onsets": [0]}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"onsets": [0]}),
+        "schedule.onsets must be an integer >= 1, got 0",
+    ),
+    "misspelled-schedule-key": (
+        _FINITE_FILE, {"schedule": {"exponent": [0.1]}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"exponent": [0.1]}),
+        "schedule.exponent is not a schedule option; the options are exponents, onsets",
+    ),
+    "schedule-list": (
+        _FINITE_FILE, {"schedule": [0.1]},
+        lambda: Scenario(**_FINITE_MODELS, schedule=[0.1]),
+        "scenario 'schedule' must be an object, got list",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARITY))
+def test_files_and_builders_pass_one_validation(case, tmp_path):
+    """A value a file is refused for is refused in code, with the same message."""
+    data, change, build, message = _PARITY[case]
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({**data, **change}))
+    with pytest.raises(ValidationError) as from_file:
+        load_scenario(path)
+    with pytest.raises(ValidationError) as from_code:
+        build()
+    assert str(from_file.value) == str(from_code.value) == message
+
+
+def test_builders_take_numpy_integers():
+    pairs = [
+        (scenario_mazur_mixture(np.int64(4), grid_size=np.int64(32)),
+         scenario_mazur_mixture(4, grid_size=32)),
+        (scenario_kolmogorov_family([0.4], n_grid=np.array([16, 32])),
+         scenario_kolmogorov_family([0.4], n_grid=[16, 32])),
+        (scenario_nested_alternatives([F(0.9, 0.1)], n_max=np.int64(64),
+                                      k_grid=[np.int64(0), np.int64(64)]),
+         scenario_nested_alternatives([F(0.9, 0.1)], n_max=64, k_grid=[0, 64])),
+    ]
+    for built, plain in pairs:
+        assert scenario_hash(built.to_json_dict()) == scenario_hash(plain.to_json_dict())
+        values = [*built.model_options.values(), built.sim.replications,
+                  *built.sim.n_grid, *built.sim.k_grid]
+        assert all(type(v) is int for v in values)
+
+
+def test_margin_grid_is_nan_unless_every_cell_edge_is_on_the_grid():
+    for edge, on_grid in ((0.25, True), (0.3, False)):  # 16 and 19.2 cells of 64
+        partition = Partition.intervals([0.0, edge, 1.0])
+        run = run_scenario(scenario_sine_indistinguishable(2, partition=partition), seed=1)
+        margins = [row["margin_grid"] for row in table_dict(run.tables["separation"])]
+        assert [math.isnan(m) for m in margins] == [not on_grid] * 2
 
 
 def test_scenario_from_dict_validation():

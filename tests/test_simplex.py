@@ -215,3 +215,39 @@ def test_all_rows_at_once_is_solve_lp():
 def test_first_prefix_must_be_a_row_count(first):
     with pytest.raises(ValidationError, match="first must be a row count from 1 to 2"):
         solve_lp_prefixes([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], first=first)
+
+
+# Every LP the solver takes is feasible at x = 0, so each failure below is
+# numeric, and its message names the tableau it happened on.
+
+
+def test_dual_ratio_test_without_a_column_is_a_breakdown(monkeypatch):
+    # no entry can reach twice its row's largest, so no column is eligible to
+    # enter when 3x + y <= 6 cuts off (4, 0), the optimum of the first row
+    monkeypatch.setattr(simplex, "_DUAL_PIVOT", 2.0)
+    with pytest.raises(NumericError) as info:
+        solve_lp_prefixes([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], first=1)
+    assert str(info.value) == (
+        "dual simplex broke down on row 1, 6.000e+00 outside its bounds, tableau 2x4: "
+        "no column can enter, although x = 0 is feasible, so rounding broke the ratio test"
+    )
+
+
+def test_primal_iteration_cap_names_the_tableau(monkeypatch):
+    monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+    with pytest.raises(NumericError, match="^simplex exceeded 0 iterations, tableau 2x4$"):
+        solve_lp([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6])
+
+
+def test_dual_iteration_cap_names_the_tableau(monkeypatch):
+    # the first prefix solves uncapped; the restart after it may not pivot
+    run_simplex = simplex._run_simplex
+
+    def then_cap(*args):
+        iterations = run_simplex(*args)
+        monkeypatch.setattr(simplex, "_MAX_ITERATIONS", 0)
+        return iterations
+
+    monkeypatch.setattr(simplex, "_run_simplex", then_cap)
+    with pytest.raises(NumericError, match="^dual simplex exceeded 0 iterations, tableau 2x4$"):
+        solve_lp_prefixes([-1, -1], A_ub=[[1, 2], [3, 1]], b_ub=[4, 6], first=1)
