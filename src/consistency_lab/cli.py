@@ -35,7 +35,7 @@ from .scenarios import (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     """Verbatim run parameters; recorded in every output manifest."""
 

@@ -12,6 +12,7 @@ import bisect
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from math import erfc, sqrt
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -82,31 +83,33 @@ class SimParams:
     def __post_init__(self):
         for key, value in (
             ("replications", _integer(self.replications, "sim.replications")),
-            ("n_grid", tuple(_integer(n, "sim.n_grid") for n in self.n_grid)),
-            ("k_grid", tuple(_integer(k, "sim.k_grid", 0) for k in self.k_grid)),
-            ("epsilon_list", tuple(_reals(self.epsilon_list, "sim.epsilon_list").tolist())),
+            ("n_grid", _numbers(self.n_grid, "sim.n_grid", 1)),
+            ("k_grid", _numbers(self.k_grid, "sim.k_grid", 0)),
+            ("epsilon_list", _numbers(self.epsilon_list, "sim.epsilon_list", None)),
         ):
             object.__setattr__(self, key, value)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Scenario:
-    """A named experiment: model sets plus the knobs needed to run them."""
+    """A named experiment: model sets plus the knobs needed to run them. A value:
+    the constructor checks every field and stores it normalized (the families as
+    tuples); ``dataclasses.replace`` makes a variant that passes every check again."""
 
     name: str
     model_type: str  # a key of _MODEL_TYPES
-    hypothesis: list
-    alternative: list
+    hypothesis: tuple
+    alternative: tuple
     partition: Optional[Partition] = None
-    schedule: Optional[dict] = None  # {"exponents": [...], "onsets": [...]}
+    schedule: Optional[dict] = None  # {"exponents": (...), "onsets": (...)}
     sim: SimParams = field(default_factory=SimParams)
     model_options: dict = field(default_factory=dict)
-    # (inputs, members) of the last nested family built; see _nested_family
-    _family: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        """Every value check, for builders and files alike; normalizes options and schedule."""
+        """Every value check, for builders and files alike; normalizes every field."""
         row = _model_type(self.model_type)
+        for key in ("hypothesis", "alternative"):
+            object.__setattr__(self, key, tuple(getattr(self, key)))
         if len(self.hypothesis) == 0 or len(self.alternative) == 0:
             raise ValidationError("hypothesis and alternative families must be nonempty")
         if not all(isinstance(m, row.model) for m in self.hypothesis + self.alternative):
@@ -115,23 +118,30 @@ class Scenario:
         for key in self.model_options:
             if key not in row.options:
                 raise ValidationError(f"model.{key} is not supported by {self.model_type} models")
-        self.model_options = {
+        object.__setattr__(self, "model_options", {
             key: _integer(value, f"model.{key}", _MODEL_OPTIONS[key])
             for key, value in self.model_options.items()
-        }
+        })
         _check_supported(self.model_type, self.partition is not None, self.schedule is not None)
         if self.schedule is not None:
             stored = _object(self.schedule, "schedule", _SCHEDULE_OPTIONS)
-            self.schedule = {
-                "exponents": _reals(stored.get("exponents", []), "schedule.exponents").tolist(),
-                "onsets": [_integer(v, "schedule.onsets") for v in stored.get("onsets", [])],
-            }
+            object.__setattr__(self, "schedule", {
+                "exponents": _numbers(stored.get("exponents", ()), "schedule.exponents", None),
+                "onsets": _numbers(stored.get("onsets", ()), "schedule.onsets", 1),
+            })
         if self.partition is not None and self.partition.kind != row.partition:
             raise ValidationError(
                 f"{self.model_type} models need a partition of {row.partition}, "
                 f"got one of {self.partition.kind}"
             )
         row.check(self)
+
+    @cached_property
+    def family(self) -> tuple:
+        """The certified tests of the nested alternatives: :func:`build_nested_family`
+        under the stored schedule, built on first use and kept with the value."""
+        members = build_nested_family(self.hypothesis, self.alternative, **(self.schedule or {}))
+        return tuple(members)
 
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -169,6 +179,16 @@ def _known_keys(obj: dict, allowed: Sequence[str], prefix: str, kind: str) -> No
             raise ValidationError(
                 f"{prefix}{key} is not a {kind}; the options are {', '.join(allowed)}"
             )
+
+
+def _numbers(values, key: str, least: Optional[int]) -> tuple:
+    """``values``, the scenario's ``key``, as a tuple of floats, or of integers
+    ``>= least`` unless ``least`` is None, if it is a list of numbers."""
+    if np.asarray(values, dtype=object).ndim != 1:  # a scalar, a string or nested lists
+        raise ValidationError(f"{key} must be a list of numbers, got {values!r}")
+    if least is None:
+        return tuple(_reals(values, key).tolist())
+    return tuple(_integer(v, key, least) for v in values)
 
 
 def _object(value, key: str, options: Sequence[str]) -> dict:
@@ -248,9 +268,7 @@ def scenario_from_dict(data: dict) -> Scenario:
         hypothesis=hypothesis,
         alternative=alternative,
         partition=partition,
-        schedule=(
-            _object(data["schedule"], "schedule", _SCHEDULE_OPTIONS) if "schedule" in data else None
-        ),
+        schedule=data.get("schedule"),
         sim=SimParams(**_object(data.get("sim", {}), "sim", _SIM_OPTIONS)),
         model_options={k: v for k, v in model.items() if k != "type"},
     )
@@ -326,8 +344,8 @@ def scenario_signal_detection(
     return Scenario(
         name="signal-detection",
         model_type="gaussian_sequence",
-        hypothesis=list(s0),
-        alternative=list(s1),
+        hypothesis=s0,
+        alternative=s1,
         sim=SimParams(replications=100000, epsilon_list=epsilon_list),
     )
 
@@ -346,22 +364,20 @@ def scenario_nested_alternatives(
     at most ``exp(-exponents[i] n)`` for every ``n > onsets[i]``, by the
     per-cell Chernoff–Hoeffding bound on its cell frequencies.
     """
-    hypothesis = list(hypothesis) if hypothesis else [FiniteMeasure([0.5, 0.5])]
-    if not k_grid:
-        k_grid = tuple(range(0, n_max + 1, max(1, n_max // 32)))
-    scenario = Scenario(
+    if not np.size(k_grid):
+        k_grid = range(0, n_max + 1, max(1, n_max // 32))
+    derived = Scenario(
         name=f"nested-alternatives-{len(pieces)}pieces",
         model_type="finite",
-        hypothesis=hypothesis,
-        alternative=list(pieces),
+        hypothesis=hypothesis or [FiniteMeasure([0.5, 0.5])],
+        alternative=pieces,
+        schedule={},
         sim=SimParams(replications=replications, n_grid=(n_max,), k_grid=k_grid),
     )
-    members = build_nested_family(hypothesis, scenario.alternative)
-    scenario.schedule = {
-        "exponents": [m.exponent for m in members],
-        "onsets": [m.onset for m in members],
-    }
-    return scenario
+    return replace(derived, schedule={
+        "exponents": [m.exponent for m in derived.family],
+        "onsets": [m.onset for m in derived.family],
+    })
 
 
 def scenario_poisson(
@@ -548,32 +564,13 @@ def _horizon(scenario: Scenario) -> int:
     return max(scenario.sim.n_grid) if scenario.sim.n_grid else 1024
 
 
-def _nested_family(scenario: Scenario, schedule: dict) -> list:
-    """``build_nested_family`` of the scenario's families under ``schedule``.
-
-    The scenario keeps the family with the inputs it was built from, so the
-    load-time check of stored certificates and ``nested_schedule`` share one
-    build, and a changed family or schedule builds anew.
-    """
-    inputs = (
-        tuple(scenario.hypothesis),
-        tuple(scenario.alternative),
-        *(tuple(schedule.get(key, ())) for key in _SCHEDULE_OPTIONS),
-    )
-    if scenario._family is None or scenario._family[0] != inputs:
-        members = build_nested_family(scenario.hypothesis, scenario.alternative, **schedule)
-        scenario._family = (inputs, members)
-    return scenario._family[1]
-
-
 def nested_schedule(scenario: Scenario) -> TestSchedule:
     """Interleaved schedule for a nested-alternatives scenario, up to its horizon."""
     _check_schedules(scenario)
-    members = _nested_family(scenario, scenario.schedule or {})
-    return interleave(members, _horizon(scenario))
+    return interleave(scenario.family, _horizon(scenario))
 
 
-def bound_families(scenario: Scenario) -> tuple[list, list]:
+def bound_families(scenario: Scenario) -> tuple[Sequence, Sequence]:
     """The finite hypothesis and alternative families whose hull distance is
     the scenario's error floor."""
     families = _MODEL_TYPES[scenario.model_type].bound
@@ -586,13 +583,13 @@ def bound_families(scenario: Scenario) -> tuple[list, list]:
 # -- execution ---------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Table:
     columns: list
     rows: list
 
 
-@dataclass
+@dataclass(frozen=True)
 class ScenarioRun:
     tables: dict
     reports: dict  # JSON-ready side reports (hull mixtures, schedules)
@@ -729,7 +726,7 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     uniform = DensitySpec.uniform()
     disc_uniform = [discretize(uniform, grid_size)]
     sines = [DensitySpec.one_plus_sine(i) for i in range(1, m_max + 1)]
-    if scenario.hypothesis != [uniform] or scenario.alternative != sines:
+    if scenario.hypothesis != (uniform,) or scenario.alternative != tuple(sines):
         scenario_hull = None
     disc_sines = [discretize(s, grid_size) for s in sines]
     tvs = density_total_variations(
@@ -972,7 +969,7 @@ def _check_finite(scenario: Scenario) -> None:
                 f"got {len(values)}"
             )
     if any((scenario.schedule or {}).values()):  # stored certificates are checked, not trusted
-        _nested_family(scenario, scenario.schedule)
+        scenario.family
 
 
 def _check_poisson(scenario: Scenario) -> None:

@@ -225,8 +225,8 @@ class WorkerPool:
     def map(self, fn, tasks) -> list:
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(t) for t in tasks]
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.workers)
+        if self._executor is None:  # never more processes than the tasks of this call
+            self._executor = ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
         return list(self._executor.map(fn, tasks, chunksize=-(-len(tasks) // self.workers)))
 
     def close(self) -> None:

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from consistency_lab import partition_tests
 from consistency_lab.cli import load_scenario, main
+from consistency_lab.errors import ValidationError
 from consistency_lab.measures import FiniteMeasure, Partition
 from consistency_lab.partition_tests import separation
 from consistency_lab.reports import dumps_canonical, format_value, scenario_hash, write_json
 from consistency_lab.scenarios import (
+    nested_schedule,
     scenario_kolmogorov_family,
     scenario_nested_alternatives,
     scenario_poisson,
@@ -56,7 +59,7 @@ def test_distinguish_separated_exit_zero(scenario_file, capsys):
 
 def test_distinguish_zero_margin_exit_two(scenario_file, capsys):
     scenario = scenario_sine_indistinguishable(2)
-    scenario.alternative = scenario.alternative[1:]  # keep only the aligned frequency
+    scenario = replace(scenario, alternative=scenario.alternative[1:])  # the aligned frequency
     path = scenario_file(scenario)
     code = main(["distinguish", "--scenario", str(path)])
     out = capsys.readouterr().out
@@ -897,6 +900,38 @@ def test_stored_certificates_build_the_family_once(command, scenario_file, tmp_p
     calls = _count_family_builds(monkeypatch)
     assert main([command, "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
     assert len(calls) == 1
+
+
+def test_family_is_built_once_per_value(monkeypatch):
+    scenario = scenario_nested_alternatives([F(0.9, 0.1), F(0.1, 0.9)], n_max=256)
+    calls = _count_family_builds(monkeypatch)
+    derived = replace(scenario, schedule={})
+    assert calls == []  # nothing stored to check: the family waits for its first use
+    assert nested_schedule(derived).n_max == nested_schedule(derived).n_max == 256
+    assert derived.family is derived.family
+    assert len(calls) == 1
+    assert [(m.exponent, m.onset) for m in derived.family] == [
+        (m.exponent, m.onset) for m in scenario.family
+    ]
+
+
+def test_replaced_schedule_builds_anew_and_is_checked(monkeypatch):
+    scenario = scenario_nested_alternatives([F(0.9, 0.1), F(0.1, 0.9)], n_max=256)
+    exponents, onsets = scenario.schedule["exponents"], scenario.schedule["onsets"]
+    calls = _count_family_builds(monkeypatch)
+    halved = replace(scenario, schedule={"exponents": [c / 2 for c in exponents]})
+    assert len(calls) == 1  # the stored exponents are checked at construction
+    nested_schedule(halved)
+    assert len(calls) == 1
+    assert [m.exponent for m in halved.family] == [
+        min(exponents[:i]) / 2 for i in range(1, len(exponents) + 1)
+    ]
+    assert [m.exponent for m in scenario.family] == list(exponents)
+    # one onset earlier, the summed terms exceed the bound
+    with pytest.raises(ValidationError, match="^schedule.exponents .*member 2 "):
+        replace(scenario, schedule={**scenario.schedule, "onsets": [onsets[0], onsets[1] - 1]})
+    with pytest.raises(ValidationError, match="^schedule.exponents .*member 1 "):
+        replace(scenario, schedule={"exponents": [0.09, 0.09]})
 
 
 def test_schedule_rejects_density_scenario(scenario_file, tmp_path, capsys):

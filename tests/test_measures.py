@@ -354,7 +354,7 @@ def test_density_json_round_trip(spec):
                         alternative=[spec])
     data = scenario.to_json_dict()
     parsed = scenario_from_dict(json.loads(json.dumps(data)))
-    assert parsed.alternative == [spec]
+    assert parsed.alternative == (spec,)
     assert scenario_hash(parsed.to_json_dict()) == scenario_hash(data)
 
 

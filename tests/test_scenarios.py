@@ -295,6 +295,38 @@ def test_nested_family_checks_stored_certificates():
         build_nested_family(hypothesis, pieces, [0.09, 0.09])
 
 
+def test_scenario_fields_cannot_be_assigned():
+    scenario = scenario_nested_alternatives([F(0.9, 0.1), F(0.1, 0.9)], n_max=256)
+    assert type(scenario.hypothesis) is type(scenario.alternative) is tuple
+    assert all(type(values) is tuple for values in scenario.schedule.values())
+    for field in dataclasses.fields(scenario):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(scenario, field.name, getattr(scenario, field.name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        scenario.alternative = []
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"alternative": []}, "hypothesis and alternative families must be nonempty"),
+        ({"model_options": {"grid_size": 1}}, "model.grid_size must be an integer >= 2, got 1"),
+        ({"schedule": {}}, "scenario 'schedule' is not supported by density models"),
+        ({"partition": Partition.identity(2)},
+         "density models need a partition of intervals, got one of atoms"),
+    ],
+    ids=["alternative", "model_options", "schedule", "partition"],
+)
+def test_replace_is_refused_with_the_constructors_message(change, message):
+    scenario = scenario_sine_indistinguishable(1)
+    values = {field.name: getattr(scenario, field.name) for field in dataclasses.fields(scenario)}
+    with pytest.raises(ValidationError) as constructed:
+        Scenario(**{**values, **change})
+    with pytest.raises(ValidationError) as replaced:
+        dataclasses.replace(scenario, **change)
+    assert str(replaced.value) == str(constructed.value) == message
+
+
 def test_nested_scenario_curve_and_bounds():
     scenario = scenario_nested_alternatives(
         [F(0.9, 0.1), F(0.1, 0.9)], n_max=512, replications=300,
@@ -744,6 +776,46 @@ _PARITY = {
         lambda: Scenario(**_FINITE_MODELS, schedule=[0.1]),
         "scenario 'schedule' must be an object, got list",
     ),
+    "scalar-n-grid": (
+        _SINE_FILE, {"sim": {"n_grid": 5}},
+        lambda: scenario_kolmogorov_family([0.4], n_grid=5),
+        "sim.n_grid must be a list of numbers, got 5",
+    ),
+    "string-n-grid": (
+        _SINE_FILE, {"sim": {"n_grid": "16"}},
+        lambda: scenario_kolmogorov_family([0.4], n_grid="16"),
+        "sim.n_grid must be a list of numbers, got '16'",
+    ),
+    "scalar-k-grid": (
+        _FINITE_FILE, {"sim": {"k_grid": 3}},
+        lambda: scenario_nested_alternatives([F(0.9, 0.1)], k_grid=3),
+        "sim.k_grid must be a list of numbers, got 3",
+    ),
+    "scalar-epsilon-list": (
+        _SIGNAL_FILE, {"sim": {"epsilon_list": 0.5}},
+        lambda: scenario_signal_detection([[0.0]], [[1.0]], 1, epsilon_list=0.5),
+        "sim.epsilon_list must be a list of numbers, got 0.5",
+    ),
+    "nested-epsilon-list": (
+        _SIGNAL_FILE, {"sim": {"epsilon_list": [[0.5], [1.0]]}},
+        lambda: scenario_signal_detection([[0.0]], [[1.0]], 1, epsilon_list=[[0.5], [1.0]]),
+        "sim.epsilon_list must be a list of numbers, got [[0.5], [1.0]]",
+    ),
+    "scalar-exponents": (
+        _FINITE_FILE, {"schedule": {"exponents": 0.1}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"exponents": 0.1}),
+        "schedule.exponents must be a list of numbers, got 0.1",
+    ),
+    "nested-exponents": (
+        _FINITE_FILE, {"schedule": {"exponents": [[0.1]]}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"exponents": [[0.1]]}),
+        "schedule.exponents must be a list of numbers, got [[0.1]]",
+    ),
+    "scalar-onsets": (
+        _FINITE_FILE, {"schedule": {"onsets": 5}},
+        lambda: Scenario(**_FINITE_MODELS, schedule={"onsets": 5}),
+        "schedule.onsets must be a list of numbers, got 5",
+    ),
 }
 
 
@@ -769,6 +841,8 @@ def test_builders_take_numpy_integers():
         (scenario_nested_alternatives([F(0.9, 0.1)], n_max=np.int64(64),
                                       k_grid=[np.int64(0), np.int64(64)]),
          scenario_nested_alternatives([F(0.9, 0.1)], n_max=64, k_grid=[0, 64])),
+        (scenario_nested_alternatives([F(0.9, 0.1)], n_max=64, k_grid=np.array([0, 8, 16])),
+         scenario_nested_alternatives([F(0.9, 0.1)], n_max=64, k_grid=[0, 8, 16])),
     ]
     for built, plain in pairs:
         assert scenario_hash(built.to_json_dict()) == scenario_hash(plain.to_json_dict())

@@ -409,6 +409,35 @@ def test_worker_pool_keeps_task_order():
         assert pool.map(str, list(range(7))) == [str(i) for i in range(7)]
 
 
+def test_worker_pool_starts_no_more_processes_than_blocks(monkeypatch):
+    """A worker count far above the block count starts one process per block;
+    the recording executor runs the blocks here and starts no process."""
+    started = []
+
+    class RecordingExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def map(self, fn, tasks, chunksize):
+            return map(fn, tasks)
+
+        def shutdown(self):
+            pass
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", RecordingExecutor)
+    with WorkerPool(100000) as pool:
+        assert pool.map(str, list(range(3))) == ["0", "1", "2"]
+        assert pool.map(str, list(range(7))) == [str(i) for i in range(7)]  # the same pool
+    assert started == [3]
+    uniform = DensitySpec.uniform()
+    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    test, law = build_frequency_test(report), FiniteMeasure(report.hypothesis_vectors[0])
+    reps = ERROR_BLOCK + 1  # two blocks
+    many = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=100000)
+    assert started == [3, 2]
+    assert many == estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=1)
+
+
 def _workload_scenarios():
     """The scenario files of the benchmark workloads, as dicts."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -1,7 +1,7 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
-no private function, class or method that nothing in the package uses, and one
-owner of the tie tolerance."""
+no private function, class or method that nothing in the package uses, one
+owner of the tie tolerance, and no dataclass that is not frozen."""
 import ast
 from pathlib import Path
 
@@ -134,4 +134,73 @@ def test_only_partition_tests_holds_the_tie_tolerance():
         for f in _names(source, name, "TIE_TOL")
     ]
     faults += [f for name, source in sources.items() for f in _names(source, name, "allclose")]
+    assert faults == []
+
+
+def _mutable_dataclasses(source: str, name: str) -> list:
+    """``name:line: mutable dataclass C`` for each class decorated with
+    ``dataclass`` (bare, called or as ``dataclasses.dataclass``) without ``frozen=True``."""
+    faults = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for decorator in node.decorator_list:
+            call = decorator if isinstance(decorator, ast.Call) else None
+            target = call.func if call else decorator
+            if getattr(target, "id", getattr(target, "attr", None)) != "dataclass":
+                continue
+            keywords = call.keywords if call else []
+            if not any(
+                k.arg == "frozen" and isinstance(k.value, ast.Constant) and k.value.value is True
+                for k in keywords
+            ):
+                faults.append(f"{name}:{node.lineno}: mutable dataclass {node.name}")
+    return faults
+
+
+def test_dataclass_check_finds_every_unfrozen_spelling():
+    source = """
+import dataclasses
+from dataclasses import dataclass
+
+
+@dataclass
+class Bare:
+    x: int
+
+
+@dataclass(order=True)
+class Ordered:
+    x: int
+
+
+@dataclasses.dataclass(frozen=False)
+class Thawed:
+    x: int
+
+
+@dataclass(frozen=True)
+class Frozen:
+    x: int
+
+
+@dataclasses.dataclass(frozen=True, order=True)
+class FrozenByModule:
+    x: int
+
+
+class Plain:
+    pass
+"""
+    assert _mutable_dataclasses(source, "m.py") == [
+        "m.py:7: mutable dataclass Bare",
+        "m.py:12: mutable dataclass Ordered",
+        "m.py:17: mutable dataclass Thawed",
+    ]
+
+
+def test_every_package_dataclass_is_frozen():
+    paths = sorted(SRC.rglob("*.py"))
+    assert paths
+    faults = [f for p in paths for f in _mutable_dataclasses(p.read_text(), str(p.relative_to(SRC)))]
     assert faults == []
