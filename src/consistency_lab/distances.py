@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measures import DensitySpec, FiniteMeasure, family_weights
+from .measures import DensitySpec, FiniteMeasure, family_weights, frozen
 from .simplex import solve_lp, solve_lp_prefixes
 
 
@@ -150,11 +150,9 @@ class Test:
     reject_prob: np.ndarray
 
     def __post_init__(self):
-        rp = np.asarray(self.reject_prob, dtype=float)
-        if np.any(rp < 0.0) or np.any(rp > 1.0):
+        object.__setattr__(self, "reject_prob", frozen(self.reject_prob))
+        if np.any(self.reject_prob < 0.0) or np.any(self.reject_prob > 1.0):
             raise ValidationError("rejection probabilities must lie in [0, 1]")
-        rp.setflags(write=False)
-        object.__setattr__(self, "reject_prob", rp)
 
     def type1_error(self, p: FiniteMeasure) -> float:
         """Rejection probability when the observation is drawn from ``p``."""

@@ -25,6 +25,15 @@ QUADRATURE_TOL = 1e-9
 _TWO_PI = 2.0 * math.pi
 
 
+def frozen(values, ndmin: int = 0) -> np.ndarray:
+    """``values`` as a new read-only float array of at least ``ndmin`` dimensions:
+    how a value keeps an array, so that it neither keeps nor freezes its caller's."""
+    array = np.array(values, dtype=float, ndmin=ndmin)
+    array.setflags(write=False)
+    return array
+
+
+@dataclass(frozen=True, eq=False)
 class FiniteMeasure:
     """Probability vector on a finite alphabet ``{0, ..., k-1}``.
 
@@ -33,37 +42,32 @@ class FiniteMeasure:
     precision. Instances are immutable and safe to share across workers.
     """
 
-    __slots__ = ("_weights",)
+    weights: np.ndarray
 
-    def __init__(self, weights: Sequence[float]):
-        w = _weight_vector(_reals(weights, "weights"))
+    def __post_init__(self):
+        w = _weight_vector(_reals(self.weights, "weights"))
         total = float(w.sum())
         if abs(total - 1.0) > QUADRATURE_TOL:
             raise ValidationError(
                 f"weights sum to {total!r}, expected 1 within {QUADRATURE_TOL}"
             )
-        w = w / total
-        w.setflags(write=False)
-        self._weights = w
+        object.__setattr__(self, "weights", frozen(w / total))
 
-    @property
-    def weights(self) -> np.ndarray:
-        return self._weights
+    def __setstate__(self, state):  # unpickled and deep-copied weights stay read-only
+        object.__setattr__(self, "weights", frozen(state["weights"]))
 
     @property
     def alphabet_size(self) -> int:
-        return self._weights.size
+        return self.weights.size
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FiniteMeasure) and np.array_equal(
-            self._weights, other._weights
-        )
+        return isinstance(other, FiniteMeasure) and np.array_equal(self.weights, other.weights)
 
     def __hash__(self):
-        return hash(self._weights.tobytes())
+        return hash(self.weights.tobytes())
 
     def __repr__(self) -> str:
-        return f"FiniteMeasure({np.array2string(self._weights, precision=6)})"
+        return f"FiniteMeasure({np.array2string(self.weights, precision=6)})"
 
 
 def _weight_vector(w: np.ndarray) -> np.ndarray:
@@ -267,45 +271,44 @@ class DensitySpec:
 Model = Union[FiniteMeasure, DensitySpec]
 
 
+@dataclass(frozen=True)
 class Partition:
     """Labeled cells of a base space: sub-intervals of (0,1) or atom groups.
 
     Interval partitions carry cells ``(b_0, b_1], ..., (b_{k-1}, b_k]`` with
     ``b_0 = 0`` and ``b_k = 1``; atom partitions carry disjoint groups of atom
     indices covering ``{0, ..., alphabet_size - 1}``. A partition needs at
-    least two cells.
+    least two cells, is stored as tuples and compares by its cells.
     """
 
-    __slots__ = ("kind", "cells", "alphabet_size")
+    kind: str
+    cells: tuple
 
-    def __init__(self, kind: str, cells, alphabet_size: int = 0):
-        if kind == "intervals":
-            cells = tuple((float(lo), float(hi)) for lo, hi in cells)
-        elif kind == "atoms":
-            cells = tuple(tuple(int(a) for a in group) for group in cells)
+    def __post_init__(self):
+        if self.kind == "intervals":
+            cells = tuple((float(lo), float(hi)) for lo, hi in self.cells)
+        elif self.kind == "atoms":
+            cells = tuple(tuple(int(a) for a in group) for group in self.cells)
         else:
-            raise ValidationError(f"unknown partition kind {kind!r}")
+            raise ValidationError(f"unknown partition kind {self.kind!r}")
+        object.__setattr__(self, "cells", cells)
         if len(cells) < 2:
             raise ValidationError("a partition needs at least 2 cells")
-        if kind == "intervals":
+        if self.kind == "intervals":
             if cells[0][0] != 0.0 or cells[-1][1] != 1.0:
                 raise ValidationError("interval cells must cover (0, 1)")
             if any(not lo < hi for lo, hi in cells) or any(
                 hi != lo2 for (_, hi), (lo2, _) in zip(cells, cells[1:])
             ):
                 raise ValidationError("interval cells must be increasing and contiguous")
-            alphabet_size = 0
-        else:
-            seen = [a for group in cells for a in group]
-            if alphabet_size <= 0:
-                alphabet_size = max(seen) + 1 if seen else 0
-            if sorted(seen) != list(range(alphabet_size)):
-                raise ValidationError(
-                    "atom groups must be disjoint and cover the whole alphabet"
-                )
-        self.kind = kind
-        self.cells = cells
-        self.alphabet_size = alphabet_size
+        elif sorted(a for group in cells for a in group) != list(range(self.alphabet_size)):
+            raise ValidationError("atom groups must be disjoint and cover the whole alphabet")
+
+    @property
+    def alphabet_size(self) -> int:
+        """Atoms an atom partition covers, one more than its largest; 0 for intervals."""
+        atoms = () if self.kind == "intervals" else (a for group in self.cells for a in group)
+        return max(atoms, default=-1) + 1
 
     @property
     def k(self) -> int:
@@ -315,27 +318,23 @@ class Partition:
     @staticmethod
     def intervals(breakpoints: Sequence[float]) -> "Partition":
         """Partition of (0,1) into cells between consecutive breakpoints."""
-        bp = [float(b) for b in breakpoints]
-        return Partition("intervals", list(zip(bp[:-1], bp[1:])))
+        return Partition("intervals", list(zip(breakpoints[:-1], breakpoints[1:])))
 
     @staticmethod
-    def atoms(groups: Sequence[Sequence[int]], alphabet_size: int = 0) -> "Partition":
-        return Partition("atoms", groups, alphabet_size=alphabet_size)
+    def atoms(groups: Sequence[Sequence[int]]) -> "Partition":
+        return Partition("atoms", groups)
 
     @staticmethod
     def identity(alphabet_size: int) -> "Partition":
         """One cell per atom."""
         if alphabet_size < 2:
             raise ValidationError("identity partition needs alphabet size >= 2")
-        return Partition.atoms([[a] for a in range(alphabet_size)], alphabet_size)
+        return Partition.atoms([[a] for a in range(alphabet_size)])
 
     @staticmethod
     def half_split() -> "Partition":
         """The two-cell partition {(0, 1/2], (1/2, 1)}."""
         return Partition.intervals([0.0, 0.5, 1.0])
-
-    def __repr__(self) -> str:
-        return f"Partition({self.kind}, k={self.k})"
 
 
 def induced_vector(model: Model, partition: Optional[Partition]) -> np.ndarray:

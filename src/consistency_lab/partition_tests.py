@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, Model, Partition, induced_vector
+from .measures import FiniteMeasure, Model, Partition, frozen, induced_vector
 
 #: Sup-norm distances closer than this count as a tie (ties accept).
 TIE_TOL = 1e-12
@@ -75,6 +75,7 @@ def separation(
     )
 
 
+@dataclass(frozen=True, eq=False)
 class FrequencyTest:
     """Nearest-set classifier on the empirical cell-frequency vector.
 
@@ -84,15 +85,14 @@ class FrequencyTest:
     so one instance serves every sample size.
     """
 
-    __slots__ = ("hypothesis_vectors", "alternative_vectors")
+    hypothesis_vectors: np.ndarray
+    alternative_vectors: np.ndarray
 
-    def __init__(self, hypothesis_vectors, alternative_vectors):
-        v0 = np.atleast_2d(np.asarray(hypothesis_vectors, dtype=float))
-        v1 = np.atleast_2d(np.asarray(alternative_vectors, dtype=float))
-        if v0.shape[1] != v1.shape[1]:
+    def __post_init__(self):
+        for key in ("hypothesis_vectors", "alternative_vectors"):
+            object.__setattr__(self, key, frozen(getattr(self, key), ndmin=2))
+        if self.hypothesis_vectors.shape[1] != self.alternative_vectors.shape[1]:
             raise ValidationError("vector sets live in different dimensions")
-        self.hypothesis_vectors = v0
-        self.alternative_vectors = v1
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Rejection (``True``) for each row of count vectors."""

@@ -11,10 +11,11 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
 from math import erfc, sqrt
-from typing import Callable, NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from .measures import (
     _reals,
     discretize,
     family_weights,
+    frozen,
 )
 from .partition_tests import (
     FrequencyTest,
@@ -94,22 +96,26 @@ class SimParams:
 class Scenario:
     """A named experiment: model sets plus the knobs needed to run them. A value:
     the constructor checks every field and stores it normalized (the families as
-    tuples); ``dataclasses.replace`` makes a variant that passes every check again."""
+    tuples, signals as read-only copies, options and schedule as read-only mappings);
+    ``dataclasses.replace`` and unpickling make a value that passes every check again."""
 
     name: str
     model_type: str  # a key of _MODEL_TYPES
     hypothesis: tuple
     alternative: tuple
     partition: Optional[Partition] = None
-    schedule: Optional[dict] = None  # {"exponents": (...), "onsets": (...)}
+    schedule: Optional[Mapping] = None  # {"exponents": (...), "onsets": (...)}
     sim: SimParams = field(default_factory=SimParams)
-    model_options: dict = field(default_factory=dict)
+    model_options: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
         """Every value check, for builders and files alike; normalizes every field."""
         row = _model_type(self.model_type)
         for key in ("hypothesis", "alternative"):
-            object.__setattr__(self, key, tuple(getattr(self, key)))
+            models = tuple(getattr(self, key))
+            if row.model is np.ndarray:  # signals, the one mutable model type
+                models = tuple(frozen(_reals(s, "signal")) for s in models)
+            object.__setattr__(self, key, models)
         if len(self.hypothesis) == 0 or len(self.alternative) == 0:
             raise ValidationError("hypothesis and alternative families must be nonempty")
         if not all(isinstance(m, row.model) for m in self.hypothesis + self.alternative):
@@ -118,23 +124,31 @@ class Scenario:
         for key in self.model_options:
             if key not in row.options:
                 raise ValidationError(f"model.{key} is not supported by {self.model_type} models")
-        object.__setattr__(self, "model_options", {
+        object.__setattr__(self, "model_options", MappingProxyType({
             key: _integer(value, f"model.{key}", _MODEL_OPTIONS[key])
             for key, value in self.model_options.items()
-        })
+        }))
         _check_supported(self.model_type, self.partition is not None, self.schedule is not None)
         if self.schedule is not None:
             stored = _object(self.schedule, "schedule", _SCHEDULE_OPTIONS)
-            object.__setattr__(self, "schedule", {
+            object.__setattr__(self, "schedule", MappingProxyType({
                 "exponents": _numbers(stored.get("exponents", ()), "schedule.exponents", None),
                 "onsets": _numbers(stored.get("onsets", ()), "schedule.onsets", 1),
-            })
+            }))
         if self.partition is not None and self.partition.kind != row.partition:
             raise ValidationError(
                 f"{self.model_type} models need a partition of {row.partition}, "
                 f"got one of {self.partition.kind}"
             )
         row.check(self)
+        for key in ("n_grid", "k_grid", "epsilon_list"):
+            if getattr(self.sim, key) and key not in row.options:
+                raise ValidationError(f"sim.{key} is not supported by {self.model_type} models")
+
+    def __reduce__(self):
+        """Pickle and copy through the constructor, which checks the value again."""
+        values = (getattr(self, f.name) for f in fields(self))
+        return Scenario, tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
     @cached_property
     def family(self) -> tuple:
@@ -191,9 +205,9 @@ def _numbers(values, key: str, least: Optional[int]) -> tuple:
     return tuple(_integer(v, key, least) for v in values)
 
 
-def _object(value, key: str, options: Sequence[str]) -> dict:
+def _object(value, key: str, options: Sequence[str]) -> Mapping:
     """``value``, the scenario's ``key``, if it is an object whose keys ``options`` lists."""
-    if not isinstance(value, dict):
+    if not isinstance(value, Mapping):
         raise ValidationError(f"scenario {key!r} must be an object, got {type(value).__name__}")
     _known_keys(value, options, f"{key}.", f"{key} option")
     return value
@@ -337,15 +351,13 @@ def scenario_signal_detection(
     epsilon_list: Sequence[float],
 ) -> Scenario:
     """Finite signal sets in white noise, tested with linear statistics."""
-    s0 = [np.asarray(s, dtype=float) for s in theta0]
-    s1 = [np.asarray(s, dtype=float) for s in theta1]
-    if any(s.shape != (dimension,) for s in s0 + s1):
+    if any(np.shape(s) != (dimension,) for s in [*theta0, *theta1]):
         raise ValidationError(f"every signal must have dimension {dimension}")
     return Scenario(
         name="signal-detection",
         model_type="gaussian_sequence",
-        hypothesis=s0,
-        alternative=s1,
+        hypothesis=theta0,
+        alternative=theta1,
         sim=SimParams(replications=100000, epsilon_list=epsilon_list),
     )
 
@@ -408,14 +420,10 @@ class LinearFunctionalTest:
     base: np.ndarray
 
     def __post_init__(self):
-        f = np.asarray(self.functional, dtype=float)
-        b = np.asarray(self.base, dtype=float)
-        if float(f @ f) <= 0.0:
+        for key in ("functional", "base"):
+            object.__setattr__(self, key, frozen(getattr(self, key)))
+        if float(self.functional @ self.functional) <= 0.0:
             raise ConstructionError("separating functional is zero")
-        f.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "functional", f)
-        object.__setattr__(self, "base", b)
 
     @property
     def threshold(self) -> float:
@@ -606,7 +614,7 @@ def _grid_margin(scenario: Scenario, alt) -> float:
         if abs(lo_idx - round(lo_idx)) > 1e-9 or abs(hi_idx - round(hi_idx)) > 1e-9:
             return math.nan
         groups.append(list(range(int(round(lo_idx)), int(round(hi_idx)))))
-    atom_partition = Partition.atoms(groups, alphabet_size=grid_size)
+    atom_partition = Partition.atoms(groups)
     h = [discretize(m, grid_size) for m in scenario.hypothesis]
     report = separation(h, [discretize(alt, grid_size)], atom_partition)
     return report.margin
@@ -938,7 +946,7 @@ class _ModelType(NamedTuple):
     run: Callable  # (scenario, run, reps, streams, pool) adds the metric tables to run
     bound: Optional[Callable]  # Scenario -> finite (h, a) families for bound; None: no bound
     schedules: bool  # whether a file may hold a schedule, and the schedule command applies
-    options: tuple = ()  # the model options (keys of _MODEL_OPTIONS) its metrics read
+    options: tuple  # the model options (keys of _MODEL_OPTIONS) and sim lists its metrics read
 
 
 def _model_type(name) -> _ModelType:
@@ -1013,6 +1021,7 @@ _MODEL_TYPES = {
         run=_finite_tables,
         bound=lambda scenario: (scenario.hypothesis, scenario.alternative),
         schedules=True,
+        options=("n_grid", "k_grid"),
     ),
     "density": _ModelType(
         model=DensitySpec,
@@ -1023,7 +1032,7 @@ _MODEL_TYPES = {
         run=_density_tables,
         bound=_discretized,
         schedules=False,
-        options=tuple(_MODEL_OPTIONS),
+        options=(*_MODEL_OPTIONS, "n_grid"),
     ),
     "poisson": _ModelType(
         model=PoissonModel,
@@ -1034,15 +1043,17 @@ _MODEL_TYPES = {
         run=_poisson_tables,
         bound=None,
         schedules=False,
+        options=("n_grid",),
     ),
     "gaussian_sequence": _ModelType(
         model=np.ndarray,  # the signal; its noise levels come from sim.epsilon_list
-        read=lambda obj: _reals(obj["signal"], "signal"),
+        read=lambda obj: obj["signal"],  # the constructor keeps a read-only copy
         write=lambda s: {"signal": [float(v) for v in s]},
         check=_check_signals,
         partition=None,
         run=_signal_tables,
         bound=None,
         schedules=False,
+        options=("epsilon_list",),
     ),
 }

@@ -39,7 +39,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, induced_vector
+from .measures import FiniteMeasure, frozen, induced_vector
 
 #: Replications per RNG block in i.i.d. error estimation.
 ERROR_BLOCK = 8192
@@ -113,13 +113,11 @@ class GaussianSequenceModel:
     noise: float
 
     def __post_init__(self):
-        s = np.asarray(self.signal, dtype=float)
-        if s.ndim != 1 or s.size < 1 or not np.all(np.isfinite(s)):
+        object.__setattr__(self, "signal", frozen(self.signal))
+        if self.signal.ndim != 1 or self.signal.size < 1 or not np.all(np.isfinite(self.signal)):
             raise ValidationError("signal must be a finite 1-D vector")
         if not (math.isfinite(self.noise) and self.noise > 0.0):
             raise ValidationError("noise level must be positive and finite")
-        s.setflags(write=False)
-        object.__setattr__(self, "signal", s)
 
     @property
     def dimension(self) -> int:

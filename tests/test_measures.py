@@ -1,12 +1,15 @@
+import copy
+import dataclasses
 import json
 import math
+import pickle
 import re
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from consistency_lab.distances import hull_variation, total_variation
+from consistency_lab.distances import Test, hull_variation, total_variation
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import (
     DensitySpec,
@@ -14,12 +17,20 @@ from consistency_lab.measures import (
     Partition,
     discretize,
     family_weights,
+    frozen,
     induced_vector,
     mixture,
     normalize,
 )
+from consistency_lab.partition_tests import FrequencyTest
 from consistency_lab.reports import scenario_hash
-from consistency_lab.scenarios import Scenario, scenario_from_dict
+from consistency_lab.scenarios import (
+    LinearFunctionalTest,
+    Scenario,
+    scenario_from_dict,
+    scenario_signal_detection,
+)
+from consistency_lab.simulation import GaussianSequenceModel
 from quadrature_oracle import integrate, mass_quadrature, oscillation_depth
 
 
@@ -70,6 +81,58 @@ def test_finite_measure_immutable():
     m = FiniteMeasure([0.5, 0.5])
     with pytest.raises(ValueError):
         m.weights[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        m.weights = np.array([0.9, 0.1])
+    for copied in (pickle.loads(pickle.dumps(m)), copy.deepcopy(m)):
+        assert copied == m and hash(copied) == hash(m)
+        assert not copied.weights.flags.writeable
+
+
+def test_frozen_is_a_read_only_float_copy():
+    given = np.array([1, 2])
+    kept = frozen(given, ndmin=2)
+    assert kept.shape == (1, 2) and kept.dtype == float
+    assert not kept.flags.writeable and given.flags.writeable
+    assert not np.shares_memory(kept, given)
+    already = frozen([0.5])
+    assert frozen(already) is not already
+
+
+#: name -> (build a value from the caller's array, the value's copies of it, entries)
+_KEEPERS = {
+    "FiniteMeasure": (FiniteMeasure, lambda m: [m.weights], [0.25, 0.75]),
+    "FrequencyTest": (
+        lambda a: FrequencyTest(a, a[::-1]),
+        lambda t: [t.hypothesis_vectors, t.alternative_vectors],
+        [0.25, 0.75],
+    ),
+    "LinearFunctionalTest": (
+        lambda a: LinearFunctionalTest(functional=a, base=a),
+        lambda t: [t.functional, t.base],
+        [0.25, 0.75],
+    ),
+    "GaussianSequenceModel": (
+        lambda a: GaussianSequenceModel(a, 1.0), lambda m: [m.signal], [0.0, 0.5],
+    ),
+    "distances.Test": (Test, lambda t: [t.reject_prob], [0.25, 0.75]),
+    "scenario_signal_detection": (
+        lambda a: scenario_signal_detection([a], [[1.0, 1.0]], 2, [0.5]),
+        lambda s: [s.hypothesis[0]],
+        [0.0, 0.5],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEEPERS))
+def test_constructors_keep_read_only_copies_of_the_callers_arrays(case):
+    build, kept, entries = _KEEPERS[case]
+    given = np.array(entries)
+    value = build(given)
+    before = [a.copy() for a in kept(value)]
+    assert given.flags.writeable
+    assert not any(a.flags.writeable for a in kept(value))
+    given[0] = 1.0  # a later write to the caller's array does not reach the value
+    assert all(np.array_equal(a, b) for a, b in zip(kept(value), before))
 
 
 def test_density_validation():
@@ -223,6 +286,21 @@ def test_partition_validation():
 def test_partition_messages(kind, cells, message):
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         Partition(kind, cells)
+
+
+def test_partition_is_its_cells():
+    assert Partition.atoms([[0], [1]]) == Partition.identity(2)
+    assert hash(Partition.atoms([(0,), (1,)])) == hash(Partition.identity(2))
+    assert Partition.intervals(np.array([0, 0.5, 1])) == Partition.half_split()
+    assert Partition.half_split() != Partition.intervals([0.0, 0.25, 1.0])
+    assert Partition.atoms([[0, 3], [1], [2]]).alphabet_size == 4
+    assert Partition.half_split().alphabet_size == 0
+    partition = Partition.half_split()
+    assert pickle.loads(pickle.dumps(partition)) == partition
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        partition.cells = ((0.0, 1.0),)
+    with pytest.raises(TypeError):
+        Partition.atoms([[0], [1]], alphabet_size=2)
 
 
 def test_induced_vector_incompatible_pairs():

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import importlib.util
 import json
 import math
+import pickle
 import sys
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 import pytest
@@ -28,6 +31,7 @@ from consistency_lab.scenarios import (
     LinearFunctionalTest,
     PoissonTwoStageTest,
     Scenario,
+    SimParams,
     build_nested_family,
     nested_schedule,
     poisson_count_threshold,
@@ -304,6 +308,74 @@ def test_scenario_fields_cannot_be_assigned():
             setattr(scenario, field.name, getattr(scenario, field.name))
     with pytest.raises(dataclasses.FrozenInstanceError):
         scenario.alternative = []
+    partitioned = scenario_kolmogorov_family([0.2], [8])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        partitioned.partition.cells = ((0.0, 1.0),)
+    for mapping, key, value in (
+        (scenario.schedule, "exponents", (5.0, 5.0)),
+        (partitioned.model_options, "grid_size", "x"),
+    ):
+        with pytest.raises(TypeError):
+            mapping[key] = value
+    signals = scenario_signal_detection([[0.0, 0.0]], [[1.0, 0.5]], 2, [0.5])
+    assert not any(s.flags.writeable for s in signals.hypothesis + signals.alternative)
+
+
+#: builder name -> a scenario it builds; and a partitioned scenario file
+_BUILT = {
+    "sine_indistinguishable": lambda: scenario_sine_indistinguishable(3),
+    "mazur_mixture": lambda: scenario_mazur_mixture(4, grid_size=32),
+    "kolmogorov_family": lambda: scenario_kolmogorov_family([0.2], [8]),
+    "signal_detection": lambda: scenario_signal_detection([[0.0, 0.0]], [[1.0, 0.5]], 2, [0.5]),
+    "nested_alternatives": lambda: scenario_nested_alternatives(
+        [F(0.9, 0.1), F(0.1, 0.9)], n_max=256
+    ),
+    "poisson": lambda: scenario_poisson(
+        PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7)), [8]
+    ),
+    "partitioned-file": lambda: scenario_from_dict(
+        {**_FINITE_FILE, "partition": {"cells": [[0], [1]]}, "sim": {"n_grid": [64]}}
+    ),
+}
+
+
+def _stored_arrays(scenario) -> list:
+    """Every array a scenario keeps: weights, Poisson shapes and signals."""
+    models = [m.shape if isinstance(m, PoissonModel) else m
+              for m in scenario.hypothesis + scenario.alternative]
+    return [m.weights if isinstance(m, FiniteMeasure) else m
+            for m in models if isinstance(m, (FiniteMeasure, np.ndarray))]
+
+
+def _same(a, b) -> bool:
+    """``a == b``; ``gaussian_sequence`` scenarios by their JSON form, because
+    ``==`` on their signal arrays is elementwise."""
+    if a.model_type == "gaussian_sequence":
+        return a.to_json_dict() == b.to_json_dict()
+    return a == b
+
+
+@pytest.mark.parametrize("case", sorted(_BUILT))
+def test_scenario_round_trips_compare_equal(case):
+    scenario = _BUILT[case]()
+    data = json.loads(json.dumps(scenario.to_json_dict()))
+    first, second = scenario_from_dict(data), scenario_from_dict(data)
+    assert _same(first, second)
+    for other in (first, pickle.loads(pickle.dumps(scenario)), copy.deepcopy(scenario)):
+        assert _same(other, scenario)
+        with pytest.raises(TypeError):
+            other.model_options["grid_size"] = 8
+        assert not any(a.flags.writeable for a in _stored_arrays(other))
+
+
+def test_unpickling_a_scenario_runs_every_check():
+    scenario = scenario_sine_indistinguishable(1)
+    object.__setattr__(scenario, "model_options", MappingProxyType({"grid_size": 1}))
+    data = pickle.dumps(scenario)
+    with pytest.raises(ValidationError, match="^model.grid_size must be an integer >= 2, got 1$"):
+        pickle.loads(data)
+    with pytest.raises(ValidationError, match="^model.grid_size must be an integer >= 2, got 1$"):
+        copy.deepcopy(scenario)
 
 
 @pytest.mark.parametrize(
@@ -815,6 +887,34 @@ _PARITY = {
         _FINITE_FILE, {"schedule": {"onsets": 5}},
         lambda: Scenario(**_FINITE_MODELS, schedule={"onsets": 5}),
         "schedule.onsets must be a list of numbers, got 5",
+    ),
+    "density-epsilon-list": (
+        _SINE_FILE, {"sim": {"epsilon_list": [0.5]}},
+        lambda: Scenario(**_SINE_MODELS, sim=SimParams(epsilon_list=[0.5])),
+        "sim.epsilon_list is not supported by density models",
+    ),
+    "density-k-grid": (
+        _SINE_FILE, {"sim": {"k_grid": [0, 8]}},
+        lambda: Scenario(**_SINE_MODELS, sim=SimParams(k_grid=[0, 8])),
+        "sim.k_grid is not supported by density models",
+    ),
+    "finite-epsilon-list": (
+        _FINITE_FILE, {"sim": {"epsilon_list": [0.5]}},
+        lambda: Scenario(**_FINITE_MODELS, sim=SimParams(epsilon_list=[0.5])),
+        "sim.epsilon_list is not supported by finite models",
+    ),
+    "signal-n-grid": (
+        _SIGNAL_FILE, {"sim": {"n_grid": [8], "epsilon_list": [0.5]}},
+        lambda: dataclasses.replace(
+            scenario_signal_detection([[0.0]], [[1.0]], 1, [0.5]),
+            sim=SimParams(n_grid=[8], epsilon_list=[0.5]),
+        ),
+        "sim.n_grid is not supported by gaussian_sequence models",
+    ),
+    "string-signal": (
+        _SIGNAL_FILE, {"hypothesis": [{"signal": ["a"]}]},
+        lambda: scenario_signal_detection([["a"]], [[1.0]], 1, [0.5]),
+        "signal must be numbers, got ['a']",
     ),
 }
 

@@ -357,7 +357,7 @@ def test_poisson_process_conditional_shape():
     "model, partition",
     [
         (F(0.2, 0.3, 0.5), None),
-        (F(0.1, 0.2, 0.3, 0.4), Partition.atoms([[0, 3], [1], [2]], alphabet_size=4)),
+        (F(0.1, 0.2, 0.3, 0.4), Partition.atoms([[0, 3], [1], [2]])),
         (DensitySpec.pu_family(0.4), Partition.intervals(np.arange(5) / 4)),
     ],
     ids=["atoms-as-cells", "atom-partition", "density"],

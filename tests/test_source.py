@@ -1,7 +1,8 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
-owner of the tie tolerance, and no dataclass that is not frozen."""
+owner of the tie tolerance, no dataclass that is not frozen, and one owner of
+the read-only flag of arrays."""
 import ast
 from pathlib import Path
 
@@ -204,3 +205,60 @@ def test_every_package_dataclass_is_frozen():
     assert paths
     faults = [f for p in paths for f in _mutable_dataclasses(p.read_text(), str(p.relative_to(SRC)))]
     assert faults == []
+
+
+def _flag_writes(source: str, name: str) -> list:
+    """``name:line: attr in f`` for each ``setflags`` or ``writeable`` attribute,
+    with ``f`` the innermost function around it (``<module>`` outside any)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            owner = node.name
+        if isinstance(node, ast.Attribute) and node.attr in ("setflags", "writeable"):
+            found.append(f"{name}:{node.lineno}: {node.attr} in {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return found
+
+
+def test_flag_check_names_the_function_around_each_freeze():
+    source = """
+import numpy as np
+a = np.zeros(2)
+a.setflags(write=False)
+
+
+def frozen(values):
+    def inner(b):
+        b.flags.writeable = False
+    array = np.array(values)
+    np.ndarray.setflags(array, write=False)
+    return inner(array)
+
+
+class Box:
+    def keep(self, values):
+        return values.setflags
+"""
+    assert _flag_writes(source, "m.py") == [
+        "m.py:4: setflags in <module>",
+        "m.py:9: writeable in inner",
+        "m.py:11: setflags in frozen",
+        "m.py:17: setflags in keep",
+    ]
+
+
+def test_only_measures_frozen_sets_array_flags():
+    """Every value keeps an array as ``measures.frozen`` makes it: a read-only
+    copy. No other code freezes an array, its caller's least of all."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert "consistency_lab/measures.py" in sources
+    writes = [w for name, source in sources.items() for w in _flag_writes(source, name)]
+    owned = [
+        w for w in writes
+        if w.startswith("consistency_lab/measures.py:") and w.endswith(": setflags in frozen")
+    ]
+    assert len(owned) == 1 and writes == owned
