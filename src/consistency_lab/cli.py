@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 from . import __version__
-from .distances import hull_variation
+from .distances import hull_variation, kraft_bound
 from .errors import ConstructionError, ValidationError
 from .measures import FiniteMeasure
 from .partition_tests import separation
@@ -46,30 +45,18 @@ class RunConfig:
     plots: bool
 
 
-def _worker_count(flag: Optional[int]) -> int:
-    """``--workers``, else ``CONSISTENCY_LAB_WORKERS``, else 1; at least 1."""
-    if flag is not None:
-        value, source = flag, "--workers"
-    else:
-        env = os.environ.get("CONSISTENCY_LAB_WORKERS")
-        if not env:
-            return 1
-        try:
-            value, source = int(env), "CONSISTENCY_LAB_WORKERS"
-        except ValueError:
-            raise ValidationError(
-                f"CONSISTENCY_LAB_WORKERS must be an integer >= 1, got {env!r}"
-            ) from None
-    if value < 1:
-        raise ValidationError(f"{source} must be >= 1, got {value}")
-    return value
-
-
 def _checked_seed(seed: int) -> int:
     """``--seed`` if it fits the 64-bit generator key, before any work is done."""
     if not 0 <= seed < 2**64:
         raise ValidationError(f"--seed must be in [0, 2**64), got {seed}")
     return seed
+
+
+def _checked_workers(workers: int) -> int:
+    """``--workers`` if it is at least 1, before any work is done."""
+    if workers < 1:
+        raise ValidationError(f"--workers must be >= 1, got {workers}")
+    return workers
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -108,7 +95,7 @@ def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
     report = separation(scenario.hypothesis, scenario.alternative, scenario.partition)
     h = [FiniteMeasure(v) for v in report.hypothesis_vectors]
     a = [FiniteMeasure(v) for v in report.alternative_vectors]
-    bound = 1.0 - hull_variation(h, a).value
+    bound = kraft_bound(h, a)
     i, j = report.witness_pair
     print(f"margin={format_value(report.margin)}")
     print(f"witness=hypothesis[{i}] vs alternative[{j}]")
@@ -203,12 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         cmd.add_argument("--seed", type=int, default=0, help="64-bit RNG seed")
         cmd.add_argument("--reps", type=int, default=None, help="replication override")
-        cmd.add_argument(
-            "--workers",
-            type=int,
-            default=None,
-            help="worker processes (default: CONSISTENCY_LAB_WORKERS or 1)",
-        )
+        cmd.add_argument("--workers", type=int, default=1, help="worker processes (default: 1)")
         cmd.add_argument("--plots", action="store_true", help="emit SVG line charts")
     return parser
 
@@ -220,7 +202,7 @@ def main(argv=None) -> int:
             out_dir=args.out,
             seed=_checked_seed(args.seed),
             replications=args.reps,
-            workers=_worker_count(args.workers),
+            workers=_checked_workers(args.workers),
             plots=args.plots,
         )
         scenario = load_scenario(args.scenario)

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measures import DensitySpec, FiniteMeasure, family_weights, frozen
+from .measures import DensitySpec, FiniteMeasure, ReadOnlyArrays, family_weights, frozen
 from .simplex import solve_lp, solve_lp_prefixes
 
 
@@ -140,11 +140,12 @@ def kraft_bound(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> float
 
 
 @dataclass(frozen=True)
-class Test:
+class Test(ReadOnlyArrays):
     """Randomized single-observation decision rule on a finite alphabet.
 
     ``reject_prob[j]`` is the probability of rejecting the hypothesis when atom
-    ``j`` is observed.
+    ``j`` is observed. ``type1_error`` and ``type2_error`` are its exact errors;
+    it has no boolean ``rejects``, so the Monte Carlo estimators do not take it.
     """
 
     reject_prob: np.ndarray
@@ -161,14 +162,6 @@ class Test:
     def type2_error(self, q: FiniteMeasure) -> float:
         """Acceptance probability when the observation is drawn from ``q``."""
         return float(q.weights @ (1.0 - self.reject_prob))
-
-    def rejects(self, counts: np.ndarray) -> np.ndarray:
-        """Per-row rejection probability for one-observation count vectors."""
-        counts = np.atleast_2d(counts)
-        if np.any(counts.sum(axis=1) != 1):
-            raise ValidationError("single-observation test expects count vectors with n = 1")
-        atoms = counts.argmax(axis=1)
-        return self.reject_prob[atoms]
 
 
 def optimal_test(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Test:

@@ -33,8 +33,18 @@ def frozen(values, ndmin: int = 0) -> np.ndarray:
     return array
 
 
+class ReadOnlyArrays:
+    """Base of the values that keep arrays: unpickling and deep copying store
+    each array field through ``frozen`` again (numpy restores arrays writable),
+    not through the constructor, whose renormalizing could move a bit."""
+
+    def __setstate__(self, state):
+        for key, value in state.items():
+            object.__setattr__(self, key, frozen(value) if isinstance(value, np.ndarray) else value)
+
+
 @dataclass(frozen=True, eq=False)
-class FiniteMeasure:
+class FiniteMeasure(ReadOnlyArrays):
     """Probability vector on a finite alphabet ``{0, ..., k-1}``.
 
     Weights must be finite, nonnegative and sum to 1 within ``QUADRATURE_TOL``;
@@ -53,9 +63,6 @@ class FiniteMeasure:
             )
         object.__setattr__(self, "weights", frozen(w / total))
 
-    def __setstate__(self, state):  # unpickled and deep-copied weights stay read-only
-        object.__setattr__(self, "weights", frozen(state["weights"]))
-
     @property
     def alphabet_size(self) -> int:
         return self.weights.size
@@ -64,7 +71,7 @@ class FiniteMeasure:
         return isinstance(other, FiniteMeasure) and np.array_equal(self.weights, other.weights)
 
     def __hash__(self):
-        return hash(self.weights.tobytes())
+        return hash((self.weights + 0.0).tobytes())  # -0.0 and 0.0 compare equal
 
     def __repr__(self) -> str:
         return f"FiniteMeasure({np.array2string(self.weights, precision=6)})"

@@ -18,7 +18,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import ConstructionError, ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, Model, Partition, frozen, induced_vector
+from .measures import FiniteMeasure, Model, Partition, ReadOnlyArrays, frozen, induced_vector
 
 #: Sup-norm distances closer than this count as a tie (ties accept).
 TIE_TOL = 1e-12
@@ -32,7 +32,7 @@ ENUMERATION_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(ReadOnlyArrays):
     """Cell-probability images of the two families and their sup-norm gap.
 
     ``margin`` is the smallest sup-norm distance between a hypothesis vector
@@ -68,15 +68,15 @@ def separation(
     gaps = np.abs(v0[:, None, :] - v1[None, :, :]).max(axis=2)
     i, j = np.unravel_index(int(gaps.argmin()), gaps.shape)
     return SeparationReport(
-        hypothesis_vectors=v0,
-        alternative_vectors=v1,
+        hypothesis_vectors=frozen(v0),
+        alternative_vectors=frozen(v1),
         margin=float(gaps[i, j]),
         witness_pair=(int(i), int(j)),
     )
 
 
 @dataclass(frozen=True, eq=False)
-class FrequencyTest:
+class FrequencyTest(ReadOnlyArrays):
     """Nearest-set classifier on the empirical cell-frequency vector.
 
     Rejects when the frequency vector is strictly closer (sup-norm) to the

@@ -35,6 +35,7 @@ from .measures import (
     DensitySpec,
     FiniteMeasure,
     Partition,
+    ReadOnlyArrays,
     _integer,
     _reals,
     discretize,
@@ -66,11 +67,6 @@ CERTIFIED_FRACTION = 0.75
 #: Exponent of a member whose measures leave no deviation term: every cell
 #: probability is 0 or 1, so its errors are 0.
 PERFECT_EXPONENT_CAP = 25.0
-
-
-def _phi(z: float) -> float:
-    """Standard normal distribution function."""
-    return 0.5 * erfc(-z / sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -110,6 +106,8 @@ class Scenario:
 
     def __post_init__(self):
         """Every value check, for builders and files alike; normalizes every field."""
+        if not isinstance(self.name, str):
+            raise ValidationError(f"scenario name must be a string, got {self.name!r}")
         row = _model_type(self.model_type)
         for key in ("hypothesis", "alternative"):
             models = tuple(getattr(self, key))
@@ -277,7 +275,7 @@ def scenario_from_dict(data: dict) -> Scenario:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
         partition = Partition(row.partition, _cells(data["partition"]["cells"], row.partition))
     return Scenario(
-        name=str(data["name"]),
+        name=data["name"],
         model_type=model_type,
         hypothesis=hypothesis,
         alternative=alternative,
@@ -409,7 +407,7 @@ def scenario_poisson(
 
 
 @dataclass(frozen=True)
-class LinearFunctionalTest:
+class LinearFunctionalTest(ReadOnlyArrays):
     """Thresholded linear statistic separating one pair of signals.
 
     Rejects when ``f . (y - s0)`` exceeds half the squared functional norm,
@@ -436,9 +434,10 @@ class LinearFunctionalTest:
     def error_sum_analytic(self, noise: float) -> float:
         """Exact type I + type II error at a given noise level."""
         norm = math.sqrt(float(self.functional @ self.functional))
-        return 2.0 * _phi(-norm / (2.0 * noise))
+        return erfc(norm / (2.0 * noise) / sqrt(2.0))
 
 
+@dataclass(frozen=True)
 class PoissonTwoStageTest:
     """Reject on an extreme atom count, otherwise on the atom frequencies.
 
@@ -447,13 +446,14 @@ class PoissonTwoStageTest:
     nearest-set rule to the empirical atom distribution.
     """
 
-    def __init__(self, n: int, mass0: float, deviation_rate: float, frequency_test=None):
-        if deviation_rate <= 0.0:
+    n: int
+    mass0: float
+    deviation_rate: float
+    frequency_test: Optional[FrequencyTest] = None
+
+    def __post_init__(self):
+        if not self.deviation_rate > 0.0:  # also refuses NaN
             raise ValidationError("deviation rate must be positive")
-        self.n = int(n)
-        self.mass0 = float(mass0)
-        self.deviation_rate = float(deviation_rate)
-        self.frequency_test = frequency_test
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Rejection for each row of per-atom counts; the row sums are the atom totals."""
@@ -816,31 +816,30 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
 
 
 def _epsilon_table(scenario, reps, streams, pool) -> Table:
-    pairs = [(s0, s1) for s0 in scenario.hypothesis for s1 in scenario.alternative]
+    """Per noise level, the largest analytic total over the signal pairs, and
+    Monte Carlo errors of the pair that attains it (the first on ties)."""
+    pairs = [
+        (LinearFunctionalTest(functional=s1 - s0, base=s0), s0, s1)
+        for s0 in scenario.hypothesis
+        for s1 in scenario.alternative
+    ]
     rows = []
     for eps in scenario.sim.epsilon_list:
-        worst_analytic = 0.0
-        worst_total = -1.0
-        worst = None
-        for s0, s1 in pairs:
-            test = LinearFunctionalTest(functional=s1 - s0, base=s0)
-            worst_analytic = max(worst_analytic, test.error_sum_analytic(eps))
-            alpha, beta = _error_pair(
-                test, GaussianSequenceModel(s0, eps), GaussianSequenceModel(s1, eps),
-                1, reps, streams, pool,
-            )
-            total = alpha.estimate + beta.estimate
-            if total > worst_total:
-                worst_total = total
-                worst = (alpha, beta)
+        totals = [test.error_sum_analytic(eps) for test, _, _ in pairs]
+        worst = int(np.argmax(totals))
+        test, s0, s1 = pairs[worst]
+        alpha, beta = _error_pair(
+            test, GaussianSequenceModel(s0, eps), GaussianSequenceModel(s1, eps),
+            1, reps, streams, pool,
+        )
         rows.append(
             (
                 eps,
-                worst_analytic,
-                worst[0].estimate,
-                worst[1].estimate,
-                worst_total,
-                worst[0].half_width_95 + worst[1].half_width_95,
+                totals[worst],
+                alpha.estimate,
+                beta.estimate,
+                alpha.estimate + beta.estimate,
+                alpha.half_width_95 + beta.half_width_95,
             )
         )
     return Table(

@@ -81,6 +81,7 @@ class TestFamilyMember:
             raise ValidationError("member onset must be >= 1")
 
 
+@dataclass(frozen=True)
 class TestSchedule:
     """Assignment of one family member to every sample size.
 
@@ -90,10 +91,9 @@ class TestSchedule:
     over the infinite continuation of the last block.
     """
 
-    def __init__(self, members: Sequence[TestFamilyMember], ends: Sequence[int], n_max: int):
-        self.members = tuple(members)
-        self.ends = tuple(ends)
-        self.n_max = int(n_max)
+    members: tuple  # of TestFamilyMember
+    ends: tuple  # of int
+    n_max: int
 
     def blocks(self, horizon: Optional[int] = None) -> list:
         """``(index, member, start, end)`` per block, 1-based ``index``, ``end=None``
@@ -163,4 +163,4 @@ def interleave(members: Sequence[TestFamilyMember], n_max: int) -> TestSchedule:
         ends.append(previous)
     if ends and n_max < ends[0]:
         raise ValidationError(f"n_max={n_max} is smaller than the first block boundary {ends[0]}")
-    return TestSchedule(members, ends, n_max)
+    return TestSchedule(tuple(members), tuple(ends), int(n_max))

@@ -39,7 +39,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, frozen, induced_vector
+from .measures import FiniteMeasure, ReadOnlyArrays, frozen, induced_vector
 
 #: Replications per RNG block in i.i.d. error estimation.
 ERROR_BLOCK = 8192
@@ -106,7 +106,7 @@ class PoissonModel:
 
 
 @dataclass(frozen=True)
-class GaussianSequenceModel:
+class GaussianSequenceModel(ReadOnlyArrays):
     """Coordinatewise signal-plus-noise observations ``y_j = s_j + eps * xi_j``."""
 
     signal: np.ndarray

@@ -22,7 +22,7 @@ from consistency_lab.measures import (
     mixture,
     normalize,
 )
-from consistency_lab.partition_tests import FrequencyTest
+from consistency_lab.partition_tests import FrequencyTest, separation
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
     LinearFunctionalTest,
@@ -133,6 +133,37 @@ def test_constructors_keep_read_only_copies_of_the_callers_arrays(case):
     assert not any(a.flags.writeable for a in kept(value))
     given[0] = 1.0  # a later write to the caller's array does not reach the value
     assert all(np.array_equal(a, b) for a, b in zip(kept(value), before))
+
+
+#: name -> (a value that keeps arrays, its arrays)
+_KEPT = {
+    **{name: (build(np.array(entries)), kept) for name, (build, kept, entries) in _KEEPERS.items()},
+    "SeparationReport": (
+        separation([FiniteMeasure([0.5, 0.5])], [FiniteMeasure([0.9, 0.1])], None),
+        lambda r: [r.hypothesis_vectors, r.alternative_vectors],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KEPT))
+@pytest.mark.parametrize(
+    "copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_keep_read_only_arrays(case, copy_of):
+    """numpy restores an array writable; every value stores it read-only again."""
+    value, kept = _KEPT[case]
+    copied = copy_of(value)
+    assert type(copied) is type(value)
+    for original, restored in zip(kept(value), kept(copied), strict=True):
+        assert not original.flags.writeable and not restored.flags.writeable
+        assert np.array_equal(original, restored) and original.dtype == restored.dtype
+
+
+def test_finite_measure_hashes_as_it_compares():
+    plus, minus = FiniteMeasure([0.5, 0.5, 0.0]), FiniteMeasure([0.5, 0.5, -0.0])
+    assert np.signbit(minus.weights[2]) and not np.signbit(plus.weights[2])
+    assert plus == minus and hash(plus) == hash(minus)
+    assert len({plus, minus}) == 1
 
 
 def test_density_validation():

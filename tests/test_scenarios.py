@@ -493,6 +493,20 @@ def test_every_package_test_decides_booleans():
     assert decisions.dtype == bool and decisions.tolist() == [False, True]
 
 
+def test_poisson_two_stage_test_is_a_frozen_value():
+    test = PoissonTwoStageTest(n=8, mass0=1.0, deviation_rate=0.5)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        test.deviation_rate = -1.0
+    assert test == PoissonTwoStageTest(8, 1.0, 0.5)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, math.nan], ids=["zero", "negative", "nan"])
+def test_poisson_two_stage_rate_must_be_positive(rate):
+    """A NaN rate would make the count stage accept every atom count."""
+    with pytest.raises(ValidationError, match="deviation rate must be positive"):
+        PoissonTwoStageTest(8, 1.0, rate)
+
+
 def test_poisson_two_stage_conditional_matches_exact():
     # conditioned on the atom count, the frequency stage is a plain
     # multinomial test: compare its exact error with the conditional
@@ -593,19 +607,26 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
         assert (row["alpha_mc"], row["alpha_half_width"]) == (alpha.estimate, alpha.half_width_95)
         assert (row["beta_mc"], row["beta_half_width"]) == (beta.estimate, beta.half_width_95)
 
-    scenario = scenario_signal_detection([[0.0, 0.0]], [[1.0, 0.5]], 2, epsilon_list=[0.5, 1.0])
-    run = run_scenario(scenario, seed, replications=reps)
-    s0, s1 = scenario.hypothesis[0], scenario.alternative[0]
-    test = LinearFunctionalTest(functional=s1 - s0, base=s0)
-    for i, row in enumerate(table_dict(run.tables["epsilon_sweep"])):
-        eps = row["epsilon"]
-        alpha = estimate_error(test, GaussianSequenceModel(s0, eps), 1, reps, streams.task(2 * i))
-        beta = estimate_error(
-            test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1),
-            role="alternative",
-        )
-        assert (row["alpha_mc"], row["beta_mc"]) == (alpha.estimate, beta.estimate)
-        assert row["total_half_width"] == alpha.half_width_95 + beta.half_width_95
+    # The noise sweep simulates one pair per row: the one that attains its
+    # analytic total. With two hypotheses that is the second, the closer one.
+    for hypothesis, worst in (([[0.0, 0.0]], 0), ([[0.0, 0.0], [0.0, 0.2]], 1)):
+        scenario = scenario_signal_detection(hypothesis, [[1.0, 0.5]], 2, epsilon_list=[0.5, 1.0])
+        run = run_scenario(scenario, seed, replications=reps)
+        s0, s1 = scenario.hypothesis[worst], scenario.alternative[0]
+        test = LinearFunctionalTest(functional=s1 - s0, base=s0)
+        for i, row in enumerate(table_dict(run.tables["epsilon_sweep"])):
+            eps = row["epsilon"]
+            alpha = estimate_error(
+                test, GaussianSequenceModel(s0, eps), 1, reps, streams.task(2 * i)
+            )
+            beta = estimate_error(
+                test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1),
+                role="alternative",
+            )
+            assert row["total_analytic"] == test.error_sum_analytic(eps)
+            assert (row["alpha_mc"], row["beta_mc"]) == (alpha.estimate, beta.estimate)
+            assert row["total_mc"] == alpha.estimate + beta.estimate
+            assert row["total_half_width"] == alpha.half_width_95 + beta.half_width_95
 
 
 # -- serialization round trip -------------------------------------------------------------
@@ -915,6 +936,18 @@ _PARITY = {
         _SIGNAL_FILE, {"hypothesis": [{"signal": ["a"]}]},
         lambda: scenario_signal_detection([["a"]], [[1.0]], 1, [0.5]),
         "signal must be numbers, got ['a']",
+    ),
+    "number-name": (
+        _FINITE_FILE, {"name": 5},
+        lambda: Scenario(**{**_FINITE_MODELS, "name": 5}),
+        "scenario name must be a string, got 5",
+    ),
+    "null-name": (
+        _SIGNAL_FILE, {"name": None},
+        lambda: dataclasses.replace(
+            scenario_signal_detection([[0.0]], [[1.0]], 1, [0.5]), name=None
+        ),
+        "scenario name must be a string, got None",
     ),
 }
 

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -123,6 +124,15 @@ def test_interleave_nmax_validation():
     first_boundary = boundaries(interleave(family, 10_000))[0]
     with pytest.raises(ValidationError):
         interleave(family, first_boundary - 1)
+
+
+def test_schedule_is_a_frozen_value():
+    schedule = interleave([make_member([0.9, 0.1], 0.3), make_member([0.1, 0.9], 0.3)], 64)
+    assert isinstance(schedule.members, tuple) and isinstance(schedule.ends, tuple)
+    assert type(schedule.n_max) is int
+    for field, value in (("ends", ()), ("members", ()), ("n_max", 1)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(schedule, field, value)
 
 
 def test_schedule_json_clips_blocks_to_n_max():

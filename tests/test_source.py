@@ -1,8 +1,8 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
-owner of the tie tolerance, no dataclass that is not frozen, and one owner of
-the read-only flag of arrays."""
+owner of the tie tolerance, no dataclass that is not frozen, one owner of
+the read-only flag of arrays, and no read of the environment."""
 import ast
 from pathlib import Path
 
@@ -135,6 +135,20 @@ def test_only_partition_tests_holds_the_tie_tolerance():
         for f in _names(source, name, "TIE_TOL")
     ]
     faults += [f for name, source in sources.items() for f in _names(source, name, "allclose")]
+    assert faults == []
+
+
+def test_package_reads_no_environment_variable():
+    """Output bytes depend on the command line and the scenario file alone:
+    no module reads ``os.environ`` or ``os.getenv``."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    assert sources
+    faults = [
+        f
+        for name, source in sources.items()
+        for target in ("environ", "getenv")
+        for f in _names(source, name, target)
+    ]
     assert faults == []
 
 
