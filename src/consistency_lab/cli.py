@@ -1,8 +1,8 @@
 """Command-line front end: scenario loading, execution, report emission.
 
-Exit codes: 0 success, 1 operational error (bad input, missing file, worker
-failure), 2 domain verdict (families not separated on the requested partition,
-or a schedule piece that cannot be built).
+Exit codes: 0 success, 1 operational error (bad input or flag, missing file,
+worker failure), 2 domain verdict (families not separated on the requested
+partition, or a schedule piece that cannot be built).
 """
 from __future__ import annotations
 
@@ -173,8 +173,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose malformed or missing flag is an operational
+    error, exit code 1; its subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="consistency-lab",
         description="Distinguishability bounds, partition tests, and discernible schedules.",
     )

@@ -5,7 +5,6 @@ the same seed reproduces every output file byte for byte.
 """
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from pathlib import Path
@@ -53,6 +52,8 @@ def write_json(path: Path, obj) -> None:
 
 
 def scenario_hash(scenario_dict: dict) -> str:
+    import hashlib  # deferred: only a manifest needs it, and it loads OpenSSL
+
     return hashlib.sha256(dumps_canonical(scenario_dict).encode("utf-8")).hexdigest()
 
 

@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -208,6 +207,18 @@ def _errs_on_reject(role: str) -> bool:
     return role == "hypothesis"
 
 
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported on first use: it loads ``multiprocessing``,
+    which a run without a pool never needs. The class stays a module attribute,
+    so it can be replaced by name."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor
+
+
 class WorkerPool:
     """Process pool for the RNG blocks of several simulation calls.
 
@@ -224,7 +235,8 @@ class WorkerPool:
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(t) for t in tasks]
         if self._executor is None:  # never more processes than the tasks of this call
-            self._executor = ProcessPoolExecutor(max_workers=min(self.workers, len(tasks)))
+            executor = globals().get("ProcessPoolExecutor") or __getattr__("ProcessPoolExecutor")
+            self._executor = executor(max_workers=min(self.workers, len(tasks)))
         return list(self._executor.map(fn, tasks, chunksize=-(-len(tasks) // self.workers)))
 
     def close(self) -> None:

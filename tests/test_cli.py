@@ -36,6 +36,14 @@ def scenario_file(tmp_path):
     return write
 
 
+def exit_code(argv) -> int:
+    """The exit code of ``main(argv)``, also where the argument parser exits."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def read_tree(root: Path) -> dict:
     return {
         str(p.relative_to(root)): p.read_bytes()
@@ -955,19 +963,36 @@ def test_no_workers_env_fallback(scenario_file, tmp_path, monkeypatch):
     assert manifest["workers"] == 1
 
 
-@pytest.mark.parametrize("flags", [["--workers", "0"], ["--workers", "-4"]], ids=["zero", "negative"])
-def test_workers_below_one_or_not_integer_rejected(scenario_file, tmp_path, capsys, flags):
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--workers", "0"], "--workers must be >= 1, got 0"),
+        (["--workers", "-4"], "--workers must be >= 1, got -4"),
+        (["--workers", "abc"], "error: argument --workers: invalid int value: 'abc'"),
+    ],
+    ids=["zero", "negative", "not-integer"],
+)
+def test_workers_below_one_or_not_integer_rejected(
+    scenario_file, tmp_path, capsys, flags, message
+):
+    """Every bad ``--workers`` is an operational error, exit code 1, before any
+    output: the parser's malformed-flag exit included."""
     path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
     out_dir = tmp_path / "out"
-    code = main(
+    code = exit_code(
         ["simulate", "--scenario", str(path), "--out", str(out_dir), "--reps", "200"] + flags
     )
     assert code == 1
-    assert f"--workers must be >= 1, got {flags[1]}" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
     assert not out_dir.exists()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64], ids=["negative", "two-to-the-64"])
+def test_help_exits_zero(capsys):
+    assert exit_code(["simulate", "--help"]) == 0
+    assert "--workers" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, "x"], ids=["negative", "two-to-the-64", "not-integer"])
 def test_seed_outside_64_bits_rejected_before_any_work(
     scenario_file, tmp_path, monkeypatch, capsys, seed
 ):
@@ -979,7 +1004,9 @@ def test_seed_outside_64_bits_rejected_before_any_work(
     monkeypatch.setattr(cli, "load_scenario", fail)
     path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
     out_dir = tmp_path / "out"
-    code = main(["simulate", "--scenario", str(path), "--out", str(out_dir), "--seed", str(seed)])
+    code = exit_code(
+        ["simulate", "--scenario", str(path), "--out", str(out_dir), "--seed", str(seed)]
+    )
     assert code == 1
     err = capsys.readouterr().err
     assert "--seed" in err and str(seed) in err

@@ -438,6 +438,33 @@ def test_worker_pool_starts_no_more_processes_than_blocks(monkeypatch):
     assert many == estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=1)
 
 
+def test_process_pool_class_loads_on_first_access():
+    """``ProcessPoolExecutor`` stays a module attribute, imported when first
+    read; any other missing name is an ``AttributeError`` naming the module."""
+    import concurrent.futures
+
+    assert simulation.ProcessPoolExecutor is concurrent.futures.ProcessPoolExecutor
+    message = "module 'consistency_lab.simulation' has no attribute 'no_such_name'"
+    with pytest.raises(AttributeError, match=message):
+        simulation.no_such_name
+
+
+def test_unpatched_worker_pool_returns_the_serial_result(monkeypatch):
+    """A pool that starts before the class is loaded loads it, and its two
+    processes give the bits of one."""
+    monkeypatch.delattr(simulation, "ProcessPoolExecutor")
+    assert "ProcessPoolExecutor" not in vars(simulation)
+    report = separation(
+        [DensitySpec.uniform()], [DensitySpec.pu_family(0.4)], Partition.half_split()
+    )
+    test, law = build_frequency_test(report), FiniteMeasure(report.hypothesis_vectors[0])
+    reps = ERROR_BLOCK + 1  # two blocks
+    with WorkerPool(2) as pool:
+        pooled = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=pool)
+        assert pool._executor is not None
+    assert pooled == estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=1)
+
+
 def _workload_scenarios():
     """The scenario files of the benchmark workloads, as dicts."""
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"

@@ -2,8 +2,13 @@
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
 owner of the tie tolerance, no dataclass that is not frozen, one owner of
-the read-only flag of arrays, and no read of the environment."""
+the read-only flag of arrays, no read of the environment, and a set-up that
+loads neither the process pool nor hashing."""
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -276,3 +281,33 @@ def test_only_measures_frozen_sets_array_flags():
         if w.startswith("consistency_lab/measures.py:") and w.endswith(": setflags in frozen")
     ]
     assert len(owned) == 1 and writes == owned
+
+
+def test_cli_set_up_loads_no_pool_or_hashing_module(tmp_path):
+    """Importing the CLI and loading a scenario, the set-up of every command,
+    loads neither the process pool nor hashing: the first pool to start
+    imports ``concurrent.futures``, the first manifest ``hashlib``."""
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps({
+        "name": "two-cells",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.5, 0.5]}],
+        "alternative": [{"weights": [0.8, 0.2]}],
+        "partition": {"cells": [[0], [1]]},
+    }))
+    probe = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from consistency_lab.cli import load_scenario\n"
+        "load_scenario(Path(sys.argv[1]))\n"
+        "print(*(m for m in sys.argv[2:] if m in sys.modules))\n"
+    )
+    deferred = ["concurrent.futures", "multiprocessing", "hashlib"]
+    result = subprocess.run(
+        [sys.executable, "-c", probe, str(path), *deferred],
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert result.stdout.split() == []
