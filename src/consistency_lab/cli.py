@@ -32,6 +32,7 @@ from .scenarios import (
     scenario_from_dict,
     scheduled,
 )
+from .simulation import MIN_REPLICATIONS
 
 
 @dataclass(frozen=True)
@@ -45,18 +46,12 @@ class RunConfig:
     plots: bool
 
 
-def _checked_seed(seed: int) -> int:
-    """``--seed`` if it fits the 64-bit generator key, before any work is done."""
-    if not 0 <= seed < 2**64:
-        raise ValidationError(f"--seed must be in [0, 2**64), got {seed}")
-    return seed
-
-
-def _checked_workers(workers: int) -> int:
-    """``--workers`` if it is at least 1, before any work is done."""
-    if workers < 1:
-        raise ValidationError(f"--workers must be >= 1, got {workers}")
-    return workers
+#: Integer flags checked before any work: flag -> (least, past the largest, the range in words).
+_FLAG_RANGES = {
+    "seed": (0, 2**64, "in [0, 2**64)"),
+    "workers": (1, float("inf"), ">= 1"),
+    "reps": (MIN_REPLICATIONS, float("inf"), f">= {MIN_REPLICATIONS}"),
+}
 
 
 def load_scenario(path: Path) -> Scenario:
@@ -207,11 +202,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for flag, (least, past, words) in _FLAG_RANGES.items():
+            value = getattr(args, flag)
+            if value is not None and not least <= value < past:
+                raise ValidationError(f"--{flag} must be {words}, got {value}")
         config = RunConfig(
             out_dir=args.out,
-            seed=_checked_seed(args.seed),
+            seed=args.seed,
             replications=args.reps,
-            workers=_checked_workers(args.workers),
+            workers=args.workers,
             plots=args.plots,
         )
         scenario = load_scenario(args.scenario)

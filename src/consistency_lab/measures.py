@@ -276,6 +276,33 @@ class DensitySpec:
 
 
 Model = Union[FiniteMeasure, DensitySpec]
+#: What a partition's cells, and each cell, may be.
+_CELL = (list, tuple, np.ndarray)
+
+
+def _interval_cells(cells) -> tuple:
+    """Float pairs from pairs of numbers, increasing and contiguous from 0 to 1."""
+    if any(len(cell) != 2 or any(isinstance(v, _CELL) for v in cell) for cell in cells):
+        raise ValidationError(f"partition.cells must be pairs of numbers, got {cells!r}")
+    pairs = tuple(map(tuple, _reals(cells, "partition.cells").tolist()))
+    if pairs[0][0] != 0.0 or pairs[-1][1] != 1.0:
+        raise ValidationError("interval cells must cover (0, 1)")
+    if any(not lo < hi for lo, hi in pairs) or any(a[1] != b[0] for a, b in zip(pairs, pairs[1:])):
+        raise ValidationError("interval cells must be increasing and contiguous")
+    return pairs
+
+
+def _atom_cells(cells) -> tuple:
+    """Int tuples from disjoint groups of integers >= 0 that cover 0 up to the largest."""
+    groups = tuple(tuple(_integer(a, "partition.cells", 0) for a in group) for group in cells)
+    atoms = sorted(a for group in groups for a in group)
+    if atoms != list(range(len(atoms))):
+        raise ValidationError("atom groups must be disjoint and cover the whole alphabet")
+    return groups
+
+
+#: kind -> reader of two or more raw cells: the cells as tuples, or ``ValidationError``.
+_PARTITION_KINDS = {"intervals": _interval_cells, "atoms": _atom_cells}
 
 
 @dataclass(frozen=True)
@@ -284,32 +311,21 @@ class Partition:
 
     Interval partitions carry cells ``(b_0, b_1], ..., (b_{k-1}, b_k]`` with
     ``b_0 = 0`` and ``b_k = 1``; atom partitions carry disjoint groups of atom
-    indices covering ``{0, ..., alphabet_size - 1}``. A partition needs at
-    least two cells, is stored as tuples and compares by its cells.
+    indices, integers >= 0, covering ``{0, ..., alphabet_size - 1}``. A partition
+    needs at least two cells, is stored as tuples and compares by its cells.
     """
 
     kind: str
     cells: tuple
 
     def __post_init__(self):
-        if self.kind == "intervals":
-            cells = tuple((float(lo), float(hi)) for lo, hi in self.cells)
-        elif self.kind == "atoms":
-            cells = tuple(tuple(int(a) for a in group) for group in self.cells)
-        else:
+        if not isinstance(self.kind, str) or self.kind not in _PARTITION_KINDS:
             raise ValidationError(f"unknown partition kind {self.kind!r}")
-        object.__setattr__(self, "cells", cells)
-        if len(cells) < 2:
+        if not isinstance(self.cells, _CELL) or not all(isinstance(c, _CELL) for c in self.cells):
+            raise ValidationError(f"partition.cells must be a list of lists, got {self.cells!r}")
+        if len(self.cells) < 2:
             raise ValidationError("a partition needs at least 2 cells")
-        if self.kind == "intervals":
-            if cells[0][0] != 0.0 or cells[-1][1] != 1.0:
-                raise ValidationError("interval cells must cover (0, 1)")
-            if any(not lo < hi for lo, hi in cells) or any(
-                hi != lo2 for (_, hi), (lo2, _) in zip(cells, cells[1:])
-            ):
-                raise ValidationError("interval cells must be increasing and contiguous")
-        elif sorted(a for group in cells for a in group) != list(range(self.alphabet_size)):
-            raise ValidationError("atom groups must be disjoint and cover the whole alphabet")
+        object.__setattr__(self, "cells", _PARTITION_KINDS[self.kind](self.cells))
 
     @property
     def alphabet_size(self) -> int:
@@ -334,8 +350,6 @@ class Partition:
     @staticmethod
     def identity(alphabet_size: int) -> "Partition":
         """One cell per atom."""
-        if alphabet_size < 2:
-            raise ValidationError("identity partition needs alphabet size >= 2")
         return Partition.atoms([[a] for a in range(alphabet_size)])
 
     @staticmethod

@@ -51,6 +51,7 @@ from .partition_tests import (
 )
 from .scheduler import TestFamilyMember, TestSchedule, interleave, summable
 from .simulation import (
+    MIN_REPLICATIONS,
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,
@@ -80,7 +81,7 @@ class SimParams:
 
     def __post_init__(self):
         for key, value in (
-            ("replications", _integer(self.replications, "sim.replications")),
+            ("replications", _integer(self.replications, "sim.replications", MIN_REPLICATIONS)),
             ("n_grid", _numbers(self.n_grid, "sim.n_grid", 1)),
             ("k_grid", _numbers(self.k_grid, "sim.k_grid", 0)),
             ("epsilon_list", _numbers(self.epsilon_list, "sim.epsilon_list", None)),
@@ -227,18 +228,6 @@ def _models(data: dict, key: str, read) -> list:
     return models
 
 
-def _cells(value, kind: str) -> list:
-    """A file's partition cells: lists of atoms (integers >= 0), or pairs of numbers."""
-    name = "partition.cells"
-    if not isinstance(value, list) or not all(isinstance(cell, list) for cell in value):
-        raise ValidationError(f"{name} must be a list of lists, got {value!r}")
-    if kind == "atoms":
-        return [[_integer(atom, name, 0) for atom in cell] for cell in value]
-    if any(len(cell) != 2 or any(isinstance(v, list) for v in cell) for cell in value):
-        raise ValidationError(f"{name} must be pairs of numbers, got {value!r}")
-    return _reals(value, name).tolist()
-
-
 def _check_supported(model_type: str, partition: bool, schedule: bool) -> None:
     """Raise when a scenario of ``model_type`` has a partition or a schedule its
     type does not take; a file is checked before either is parsed."""
@@ -253,8 +242,8 @@ def _check_supported(model_type: str, partition: bool, schedule: bool) -> None:
 
 def scenario_from_dict(data: dict) -> Scenario:
     """Parse a scenario from its JSON object form. The parser checks the
-    file's shape: its objects and lists, required and unknown keys, model
-    entries and partition cells; the constructors check every value."""
+    file's shape: its objects and lists, required and unknown keys and model
+    entries; the constructors check every value, a partition's cells included."""
     if not isinstance(data, dict):
         raise ValidationError("scenario file must contain a JSON object")
     _known_keys(data, _SCENARIO_KEYS, "", "scenario key")
@@ -271,9 +260,10 @@ def scenario_from_dict(data: dict) -> Scenario:
     _check_supported(model_type, "partition" in data, "schedule" in data)
     partition = None
     if "partition" in data:
-        if not isinstance(data["partition"], dict) or "cells" not in data["partition"]:
+        stored = data["partition"]
+        if not isinstance(stored, dict) or "cells" not in stored:
             raise ValidationError("scenario 'partition' lacks required key 'cells'")
-        partition = Partition(row.partition, _cells(data["partition"]["cells"], row.partition))
+        partition = Partition(row.partition, _object(stored, "partition", ("cells",))["cells"])
     return Scenario(
         name=data["name"],
         model_type=model_type,
@@ -297,8 +287,6 @@ def scenario_sine_indistinguishable(
     High frequencies wash out on any fixed partition, so the per-frequency
     separation margins shrink while every single frequency stays testable.
     """
-    if i_max < 1:
-        raise ValidationError("i_max must be >= 1")
     partition = partition or Partition.half_split()
     return Scenario(
         name=f"sine-indistinguishable-i{i_max}",
@@ -317,8 +305,6 @@ def scenario_mazur_mixture(m_max: int, grid_size: int = 64) -> Scenario:
     Convex averaging drives the total variation to zero, so the attainable
     error floor for the averaged families climbs to one.
     """
-    if m_max < 1:
-        raise ValidationError("m_max must be >= 1")
     return Scenario(
         name=f"mazur-mixture-m{m_max}",
         model_type="density",
@@ -631,9 +617,8 @@ def run_scenario(
     Every Monte Carlo call of the run shares one :class:`WorkerPool`, which
     starts on first use and is shut down before this returns or raises.
     """
-    reps = replications if replications is not None else scenario.sim.replications
-    if reps < 100:
-        raise ValidationError("replications must be >= 100")
+    given = scenario.sim.replications if replications is None else replications
+    reps = _integer(given, "replications", MIN_REPLICATIONS)
     # One disjoint stream range per simulation task, taken in code order.
     streams = map(RngSpec(seed).task, itertools.count())
     run = ScenarioRun(tables={}, reports={})

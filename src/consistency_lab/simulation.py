@@ -38,8 +38,10 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, ReadOnlyArrays, frozen, induced_vector
+from .measures import FiniteMeasure, ReadOnlyArrays, _integer, frozen, induced_vector
 
+#: Fewest replications of a Monte Carlo error estimate: of a scenario, a run and a call.
+MIN_REPLICATIONS = 100
 #: Replications per RNG block in i.i.d. error estimation.
 ERROR_BLOCK = 8192
 #: Sample paths per RNG block in discernibility runs.
@@ -283,8 +285,7 @@ def estimate_error(
     order, so the result depends only on ``rng`` and the arguments.
     ``workers`` is a worker count or a :class:`WorkerPool` shared with other calls.
     """
-    if replications < 100:
-        raise ValidationError("replications must be >= 100")
+    replications = _integer(replications, "replications", MIN_REPLICATIONS)
     head = (test, model, n, _errs_on_reject(role))
     totals = _run_blocks(_simulate_error_block, head, replications, ERROR_BLOCK, rng, workers)
     estimate = float(sum(totals)) / replications

@@ -475,6 +475,12 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
             {"partition": {"cells": 3}},
             "partition.cells must be a list of lists, got 3",
         ),
+        (
+            "simulate",
+            _FINITE,
+            {"partition": {"cells": [[0], [1]], "kind": "intervals"}},
+            "partition.kind is not a partition option; the options are cells",
+        ),
     ],
     ids=[
         "sim-list",
@@ -499,6 +505,7 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         "one-edge-cells",
         "three-edge-cell",
         "number-cells",
+        "misspelled-partition-key",
     ],
 )
 def test_invalid_scenario_file_names_the_key(
@@ -648,15 +655,6 @@ def test_errors_past_the_enumeration_budget_write_nan_exact_columns(
     assert [v for c, v in zip(header, over) if c not in columns] == [
         v for c, v in zip(header, exact) if c not in columns
     ]
-
-
-def test_simulate_zero_replications_is_validation_error(scenario_file, tmp_path, capsys):
-    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
-    code = main(
-        ["simulate", "--scenario", str(path), "--out", str(tmp_path / "o"), "--reps", "0"]
-    )
-    assert code == 1
-    assert "replications" in capsys.readouterr().err
 
 
 def test_simulate_same_seed_byte_identical(scenario_file, tmp_path):
@@ -992,25 +990,33 @@ def test_help_exits_zero(capsys):
     assert "--workers" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64, "x"], ids=["negative", "two-to-the-64", "not-integer"])
-def test_seed_outside_64_bits_rejected_before_any_work(
-    scenario_file, tmp_path, monkeypatch, capsys, seed
-):
+def _refused_before_loading(monkeypatch, tmp_path, capsys, argv) -> str:
+    """Standard error of ``argv``, a command and its flags, after asserting that
+    it exits 1 without loading its scenario or making its output directory."""
     import consistency_lab.cli as cli
 
-    def fail(*args, **kwargs):
-        raise AssertionError("the scenario was loaded")
-
-    monkeypatch.setattr(cli, "load_scenario", fail)
-    path = scenario_file(scenario_kolmogorov_family([0.4], n_grid=[16]))
+    loaded = []
+    monkeypatch.setattr(cli, "load_scenario", loaded.append)
     out_dir = tmp_path / "out"
-    code = exit_code(
-        ["simulate", "--scenario", str(path), "--out", str(out_dir), "--seed", str(seed)]
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "--seed" in err and str(seed) in err
+    assert exit_code(argv + ["--scenario", str(tmp_path / "s.json"), "--out", str(out_dir)]) == 1
+    assert loaded == []
     assert not out_dir.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, "x"], ids=["negative", "two-to-the-64", "not-integer"])
+def test_seed_outside_64_bits_rejected_before_any_work(tmp_path, monkeypatch, capsys, seed):
+    err = _refused_before_loading(monkeypatch, tmp_path, capsys, ["simulate", "--seed", str(seed)])
+    assert "--seed" in err and str(seed) in err
+
+
+@pytest.mark.parametrize("reps", [0, 50])
+@pytest.mark.parametrize("command", ["distinguish", "bound", "simulate", "schedule"])
+def test_reps_below_100_rejected_before_any_work(tmp_path, monkeypatch, capsys, command, reps):
+    """``--reps`` below ``MIN_REPLICATIONS`` is an operational error that names
+    the flag, for every command, also those that run no Monte Carlo."""
+    err = _refused_before_loading(monkeypatch, tmp_path, capsys, [command, "--reps", str(reps)])
+    assert f"--reps must be >= 100, got {reps}" in err
 
 
 def test_largest_64_bit_seed_accepted(scenario_file, tmp_path):

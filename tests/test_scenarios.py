@@ -837,7 +837,39 @@ _PARITY = {
     "fractional-replications": (
         _FINITE_FILE, {"sim": {"replications": 200.7}},
         lambda: scenario_nested_alternatives([F(0.9, 0.1)], replications=200.7),
-        "sim.replications must be an integer >= 1, got 200.7",
+        "sim.replications must be an integer >= 100, got 200.7",
+    ),
+    "too-few-replications": (
+        _FINITE_FILE, {"sim": {"replications": 50}},
+        lambda: scenario_nested_alternatives([F(0.9, 0.1)], replications=50),
+        "sim.replications must be an integer >= 100, got 50",
+    ),
+    "fractional-atom": (
+        _FINITE_FILE, {"partition": {"cells": [[0], [1.5]]}},
+        lambda: Partition.atoms([[0], [1.5]]),
+        "partition.cells must be an integer >= 0, got 1.5",
+    ),
+    "bool-atom": (
+        _FINITE_FILE, {"partition": {"cells": [[0], [True]]}},
+        lambda: Partition.atoms([[0], [True]]),
+        "partition.cells must be an integer >= 0, got True",
+    ),
+    "number-cells": (
+        _FINITE_FILE, {"partition": {"cells": 3}},
+        lambda: Partition.atoms(3),
+        "partition.cells must be a list of lists, got 3",
+    ),
+    "string-edge": (
+        _SINE_FILE, {"partition": {"cells": [["0", 0.5], [0.5, 1]]}},
+        lambda: Partition("intervals", [["0", 0.5], [0.5, 1]]),
+        "partition.cells must be numbers, got [['0', 0.5], [0.5, 1]]",
+    ),
+    "three-edge-cell": (
+        _SINE_FILE, {"partition": {"cells": [[0, 0.5, 0.7], [0.5, 1]]}},
+        lambda: scenario_sine_indistinguishable(
+            1, partition=Partition("intervals", [[0, 0.5, 0.7], [0.5, 1]])
+        ),
+        "partition.cells must be pairs of numbers, got [[0, 0.5, 0.7], [0.5, 1]]",
     ),
     "bool-k-grid": (
         _FINITE_FILE, {"sim": {"k_grid": [True]}},

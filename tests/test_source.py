@@ -1,9 +1,9 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
-owner of the tie tolerance, no dataclass that is not frozen, one owner of
-the read-only flag of arrays, no read of the environment, and a set-up that
-loads neither the process pool nor hashing."""
+owner of the tie tolerance, one reader of partition cells, no dataclass that
+is not frozen, one owner of the read-only flag of arrays, no read of the
+environment, and a set-up that loads neither the process pool nor hashing."""
 import ast
 import json
 import os
@@ -141,6 +141,23 @@ def test_only_partition_tests_holds_the_tie_tolerance():
     ]
     faults += [f for name, source in sources.items() for f in _names(source, name, "allclose")]
     assert faults == []
+
+
+def _says(source: str, name: str, text: str) -> list:
+    """``name:line`` for each string constant, f-string parts included, holding ``text``."""
+    return [
+        f"{name}:{node.lineno}"
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str) and text in node.value
+    ]
+
+
+def test_only_measures_reads_partition_cells():
+    """``Partition`` reads and checks its own cells: no other module, the file
+    parser included, has a message about ``partition.cells``."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    said = [s for name, source in sources.items() for s in _says(source, name, "partition.cells")]
+    assert said and {s.split(":")[0] for s in said} == {"consistency_lab/measures.py"}
 
 
 def test_package_reads_no_environment_variable():
