@@ -9,9 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
 
 from . import __version__
 from .distances import hull_variation, kraft_bound
@@ -33,17 +31,6 @@ from .scenarios import (
     scheduled,
 )
 from .simulation import MIN_REPLICATIONS
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Verbatim run parameters; recorded in every output manifest."""
-
-    out_dir: Path
-    seed: int
-    replications: Optional[int]
-    workers: int
-    plots: bool
 
 
 #: Integer flags checked before any work: flag -> (least, past the largest, the range in words).
@@ -68,23 +55,20 @@ def load_scenario(path: Path) -> Scenario:
     return scenario_from_dict(data)
 
 
-def _manifest(scenario: Scenario, config: RunConfig, command: str) -> dict:
+def _manifest(scenario: Scenario, args: argparse.Namespace, command: str) -> dict:
+    """The run's parameters, flags verbatim; recorded with every output."""
     return {
         "command": command,
         "scenario": scenario.name,
         "scenario_hash": scenario_hash(scenario.to_json_dict()),
-        "seed": config.seed,
-        "replications": (
-            config.replications
-            if config.replications is not None
-            else scenario.sim.replications
-        ),
-        "workers": config.workers,
+        "seed": args.seed,
+        "replications": args.reps if args.reps is not None else scenario.sim.replications,
+        "workers": args.workers,
         "version": __version__,
     }
 
 
-def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
+def cmd_distinguish(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.partition is None:
         raise ValidationError("distinguish requires a scenario with a partition")
     report = separation(scenario.hypothesis, scenario.alternative, scenario.partition)
@@ -102,7 +86,7 @@ def cmd_distinguish(scenario: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def cmd_bound(scenario: Scenario, config: RunConfig) -> int:
+def cmd_bound(scenario: Scenario, args: argparse.Namespace) -> int:
     hull = hull_variation(*bound_families(scenario))
     print(f"hull_variation={format_value(hull.value)}")
     print(f"kraft_bound={format_value(1.0 - hull.value)}")
@@ -113,20 +97,15 @@ def cmd_bound(scenario: Scenario, config: RunConfig) -> int:
     return 0
 
 
-def _run_and_write(scenario: Scenario, config: RunConfig, command: str) -> int:
+def _run_and_write(scenario: Scenario, args: argparse.Namespace, command: str) -> int:
     """Run every metric of the scenario, write its tables, reports and manifest; count tables."""
-    run = run_scenario(
-        scenario,
-        seed=config.seed,
-        replications=config.replications,
-        workers=config.workers,
-    )
-    manifest = _manifest(scenario, config, command)
-    out_dir = config.out_dir
+    run = run_scenario(scenario, seed=args.seed, replications=args.reps, workers=args.workers)
+    manifest = _manifest(scenario, args, command)
+    out_dir = args.out
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, table in run.tables.items():
         write_csv(out_dir / f"{name}.csv", table.columns, table.rows, manifest)
-        if config.plots and len(table.rows) > 1:
+        if args.plots and len(table.rows) > 1:
             numeric = [
                 c
                 for c in range(len(table.columns))
@@ -148,15 +127,15 @@ def _run_and_write(scenario: Scenario, config: RunConfig, command: str) -> int:
     return len(run.tables)
 
 
-def cmd_simulate(scenario: Scenario, config: RunConfig) -> int:
-    tables = _run_and_write(scenario, config, "simulate")
-    print(f"wrote {tables} metric tables to {config.out_dir}")
+def cmd_simulate(scenario: Scenario, args: argparse.Namespace) -> int:
+    tables = _run_and_write(scenario, args, "simulate")
+    print(f"wrote {tables} metric tables to {args.out}")
     return 0
 
 
-def cmd_schedule(scenario: Scenario, config: RunConfig) -> int:
-    _run_and_write(scheduled(scenario), config, "schedule")
-    print(f"wrote schedule and discernibility curve to {config.out_dir}")
+def cmd_schedule(scenario: Scenario, args: argparse.Namespace) -> int:
+    _run_and_write(scheduled(scenario), args, "schedule")
+    print(f"wrote schedule and discernibility curve to {args.out}")
     return 0
 
 
@@ -206,15 +185,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag)
             if value is not None and not least <= value < past:
                 raise ValidationError(f"--{flag} must be {words}, got {value}")
-        config = RunConfig(
-            out_dir=args.out,
-            seed=args.seed,
-            replications=args.reps,
-            workers=args.workers,
-            plots=args.plots,
-        )
         scenario = load_scenario(args.scenario)
-        return _COMMANDS[args.command](scenario, config)
+        return _COMMANDS[args.command](scenario, args)
     except ConstructionError as exc:
         print(f"verdict: {exc}", file=sys.stderr)
         return 2

@@ -152,7 +152,7 @@ class Test(ReadOnlyArrays):
 
     def __post_init__(self):
         object.__setattr__(self, "reject_prob", frozen(self.reject_prob))
-        if np.any(self.reject_prob < 0.0) or np.any(self.reject_prob > 1.0):
+        if not np.all((self.reject_prob >= 0.0) & (self.reject_prob <= 1.0)):  # also refuses NaN
             raise ValidationError("rejection probabilities must lie in [0, 1]")
 
     def type1_error(self, p: FiniteMeasure) -> float:

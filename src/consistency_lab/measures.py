@@ -55,7 +55,7 @@ class FiniteMeasure(ReadOnlyArrays):
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _weight_vector(_reals(self.weights, "weights"))
+        w = _weight_vector(self.weights)
         total = float(w.sum())
         if abs(total - 1.0) > QUADRATURE_TOL:
             raise ValidationError(
@@ -77,12 +77,9 @@ class FiniteMeasure(ReadOnlyArrays):
         return f"FiniteMeasure({np.array2string(self.weights, precision=6)})"
 
 
-def _weight_vector(w: np.ndarray) -> np.ndarray:
-    """``w`` if it is a nonempty 1-D vector of finite, nonnegative entries."""
-    if w.ndim != 1 or w.size == 0:
-        raise ValidationError("weights must be a nonempty 1-D vector")
-    if not np.all(np.isfinite(w)):
-        raise ValidationError("weights must be finite")
+def _weight_vector(weights) -> np.ndarray:
+    """``weights`` as a :func:`_vector` whose entries are nonnegative."""
+    w = _vector(weights, "weights")
     if np.any(w < 0):
         raise ValidationError("weights must be nonnegative")
     return w
@@ -92,9 +89,9 @@ def normalize(weights: Sequence[float]) -> FiniteMeasure:
     """Scale a nonnegative vector to a probability vector.
 
     Raises ``ValidationError`` on an all-zero vector, any negative entry, or
-    any non-finite entry.
+    any entry that is not a finite number.
     """
-    w = _weight_vector(np.asarray(weights, dtype=float))
+    w = _weight_vector(weights)
     total = float(w.sum())
     if total <= 0.0:
         raise ValidationError("at least one weight must be positive")
@@ -135,6 +132,23 @@ def _integer(value, name: str, least: int = 1) -> int:
     if isinstance(number, bool) or not isinstance(number, numbers.Integral) or number < least:
         raise ValidationError(f"{name} must be an integer >= {least}, got {value!r}")
     return int(number)
+
+
+def _positive(value, name: str) -> float:
+    """A finite number > 0 as a float; not a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
+        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+    return float(value)
+
+
+def _vector(values, name: str) -> np.ndarray:
+    """``values`` as a nonempty 1-D vector of finite floats, read by :func:`_reals`."""
+    v = _reals(values, name)
+    if v.ndim != 1 or v.size == 0:
+        raise ValidationError(f"{name} must be a nonempty 1-D vector")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{name} must be finite")
+    return v
 
 
 def _reals(values, name: str) -> np.ndarray:
@@ -293,11 +307,11 @@ def _interval_cells(cells) -> tuple:
 
 
 def _atom_cells(cells) -> tuple:
-    """Int tuples from disjoint groups of integers >= 0 that cover 0 up to the largest."""
+    """Int tuples from nonempty disjoint groups of integers >= 0 that cover 0 up to the largest."""
     groups = tuple(tuple(_integer(a, "partition.cells", 0) for a in group) for group in cells)
     atoms = sorted(a for group in groups for a in group)
-    if atoms != list(range(len(atoms))):
-        raise ValidationError("atom groups must be disjoint and cover the whole alphabet")
+    if not all(groups) or atoms != list(range(len(atoms))):
+        raise ValidationError("atom groups must be nonempty, disjoint and cover the whole alphabet")
     return groups
 
 
@@ -388,7 +402,6 @@ def discretize(spec: DensitySpec, grid_size: int) -> FiniteMeasure:
     """Project a density onto the equal-width grid of ``grid_size`` cells."""
     if not isinstance(spec, DensitySpec):
         raise ValidationError("discretize expects a DensitySpec")
-    if grid_size < 2:
-        raise ValidationError("grid_size must be >= 2")
+    grid_size = _integer(grid_size, "grid_size", 2)
     edges = np.arange(grid_size + 1) / grid_size
     return FiniteMeasure(np.diff(spec.cdf(edges)))

@@ -37,7 +37,9 @@ from .measures import (
     Partition,
     ReadOnlyArrays,
     _integer,
+    _positive,
     _reals,
+    _vector,
     discretize,
     family_weights,
     frozen,
@@ -84,7 +86,10 @@ class SimParams:
             ("replications", _integer(self.replications, "sim.replications", MIN_REPLICATIONS)),
             ("n_grid", _numbers(self.n_grid, "sim.n_grid", 1)),
             ("k_grid", _numbers(self.k_grid, "sim.k_grid", 0)),
-            ("epsilon_list", _numbers(self.epsilon_list, "sim.epsilon_list", None)),
+            ("epsilon_list", tuple(
+                _positive(eps, "sim.epsilon_list")
+                for eps in _numbers(self.epsilon_list, "sim.epsilon_list", None)
+            )),
         ):
             object.__setattr__(self, key, value)
 
@@ -113,7 +118,7 @@ class Scenario:
         for key in ("hypothesis", "alternative"):
             models = tuple(getattr(self, key))
             if row.model is np.ndarray:  # signals, the one mutable model type
-                models = tuple(frozen(_reals(s, "signal")) for s in models)
+                models = tuple(frozen(_vector(s, "signal")) for s in models)
             object.__setattr__(self, key, models)
         if len(self.hypothesis) == 0 or len(self.alternative) == 0:
             raise ValidationError("hypothesis and alternative families must be nonempty")
@@ -438,8 +443,7 @@ class PoissonTwoStageTest:
     frequency_test: Optional[FrequencyTest] = None
 
     def __post_init__(self):
-        if not self.deviation_rate > 0.0:  # also refuses NaN
-            raise ValidationError("deviation rate must be positive")
+        object.__setattr__(self, "deviation_rate", _positive(self.deviation_rate, "deviation rate"))
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Rejection for each row of per-atom counts; the row sums are the atom totals."""
@@ -975,15 +979,12 @@ def _check_poisson(scenario: Scenario) -> None:
 
 
 def _check_signals(scenario: Scenario) -> None:
-    signals = scenario.hypothesis + scenario.alternative
-    shape = np.shape(signals[0])
-    if len(shape) != 1 or shape[0] == 0 or any(np.shape(s) != shape for s in signals):
-        raise ValidationError("every signal must be a nonempty vector of one dimension")
+    sizes = sorted({s.size for s in scenario.hypothesis + scenario.alternative})
+    if len(sizes) != 1:
+        raise ValidationError(f"signals must share one dimension, got {sizes}")
     pairs = [(a, b) for a in scenario.hypothesis for b in scenario.alternative]
     if min(np.abs(np.subtract(a, b)).max() for a, b in pairs) <= 0.0:
         raise ConstructionError("signal sets are not separated (zero sup-norm margin)")
-    if any(eps <= 0 for eps in scenario.sim.epsilon_list):
-        raise ValidationError("noise levels must be positive")
 
 
 def _discretized(scenario: Scenario) -> tuple[list, list]:

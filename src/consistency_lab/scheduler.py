@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ValidationError
+from .measures import _integer
 
 __all__ = [
     "TestFamilyMember",
@@ -77,8 +78,7 @@ class TestFamilyMember:
     def __post_init__(self):
         if not summable(self.exponent):
             raise ValidationError("member exponent must be finite with exp(-exponent) < 1")
-        if self.onset < 1:
-            raise ValidationError("member onset must be >= 1")
+        object.__setattr__(self, "onset", _integer(self.onset, "onset"))
 
 
 @dataclass(frozen=True)
@@ -153,8 +153,7 @@ def interleave(members: Sequence[TestFamilyMember], n_max: int) -> TestSchedule:
     sample size.
     """
     lengths = block_lengths([m.exponent for m in members])
-    if n_max < 1:
-        raise ValidationError("n_max must be >= 1")
+    n_max = _integer(n_max, "n_max")
 
     ends = []
     previous = lengths[0]  # first block runs through the first boundary
@@ -163,4 +162,4 @@ def interleave(members: Sequence[TestFamilyMember], n_max: int) -> TestSchedule:
         ends.append(previous)
     if ends and n_max < ends[0]:
         raise ValidationError(f"n_max={n_max} is smaller than the first block boundary {ends[0]}")
-    return TestSchedule(tuple(members), tuple(ends), int(n_max))
+    return TestSchedule(tuple(members), tuple(ends), n_max)

@@ -31,14 +31,21 @@ against ``MAX_PATH_CELL_BYTES`` first.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, ReadOnlyArrays, _integer, frozen, induced_vector
+from .measures import (
+    FiniteMeasure,
+    ReadOnlyArrays,
+    _integer,
+    _positive,
+    _vector,
+    frozen,
+    induced_vector,
+)
 
 #: Fewest replications of a Monte Carlo error estimate: of a scenario, a run and a call.
 MIN_REPLICATIONS = 100
@@ -98,10 +105,7 @@ class PoissonModel:
     shape: FiniteMeasure
 
     def __post_init__(self):
-        mass = self.mass
-        if isinstance(mass, bool) or not isinstance(mass, numbers.Real) or not 0 < mass < math.inf:
-            raise ValidationError(f"mass must be a positive finite number, got {mass!r}")
-        object.__setattr__(self, "mass", float(mass))
+        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
         if not isinstance(self.shape, FiniteMeasure):
             raise ValidationError("shape must be a FiniteMeasure")
 
@@ -114,11 +118,8 @@ class GaussianSequenceModel(ReadOnlyArrays):
     noise: float
 
     def __post_init__(self):
-        object.__setattr__(self, "signal", frozen(self.signal))
-        if self.signal.ndim != 1 or self.signal.size < 1 or not np.all(np.isfinite(self.signal)):
-            raise ValidationError("signal must be a finite 1-D vector")
-        if not (math.isfinite(self.noise) and self.noise > 0.0):
-            raise ValidationError("noise level must be positive and finite")
+        object.__setattr__(self, "signal", frozen(_vector(self.signal, "signal")))
+        object.__setattr__(self, "noise", _positive(self.noise, "noise"))
 
     @property
     def dimension(self) -> int:
@@ -143,10 +144,7 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
     Valid for ``0 < x < lam``; at ``x >= lam`` the lower-tail term is
     undefined.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValidationError("lam must be positive and finite")
-    if n < 1:
-        raise ValidationError("n must be >= 1")
+    lam, n = _positive(lam, "lam"), _integer(n, "n")
     if not (0.0 < x < lam):
         raise ValidationError("x must satisfy 0 < x < lam")
     upper = math.exp(-n * (lam + x) * math.log1p(x / lam) + n * x)
@@ -160,11 +158,10 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
 def wilson_interval(estimate: float, replications: int):
     """95% Wilson score interval; stable near 0 and 1.
 
-    Raises ``ValidationError`` unless ``replications >= 1`` and the estimate
-    is a proportion in [0, 1].
+    Raises ``ValidationError`` unless ``replications`` is an integer >= 1 and
+    the estimate is a proportion in [0, 1].
     """
-    if not replications >= 1:
-        raise ValidationError(f"wilson_interval needs replications >= 1, got {replications!r}")
+    replications = _integer(replications, "replications")
     if not 0.0 <= estimate <= 1.0:
         raise ValidationError(f"wilson_interval needs an estimate in [0, 1], got {estimate!r}")
     z = Z95
@@ -381,8 +378,7 @@ def discernibility_paths(
     errs_on_reject = _errs_on_reject(role)
     if n_max < 1 or n_max > schedule.n_max:
         raise ValidationError(f"n_max must be in [1, {schedule.n_max}]")
-    if replications < 1:
-        raise ValidationError("replications must be >= 1")
+    replications = _integer(replications, "replications")
     ks = tuple(int(k) for k in k_grid)
     if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")

@@ -179,7 +179,10 @@ _POISSON_H1 = {"mass": 1.5, "shape": [0.3, 0.7]}
     [
         ("gaussian_sequence", [[1.0]], [[0.0, 0.0]], [0.5], 1, "one dimension"),
         ("gaussian_sequence", [[1.0, 0.0]], [[1.0, 0.0]], [0.5], 2, "not separated"),
-        ("gaussian_sequence", [[0.0]], [[1.0]], [0.0], 1, "noise levels must be positive"),
+        ("gaussian_sequence", [[0.0]], [[1.0]], [0.0], 1,
+         "sim.epsilon_list must be positive and finite, got 0.0"),
+        ("gaussian_sequence", [[0.0]], [[1.0]], [math.nan], 1,
+         "sim.epsilon_list must be positive and finite, got nan"),
         ("finite", [], [{"weights": [0.9, 0.1]}], [], 1, "must be nonempty"),
         ("poisson", [_POISSON_H0], [_POISSON_H0], [], 1, "mean measures coincide"),
         ("poisson", [_POISSON_H0, _POISSON_H1], [_POISSON_H1], [], 1, "exactly one hypothesis"),
@@ -204,6 +207,7 @@ _POISSON_H1 = {"mass": 1.5, "shape": [0.3, 0.7]}
         "signal-dimensions-differ",
         "signal-zero-margin",
         "signal-zero-noise",
+        "signal-nan-noise",
         "empty-hypothesis",
         "poisson-coincide",
         "two-poisson-hypotheses",

@@ -217,6 +217,8 @@ def test_test_type_validation():
         OneShotTest(reject_prob=np.array([0.5, 1.5]))
     with pytest.raises(ValidationError):
         OneShotTest(reject_prob=np.array([-0.5, 0.5]))
+    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
+        OneShotTest(reject_prob=np.array([np.nan, 0.5]))
     assert not hasattr(OneShotTest(reject_prob=np.array([0.0, 1.0])), "rejects")
 
 

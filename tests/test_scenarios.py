@@ -44,12 +44,15 @@ from consistency_lab.scenarios import (
     scenario_signal_detection,
     scenario_sine_indistinguishable,
 )
+from consistency_lab.scheduler import TestFamilyMember, interleave
 from consistency_lab.simulation import (
     GaussianSequenceModel,
     PoissonModel,
     RngSpec,
+    discernibility_paths,
     estimate_error,
     poisson_atom_tail_bound,
+    wilson_interval,
 )
 
 
@@ -871,6 +874,11 @@ _PARITY = {
         ),
         "partition.cells must be pairs of numbers, got [[0, 0.5, 0.7], [0.5, 1]]",
     ),
+    "empty-atom-group": (
+        _FINITE_FILE, {"partition": {"cells": [[0, 1], []]}},
+        lambda: Partition.atoms([[0, 1], []]),
+        "atom groups must be nonempty, disjoint and cover the whole alphabet",
+    ),
     "bool-k-grid": (
         _FINITE_FILE, {"sim": {"k_grid": [True]}},
         lambda: scenario_nested_alternatives([F(0.9, 0.1)], k_grid=[True]),
@@ -969,6 +977,28 @@ _PARITY = {
         lambda: scenario_signal_detection([["a"]], [[1.0]], 1, [0.5]),
         "signal must be numbers, got ['a']",
     ),
+    "nan-signal": (
+        _SIGNAL_FILE, {"hypothesis": [{"signal": [math.nan]}]},
+        lambda: scenario_signal_detection([[math.nan]], [[1.0]], 1, [0.5]),
+        "signal must be finite",
+    ),
+    "empty-signal": (
+        _SIGNAL_FILE, {"hypothesis": [{"signal": []}]},
+        lambda: dataclasses.replace(
+            scenario_signal_detection([[0.0]], [[1.0]], 1, [0.5]), hypothesis=[[]]
+        ),
+        "signal must be a nonempty 1-D vector",
+    ),
+    "nan-epsilon-list": (
+        _SIGNAL_FILE, {"sim": {"epsilon_list": [0.5, math.nan]}},
+        lambda: scenario_signal_detection([[0.0]], [[1.0]], 1, [0.5, math.nan]),
+        "sim.epsilon_list must be positive and finite, got nan",
+    ),
+    "infinite-epsilon-list": (
+        _SIGNAL_FILE, {"sim": {"epsilon_list": [math.inf]}},
+        lambda: scenario_signal_detection([[0.0]], [[1.0]], 1, [math.inf]),
+        "sim.epsilon_list must be positive and finite, got inf",
+    ),
     "number-name": (
         _FINITE_FILE, {"name": 5},
         lambda: Scenario(**{**_FINITE_MODELS, "name": 5}),
@@ -995,6 +1025,68 @@ def test_files_and_builders_pass_one_validation(case, tmp_path):
     with pytest.raises(ValidationError) as from_code:
         build()
     assert str(from_file.value) == str(from_code.value) == message
+
+
+def _paths(replications):
+    family = scenario_nested_alternatives([F(0.9, 0.1)], n_max=64).family
+    return discernibility_paths(interleave(family, 64), F(0.5, 0.5), 64, [0], replications,
+                                RngSpec(0))
+
+
+#: case -> (a library call, the whole message it raises); each argument is read
+#: by ``measures._integer``, ``_positive`` or ``_vector``.
+_ARGUMENTS = {
+    "fractional-onset": (
+        lambda: TestFamilyMember(None, 0.5, onset=1.5), "onset must be an integer >= 1, got 1.5"
+    ),
+    "bool-onset": (
+        lambda: TestFamilyMember(None, 0.5, onset=True), "onset must be an integer >= 1, got True"
+    ),
+    "fractional-n-max": (
+        lambda: interleave([TestFamilyMember(None, 0.5)], 2.5),
+        "n_max must be an integer >= 1, got 2.5",
+    ),
+    "fractional-tail-n": (
+        lambda: poisson_atom_tail_bound(1, 2.5, 0.5), "n must be an integer >= 1, got 2.5"
+    ),
+    "string-lam": (
+        lambda: poisson_atom_tail_bound("1", 4, 0.5), "lam must be positive and finite, got '1'"
+    ),
+    "fractional-wilson-replications": (
+        lambda: wilson_interval(0.5, 1.5), "replications must be an integer >= 1, got 1.5"
+    ),
+    "fractional-path-replications": (
+        lambda: _paths(1.5), "replications must be an integer >= 1, got 1.5"
+    ),
+    "bool-noise": (
+        lambda: GaussianSequenceModel([0.0], True), "noise must be positive and finite, got True"
+    ),
+    "string-noise": (
+        lambda: GaussianSequenceModel([0.0], "1"), "noise must be positive and finite, got '1'"
+    ),
+    "nan-model-signal": (
+        lambda: GaussianSequenceModel([math.nan], 1.0), "signal must be finite"
+    ),
+    "infinite-mass": (
+        lambda: PoissonModel(math.inf, F(0.5, 0.5)), "mass must be positive and finite, got inf"
+    ),
+    "string-grid-size": (
+        lambda: discretize(DensitySpec.uniform(), "64"),
+        "grid_size must be an integer >= 2, got '64'",
+    ),
+    "infinite-deviation-rate": (
+        lambda: PoissonTwoStageTest(8, 1.0, math.inf),
+        "deviation rate must be positive and finite, got inf",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ARGUMENTS))
+def test_library_arguments_are_refused_by_name(case):
+    call, message = _ARGUMENTS[case]
+    with pytest.raises(ValidationError) as refused:
+        call()
+    assert str(refused.value) == message
 
 
 def test_builders_take_numpy_integers():

@@ -191,8 +191,8 @@ def test_wilson_interval_bounds():
 @pytest.mark.parametrize(
     "estimate, replications, message",
     [
-        (0.5, 0, "replications >= 1"),
-        (0.5, -3, "replications >= 1"),
+        (0.5, 0, "replications must be an integer >= 1"),
+        (0.5, -3, "replications must be an integer >= 1"),
         (1.5, 100, r"estimate in \[0, 1\], got 1.5"),
         (-0.1, 100, r"estimate in \[0, 1\]"),
         (math.nan, 100, r"estimate in \[0, 1\], got nan"),

@@ -1,9 +1,10 @@
 """Source hygiene of the package: no bare strings besides docstrings, no
 statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
-owner of the tie tolerance, one reader of partition cells, no dataclass that
-is not frozen, one owner of the read-only flag of arrays, no read of the
-environment, and a set-up that loads neither the process pool nor hashing."""
+owner of the tie tolerance, one reader of partition cells, one module that
+reads single values, no dataclass that is not frozen, one owner of the
+read-only flag of arrays, no read of the environment, and a set-up that loads
+neither the process pool nor hashing."""
 import ast
 import json
 import os
@@ -158,6 +159,20 @@ def test_only_measures_reads_partition_cells():
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     said = [s for name, source in sources.items() for s in _says(source, name, "partition.cells")]
     assert said and {s.split(":")[0] for s in said} == {"consistency_lab/measures.py"}
+
+
+def test_only_measures_imports_numbers():
+    """A number argument is read by ``measures._integer``, ``_positive`` or
+    ``_tilt``: no other module tests a value against the ``numbers`` types."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    importers = {
+        name
+        for name, source in sources.items()
+        for node in ast.walk(ast.parse(source, filename=name))
+        if isinstance(node, ast.Import) and any(a.name == "numbers" for a in node.names)
+        or isinstance(node, ast.ImportFrom) and node.module == "numbers"
+    }
+    assert importers == {"consistency_lab/measures.py"}
 
 
 def test_package_reads_no_environment_variable():
