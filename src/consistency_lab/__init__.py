@@ -7,12 +7,10 @@ __version__ = "0.1.0"
 from . import quadrature
 from .distances import (
     HullDistanceResult,
-    Test,
     density_total_variation,
     hull_variation,
     kraft_bound,
     ks_distance,
-    optimal_test,
     total_variation,
 )
 from .errors import (
@@ -25,7 +23,9 @@ from .errors import (
 from .measures import (
     DensitySpec,
     FiniteMeasure,
+    GaussianSequenceModel,
     Partition,
+    PoissonModel,
     discretize,
     induced_vector,
     mixture,
@@ -33,6 +33,8 @@ from .measures import (
 )
 from .partition_tests import (
     FrequencyTest,
+    LinearFunctionalTest,
+    PoissonTwoStageTest,
     SeparationReport,
     UnionTest,
     build_frequency_test,
@@ -47,8 +49,6 @@ from .scheduler import (
     interleave,
 )
 from .simulation import (
-    GaussianSequenceModel,
-    PoissonModel,
     RngSpec,
     SimulationReport,
     discernibility_paths,
@@ -57,8 +57,6 @@ from .simulation import (
     wilson_interval,
 )
 from .scenarios import (
-    LinearFunctionalTest,
-    PoissonTwoStageTest,
     Scenario,
     build_nested_family,
     nested_schedule,

@@ -5,8 +5,9 @@ two finite families, which gives the floor ``1 - value`` on the sum of error
 probabilities achievable by any single-observation test. It solves the
 Kraft–Le Cam dual, the best separation of the families by a test
 ``phi in [0,1]^k``, reads the optimal mixtures off the row multipliers, and
-certifies the value by the duality gap between the two; ``optimal_test`` is
-that test, which attains the floor against every member of both families.
+certifies the value by the duality gap between the two. That test is
+``HullDistanceResult.phi``, which attains the floor against every member of
+both families.
 ``hull_variation_prefixes`` gives the certified value against every prefix of
 the second family from one LP that grows a row per prefix.
 ``ks_distance`` and ``density_total_variation`` read the distribution-function
@@ -22,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .measures import DensitySpec, FiniteMeasure, ReadOnlyArrays, family_weights, frozen
+from .measures import DensitySpec, FiniteMeasure, family_weights
 from .simplex import solve_lp, solve_lp_prefixes
 
 
@@ -137,41 +138,6 @@ def hull_variation_prefixes(
 def kraft_bound(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> float:
     """Floor on type I + type II error over all tests: one minus the hull distance."""
     return 1.0 - hull_variation(a, b).value
-
-
-@dataclass(frozen=True)
-class Test(ReadOnlyArrays):
-    """Randomized single-observation decision rule on a finite alphabet.
-
-    ``reject_prob[j]`` is the probability of rejecting the hypothesis when atom
-    ``j`` is observed. ``type1_error`` and ``type2_error`` are its exact errors;
-    it has no boolean ``rejects``, so the Monte Carlo estimators do not take it.
-    """
-
-    reject_prob: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "reject_prob", frozen(self.reject_prob))
-        if not np.all((self.reject_prob >= 0.0) & (self.reject_prob <= 1.0)):  # also refuses NaN
-            raise ValidationError("rejection probabilities must lie in [0, 1]")
-
-    def type1_error(self, p: FiniteMeasure) -> float:
-        """Rejection probability when the observation is drawn from ``p``."""
-        return float(p.weights @ self.reject_prob)
-
-    def type2_error(self, q: FiniteMeasure) -> float:
-        """Acceptance probability when the observation is drawn from ``q``."""
-        return float(q.weights @ (1.0 - self.reject_prob))
-
-
-def optimal_test(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> Test:
-    """Kraft's test ``phi`` from the hull LP.
-
-    Against every member of either family its type I + type II error is at
-    most ``1 - value + duality_gap``, which is the floor
-    ``1 - hull_variation(a, b).value`` within the certificate.
-    """
-    return Test(reject_prob=hull_variation(a, b).phi)
 
 
 #: Sign changes within this distance of the end of a smooth piece merge into the end.

@@ -1,10 +1,14 @@
-"""Finite-alphabet probability measures, named densities on (0,1), and partitions.
+"""The models: finite-alphabet probability measures, named densities on (0,1),
+Poisson mean measures and Gaussian sequences, and partitions.
 
 The finite-measure type is the discretized stand-in used by all distance and
 test machinery; the density specs are the small family of closed-form models
 that the scenario suite exercises (uniform, oscillating perturbations of the
 uniform density, their running averages, and the piecewise-constant tilt
-family). Every operation here is a pure function of immutable inputs.
+family). A model that can be simulated draws for itself: ``sample(gen, n,
+size)`` returns ``size`` rows of what a test decides from, so the Monte Carlo
+engine never asks what kind of model it holds. Every operation here is a pure
+function of immutable inputs.
 """
 from __future__ import annotations
 
@@ -76,6 +80,10 @@ class FiniteMeasure(ReadOnlyArrays):
     def __repr__(self) -> str:
         return f"FiniteMeasure({np.array2string(self.weights, precision=6)})"
 
+    def sample(self, gen: np.random.Generator, n: int, size: int) -> np.ndarray:
+        """Atom counts of ``size`` samples of ``n`` draws each, one multinomial row per sample."""
+        return gen.multinomial(n, self.weights, size=size)
+
 
 def _weight_vector(weights) -> np.ndarray:
     """``weights`` as a :func:`_vector` whose entries are nonnegative."""
@@ -134,11 +142,17 @@ def _integer(value, name: str, least: int = 1) -> int:
     return int(number)
 
 
-def _positive(value, name: str) -> float:
-    """A finite number > 0 as a float; not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0 < value < math.inf:
-        raise ValidationError(f"{name} must be positive and finite, got {value!r}")
+def _real(value, name: str, rule, words: str) -> float:
+    """``value`` as a float if it is a number, not a bool or a string, that
+    ``rule`` accepts; else the ``ValidationError`` "{name} {words}, got {value!r}"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not rule(value):
+        raise ValidationError(f"{name} {words}, got {value!r}")
     return float(value)
+
+
+def _positive(value, name: str) -> float:
+    """A finite number > 0 as a float: :func:`_real` on ``(0, inf)``."""
+    return _real(value, name, lambda v: 0 < v < math.inf, "must be positive and finite")
 
 
 def _vector(values, name: str) -> np.ndarray:
@@ -166,13 +180,6 @@ def _reals(values, name: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
-def _tilt(value, name: str) -> float:
-    """A float in [0, 1), or an int there; not a bool or a string."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value < 1.0:
-        raise ValidationError(f"{name} must be a number in [0, 1), got {value!r}")
-    return float(value)
-
-
 #: kind -> (JSON name of its parameter or None, check, series builder). A check
 #: returns the parameter normalized or raises ``ValidationError`` naming it; a
 #: builder maps the parameter to ``DensitySpec.series``.
@@ -182,7 +189,11 @@ _KINDS = {
     "cesaro_mixture": (
         "order", _integer, lambda m: (1.0, 1.0, dict.fromkeys(range(1, m + 1), 1.0), m)
     ),
-    "pu_family": ("u", _tilt, lambda u: (1.0 - u, 1.0 + u, {}, 1.0)),
+    "pu_family": (
+        "u",
+        lambda u, name: _real(u, name, lambda v: 0.0 <= v < 1.0, "must be a number in [0, 1)"),
+        lambda u: (1.0 - u, 1.0 + u, {}, 1.0),
+    ),
 }
 
 
@@ -287,6 +298,46 @@ class DensitySpec:
     def label(self) -> str:
         value = f"{self.param:g}" if isinstance(self.param, float) else self.param
         return self.kind if self.param is None else f"{self.kind}({value})"
+
+
+@dataclass(frozen=True)
+class PoissonModel:
+    """Mean measure split into total mass and normalized shape."""
+
+    mass: float
+    shape: FiniteMeasure
+
+    def __post_init__(self):
+        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
+        if not isinstance(self.shape, FiniteMeasure):
+            raise ValidationError("shape must be a FiniteMeasure")
+
+    def sample(self, gen: np.random.Generator, n: int, size: int) -> np.ndarray:
+        """Atom counts of ``size`` processes with mean measure ``n * mass * shape``:
+        one row of independent Poisson counts per process."""
+        lam = n * self.mass * self.shape.weights
+        return gen.poisson(lam, size=(size, lam.size))
+
+
+@dataclass(frozen=True)
+class GaussianSequenceModel(ReadOnlyArrays):
+    """Coordinatewise signal-plus-noise observations ``y_j = s_j + eps * xi_j``."""
+
+    signal: np.ndarray
+    noise: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "signal", frozen(_vector(self.signal, "signal")))
+        object.__setattr__(self, "noise", _positive(self.noise, "noise"))
+
+    @property
+    def dimension(self) -> int:
+        return self.signal.size
+
+    def sample(self, gen: np.random.Generator, n: int, size: int) -> np.ndarray:
+        """``size`` observation vectors, one row each; one observation carries
+        the whole sequence, so ``n`` is not read."""
+        return self.signal + self.noise * gen.standard_normal((size, self.dimension))
 
 
 Model = Union[FiniteMeasure, DensitySpec]

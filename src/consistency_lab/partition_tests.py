@@ -1,4 +1,4 @@
-"""Partition-level distinguishability checks and multinomial frequency tests.
+"""Partition-level distinguishability checks and the tests of every model class.
 
 A separation margin between the cell-probability images of the hypothesis
 and alternative families above the tie tolerance (a positive
@@ -7,18 +7,29 @@ distinguishability on that partition; the nearest-set frequency test then
 turns the margin into a multinomial test whose exact error probabilities decay
 exponentially, at rates that :func:`deviation_exponents` bounds cell by cell.
 Only :func:`separation` reads a partition; a test holds cell vectors alone.
+The Poisson two-stage test and the linear test of Gaussian signals live here
+too: every test decides the rows a model's ``sample`` draws, by ``rejects``.
 """
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from math import comb, lgamma
-from typing import Sequence, Tuple
+from math import comb, erfc, lgamma, sqrt
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import ConstructionError, ResourceLimitError, ValidationError
-from .measures import FiniteMeasure, Model, Partition, ReadOnlyArrays, frozen, induced_vector
+from .measures import (
+    FiniteMeasure,
+    Model,
+    Partition,
+    ReadOnlyArrays,
+    _positive,
+    frozen,
+    induced_vector,
+)
+from .simulation import poisson_atom_tail_bound
 
 #: Sup-norm distances closer than this count as a tie (ties accept).
 TIE_TOL = 1e-12
@@ -169,6 +180,83 @@ def build_frequency_test(report: SeparationReport) -> FrequencyTest:
             "on this partition"
         )
     return FrequencyTest(report.hypothesis_vectors, report.alternative_vectors)
+
+
+@dataclass(frozen=True)
+class LinearFunctionalTest(ReadOnlyArrays):
+    """Thresholded linear statistic separating one pair of signals.
+
+    Rejects when ``f . (y - s0)`` exceeds half the squared functional norm,
+    the midpoint between the statistic's means under the two signals.
+    """
+
+    functional: np.ndarray
+    base: np.ndarray
+
+    def __post_init__(self):
+        for key in ("functional", "base"):
+            object.__setattr__(self, key, frozen(getattr(self, key)))
+        if float(self.functional @ self.functional) <= 0.0:
+            raise ConstructionError("separating functional is zero")
+
+    @property
+    def threshold(self) -> float:
+        return 0.5 * float(self.functional @ self.functional)
+
+    def rejects(self, y: np.ndarray) -> np.ndarray:
+        y = np.atleast_2d(np.asarray(y, dtype=float))
+        return (y - self.base) @ self.functional > self.threshold
+
+    def error(self, noise: float) -> float:
+        """Exact type I error, which is also the type II error, at noise level
+        ``noise``: ``Φ(-‖f‖ / (2 noise))`` with ``f`` the functional."""
+        norm = sqrt(float(self.functional @ self.functional))
+        return 0.5 * erfc(norm / (2.0 * noise) / sqrt(2.0))
+
+
+@dataclass(frozen=True)
+class PoissonTwoStageTest:
+    """Reject on an extreme atom count, otherwise on the atom frequencies.
+
+    The count stage rejects when the atom count deviates from its expectation
+    by more than ``n * deviation_rate``; the optional frequency stage applies a
+    nearest-set rule to the empirical atom distribution.
+    """
+
+    n: int
+    mass0: float
+    deviation_rate: float
+    frequency_test: Optional[FrequencyTest] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "deviation_rate", _positive(self.deviation_rate, "deviation rate"))
+
+    def rejects(self, counts: np.ndarray) -> np.ndarray:
+        """Rejection for each row of per-atom counts; the row sums are the atom totals."""
+        totals = np.asarray(counts, dtype=float).sum(axis=1)
+        reject = np.abs(totals - self.n * self.mass0) > self.n * self.deviation_rate
+        if self.frequency_test is not None:
+            # Empty processes carry no frequency information: accept there.
+            reject |= self.frequency_test.rejects(counts) & (totals > 0)
+        return reject
+
+
+def poisson_count_threshold(mass0: float, n: int, target: float) -> tuple[float, float]:
+    """Smallest deviation rate whose tail bound meets ``target``.
+
+    Searches a fixed grid of rates below the total mass; when even the largest
+    rate misses the target, returns it anyway (the most conservative choice)
+    together with its bound. The bound decreases in the rate, so a bisection
+    finds the first rate that meets the target.
+    """
+    rates = mass0 * np.arange(1, 1000) / 1000.0
+    first = bisect.bisect_left(
+        range(rates.size),
+        True,
+        key=lambda i: poisson_atom_tail_bound(mass0, n, float(rates[i])) <= target,
+    )
+    rate = float(rates[min(first, rates.size - 1)])
+    return rate, poisson_atom_tail_bound(mass0, n, rate)
 
 
 def count_vectors(n: int, k: int, lead: np.ndarray | None = None) -> np.ndarray:

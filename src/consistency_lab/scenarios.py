@@ -13,7 +13,6 @@ import itertools
 import math
 from dataclasses import dataclass, field, fields, replace
 from functools import cached_property
-from math import erfc, sqrt
 from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
@@ -34,8 +33,9 @@ from .errors import (
 from .measures import (
     DensitySpec,
     FiniteMeasure,
+    GaussianSequenceModel,
     Partition,
-    ReadOnlyArrays,
+    PoissonModel,
     _integer,
     _positive,
     _reals,
@@ -46,21 +46,21 @@ from .measures import (
 )
 from .partition_tests import (
     FrequencyTest,
+    LinearFunctionalTest,
+    PoissonTwoStageTest,
     build_frequency_test,
     deviation_exponents,
     exact_errors,
+    poisson_count_threshold,
     separation,
 )
 from .scheduler import TestFamilyMember, TestSchedule, interleave, summable
 from .simulation import (
     MIN_REPLICATIONS,
-    GaussianSequenceModel,
-    PoissonModel,
     RngSpec,
     WorkerPool,
     discernibility_paths,
     estimate_error,
-    poisson_atom_tail_bound,
 )
 
 #: Share of a member's smallest deviation exponent that it certifies; the rest
@@ -70,6 +70,15 @@ CERTIFIED_FRACTION = 0.75
 #: Exponent of a member whose measures leave no deviation term: every cell
 #: probability is 0 or 1, so its errors are 0.
 PERFECT_EXPONENT_CAP = 25.0
+
+#: The error columns of every error table, in order: per role the exact error
+#: (NaN where none is computed), the Monte Carlo estimate and its 95% Wilson
+#: interval, then the Monte Carlo total.
+ERROR_COLUMNS = (
+    "alpha_exact", "alpha_mc", "alpha_lo", "alpha_hi",
+    "beta_exact", "beta_mc", "beta_lo", "beta_hi",
+    "total_mc",
+)
 
 
 @dataclass(frozen=True)
@@ -397,82 +406,6 @@ def scenario_poisson(
 # -- test construction helpers ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LinearFunctionalTest(ReadOnlyArrays):
-    """Thresholded linear statistic separating one pair of signals.
-
-    Rejects when ``f . (y - s0)`` exceeds half the squared functional norm,
-    the midpoint between the statistic's means under the two signals.
-    """
-
-    functional: np.ndarray
-    base: np.ndarray
-
-    def __post_init__(self):
-        for key in ("functional", "base"):
-            object.__setattr__(self, key, frozen(getattr(self, key)))
-        if float(self.functional @ self.functional) <= 0.0:
-            raise ConstructionError("separating functional is zero")
-
-    @property
-    def threshold(self) -> float:
-        return 0.5 * float(self.functional @ self.functional)
-
-    def rejects(self, y: np.ndarray) -> np.ndarray:
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        return (y - self.base) @ self.functional > self.threshold
-
-    def error_sum_analytic(self, noise: float) -> float:
-        """Exact type I + type II error at a given noise level."""
-        norm = math.sqrt(float(self.functional @ self.functional))
-        return erfc(norm / (2.0 * noise) / sqrt(2.0))
-
-
-@dataclass(frozen=True)
-class PoissonTwoStageTest:
-    """Reject on an extreme atom count, otherwise on the atom frequencies.
-
-    The count stage rejects when the atom count deviates from its expectation
-    by more than ``n * deviation_rate``; the optional frequency stage applies a
-    nearest-set rule to the empirical atom distribution.
-    """
-
-    n: int
-    mass0: float
-    deviation_rate: float
-    frequency_test: Optional[FrequencyTest] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "deviation_rate", _positive(self.deviation_rate, "deviation rate"))
-
-    def rejects(self, counts: np.ndarray) -> np.ndarray:
-        """Rejection for each row of per-atom counts; the row sums are the atom totals."""
-        totals = np.asarray(counts, dtype=float).sum(axis=1)
-        reject = np.abs(totals - self.n * self.mass0) > self.n * self.deviation_rate
-        if self.frequency_test is not None:
-            # Empty processes carry no frequency information: accept there.
-            reject |= self.frequency_test.rejects(counts) & (totals > 0)
-        return reject
-
-
-def poisson_count_threshold(mass0: float, n: int, target: float) -> tuple[float, float]:
-    """Smallest deviation rate whose tail bound meets ``target``.
-
-    Searches a fixed grid of rates below the total mass; when even the largest
-    rate misses the target, returns it anyway (the most conservative choice)
-    together with its bound. The bound decreases in the rate, so a bisection
-    finds the first rate that meets the target.
-    """
-    rates = mass0 * np.arange(1, 1000) / 1000.0
-    first = bisect.bisect_left(
-        range(rates.size),
-        True,
-        key=lambda i: poisson_atom_tail_bound(mass0, n, float(rates[i])) <= target,
-    )
-    rate = float(rates[min(first, rates.size - 1)])
-    return rate, poisson_atom_tail_bound(mass0, n, rate)
-
-
 def build_nested_family(
     hypothesis: Sequence[FiniteMeasure],
     pieces: Sequence[FiniteMeasure],
@@ -741,13 +674,18 @@ def _cesaro_table(scenario: Scenario, scenario_hull) -> Table:
     )
 
 
-def _error_pair(test, hypothesis, alternative, n, reps, streams, pool):
-    """Monte Carlo type I error of ``test`` under ``hypothesis``, then its type II
-    error under ``alternative``, each on the run's next stream."""
-    return tuple(
-        estimate_error(test, model, n, reps, next(streams), role=role, workers=pool)
-        for model, role in ((hypothesis, "hypothesis"), (alternative, "alternative"))
-    )
+def _error_columns(test, alpha_exact, beta_exact, hypothesis, alternative, n, reps, streams, pool):
+    """The :data:`ERROR_COLUMNS` of one row: the Monte Carlo type I error of
+    ``test`` under ``hypothesis``, then its type II error under
+    ``alternative``, each on the run's next stream, next to the exact values."""
+    row = ()
+    for exact, model, role in (
+        (alpha_exact, hypothesis, "hypothesis"),
+        (beta_exact, alternative, "alternative"),
+    ):
+        report = estimate_error(test, model, n, reps, next(streams), role=role, workers=pool)
+        row += (exact, report.estimate, report.lo, report.hi)
+    return row + (row[1] + row[5],)
 
 
 def _error_curve_table(scenario, reps, streams, pool) -> Table:
@@ -757,7 +695,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
         report = separation(scenario.hypothesis, [alt], scenario.partition)
         if report.radius <= 0.0:
             for n in scenario.sim.n_grid:
-                rows.append((idx, label, n) + (math.nan,) * 6)
+                rows.append((idx, label, n) + (math.nan,) * (len(ERROR_COLUMNS) + 1))
             continue
         test = build_frequency_test(report)
         hyp_cells = [FiniteMeasure(v) for v in report.hypothesis_vectors]
@@ -772,40 +710,16 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
                 alpha_exact = alphas[worst]
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
-            alpha_mc, beta_mc = _error_pair(
-                test, hyp_cells[worst], alt_cells, n, reps, streams, pool
+            columns = _error_columns(
+                test, alpha_exact, beta_exact, hyp_cells[worst], alt_cells, n, reps, streams, pool
             )
-            rows.append(
-                (
-                    idx,
-                    label,
-                    n,
-                    alpha_exact,
-                    beta_exact,
-                    alpha_exact + beta_exact,  # NaN when enumeration exceeds its budget
-                    alpha_mc.estimate,
-                    beta_mc.estimate,
-                    alpha_mc.half_width_95 + beta_mc.half_width_95,
-                )
-            )
-    return Table(
-        columns=[
-            "index",
-            "model",
-            "n",
-            "alpha_exact",
-            "beta_exact",
-            "total_exact",
-            "alpha_mc",
-            "beta_mc",
-            "total_half_width",
-        ],
-        rows=rows,
-    )
+            # total_exact is NaN when enumeration exceeds its budget
+            rows.append((idx, label, n) + columns + (alpha_exact + beta_exact,))
+    return Table(columns=["index", "model", "n", *ERROR_COLUMNS, "total_exact"], rows=rows)
 
 
 def _epsilon_table(scenario, reps, streams, pool) -> Table:
-    """Per noise level, the largest analytic total over the signal pairs, and
+    """Per noise level, the largest exact total over the signal pairs, and
     Monte Carlo errors of the pair that attains it (the first on ties)."""
     pairs = [
         (LinearFunctionalTest(functional=s1 - s0, base=s0), s0, s1)
@@ -814,34 +728,16 @@ def _epsilon_table(scenario, reps, streams, pool) -> Table:
     ]
     rows = []
     for eps in scenario.sim.epsilon_list:
-        totals = [test.error_sum_analytic(eps) for test, _, _ in pairs]
-        worst = int(np.argmax(totals))
+        errors = [test.error(eps) for test, _, _ in pairs]
+        worst = int(np.argmax(errors))
         test, s0, s1 = pairs[worst]
-        alpha, beta = _error_pair(
-            test, GaussianSequenceModel(s0, eps), GaussianSequenceModel(s1, eps),
+        error = errors[worst]
+        columns = _error_columns(
+            test, error, error, GaussianSequenceModel(s0, eps), GaussianSequenceModel(s1, eps),
             1, reps, streams, pool,
         )
-        rows.append(
-            (
-                eps,
-                totals[worst],
-                alpha.estimate,
-                beta.estimate,
-                alpha.estimate + beta.estimate,
-                alpha.half_width_95 + beta.half_width_95,
-            )
-        )
-    return Table(
-        columns=[
-            "epsilon",
-            "total_analytic",
-            "alpha_mc",
-            "beta_mc",
-            "total_mc",
-            "total_half_width",
-        ],
-        rows=rows,
-    )
+        rows.append((eps,) + columns + (error + error,))
+    return Table(columns=["epsilon", *ERROR_COLUMNS, "total_analytic"], rows=rows)
 
 
 def _projection_table(scenario) -> Table:
@@ -883,6 +779,8 @@ def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
 
 
 def _poisson_table(scenario, reps, streams, pool) -> Table:
+    """Per ``n``, the count stage's rate and bound, and Monte Carlo errors of
+    the two-stage test; its exact errors are not computed yet (NaN)."""
     h0: PoissonModel = scenario.hypothesis[0]
     h1: PoissonModel = scenario.alternative[0]
     shapes = separation([h0.shape], [h1.shape], None)
@@ -893,30 +791,9 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
         test = PoissonTwoStageTest(
             n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test
         )
-        alpha, beta = _error_pair(test, h0, h1, n, reps, streams, pool)
-        rows.append(
-            (
-                n,
-                rate,
-                min(1.0, bound),
-                alpha.estimate,
-                alpha.half_width_95,
-                beta.estimate,
-                beta.half_width_95,
-            )
-        )
-    return Table(
-        columns=[
-            "n",
-            "deviation_rate",
-            "count_stage_bound",
-            "alpha_mc",
-            "alpha_half_width",
-            "beta_mc",
-            "beta_half_width",
-        ],
-        rows=rows,
-    )
+        columns = _error_columns(test, math.nan, math.nan, h0, h1, n, reps, streams, pool)
+        rows.append((n, rate, min(1.0, bound)) + columns)
+    return Table(columns=["n", "deviation_rate", "count_stage_bound", *ERROR_COLUMNS], rows=rows)
 
 
 # -- model types -------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .errors import ValidationError
-from .measures import _integer
+from .measures import _integer, _real
 
 __all__ = [
     "TestFamilyMember",
@@ -76,8 +76,10 @@ class TestFamilyMember:
     onset: int = 1
 
     def __post_init__(self):
-        if not summable(self.exponent):
-            raise ValidationError("member exponent must be finite with exp(-exponent) < 1")
+        exponent = _real(
+            self.exponent, "member exponent", summable, "must be finite with exp(-exponent) < 1"
+        )
+        object.__setattr__(self, "exponent", exponent)
         object.__setattr__(self, "onset", _integer(self.onset, "onset"))
 
 

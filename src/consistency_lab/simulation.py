@@ -6,15 +6,16 @@ fixed-size blocks, block ``b`` of a task owning stream ``s`` draws from
 ``(seed, s + b)``, and aggregation walks blocks in index order, so results are
 bit-identical for a given seed regardless of the worker count.
 
-Tests of i.i.d. and Poisson models decide from cell counts, and an i.i.d.
-model is its cell law: a :class:`FiniteMeasure` whose atoms are the test's
-cells. An error block draws the counts of all its replications in one
-``(size, k)`` call: multinomial(``n``, cell law) for ``n`` i.i.d. draws,
-independent Poisson(``n * mass * w_j``) atom counts for a process with mean
-measure ``n * mass * w``. Only the path replay draws observations. A
-draw's cell counts the interior cumulative cell probabilities ``<= u`` of its
-uniform ``u``, one comparison per edge, into ``uint8`` cells up to 256 cells.
-Every test decides booleans. Both estimators count the errors of a role:
+An error block is ``test.rejects(model.sample(gen, n, size))``: the model
+draws all its replications in one call and the test decides each row. An
+i.i.d. model is its cell law, a :class:`FiniteMeasure` whose atoms are the
+test's cells, and draws multinomial(``n``, cell law) counts; a Poisson model
+draws independent Poisson(``n * mass * w_j``) atom counts, a Gaussian
+sequence its observation vectors (see :mod:`.measures`). Only the path replay
+draws single observations. A draw's cell counts the interior cumulative cell
+probabilities ``<= u`` of its uniform ``u``, one comparison per edge, into
+``uint8`` cells up to 256 cells. Every test decides booleans. Both
+estimators count the errors of a role:
 rejections under the hypothesis, acceptances under the alternative. Their
 blocks run in the calling process, or in a :class:`WorkerPool` that a caller
 such as ``run_scenario`` opens once and shares between its calls.
@@ -37,15 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import (
-    FiniteMeasure,
-    ReadOnlyArrays,
-    _integer,
-    _positive,
-    _vector,
-    frozen,
-    induced_vector,
-)
+from .measures import _integer, _positive, _real, induced_vector
 
 #: Fewest replications of a Monte Carlo error estimate: of a scenario, a run and a call.
 MIN_REPLICATIONS = 100
@@ -91,39 +84,11 @@ class RngSpec:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    """Monte Carlo probability estimate with its 95% normal-approximation half-width."""
+    """Monte Carlo probability estimate with its 95% Wilson score interval ``[lo, hi]``."""
 
     estimate: float
-    half_width_95: float
-
-
-@dataclass(frozen=True)
-class PoissonModel:
-    """Mean measure split into total mass and normalized shape."""
-
-    mass: float
-    shape: FiniteMeasure
-
-    def __post_init__(self):
-        object.__setattr__(self, "mass", _positive(self.mass, "mass"))
-        if not isinstance(self.shape, FiniteMeasure):
-            raise ValidationError("shape must be a FiniteMeasure")
-
-
-@dataclass(frozen=True)
-class GaussianSequenceModel(ReadOnlyArrays):
-    """Coordinatewise signal-plus-noise observations ``y_j = s_j + eps * xi_j``."""
-
-    signal: np.ndarray
-    noise: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "signal", frozen(_vector(self.signal, "signal")))
-        object.__setattr__(self, "noise", _positive(self.noise, "noise"))
-
-    @property
-    def dimension(self) -> int:
-        return self.signal.size
+    lo: float
+    hi: float
 
 
 # -- binning and the Poisson tail bound ---------------------------------------------
@@ -145,8 +110,7 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
     undefined.
     """
     lam, n = _positive(lam, "lam"), _integer(n, "n")
-    if not (0.0 < x < lam):
-        raise ValidationError("x must satisfy 0 < x < lam")
+    x = _real(x, "x", lambda v: 0.0 < v < lam, "must satisfy 0 < x < lam")
     upper = math.exp(-n * (lam + x) * math.log1p(x / lam) + n * x)
     lower = math.exp(-n * (lam - x) * math.log(1.0 - x / lam) - n * x)
     return upper + lower
@@ -156,14 +120,17 @@ def poisson_atom_tail_bound(lam: float, n: int, x: float) -> float:
 
 
 def wilson_interval(estimate: float, replications: int):
-    """95% Wilson score interval; stable near 0 and 1.
+    """95% Wilson score interval (Wilson 1927); stable near 0 and 1.
 
+    The interval holds its estimate: rounding is kept from pushing an end
+    past it, so the interval of 0 starts at 0 and that of 1 ends at 1.
     Raises ``ValidationError`` unless ``replications`` is an integer >= 1 and
     the estimate is a proportion in [0, 1].
     """
     replications = _integer(replications, "replications")
-    if not 0.0 <= estimate <= 1.0:
-        raise ValidationError(f"wilson_interval needs an estimate in [0, 1], got {estimate!r}")
+    estimate = _real(
+        estimate, "wilson_interval", lambda p: 0.0 <= p <= 1.0, "needs an estimate in [0, 1]"
+    )
     z = Z95
     z2 = z * z
     denom = 1.0 + z2 / replications
@@ -173,28 +140,15 @@ def wilson_interval(estimate: float, replications: int):
         * math.sqrt(estimate * (1.0 - estimate) / replications + z2 / (4.0 * replications**2))
         / denom
     )
-    return max(0.0, center - half), min(1.0, center + half)
+    return min(estimate, max(0.0, center - half)), max(estimate, min(1.0, center + half))
 
 
 def _simulate_error_block(args) -> int:
     """Number of errors in ``size`` replications at ``rng``: rejections when
-    ``errs_on_reject``, else acceptances.
-
-    Gaussian sequences hand the test the observation vectors; i.i.d. and
-    Poisson models one ``(size, k)`` draw of counts, whose cost does not grow
-    with ``n``: multinomial over the cell law, or Poisson(``n * mass * w_j``)
-    per shape atom.
-    """
+    ``errs_on_reject``, else acceptances. The model draws the ``size`` rows
+    in one call and the test decides them."""
     test, model, n, errs_on_reject, size, rng = args
-    gen = rng.generator()
-    if isinstance(model, GaussianSequenceModel):
-        y = model.signal + model.noise * gen.standard_normal((size, model.dimension))
-        reject = test.rejects(y)
-    elif isinstance(model, PoissonModel):
-        lam = n * model.mass * model.shape.weights
-        reject = test.rejects(gen.poisson(lam, size=(size, lam.size)))
-    else:
-        reject = test.rejects(gen.multinomial(n, induced_vector(model, None), size=size))
+    reject = test.rejects(model.sample(rng.generator(), n, size))
     return int(np.count_nonzero(reject == errs_on_reject))
 
 
@@ -277,19 +231,24 @@ def estimate_error(
 
     An error is a rejection in the ``"hypothesis"`` role (the type I error)
     and an acceptance in the ``"alternative"`` role (the type II error); a
-    model is a cell law, a :class:`PoissonModel` or a :class:`GaussianSequenceModel`.
+    model is anything with ``sample(gen, n, size)``: a cell law, a
+    :class:`~.measures.PoissonModel` or a :class:`~.measures.GaussianSequenceModel`.
     Blocks of replications own disjoint RNG streams and are reduced in index
-    order, so the result depends only on ``rng`` and the arguments.
+    order, so the result depends only on ``rng`` and the arguments. The
+    report carries the estimate's :func:`wilson_interval`.
     ``workers`` is a worker count or a :class:`WorkerPool` shared with other calls.
     """
+    n = _integer(n, "n")
     replications = _integer(replications, "replications", MIN_REPLICATIONS)
+    if not hasattr(model, "sample"):  # refused before any block runs or any pool starts
+        raise ValidationError(
+            f"unsupported model type {type(model).__name__}: it has no sample(gen, n, size); "
+            "a density is sampled through its cell law under a partition"
+        )
     head = (test, model, n, _errs_on_reject(role))
     totals = _run_blocks(_simulate_error_block, head, replications, ERROR_BLOCK, rng, workers)
     estimate = float(sum(totals)) / replications
-    half_width = Z95 * math.sqrt(
-        max(estimate * (1.0 - estimate), 0.0) / replications
-    )
-    return SimulationReport(estimate=estimate, half_width_95=half_width)
+    return SimulationReport(estimate, *wilson_interval(estimate, replications))
 
 
 # -- discernibility along growing sample paths ----------------------------------------
@@ -376,11 +335,12 @@ def discernibility_paths(
     :class:`WorkerPool`.
     """
     errs_on_reject = _errs_on_reject(role)
-    if n_max < 1 or n_max > schedule.n_max:
+    n_max = _integer(n_max, "n_max")
+    if n_max > schedule.n_max:
         raise ValidationError(f"n_max must be in [1, {schedule.n_max}]")
     replications = _integer(replications, "replications")
-    ks = tuple(int(k) for k in k_grid)
-    if any(k < 0 or k > n_max for k in ks) or list(ks) != sorted(ks):
+    ks = tuple(_integer(k, "k_grid", 0) for k in k_grid)
+    if any(k > n_max for k in ks) or list(ks) != sorted(ks):
         raise ValidationError("k_grid must be sorted integers within [0, n_max]")
     head = (_constant_segments(schedule, n_max), model, n_max, ks, errs_on_reject)
     counts = _run_blocks(_simulate_path_block, head, replications, PATH_BLOCK, rng, workers)

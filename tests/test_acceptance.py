@@ -14,10 +14,16 @@ from consistency_lab.cli import main
 from consistency_lab.distances import (
     density_total_variation,
     hull_variation,
-    optimal_test,
     total_variation,
 )
-from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, normalize
+from consistency_lab.measures import (
+    DensitySpec,
+    FiniteMeasure,
+    GaussianSequenceModel,
+    Partition,
+    PoissonModel,
+    normalize,
+)
 from consistency_lab.partition_tests import (
     build_frequency_test,
     exact_error,
@@ -35,8 +41,6 @@ from consistency_lab.scenarios import (
 )
 from consistency_lab.scheduler import block_lengths
 from consistency_lab.simulation import (
-    GaussianSequenceModel,
-    PoissonModel,
     RngSpec,
     discernibility_paths,
     estimate_error,
@@ -81,8 +85,8 @@ def test_criterion_1_kraft_attainment():
         k = int(rng.integers(2, 5))
         p = normalize(rng.random(k))
         q = normalize(rng.random(k))
-        test = optimal_test([p], [q])
-        achieved = test.type1_error(p) + test.type2_error(q)
+        phi = hull_variation([p], [q]).phi  # Kraft's test: reject with probability phi_j at atom j
+        achieved = float(p.weights @ phi) + float(q.weights @ (1.0 - phi))
         floor = 1.0 - total_variation(p, q)
         assert abs(achieved - floor) <= 1e-9
         # exhaustive search over all deterministic one-observation tests
@@ -240,10 +244,10 @@ def test_criterion_6_indistinguishability_mechanism():
 
 def test_criterion_7_signal_detection():
     t0 = time.time()
-    from consistency_lab.scenarios import LinearFunctionalTest
+    from consistency_lab.partition_tests import LinearFunctionalTest
 
     test = LinearFunctionalTest(functional=np.array([1.0]), base=np.array([0.0]))
-    assert abs(test.error_sum_analytic(0.1) - 5.733031437583892e-07) < 1e-12
+    assert abs(2.0 * test.error(0.1) - 5.733031437583892e-07) < 1e-12  # type I + type II
 
     totals = []
     base = RngSpec(7102, 0)

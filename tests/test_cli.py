@@ -9,7 +9,7 @@ import pytest
 from consistency_lab import partition_tests
 from consistency_lab.cli import load_scenario, main
 from consistency_lab.errors import ValidationError
-from consistency_lab.measures import FiniteMeasure, Partition
+from consistency_lab.measures import FiniteMeasure, Partition, PoissonModel
 from consistency_lab.partition_tests import separation
 from consistency_lab.reports import dumps_canonical, format_value, scenario_hash, write_json
 from consistency_lab.scenarios import (
@@ -19,7 +19,6 @@ from consistency_lab.scenarios import (
     scenario_poisson,
     scenario_sine_indistinguishable,
 )
-from consistency_lab.simulation import PoissonModel
 
 
 def F(*weights):

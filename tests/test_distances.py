@@ -15,10 +15,8 @@ from consistency_lab.distances import (
     kraft_bound,
     ks_distance,
     ks_distances,
-    optimal_test,
     total_variation,
 )
-from consistency_lab.distances import Test as OneShotTest
 from consistency_lab.errors import NumericError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, discretize, mixture, normalize
 from consistency_lab.simplex import solve_lp
@@ -185,18 +183,29 @@ def test_kraft_bound_examples():
     assert_allclose(kraft_bound([F(1, 0)], [F(0, 1)]), 0.0, atol=1e-9)
 
 
+def type1_error(phi: np.ndarray, p: FiniteMeasure) -> float:
+    """Rejection probability of the randomized test ``phi`` on one draw from ``p``."""
+    return float(p.weights @ phi)
+
+
+def type2_error(phi: np.ndarray, q: FiniteMeasure) -> float:
+    """Acceptance probability of the randomized test ``phi`` on one draw from ``q``."""
+    return float(q.weights @ (1.0 - phi))
+
+
 def test_optimal_test_examples():
-    t = optimal_test([F(0.7, 0.3)], [F(0.3, 0.7)])
-    assert_allclose(t.reject_prob, [0, 1])
-    assert_allclose(t.type1_error(F(0.7, 0.3)), 0.3)
-    assert_allclose(t.type2_error(F(0.3, 0.7)), 0.3)
+    """Kraft's optimal test is the hull LP's ``phi``."""
+    phi = hull_variation([F(0.7, 0.3)], [F(0.3, 0.7)]).phi
+    assert_allclose(phi, [0, 1])
+    assert_allclose(type1_error(phi, F(0.7, 0.3)), 0.3)
+    assert_allclose(type2_error(phi, F(0.3, 0.7)), 0.3)
 
-    t2 = optimal_test([F(1, 0)], [F(0, 1)])
-    assert t2.type1_error(F(1, 0)) == 0.0
-    assert t2.type2_error(F(0, 1)) == 0.0
+    phi2 = hull_variation([F(1, 0)], [F(0, 1)]).phi
+    assert type1_error(phi2, F(1, 0)) == 0.0
+    assert type2_error(phi2, F(0, 1)) == 0.0
 
-    t3 = optimal_test([F(0.4, 0.6)], [F(0.4, 0.6)])
-    assert_allclose(t3.type1_error(F(0.4, 0.6)) + t3.type2_error(F(0.4, 0.6)), 1.0)
+    phi3 = hull_variation([F(0.4, 0.6)], [F(0.4, 0.6)]).phi
+    assert_allclose(type1_error(phi3, F(0.4, 0.6)) + type2_error(phi3, F(0.4, 0.6)), 1.0)
 
 
 def test_optimal_test_attains_kraft_bound_randomly():
@@ -205,21 +214,11 @@ def test_optimal_test_attains_kraft_bound_randomly():
         k = int(rng.integers(2, 5))
         p = normalize(rng.random(k))
         q = normalize(rng.random(k))
-        t = optimal_test([p], [q])
-        achieved = t.type1_error(p) + t.type2_error(q)
+        phi = hull_variation([p], [q]).phi
+        achieved = type1_error(phi, p) + type2_error(phi, q)
         floor = 1.0 - total_variation(p, q)
         assert abs(achieved - floor) <= 1e-9
         assert brute_force_best_error_sum(p, q) >= floor - 1e-12
-
-
-def test_test_type_validation():
-    with pytest.raises(ValidationError):
-        OneShotTest(reject_prob=np.array([0.5, 1.5]))
-    with pytest.raises(ValidationError):
-        OneShotTest(reject_prob=np.array([-0.5, 0.5]))
-    with pytest.raises(ValidationError, match=r"must lie in \[0, 1\]"):
-        OneShotTest(reject_prob=np.array([np.nan, 0.5]))
-    assert not hasattr(OneShotTest(reject_prob=np.array([0.0, 1.0])), "rejects")
 
 
 # -- Kolmogorov-Smirnov distance ----------------------------------------------------
@@ -469,8 +468,7 @@ def test_optimal_test_meets_the_floor_against_every_member():
         a = [normalize(rng.random(k)) for _ in range(int(rng.integers(1, 4)))]
         b = [normalize(rng.random(k)) for _ in range(int(rng.integers(1, 4)))]
         hull = hull_variation(a, b)
-        test = optimal_test(a, b)
-        worst = max(test.type1_error(p) + test.type2_error(q) for p in a for q in b)
+        worst = max(type1_error(hull.phi, p) + type2_error(hull.phi, q) for p in a for q in b)
         assert worst <= 1.0 - hull.value + hull.duality_gap + 1e-12
 
 

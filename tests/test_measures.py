@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from consistency_lab.distances import Test, hull_variation, total_variation
+from consistency_lab.distances import hull_variation, total_variation
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import (
     DensitySpec,
     FiniteMeasure,
+    GaussianSequenceModel,
     Partition,
     discretize,
     family_weights,
@@ -22,15 +23,13 @@ from consistency_lab.measures import (
     mixture,
     normalize,
 )
-from consistency_lab.partition_tests import FrequencyTest, separation
+from consistency_lab.partition_tests import FrequencyTest, LinearFunctionalTest, separation
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
-    LinearFunctionalTest,
     Scenario,
     scenario_from_dict,
     scenario_signal_detection,
 )
-from consistency_lab.simulation import GaussianSequenceModel
 from quadrature_oracle import integrate, mass_quadrature, oscillation_depth
 
 
@@ -114,7 +113,6 @@ _KEEPERS = {
     "GaussianSequenceModel": (
         lambda a: GaussianSequenceModel(a, 1.0), lambda m: [m.signal], [0.0, 0.5],
     ),
-    "distances.Test": (Test, lambda t: [t.reject_prob], [0.25, 0.75]),
     "scenario_signal_detection": (
         lambda a: scenario_signal_detection([a], [[1.0, 1.0]], 2, [0.5]),
         lambda s: [s.hypothesis[0]],

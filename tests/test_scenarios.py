@@ -19,22 +19,29 @@ from consistency_lab.errors import (
     ValidationError,
 )
 from consistency_lab.distances import hull_variation, hull_variation_prefixes
-from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, discretize
+from consistency_lab.measures import (
+    DensitySpec,
+    FiniteMeasure,
+    GaussianSequenceModel,
+    Partition,
+    PoissonModel,
+    discretize,
+)
 from consistency_lab.partition_tests import (
+    LinearFunctionalTest,
+    PoissonTwoStageTest,
     UnionTest,
     build_frequency_test,
     exact_error,
+    poisson_count_threshold,
     separation,
 )
 from consistency_lab.reports import scenario_hash
 from consistency_lab.scenarios import (
-    LinearFunctionalTest,
-    PoissonTwoStageTest,
     Scenario,
     SimParams,
     build_nested_family,
     nested_schedule,
-    poisson_count_threshold,
     run_scenario,
     scenario_from_dict,
     scenario_kolmogorov_family,
@@ -46,8 +53,6 @@ from consistency_lab.scenarios import (
 )
 from consistency_lab.scheduler import TestFamilyMember, interleave
 from consistency_lab.simulation import (
-    GaussianSequenceModel,
-    PoissonModel,
     RngSpec,
     discernibility_paths,
     estimate_error,
@@ -224,7 +229,7 @@ def test_signal_detection_analytic_and_monotone():
 
 def test_signal_detection_noise_dominates_limit():
     test = LinearFunctionalTest(functional=np.array([1.0]), base=np.array([0.0]))
-    assert test.error_sum_analytic(1e6) > 0.999
+    assert 2.0 * test.error(1e6) > 0.999  # type I + type II
 
 
 def test_signal_detection_projection_margins():
@@ -432,7 +437,7 @@ def test_poisson_scenario_mass_difference_drives_errors():
     run = run_scenario(scenario, seed=7, replications=2000)
     rows = table_dict(run.tables["poisson_errors"])
     assert rows[1]["beta_mc"] < rows[0]["beta_mc"]
-    assert rows[1]["alpha_mc"] <= rows[1]["count_stage_bound"] + 3 * rows[1]["alpha_half_width"]
+    assert rows[1]["alpha_lo"] <= rows[1]["count_stage_bound"]
 
 
 def test_poisson_scenario_shape_difference_drives_errors():
@@ -607,8 +612,10 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
         test = PoissonTwoStageTest(n, h0.mass, row["deviation_rate"], freq_test)
         alpha = estimate_error(test, h0, n, reps, streams.task(2 * i))
         beta = estimate_error(test, h1, n, reps, streams.task(2 * i + 1), role="alternative")
-        assert (row["alpha_mc"], row["alpha_half_width"]) == (alpha.estimate, alpha.half_width_95)
-        assert (row["beta_mc"], row["beta_half_width"]) == (beta.estimate, beta.half_width_95)
+        for role, report in (("alpha", alpha), ("beta", beta)):
+            assert (row[f"{role}_mc"], row[f"{role}_lo"], row[f"{role}_hi"]) == (
+                report.estimate, report.lo, report.hi
+            )
 
     # The noise sweep simulates one pair per row: the one that attains its
     # analytic total. With two hypotheses that is the second, the closer one.
@@ -626,10 +633,48 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
                 test, GaussianSequenceModel(s1, eps), 1, reps, streams.task(2 * i + 1),
                 role="alternative",
             )
-            assert row["total_analytic"] == test.error_sum_analytic(eps)
+            # both errors sum to the closed form erfc(|f| / (2 eps) / sqrt(2)), to the bit
+            norm = math.sqrt(float((s1 - s0) @ (s1 - s0)))
+            assert row["total_analytic"] == math.erfc(norm / (2.0 * eps) / math.sqrt(2.0))
+            assert row["alpha_exact"] == row["beta_exact"] == test.error(eps)
             assert (row["alpha_mc"], row["beta_mc"]) == (alpha.estimate, beta.estimate)
             assert row["total_mc"] == alpha.estimate + beta.estimate
-            assert row["total_half_width"] == alpha.half_width_95 + beta.half_width_95
+            assert (row["alpha_lo"], row["alpha_hi"]) == (alpha.lo, alpha.hi)
+            assert (row["beta_lo"], row["beta_hi"]) == (beta.lo, beta.hi)
+
+
+def test_every_error_table_brackets_its_estimates_by_wilson_intervals():
+    """The three error tables share one column run, and each ``_lo``/``_hi``
+    pair is the Wilson interval of its ``_mc`` estimate at the run's replications."""
+    reps = 300
+    runs = {
+        "errors": scenario_kolmogorov_family([0.0, 0.4], n_grid=[8, 32]),
+        "epsilon_sweep": scenario_signal_detection([[0.0]], [[1.0]], 1, epsilon_list=[0.2, 1.0]),
+        "poisson_errors": scenario_poisson(
+            PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7)), n_grid=[8, 512]
+        ),
+    }
+    unseparated = 0
+    for name, scenario in runs.items():
+        table = run_scenario(scenario, seed=3, replications=reps).tables[name]
+        start = table.columns.index("alpha_exact")
+        assert tuple(table.columns[start : start + len(scenarios.ERROR_COLUMNS)]) == (
+            scenarios.ERROR_COLUMNS
+        )
+        for row in table_dict(table):
+            if name == "errors" and row["model"] == "pu_family(0)":  # not separated: all NaN
+                assert all(math.isnan(row[c]) for c in (*scenarios.ERROR_COLUMNS, "total_exact"))
+                unseparated += 1
+                continue
+            for role in ("alpha", "beta"):
+                estimate, low, high = (row[f"{role}_{end}"] for end in ("mc", "lo", "hi"))
+                assert low <= estimate <= high, (name, row)
+                assert (low, high) == wilson_interval(estimate, reps)
+            assert row["total_mc"] == row["alpha_mc"] + row["beta_mc"]
+    assert unseparated == 2
+    # n = 512 draws no error in 300 replications, yet its interval is not 0 ± 0
+    last = table_dict(table)[-1]
+    assert last["alpha_mc"] == 0.0 and last["alpha_hi"] > 0.0
 
 
 # -- serialization round trip -------------------------------------------------------------
@@ -1027,14 +1072,19 @@ def test_files_and_builders_pass_one_validation(case, tmp_path):
     assert str(from_file.value) == str(from_code.value) == message
 
 
-def _paths(replications):
+def _paths(replications=100, n_max=64, k_grid=(0,)):
     family = scenario_nested_alternatives([F(0.9, 0.1)], n_max=64).family
-    return discernibility_paths(interleave(family, 64), F(0.5, 0.5), 64, [0], replications,
+    return discernibility_paths(interleave(family, 64), F(0.5, 0.5), n_max, k_grid, replications,
                                 RngSpec(0))
 
 
+def _estimate(n):
+    test = build_frequency_test(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None))
+    return estimate_error(test, F(0.5, 0.5), n, 100, RngSpec(0))
+
+
 #: case -> (a library call, the whole message it raises); each argument is read
-#: by ``measures._integer``, ``_positive`` or ``_vector``.
+#: by ``measures._integer``, ``_positive``, ``_vector`` or ``_real``.
 _ARGUMENTS = {
     "fractional-onset": (
         lambda: TestFamilyMember(None, 0.5, onset=1.5), "onset must be an integer >= 1, got 1.5"
@@ -1077,6 +1127,26 @@ _ARGUMENTS = {
     "infinite-deviation-rate": (
         lambda: PoissonTwoStageTest(8, 1.0, math.inf),
         "deviation rate must be positive and finite, got inf",
+    ),
+    "fractional-estimate-n": (lambda: _estimate(2.5), "n must be an integer >= 1, got 2.5"),
+    "bool-estimate-n": (lambda: _estimate(True), "n must be an integer >= 1, got True"),
+    "fractional-path-n-max": (
+        lambda: _paths(n_max=2.5), "n_max must be an integer >= 1, got 2.5"
+    ),
+    "fractional-k-grid": (
+        lambda: _paths(k_grid=[2.5]), "k_grid must be an integer >= 0, got 2.5"
+    ),
+    "bool-k-grid": (lambda: _paths(k_grid=[True]), "k_grid must be an integer >= 0, got True"),
+    "string-exponent": (
+        lambda: TestFamilyMember(None, "0.5"),
+        "member exponent must be finite with exp(-exponent) < 1, got '0.5'",
+    ),
+    "string-wilson-estimate": (
+        lambda: wilson_interval("0.5", 10),
+        "wilson_interval needs an estimate in [0, 1], got '0.5'",
+    ),
+    "string-tail-x": (
+        lambda: poisson_atom_tail_bound(1.0, 4, "0.5"), "x must satisfy 0 < x < lam, got '0.5'"
     ),
 }
 

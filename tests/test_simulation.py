@@ -10,17 +10,24 @@ import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.errors import ResourceLimitError, ValidationError
-from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, induced_vector
+from consistency_lab.measures import (
+    DensitySpec,
+    FiniteMeasure,
+    GaussianSequenceModel,
+    Partition,
+    PoissonModel,
+    induced_vector,
+)
 from consistency_lab.partition_tests import (
     FrequencyTest,
+    PoissonTwoStageTest,
     build_frequency_test,
     exact_error,
+    poisson_count_threshold,
     separation,
 )
 from consistency_lab.scenarios import (
-    PoissonTwoStageTest,
     nested_schedule,
-    poisson_count_threshold,
     run_scenario,
     scenario_from_dict,
     scenario_nested_alternatives,
@@ -32,8 +39,6 @@ from consistency_lab.simulation import (
     MAX_PATH_CELL_BYTES,
     PATH_BLOCK,
     PATH_SEGMENT,
-    GaussianSequenceModel,
-    PoissonModel,
     RngSpec,
     WorkerPool,
     discernibility_paths,
@@ -136,10 +141,12 @@ def test_estimate_error_constant_accept_is_exact_zero():
         alternative_vectors=[[0.5, 0.5]],
     )
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0))
-    assert report.estimate == 0.0 and report.half_width_95 == 0.0
+    assert report.estimate == 0.0 and report.lo == 0.0
+    assert (report.lo, report.hi) == wilson_interval(0.0, 1000)
     # the type II error of the same test is exactly one
     report = estimate_error(test, F(0.5, 0.5), 5, 1000, RngSpec(41, 0), role="alternative")
-    assert report.estimate == 1.0 and report.half_width_95 == 0.0
+    assert report.estimate == 1.0 and report.hi == 1.0
+    assert (report.lo, report.hi) == wilson_interval(1.0, 1000)
 
 
 def test_estimate_error_matches_exact_oracle():
@@ -155,7 +162,7 @@ def test_estimate_error_ci_shrinks_with_replications():
     test = make_test([0.5, 0.5], [0.9, 0.1])
     small = estimate_error(test, F(0.5, 0.5), 10, 10_000, RngSpec(47, 0))
     large = estimate_error(test, F(0.5, 0.5), 10, 20_000, RngSpec(47, 64))
-    ratio = large.half_width_95 / small.half_width_95
+    ratio = (large.hi - large.lo) / (small.hi - small.lo)
     assert 0.55 <= ratio <= 0.9  # roughly 1/sqrt(2)
 
 
@@ -186,6 +193,18 @@ def test_wilson_interval_bounds():
     assert 0.0 <= low <= 1e-12 and low < high < 0.01
     low, high = wilson_interval(0.5, 1000)
     assert 0.45 < low < 0.5 < high < 0.55
+
+
+@pytest.mark.parametrize("replications", [100, 1000, 2000, 4000])
+def test_wilson_interval_holds_every_estimate(replications):
+    """Every estimate k/n a Monte Carlo run can give lies in its own interval,
+    and the interval of 0 starts at 0, that of 1 ends at 1, exactly."""
+    for k in range(replications + 1):
+        estimate = k / replications
+        low, high = wilson_interval(estimate, replications)
+        assert 0.0 <= low <= estimate <= high <= 1.0, (k, low, high)
+    assert wilson_interval(0.0, replications)[0] == 0.0
+    assert wilson_interval(1.0, replications)[1] == 1.0
 
 
 @pytest.mark.parametrize(
@@ -376,8 +395,9 @@ def test_iid_block_counts_are_multinomial_draws(model, partition):
 def test_iid_block_rejects_density_without_partition():
     """An i.i.d. model is a cell law; a density gives one only under a partition."""
     test = _RecordingTest()
-    with pytest.raises(ValidationError, match="partition"):
-        _simulate_error_block((test, DensitySpec.uniform(), 5, True, 100, RngSpec(0, 0)))
+    with pytest.raises(ValidationError, match="DensitySpec.*partition"):
+        estimate_error(test, DensitySpec.uniform(), 5, 100, RngSpec(0, 0), workers=2)
+    assert test.seen == []  # refused before any block draws
 
 
 def test_iid_error_block_cost_does_not_grow_with_n():

@@ -3,8 +3,9 @@ statement after a ``return``, ``raise``, ``continue`` or ``break`` in its block,
 no private function, class or method that nothing in the package uses, one
 owner of the tie tolerance, one reader of partition cells, one module that
 reads single values, no dataclass that is not frozen, one owner of the
-read-only flag of arrays, no read of the environment, and a set-up that loads
-neither the process pool nor hashing."""
+read-only flag of arrays, no read of the environment, a set-up that loads
+neither the process pool nor hashing, and one error engine: the simulation
+never asks a model its class, and no scenario code defines a test."""
 import ast
 import json
 import os
@@ -163,7 +164,7 @@ def test_only_measures_reads_partition_cells():
 
 def test_only_measures_imports_numbers():
     """A number argument is read by ``measures._integer``, ``_positive`` or
-    ``_tilt``: no other module tests a value against the ``numbers`` types."""
+    ``_real``: no other module tests a value against the ``numbers`` types."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     importers = {
         name
@@ -343,3 +344,83 @@ def test_cli_set_up_loads_no_pool_or_hashing_module(tmp_path):
         check=True,
     )
     assert result.stdout.split() == []
+
+
+#: The model classes: what ``estimate_error`` simulates, or refuses to.
+_MODEL_CLASSES = {"FiniteMeasure", "DensitySpec", "PoissonModel", "GaussianSequenceModel"}
+
+
+def _class_checks(source: str, name: str, classes: set) -> list:
+    """``name:line: isinstance C`` for each ``isinstance`` call whose class
+    argument names one of ``classes``, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            target = node.args[1] if len(node.args) > 1 else None
+            for part in target.elts if isinstance(target, ast.Tuple) else [target]:
+                named = getattr(part, "id", getattr(part, "attr", None))
+                if named in classes:
+                    found.append(f"{name}:{node.lineno}: isinstance {named}")
+    return found
+
+
+def _rejects_owners(source: str, name: str) -> list:
+    """``name:line: C`` for each class that defines or assigns ``rejects``."""
+    found = []
+    for node in ast.walk(ast.parse(source, filename=name)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for stmt in node.body:
+            defined = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)) and stmt.name == "rejects"
+            assigned = isinstance(stmt, ast.Assign) and any(
+                getattr(t, "id", None) == "rejects" for t in stmt.targets
+            )
+            if defined or assigned:
+                found.append(f"{name}:{node.lineno}: {node.name}")
+    return found
+
+
+def test_engine_checks_find_class_checks_and_tests():
+    source = """
+import measures
+
+
+def block(model, workers):
+    if isinstance(model, (measures.PoissonModel, GaussianSequenceModel)):
+        pass
+    return isinstance(workers, Pool) or isinstance(model, FiniteMeasure)
+
+
+class Count:
+    def rejects(self, counts):
+        return counts
+
+
+class Union:
+    rejects = Count.rejects
+
+
+class Table:
+    def rows(self):
+        return []
+"""
+    assert _class_checks(source, "m.py", _MODEL_CLASSES) == [
+        "m.py:6: isinstance PoissonModel",
+        "m.py:6: isinstance GaussianSequenceModel",
+        "m.py:8: isinstance FiniteMeasure",
+    ]
+    assert _rejects_owners(source, "m.py") == ["m.py:11: Count", "m.py:16: Union"]
+
+
+def test_simulation_never_asks_a_model_its_class():
+    """A model draws for itself (``sample``), so the error engine has no
+    branch per model class for a new model to miss."""
+    path = SRC / "consistency_lab" / "simulation.py"
+    assert _class_checks(path.read_text(), "simulation.py", _MODEL_CLASSES) == []
+
+
+def test_scenarios_define_no_test():
+    """Every test class lives beside ``FrequencyTest`` in ``partition_tests``:
+    no class in ``scenarios.py`` decides by ``rejects``."""
+    path = SRC / "consistency_lab" / "scenarios.py"
+    assert _rejects_owners(path.read_text(), "scenarios.py") == []
