@@ -14,7 +14,6 @@ from pathlib import Path
 from . import __version__
 from .distances import hull_variation, kraft_bound
 from .errors import ConstructionError, ValidationError
-from .measures import FiniteMeasure
 from .partition_tests import separation
 from .reports import (
     format_value,
@@ -71,10 +70,8 @@ def _manifest(scenario: Scenario, args: argparse.Namespace, command: str) -> dic
 def cmd_distinguish(scenario: Scenario, args: argparse.Namespace) -> int:
     if scenario.partition is None:
         raise ValidationError("distinguish requires a scenario with a partition")
-    report = separation(scenario.hypothesis, scenario.alternative, scenario.partition)
-    h = [FiniteMeasure(v) for v in report.hypothesis_vectors]
-    a = [FiniteMeasure(v) for v in report.alternative_vectors]
-    bound = kraft_bound(h, a)
+    report = separation(*scenario.cell_laws, None)
+    bound = kraft_bound(*scenario.cell_laws)
     i, j = report.witness_pair
     print(f"margin={format_value(report.margin)}")
     print(f"witness=hypothesis[{i}] vs alternative[{j}]")

@@ -429,7 +429,7 @@ def induced_vector(model: Model, partition: Optional[Partition]) -> np.ndarray:
     Component ``j`` is the mass the measure assigns to cell ``j``. Densities
     pair with interval partitions, finite measures with atom partitions or
     with ``None``, under which their atoms are the cells; anything else is
-    incompatible. Exact columns, error blocks and path replay bin by it.
+    incompatible. ``separation`` and ``Scenario.cell_laws`` alone take it.
     """
     if isinstance(model, DensitySpec):
         if partition is None or partition.kind != "intervals":

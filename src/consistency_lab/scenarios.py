@@ -43,6 +43,7 @@ from .measures import (
     discretize,
     family_weights,
     frozen,
+    induced_vector,
 )
 from .partition_tests import (
     FrequencyTest,
@@ -164,11 +165,22 @@ class Scenario:
         return Scenario, tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
     @cached_property
+    def cell_laws(self) -> tuple:
+        """``(hypothesis laws, alternative laws)``: each model's :class:`FiniteMeasure`
+        on the partition's cells, or a partition-less ``finite`` scenario's own
+        measures. The one place a scenario meets its partition."""
+        if self.partition is None and self.model_type == "finite":
+            return self.hypothesis, self.alternative
+        return tuple(
+            tuple(FiniteMeasure(induced_vector(m, self.partition)) for m in models)
+            for models in (self.hypothesis, self.alternative)
+        )
+
+    @cached_property
     def family(self) -> tuple:
         """The certified tests of the nested alternatives: :func:`build_nested_family`
-        under the stored schedule, built on first use and kept with the value."""
-        members = build_nested_family(self.hypothesis, self.alternative, **(self.schedule or {}))
-        return tuple(members)
+        on the cell laws under the stored schedule, built on first use and kept."""
+        return tuple(build_nested_family(*self.cell_laws, **(self.schedule or {})))
 
     # -- JSON round trip ---------------------------------------------------------
     def to_json_dict(self) -> dict:
@@ -607,9 +619,10 @@ def _signal_tables(scenario, run, reps, streams, pool) -> None:
 
 def _separation_table(scenario: Scenario, describe) -> Table:
     """Margin per alternative; ``describe(idx, alt)`` gives its label and grid margin."""
+    hypothesis, alternative = scenario.cell_laws
     rows = []
-    for idx, alt in enumerate(scenario.alternative, start=1):
-        report = separation(scenario.hypothesis, [alt], scenario.partition)
+    for idx, (alt, law) in enumerate(zip(scenario.alternative, alternative), start=1):
+        report = separation(hypothesis, [law], None)
         label, grid_margin = describe(idx, alt)
         rows.append((idx, label, report.margin, grid_margin))
     return Table(columns=["index", "model", "margin", "margin_grid"], rows=rows)
@@ -689,21 +702,20 @@ def _error_columns(test, alpha_exact, beta_exact, hypothesis, alternative, n, re
 
 
 def _error_curve_table(scenario, reps, streams, pool) -> Table:
+    hypothesis, alternative = scenario.cell_laws
     rows = []
-    for idx, alt in enumerate(scenario.alternative, start=1):
+    for idx, (alt, law) in enumerate(zip(scenario.alternative, alternative), start=1):
         label = alt.label()
-        report = separation(scenario.hypothesis, [alt], scenario.partition)
+        report = separation(hypothesis, [law], None)
         if report.radius <= 0.0:
             for n in scenario.sim.n_grid:
                 rows.append((idx, label, n) + (math.nan,) * (len(ERROR_COLUMNS) + 1))
             continue
         test = build_frequency_test(report)
-        hyp_cells = [FiniteMeasure(v) for v in report.hypothesis_vectors]
-        alt_cells = FiniteMeasure(report.alternative_vectors[0])
         for n in scenario.sim.n_grid:
             worst = 0  # the simulated hypothesis: the first, or the one attaining alpha_exact
             try:
-                errors = exact_errors(test, hyp_cells + [alt_cells], n)
+                errors = exact_errors(test, [*hypothesis, law], n)
                 alphas = [alpha for alpha, _ in errors[:-1]]
                 beta_exact = errors[-1][1]
                 worst = int(np.argmax(alphas))
@@ -711,7 +723,7 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
             except ResourceLimitError:
                 alpha_exact = beta_exact = math.nan
             columns = _error_columns(
-                test, alpha_exact, beta_exact, hyp_cells[worst], alt_cells, n, reps, streams, pool
+                test, alpha_exact, beta_exact, hypothesis[worst], law, n, reps, streams, pool
             )
             # total_exact is NaN when enumeration exceeds its budget
             rows.append((idx, label, n) + columns + (alpha_exact + beta_exact,))
@@ -752,15 +764,15 @@ def _projection_table(scenario) -> Table:
 
 
 def _discernibility_table(scenario, schedule, reps, streams, pool) -> Table:
-    """Certified tail and one replayed curve per hypothesis, then per piece."""
+    """Certified tail and one replayed curve per hypothesis, then per piece, of its cell law."""
     k_grid = scenario.sim.k_grid or tuple(range(0, schedule.n_max + 1, 64))
     n_max = schedule.n_max
     models = [
         ("hypothesis" if idx == 1 else f"hypothesis_{idx}", h, "hypothesis")
-        for idx, h in enumerate(scenario.hypothesis, start=1)
+        for idx, h in enumerate(scenario.cell_laws[0], start=1)
     ] + [
         (f"piece_{idx}", piece, "alternative")
-        for idx, piece in enumerate(scenario.alternative, start=1)
+        for idx, piece in enumerate(scenario.cell_laws[1], start=1)
     ]
     curves = [
         discernibility_paths(
@@ -822,12 +834,7 @@ def _model_type(name) -> _ModelType:
 
 def _check_finite(scenario: Scenario) -> None:
     family_weights(scenario.hypothesis, scenario.alternative)
-    atoms = scenario.hypothesis[0].alphabet_size
-    if scenario.partition is not None and scenario.partition.alphabet_size != atoms:
-        raise ValidationError(
-            f"scenario 'partition' covers {scenario.partition.alphabet_size} atoms, "
-            f"the models have {atoms}"
-        )
+    scenario.cell_laws  # a partition of another alphabet is refused at load
     k_grid, n_max = list(scenario.sim.k_grid), _horizon(scenario)
     if k_grid != sorted(k_grid) or any(not 0 <= k <= n_max for k in k_grid):
         raise ValidationError(

@@ -38,7 +38,7 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .measures import _integer, _positive, _real, induced_vector
+from .measures import _integer, _positive, _real
 
 #: Fewest replications of a Monte Carlo error estimate: of a scenario, a run and a call.
 MIN_REPLICATIONS = 100
@@ -266,10 +266,9 @@ def _constant_segments(schedule, n_max: int) -> list:
 
 def _simulate_path_block(args) -> np.ndarray:
     segments, model, n_max, k_grid, errs_on_reject, size, rng = args
-    probs = induced_vector(model, None)
     # A draw's cell counts the interior cumulative probabilities at or below
     # its uniform; leaving out the last keeps a rounded total from making a cell k.
-    k, edges = probs.size, np.cumsum(probs[:-1])
+    k, edges = model.weights.size, np.cumsum(model.weights[:-1])
     dtype = np.dtype(np.uint8 if k <= 256 else np.intp)
     nbytes = size * n_max * dtype.itemsize
     if nbytes > MAX_PATH_CELL_BYTES:
@@ -323,17 +322,19 @@ def discernibility_paths(
     """Error-after-k curve of a schedule along incrementally grown sample paths.
 
     Each path draws one nested sample ``X_1..X_{n_max}`` from the cell law
-    ``model``, and the scheduled test is re-evaluated on every prefix; an error
-    is a rejection in the ``"hypothesis"`` role and an acceptance in the
+    ``model`` (a model without ``weights`` is refused before any block runs),
+    and the scheduled test is re-evaluated on every prefix; an error is a
+    rejection in the ``"hypothesis"`` role and an acceptance in the
     ``"alternative"`` role. For each ``k`` of ``k_grid`` the returned array
     holds the fraction of paths erring at some ``n`` in ``(k, n_max]``, which
     is non-increasing in ``k``. The draws and decisions are those of a
     per-``n`` loop; the replay in segments (see the module docstring) needs
     tests that decide from the cell frequencies alone, with ``decide`` and
     ``settled`` (as :class:`~.partition_tests.FrequencyTest` has them).
-    ``workers`` is a worker count or a shared
-    :class:`WorkerPool`.
+    ``workers`` is a worker count or a shared :class:`WorkerPool`.
     """
+    if not hasattr(model, "weights"):  # refused before any block runs or any pool starts
+        raise ValidationError(f"unsupported model type {type(model).__name__}: it has no cell law")
     errs_on_reject = _errs_on_reject(role)
     n_max = _integer(n_max, "n_max")
     if n_max > schedule.n_max:

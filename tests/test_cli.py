@@ -91,6 +91,30 @@ def test_distinguish_margin_within_the_tie_tolerance_exit_two(tmp_path, capsys):
     assert "verdict=weakly-indistinguishable-on-this-partition" in out
 
 
+def test_distinguish_and_schedule_read_the_same_cells(tmp_path, capsys):
+    """The piece differs from the hypothesis on the atoms but not on the
+    partition's two cells: both commands read the cell laws and exit 2."""
+    data = {
+        "name": "cell-twin",
+        "model": {"type": "finite"},
+        "hypothesis": [{"weights": [0.25, 0.25, 0.25, 0.25]}],
+        "alternative": [{"weights": [0.4, 0.1, 0.4, 0.1]}],
+        "partition": {"cells": [[0, 1], [2, 3]]},
+        "sim": {"replications": 200},
+    }
+    path = tmp_path / "cell-twin.json"
+    path.write_text(json.dumps(data))
+    assert main(["distinguish", "--scenario", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert (out.splitlines()[0], out.splitlines()[-1], err) == (
+        "margin=0", "verdict=weakly-indistinguishable-on-this-partition", ""
+    )
+    out_dir = tmp_path / "o"
+    assert main(["schedule", "--scenario", str(path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr() == ("", "verdict: piece 1 has zero separation margin\n")
+    assert not out_dir.exists()
+
+
 def test_distinguish_missing_file(tmp_path, capsys):
     code = main(["distinguish", "--scenario", str(tmp_path / "absent.json")])
     assert code == 1
@@ -458,7 +482,7 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
                 "hypothesis": [{"weights": [0.5, 0.25, 0.25]}],
                 "alternative": [{"weights": [0.8, 0.1, 0.1]}],
             },
-            "scenario 'partition' covers 2 atoms, the models have 3",
+            "partition covers 2 atoms, measure has 3",
         ),
         (
             "simulate",

@@ -291,6 +291,47 @@ def test_nested_zero_margin_piece_named():
         build_nested_family([F(0.5, 0.5)], [F(0.5 + 5e-13, 0.5 - 5e-13)])
 
 
+def _members(family) -> list:
+    """Each member's vectors (as bytes), exponent and onset, to compare families bit for bit."""
+    return [
+        (m.test.hypothesis_vectors.tobytes(), m.test.alternative_vectors.tobytes(),
+         m.exponent, m.onset)
+        for m in family
+    ]
+
+
+def test_finite_scenario_without_partition_keeps_its_measures_as_cell_laws():
+    """Without a partition a finite scenario's atoms are its cells: its cell
+    laws are its own measures, not renormalized a second time, which would
+    move the last bits of these pieces, and its family is theirs."""
+    pieces = [F(0.7, 0.2, 0.1), F(0.2, 0.7, 0.1)]
+    assert all(FiniteMeasure(p.weights) != p for p in pieces)  # not fixed points
+    scenario = Scenario(
+        name="raw-atoms", model_type="finite", hypothesis=[F(0.1, 0.2, 0.7)], alternative=pieces
+    )
+    hypothesis, alternative = scenario.cell_laws
+    laws, models = hypothesis + alternative, scenario.hypothesis + scenario.alternative
+    assert len(laws) == len(models) == 3
+    assert all(law is model for law, model in zip(laws, models))
+    assert _members(scenario.family) == _members(
+        build_nested_family(scenario.hypothesis, scenario.alternative)
+    )
+
+
+def test_cell_laws_are_the_partition_images_of_the_models():
+    """With a partition each law is the model's induced cell vector as a
+    measure, and the family is built on those laws, not on the atoms."""
+    scenario = Scenario(
+        name="two-cells", model_type="finite",
+        hypothesis=[F(0.25, 0.25, 0.25, 0.25)], alternative=[F(0.5, 0.25, 0.125, 0.125)],
+        partition=Partition.atoms([[0, 1], [2, 3]]),
+    )
+    assert scenario.cell_laws == ((F(0.5, 0.5),), (F(0.75, 0.25),))
+    assert scenario.cell_laws is scenario.cell_laws
+    assert _members(scenario.family) == _members(build_nested_family(*scenario.cell_laws))
+    assert scenario.family[0].test.alternative_vectors.shape == (1, 2)
+
+
 def test_nested_family_checks_stored_certificates():
     hypothesis, pieces = [F(0.5, 0.5)], [F(0.9, 0.1), F(0.1, 0.9)]
     derived = build_nested_family(hypothesis, pieces)
@@ -537,25 +578,46 @@ def test_poisson_count_threshold_monotone_in_n():
     assert rate64 <= rate8
 
 
-def _linear_scan_threshold(mass0, n, target):
-    """The first rate of the grid whose bound meets ``target``, found by a scan."""
-    rates = mass0 * np.arange(1, 1000) / 1000.0
-    for rate in rates:
-        value = poisson_atom_tail_bound(mass0, n, float(rate))
-        if value <= target:
-            return float(rate), value
-    return float(rates[-1]), poisson_atom_tail_bound(mass0, n, float(rates[-1]))
+def _linear_scan_thresholds(mass0, ns, targets):
+    """Per ``n`` of ``ns``, the first rate of the grid whose bound meets its
+    target, with that bound, as a scan of the grid finds them; the largest
+    rate when none does.
+
+    A bound ``exp(n a) + exp(n b)`` meets its target only where both terms
+    do, so the scan starts, for all ``n`` at once, at the first rate where
+    ``n max(a, b) <= log(target)`` (1e-6 of slack covers rounding) and goes
+    on from there with the scalar ``poisson_atom_tail_bound``, which settles
+    the boundary rate."""
+    lam = mass0
+    x = mass0 * np.arange(1, 1000) / 1000.0
+    a = -(lam + x) * np.log1p(x / lam) + x  # upper-tail exponent per draw
+    b = -(lam - x) * np.log(1.0 - x / lam) - x  # lower-tail exponent per draw
+    near = ns[:, None] * np.maximum(a, b) <= np.log(targets)[:, None] + 1e-6
+    starts = np.where(near.any(axis=1), near.argmax(axis=1), x.size)
+    grid, found = x.tolist(), []
+    for n, target, start in zip(ns.tolist(), targets.tolist(), starts.tolist()):
+        rate, value = grid[-1], None
+        for candidate in grid[start:]:
+            bound = poisson_atom_tail_bound(mass0, n, candidate)
+            if bound <= target:
+                rate, value = candidate, bound
+                break
+        found.append((rate, poisson_atom_tail_bound(mass0, n, rate) if value is None else value))
+    return found
 
 
 def test_poisson_count_threshold_bisection_matches_linear_scan():
     for mass0 in (0.5, 1.0, 1.5, 2.0):
-        for n in range(1, 4097):
-            target = 1.0 / (n * n)
-            assert poisson_count_threshold(mass0, n, target) == _linear_scan_threshold(
-                mass0, n, target
-            ), (mass0, n)
+        for first in range(1, 4097, 512):  # 512 sample sizes per array of bounds
+            ns = np.arange(first, first + 512)
+            targets = 1.0 / (ns * ns)
+            scans = _linear_scan_thresholds(mass0, ns, targets)
+            for n, target, scan in zip(ns.tolist(), targets.tolist(), scans):
+                assert poisson_count_threshold(mass0, n, target) == scan, (mass0, n)
     # a target no rate of the grid meets falls back to the largest rate
-    assert poisson_count_threshold(1.0, 1, 1e-300) == _linear_scan_threshold(1.0, 1, 1e-300)
+    assert [poisson_count_threshold(1.0, 1, 1e-300)] == _linear_scan_thresholds(
+        1.0, np.array([1]), np.array([1e-300])
+    )
 
 
 def _two_stage_exact(test, model, n, role):

@@ -607,7 +607,7 @@ def test_discernibility_perfect_family_never_errs():
 def test_discernibility_validation():
     schedule = _schedule_for([[0.9, 0.1]], [0.5], 64)
     # paths are drawn from a cell law; a density gives one only under a partition
-    with pytest.raises(ValidationError, match="interval partition"):
+    with pytest.raises(ValidationError, match="^unsupported model type DensitySpec: it has no cell law$"):
         discernibility_paths(schedule, DensitySpec.uniform(), 64, [0], 100, RngSpec(0, 0))
     with pytest.raises(ValidationError):
         discernibility_paths(schedule, F(0.5, 0.5), 64, [5, 3], 100, RngSpec(0, 0))
@@ -617,6 +617,39 @@ def test_discernibility_validation():
         discernibility_paths(
             schedule, F(0.5, 0.5), 64, [0], 100, RngSpec(0, 0), role="both"
         )
+
+
+def _count_pool_starts(monkeypatch) -> list:
+    """Every process pool the simulation starts from now on, one entry each."""
+    starts = []
+
+    class CountingPool(simulation.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            starts.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(simulation, "ProcessPoolExecutor", CountingPool)
+    return starts
+
+
+@pytest.mark.parametrize(
+    "model",
+    [DensitySpec.uniform(), PoissonModel(1.0, F(0.5, 0.5))],
+    ids=["density", "poisson"],
+)
+def test_discernibility_refuses_a_model_without_cell_law_before_any_pool(monkeypatch, model):
+    """A model without ``weights`` is named and refused before a pool starts,
+    though the replay has two blocks for two workers."""
+    starts = _count_pool_starts(monkeypatch)
+    schedule = _schedule_for([[0.9, 0.1]], [0.5], 64)
+    name = type(model).__name__
+    with pytest.raises(ValidationError) as refused:
+        discernibility_paths(schedule, model, 64, [0], 2 * PATH_BLOCK, RngSpec(0, 0), workers=2)
+    assert str(refused.value) == f"unsupported model type {name}: it has no cell law"
+    assert starts == []
+    # the same replay of a cell law starts one pool
+    discernibility_paths(schedule, F(0.5, 0.5), 64, [0], 2 * PATH_BLOCK, RngSpec(0, 0), workers=2)
+    assert len(starts) == 1
 
 
 # -- segment replay against the per-n loop -----------------------------------------------

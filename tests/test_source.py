@@ -4,8 +4,9 @@ no private function, class or method that nothing in the package uses, one
 owner of the tie tolerance, one reader of partition cells, one module that
 reads single values, no dataclass that is not frozen, one owner of the
 read-only flag of arrays, no read of the environment, a set-up that loads
-neither the process pool nor hashing, and one error engine: the simulation
-never asks a model its class, and no scenario code defines a test."""
+neither the process pool nor hashing, one error engine: the simulation
+never asks a model its class, and no scenario code defines a test, and one
+place where a scenario's models meet its partition."""
 import ast
 import json
 import os
@@ -424,3 +425,58 @@ def test_scenarios_define_no_test():
     no class in ``scenarios.py`` decides by ``rejects``."""
     path = SRC / "consistency_lab" / "scenarios.py"
     assert _rejects_owners(path.read_text(), "scenarios.py") == []
+
+
+def _callers(source: str, name: str, target: str) -> list:
+    """``name: f`` for each call of ``target``, by name or attribute, with ``f``
+    the innermost function around it, after the classes around that
+    (``<module>`` outside any function)."""
+    found = []
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        if isinstance(node, ast.Call):
+            called = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if called == target:
+                found.append(f"{name}: {owner}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, owner)
+
+    visit(ast.parse(source, filename=name), "<module>")
+    return found
+
+
+def test_caller_check_names_the_function_around_each_call():
+    source = """
+import measures
+from measures import induced_vector
+
+v = induced_vector(m, None)
+
+
+class Scenario:
+    def laws(self):
+        return [measures.induced_vector(m, p) for m in self.models]
+
+
+def separation(a, b, p):
+    keep = induced_vector
+    return keep(a, p)
+"""
+    assert _callers(source, "m.py", "induced_vector") == [
+        "m.py: <module>", "m.py: Scenario.laws",
+    ]
+
+
+def test_only_separation_and_cell_laws_apply_a_partition():
+    """A scenario meets its partition in ``Scenario.cell_laws``, and
+    ``separation`` maps a caller's models to cells: no other code takes a
+    model's ``induced_vector``, so a table, the family, the replay and
+    ``distinguish`` cannot answer on other cells than each other."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    callers = [c for name, source in sources.items() for c in _callers(source, name, "induced_vector")]
+    assert sorted(callers) == [
+        "consistency_lab/partition_tests.py: separation",
+        "consistency_lab/scenarios.py: Scenario.cell_laws",
+    ]
