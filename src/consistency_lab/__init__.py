@@ -27,7 +27,6 @@ from .measures import (
     Partition,
     PoissonModel,
     discretize,
-    induced_vector,
     mixture,
     normalize,
 )

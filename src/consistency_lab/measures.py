@@ -7,8 +7,10 @@ that the scenario suite exercises (uniform, oscillating perturbations of the
 uniform density, their running averages, and the piecewise-constant tilt
 family). A model that can be simulated draws for itself: ``sample(gen, n,
 size)`` returns ``size`` rows of what a test decides from, so the Monte Carlo
-engine never asks what kind of model it holds. Every operation here is a pure
-function of immutable inputs.
+engine never asks what kind of model it holds. A model with atoms gives its
+own law on the cells of a partition: ``cell_law(partition)`` returns a
+:class:`FiniteMeasure`, so no caller asks a model its kind to bin it. Every
+operation here is a pure function of immutable inputs.
 """
 from __future__ import annotations
 
@@ -39,8 +41,7 @@ def frozen(values, ndmin: int = 0) -> np.ndarray:
 
 class ReadOnlyArrays:
     """Base of the values that keep arrays: unpickling and deep copying store
-    each array field through ``frozen`` again (numpy restores arrays writable),
-    not through the constructor, whose renormalizing could move a bit."""
+    each array field through ``frozen`` again (numpy restores arrays writable)."""
 
     def __setstate__(self, state):
         for key, value in state.items():
@@ -51,9 +52,11 @@ class ReadOnlyArrays:
 class FiniteMeasure(ReadOnlyArrays):
     """Probability vector on a finite alphabet ``{0, ..., k-1}``.
 
-    Weights must be finite, nonnegative and sum to 1 within ``QUADRATURE_TOL``;
-    the stored vector is renormalized so that the sum is exact to float
-    precision. Instances are immutable and safe to share across workers.
+    Weights must be finite, nonnegative and sum to 1 within ``QUADRATURE_TOL``.
+    A vector whose sum is within its rounding of 1 (``size`` machine epsilons)
+    is stored as given, any other is divided by its sum; so a measure's own
+    weights make the same measure again, and a JSON round trip moves no bit.
+    Instances are immutable and safe to share across workers.
     """
 
     weights: np.ndarray
@@ -65,7 +68,9 @@ class FiniteMeasure(ReadOnlyArrays):
             raise ValidationError(
                 f"weights sum to {total!r}, expected 1 within {QUADRATURE_TOL}"
             )
-        object.__setattr__(self, "weights", frozen(w / total))
+        if abs(total - 1.0) > w.size * np.finfo(float).eps:
+            w = w / total
+        object.__setattr__(self, "weights", frozen(w))
 
     @property
     def alphabet_size(self) -> int:
@@ -83,6 +88,20 @@ class FiniteMeasure(ReadOnlyArrays):
     def sample(self, gen: np.random.Generator, n: int, size: int) -> np.ndarray:
         """Atom counts of ``size`` samples of ``n`` draws each, one multinomial row per sample."""
         return gen.multinomial(n, self.weights, size=size)
+
+    def cell_law(self, partition: Optional[Partition]) -> FiniteMeasure:
+        """The law of the cells: this measure without a partition, under which
+        its atoms are the cells; the sums of its atom groups under an atom partition."""
+        if partition is None:
+            return self
+        if partition.kind != "atoms":
+            raise ValidationError("finite measures need an atom partition")
+        if partition.alphabet_size != self.alphabet_size:
+            raise ValidationError(
+                f"partition covers {partition.alphabet_size} atoms, "
+                f"measure has {self.alphabet_size}"
+            )
+        return FiniteMeasure(np.array([self.weights[list(group)].sum() for group in partition.cells]))
 
 
 def _weight_vector(weights) -> np.ndarray:
@@ -295,6 +314,12 @@ class DensitySpec:
             hi = np.where(under, hi, mid)
         return 0.5 * (lo + hi)
 
+    def cell_law(self, partition: Optional[Partition]) -> FiniteMeasure:
+        """The law of the cells of an interval partition: differences of the CDF."""
+        if partition is None or partition.kind != "intervals":
+            raise ValidationError("density models need an interval partition")
+        return FiniteMeasure(np.diff(self.cdf([0.0] + [hi for _, hi in partition.cells])))
+
     def label(self) -> str:
         value = f"{self.param:g}" if isinstance(self.param, float) else self.param
         return self.kind if self.param is None else f"{self.kind}({value})"
@@ -318,6 +343,10 @@ class PoissonModel:
         lam = n * self.mass * self.shape.weights
         return gen.poisson(lam, size=(size, lam.size))
 
+    def cell_law(self, partition: Optional[Partition]) -> FiniteMeasure:
+        """The shape's cell law: given their count, the points fall i.i.d. from the shape."""
+        return self.shape.cell_law(partition)
+
 
 @dataclass(frozen=True)
 class GaussianSequenceModel(ReadOnlyArrays):
@@ -340,7 +369,8 @@ class GaussianSequenceModel(ReadOnlyArrays):
         return self.signal + self.noise * gen.standard_normal((size, self.dimension))
 
 
-Model = Union[FiniteMeasure, DensitySpec]
+#: A model with a law on the cells of a partition: its ``cell_law(partition)``.
+Model = Union[FiniteMeasure, DensitySpec, PoissonModel]
 #: What a partition's cells, and each cell, may be.
 _CELL = (list, tuple, np.ndarray)
 
@@ -421,32 +451,6 @@ class Partition:
     def half_split() -> "Partition":
         """The two-cell partition {(0, 1/2], (1/2, 1)}."""
         return Partition.intervals([0.0, 0.5, 1.0])
-
-
-def induced_vector(model: Model, partition: Optional[Partition]) -> np.ndarray:
-    """Cell-probability vector of a measure under a partition.
-
-    Component ``j`` is the mass the measure assigns to cell ``j``. Densities
-    pair with interval partitions, finite measures with atom partitions or
-    with ``None``, under which their atoms are the cells; anything else is
-    incompatible. ``separation`` and ``Scenario.cell_laws`` alone take it.
-    """
-    if isinstance(model, DensitySpec):
-        if partition is None or partition.kind != "intervals":
-            raise ValidationError("density models need an interval partition")
-        return np.diff(model.cdf([0.0] + [hi for _, hi in partition.cells]))
-    if isinstance(model, FiniteMeasure):
-        if partition is None:
-            return model.weights
-        if partition.kind != "atoms":
-            raise ValidationError("finite measures need an atom partition")
-        if partition.alphabet_size != model.alphabet_size:
-            raise ValidationError(
-                f"partition covers {partition.alphabet_size} atoms, "
-                f"measure has {model.alphabet_size}"
-            )
-        return np.array([model.weights[list(group)].sum() for group in partition.cells])
-    raise ValidationError(f"unsupported model type {type(model).__name__}")
 
 
 def discretize(spec: DensitySpec, grid_size: int) -> FiniteMeasure:

@@ -26,8 +26,8 @@ from .measures import (
     Partition,
     ReadOnlyArrays,
     _positive,
+    family_weights,
     frozen,
-    induced_vector,
 )
 from .simulation import poisson_atom_tail_bound
 
@@ -68,14 +68,9 @@ class SeparationReport(ReadOnlyArrays):
 def separation(
     theta0: Sequence[Model], theta1: Sequence[Model], partition: Partition | None
 ) -> SeparationReport:
-    """Induced vectors of both families plus their minimal sup-norm distance;
+    """Cell laws of both families plus their minimal sup-norm distance;
     ``partition=None`` takes a finite model's atoms as cells."""
-    if len(theta0) == 0 or len(theta1) == 0:
-        raise ValidationError("hypothesis and alternative families must be nonempty")
-    vectors = [induced_vector(m, partition) for m in (*theta0, *theta1)]
-    if len({v.size for v in vectors}) != 1:
-        raise ValidationError("measures live on different alphabets")
-    v0, v1 = np.stack(vectors[: len(theta0)]), np.stack(vectors[len(theta0) :])
+    v0, v1 = family_weights(*([m.cell_law(partition) for m in theta] for theta in (theta0, theta1)))
     gaps = np.abs(v0[:, None, :] - v1[None, :, :]).max(axis=2)
     i, j = np.unravel_index(int(gaps.argmin()), gaps.shape)
     return SeparationReport(

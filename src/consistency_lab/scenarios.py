@@ -43,7 +43,6 @@ from .measures import (
     discretize,
     family_weights,
     frozen,
-    induced_vector,
 )
 from .partition_tests import (
     FrequencyTest,
@@ -167,12 +166,10 @@ class Scenario:
     @cached_property
     def cell_laws(self) -> tuple:
         """``(hypothesis laws, alternative laws)``: each model's :class:`FiniteMeasure`
-        on the partition's cells, or a partition-less ``finite`` scenario's own
-        measures. The one place a scenario meets its partition."""
-        if self.partition is None and self.model_type == "finite":
-            return self.hypothesis, self.alternative
+        on the partition's cells, its ``cell_law``. The one place a scenario meets
+        its partition."""
         return tuple(
-            tuple(FiniteMeasure(induced_vector(m, self.partition)) for m in models)
+            tuple(m.cell_law(self.partition) for m in models)
             for models in (self.hypothesis, self.alternative)
         )
 
@@ -795,7 +792,7 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
     the two-stage test; its exact errors are not computed yet (NaN)."""
     h0: PoissonModel = scenario.hypothesis[0]
     h1: PoissonModel = scenario.alternative[0]
-    shapes = separation([h0.shape], [h1.shape], None)
+    shapes = separation(*scenario.cell_laws, None)
     freq_test = build_frequency_test(shapes) if shapes.radius > 0.0 else None
     rows = []
     for n in scenario.sim.n_grid:
@@ -833,8 +830,7 @@ def _model_type(name) -> _ModelType:
 
 
 def _check_finite(scenario: Scenario) -> None:
-    family_weights(scenario.hypothesis, scenario.alternative)
-    scenario.cell_laws  # a partition of another alphabet is refused at load
+    family_weights(*scenario.cell_laws)  # one alphabet, the partition's if there is one
     k_grid, n_max = list(scenario.sim.k_grid), _horizon(scenario)
     if k_grid != sorted(k_grid) or any(not 0 <= k <= n_max for k in k_grid):
         raise ValidationError(
@@ -855,10 +851,9 @@ def _check_finite(scenario: Scenario) -> None:
 def _check_poisson(scenario: Scenario) -> None:
     if len(scenario.hypothesis) != 1 or len(scenario.alternative) != 1:
         raise ValidationError("a Poisson scenario has exactly one hypothesis and one alternative")
-    h0, h1 = scenario.hypothesis[0], scenario.alternative[0]
-    family_weights([h0.shape], [h1.shape])
-    same_mass = abs(h0.mass - h1.mass) <= 1e-12
-    if same_mass and separation([h0.shape], [h1.shape], None).radius <= 0.0:
+    shapes = separation(*scenario.cell_laws, None)
+    same_mass = abs(scenario.hypothesis[0].mass - scenario.alternative[0].mass) <= 1e-12
+    if same_mass and shapes.radius <= 0.0:
         raise DegenerateScenarioError("hypothesis and alternative mean measures coincide")
 
 

@@ -508,6 +508,18 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
             {"partition": {"cells": [[0], [1]], "kind": "intervals"}},
             "partition.kind is not a partition option; the options are cells",
         ),
+        (
+            "simulate",
+            _FINITE,
+            {"alternative": [[0.9, 0.1]]},
+            "model entries must be objects, got list",
+        ),
+        (
+            "simulate",
+            _DENSITY,
+            {"model": {"grid_size": 64}},
+            "scenario 'model' must be an object with a 'type'",
+        ),
     ],
     ids=[
         "sim-list",
@@ -533,6 +545,8 @@ _HALVES = {"cells": [[0, 1], [1, 2]]}
         "three-edge-cell",
         "number-cells",
         "misspelled-partition-key",
+        "model-entry-list",
+        "model-without-type",
     ],
 )
 def test_invalid_scenario_file_names_the_key(

@@ -500,6 +500,11 @@ def test_hull_variation_solver_errors_name_the_stage(monkeypatch):
     monkeypatch.setattr(distances, "solve_lp", overrun)
     with pytest.raises(NumericError, match=r"^hull LP \(1x2 on 2 atoms\): simplex exceeded"):
         hull_variation([F(0.5, 0.5)], [F(1, 0), F(0, 1)])
+    monkeypatch.setattr(distances, "solve_lp_prefixes", overrun)
+    with pytest.raises(
+        NumericError, match=r"^hull LP scan \(1x1\.\.3 on 2 atoms\): simplex exceeded 20000"
+    ):
+        hull_variation_prefixes([F(0.5, 0.5)], [F(1, 0), F(0, 1), F(0.2, 0.8)])
 
 
 # -- the Cesàro hull scan: one LP grown a row at a time ------------------------------------

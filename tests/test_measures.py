@@ -16,10 +16,10 @@ from consistency_lab.measures import (
     FiniteMeasure,
     GaussianSequenceModel,
     Partition,
+    PoissonModel,
     discretize,
     family_weights,
     frozen,
-    induced_vector,
     mixture,
     normalize,
 )
@@ -184,11 +184,11 @@ def test_density_nonnegative_and_normalized():
         DensitySpec.pu_family(0.9),
     ]:
         assert np.all(spec.pdf(x) >= -1e-12)
-        assert abs(induced_vector(spec, Partition.half_split()).sum() - 1.0) <= 1e-12
+        assert abs(spec.cell_law(Partition.half_split()).weights.sum() - 1.0) <= 1e-12
 
 
 def test_induced_vector_uniform_half_split():
-    v = induced_vector(DensitySpec.uniform(), Partition.half_split())
+    v = DensitySpec.uniform().cell_law(Partition.half_split()).weights
     assert_allclose(v, [0.5, 0.5])
 
 
@@ -196,12 +196,12 @@ def test_induced_vector_sine_against_quadrature_oracle():
     # cell masses verified against adaptive Simpson as an independent route
     half = Partition.half_split()
     spec1 = DensitySpec.one_plus_sine(1)
-    v = induced_vector(spec1, half)
+    v = spec1.cell_law(half).weights
     assert_allclose(v, [0.5 + 1 / math.pi, 0.5 - 1 / math.pi], atol=1e-12)
     assert abs(v[0] - mass_quadrature(spec1, 0.0, 0.5)) < 1e-9
 
     spec2 = DensitySpec.one_plus_sine(2)
-    v2 = induced_vector(spec2, half)
+    v2 = spec2.cell_law(half).weights
     assert_allclose(v2, [0.5, 0.5], atol=1e-12)
     assert abs(mass_quadrature(spec2, 0.0, 0.5) - 0.5) < 1e-9
 
@@ -219,7 +219,7 @@ def test_quadrature_matches_closed_form_cells():
             a, b = np.sort(rng.random(2))
             if b - a < 1e-3:
                 continue
-            mass = induced_vector(spec, Partition.intervals([0.0, a, b, 1.0]))[1]
+            mass = spec.cell_law(Partition.intervals([0.0, a, b, 1.0])).weights[1]
             assert abs(mass - mass_quadrature(spec, a, b)) < 1e-9
 
 
@@ -241,7 +241,7 @@ def test_discretize_examples():
     assert_allclose(discretize(DensitySpec.pu_family(0.5), 2).weights, [0.25, 0.75])
     assert_allclose(
         discretize(DensitySpec.one_plus_sine(1), 2).weights,
-        induced_vector(DensitySpec.one_plus_sine(1), Partition.half_split()),
+        DensitySpec.one_plus_sine(1).cell_law(Partition.half_split()).weights,
     )
     with pytest.raises(ValidationError):
         discretize(DensitySpec.uniform(), 1)
@@ -252,7 +252,7 @@ def test_discretize_then_identity_partition_is_identity():
     for spec in [DensitySpec.one_plus_sine(3), DensitySpec.pu_family(0.3)]:
         g = int(rng.integers(2, 40))
         m = discretize(spec, g)
-        assert_allclose(induced_vector(m, Partition.identity(g)), m.weights)
+        assert_allclose(m.cell_law(Partition.identity(g)).weights, m.weights)
 
 
 def test_induced_vector_affine_in_the_measure():
@@ -263,15 +263,15 @@ def test_induced_vector_affine_in_the_measure():
         q = normalize(rng.random(4))
         lam = rng.random()
         mix = mixture([p, q], [lam, 1 - lam])
-        left = induced_vector(mix, part)
-        right = lam * induced_vector(p, part) + (1 - lam) * induced_vector(q, part)
+        left = mix.cell_law(part).weights
+        right = lam * p.cell_law(part).weights + (1 - lam) * q.cell_law(part).weights
         assert_allclose(left, right, atol=1e-12)
 
 
 def test_induced_vector_components_sum_to_one():
     part = Partition.intervals([0.0, 0.25, 0.7, 1.0])
     for spec in [DensitySpec.one_plus_sine(5), DensitySpec.cesaro_mixture(4)]:
-        v = induced_vector(spec, part)
+        v = spec.cell_law(part).weights
         assert abs(v.sum() - 1.0) <= 1e-9
         assert np.all(v >= 0)
 
@@ -279,9 +279,9 @@ def test_induced_vector_components_sum_to_one():
 def test_high_frequency_margins_vanish():
     # per-cell gap from uniform is bounded by 1/(pi*i) on any fixed partition
     part = Partition.intervals([0.0, 0.3, 0.55, 0.8, 1.0])
-    base = induced_vector(DensitySpec.uniform(), part)
+    base = DensitySpec.uniform().cell_law(part).weights
     for i in (8, 16, 32):
-        v = induced_vector(DensitySpec.one_plus_sine(i), part)
+        v = DensitySpec.one_plus_sine(i).cell_law(part).weights
         assert np.abs(v - base).max() <= 1 / (math.pi * i) + 1e-12
 
 
@@ -333,12 +333,20 @@ def test_partition_is_its_cells():
 
 
 def test_induced_vector_incompatible_pairs():
-    with pytest.raises(ValidationError):
-        induced_vector(DensitySpec.uniform(), Partition.identity(2))
-    with pytest.raises(ValidationError):
-        induced_vector(FiniteMeasure([0.5, 0.5]), Partition.half_split())
-    with pytest.raises(ValidationError):
-        induced_vector(FiniteMeasure([0.5, 0.5]), Partition.identity(3))
+    """Each model gives its own cell law, and refuses a partition of another kind or alphabet."""
+    shape = FiniteMeasure([0.5, 0.25, 0.25])
+    for model, partition, message in (
+        (DensitySpec.uniform(), Partition.identity(2), "density models need an interval partition"),
+        (DensitySpec.uniform(), None, "density models need an interval partition"),
+        (shape, Partition.half_split(), "finite measures need an atom partition"),
+        (shape, Partition.identity(2), "partition covers 2 atoms, measure has 3"),
+        (PoissonModel(1.0, shape), Partition.identity(4), "partition covers 4 atoms, measure has 3"),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            model.cell_law(partition)
+    cells = Partition.atoms([[0, 2], [1]])
+    assert PoissonModel(1.0, shape).cell_law(cells) == shape.cell_law(cells) == FiniteMeasure([0.75, 0.25])
+    assert PoissonModel(1.0, shape).cell_law(None) is shape.cell_law(None) is shape
 
 
 def test_family_weights_is_the_one_family_check():

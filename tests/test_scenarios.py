@@ -28,6 +28,7 @@ from consistency_lab.measures import (
     discretize,
 )
 from consistency_lab.partition_tests import (
+    FrequencyTest,
     LinearFunctionalTest,
     PoissonTwoStageTest,
     UnionTest,
@@ -302,10 +303,11 @@ def _members(family) -> list:
 
 def test_finite_scenario_without_partition_keeps_its_measures_as_cell_laws():
     """Without a partition a finite scenario's atoms are its cells: its cell
-    laws are its own measures, not renormalized a second time, which would
-    move the last bits of these pieces, and its family is theirs."""
+    laws are its own measures, and its family is theirs. Each measure is a
+    fixed point of the constructor, so a second construction moves no bit."""
     pieces = [F(0.7, 0.2, 0.1), F(0.2, 0.7, 0.1)]
-    assert all(FiniteMeasure(p.weights) != p for p in pieces)  # not fixed points
+    assert all(FiniteMeasure(p.weights) == p for p in pieces)  # fixed points
+    assert pieces[0].weights.tolist() == [0.7, 0.2, 0.1]  # stored as given
     scenario = Scenario(
         name="raw-atoms", model_type="finite", hypothesis=[F(0.1, 0.2, 0.7)], alternative=pieces
     )
@@ -316,6 +318,26 @@ def test_finite_scenario_without_partition_keeps_its_measures_as_cell_laws():
     assert _members(scenario.family) == _members(
         build_nested_family(scenario.hypothesis, scenario.alternative)
     )
+
+
+def test_finite_measures_are_fixed_points_of_their_constructor():
+    """A vector off 1 by more than its rounding is divided by its sum once;
+    the stored weights then make the same measure again, bit for bit."""
+    gen = np.random.default_rng(17)
+    for _ in range(2000):
+        w = gen.random(int(gen.integers(2, 300)))
+        measure = FiniteMeasure(w / w.sum() * (1 + gen.uniform(-5e-10, 5e-10)))
+        assert np.array_equal(FiniteMeasure(measure.weights).weights, measure.weights)
+
+
+def test_finite_scenario_json_round_trip_moves_no_bit():
+    scenario = Scenario(
+        name="round-trip", model_type="finite",
+        hypothesis=[F(0.1, 0.2, 0.7)], alternative=[FiniteMeasure([0.7, 0.2, 0.1])],
+    )
+    parsed = scenario_from_dict(scenario.to_json_dict())
+    assert parsed == scenario
+    assert scenario_hash(parsed.to_json_dict()) == scenario_hash(scenario.to_json_dict())
 
 
 def test_cell_laws_are_the_partition_images_of_the_models():
@@ -1209,6 +1231,26 @@ _ARGUMENTS = {
     ),
     "string-tail-x": (
         lambda: poisson_atom_tail_bound(1.0, 4, "0.5"), "x must satisfy 0 < x < lam, got '0.5'"
+    ),
+    "model-of-another-class": (
+        lambda: Scenario(name="s", model_type="finite", hypothesis=[DensitySpec.uniform()],
+                         alternative=[F(0.5, 0.5)]),
+        "finite models must be FiniteMeasure",
+    ),
+    "file-not-an-object": (
+        lambda: scenario_from_dict([]), "scenario file must contain a JSON object"
+    ),
+    "signal-dimension": (
+        lambda: scenario_signal_detection([[0.0, 0.0]], [[1.0]], 2, [0.5]),
+        "every signal must have dimension 2",
+    ),
+    "zero-pieces": (lambda: build_nested_family([F(0.5, 0.5)], []), "at least one piece required"),
+    "poisson-shape-not-a-measure": (
+        lambda: PoissonModel(1.0, [0.5, 0.5]), "shape must be a FiniteMeasure"
+    ),
+    "vector-sets-of-two-dimensions": (
+        lambda: FrequencyTest([[0.5, 0.5]], [[0.2, 0.3, 0.5]]),
+        "vector sets live in different dimensions",
     ),
 }
 

@@ -60,6 +60,24 @@ def test_block_lengths_minimality_grid():
         assert math.exp(-c * (l - 1)) > target  # minimal integer
 
 
+@pytest.mark.parametrize(
+    "exponents, closed_form, length",
+    [
+        ([1.0] * 13 + [0.15671279285488882], 46, 47),  # the closed form rounds short
+        ([1.0] * 37 + [0.17507629023143415], 53, 52),  # the closed form rounds long
+    ],
+    ids=["rounded-up", "rounded-down"],
+)
+def test_block_lengths_correct_the_closed_form(exponents, closed_form, length):
+    """Where ``ceil(-log(target) / c)`` misses by rounding, the last length is
+    still the smallest ``l`` with ``exp(-c l) <= (1 - exp(-c)) / i**2``."""
+    i, c = len(exponents), exponents[-1]
+    target = (1 - math.exp(-c)) / i**2
+    assert math.ceil(-math.log(target) / c) == closed_form
+    assert block_lengths(exponents)[-1] == length
+    assert math.exp(-c * length) <= target < math.exp(-c * (length - 1))
+
+
 def test_block_lengths_monotone_in_exponent():
     # larger exponent at the same index gives a shorter (or equal) block
     for i in range(2, 8):

@@ -16,7 +16,6 @@ from consistency_lab.measures import (
     GaussianSequenceModel,
     Partition,
     PoissonModel,
-    induced_vector,
 )
 from consistency_lab.partition_tests import (
     FrequencyTest,
@@ -248,7 +247,7 @@ def test_edge_binning_equals_quantile_binning(model):
     points = model.quantile(uniforms)
     for partition in _DYADIC_PARTITIONS:
         his = np.array([hi for _, hi in partition.cells])
-        cells, k = _bin(induced_vector(model, partition), uniforms), partition.k
+        cells, k = _bin(model.cell_law(partition).weights, uniforms), partition.k
         assert cells.shape == uniforms.shape
         assert np.array_equal(cells, np.searchsorted(his, points, side="left"))
         assert set(np.unique(cells)) == set(range(k))
@@ -260,7 +259,7 @@ def test_edge_binning_equals_quantile_binning(model):
 def test_edge_binning_extreme_uniforms(model):
     extremes = np.array([0.0, 1.0 - 2.0**-53])
     for partition in _DYADIC_PARTITIONS:
-        cells = _bin(induced_vector(model, partition), extremes)
+        cells = _bin(model.cell_law(partition).weights, extremes)
         assert cells.tolist() == [0, partition.k - 1]
 
 
@@ -300,10 +299,10 @@ def test_cells_below_equals_searchsorted(n_edges):
     ids=["atom-groups-out-of-order", "sine-non-dyadic-edges", "atoms-as-cells"],
 )
 def test_bin_draws_follows_induced_vector(model, partition):
-    """A draw's cell counts the cumulative probabilities of ``induced_vector``, the
+    """A draw's cell counts the cumulative probabilities of the ``cell_law``, the
     exact columns' cells, at or below its uniform; so the cells occur at its rates."""
     uniforms = RngSpec(109, 0).generator().random((40, 1000))
-    probs = induced_vector(model, partition)
+    probs = model.cell_law(partition).weights
     cells, k = _bin(probs, uniforms), probs.size
     expected = np.searchsorted(np.cumsum(probs)[:-1], uniforms, side="right")
     assert np.array_equal(cells, expected)
@@ -311,11 +310,11 @@ def test_bin_draws_follows_induced_vector(model, partition):
 
 
 def test_bin_draws_rejects_density_without_interval_partition():
-    """Draws fall into the cells of ``induced_vector``; a density has cells only
+    """Draws fall into the cells of the ``cell_law``; a density has cells only
     under an interval partition."""
     for partition in (None, Partition.atoms([[0], [1]])):
         with pytest.raises(ValidationError, match="interval partition"):
-            induced_vector(DensitySpec.uniform(), partition)
+            DensitySpec.uniform().cell_law(partition)
 
 
 class _RecordingTest:
@@ -383,8 +382,9 @@ def test_poisson_process_conditional_shape():
 )
 def test_iid_block_counts_are_multinomial_draws(model, partition):
     test = _RecordingTest()
-    probs = induced_vector(model, partition)
-    _simulate_error_block((test, FiniteMeasure(probs), 37, True, 400, RngSpec(131, 0)))
+    law = model.cell_law(partition)
+    probs = law.weights
+    _simulate_error_block((test, law, 37, True, 400, RngSpec(131, 0)))
     (counts,) = test.seen
     # the block's only draw: the cell counts of 37 draws per replication
     expected = RngSpec(131, 0).generator().multinomial(37, probs, size=400)

@@ -4,9 +4,9 @@ no private function, class or method that nothing in the package uses, one
 owner of the tie tolerance, one reader of partition cells, one module that
 reads single values, no dataclass that is not frozen, one owner of the
 read-only flag of arrays, no read of the environment, a set-up that loads
-neither the process pool nor hashing, one error engine: the simulation
-never asks a model its class, and no scenario code defines a test, and one
-place where a scenario's models meet its partition."""
+neither the process pool nor hashing, one error engine: no code but an argument
+guard or an equality asks a model its class, and no scenario code defines
+a test, and one place where a scenario's models meet its partition."""
 import ast
 import json
 import os
@@ -351,17 +351,32 @@ def test_cli_set_up_loads_no_pool_or_hashing_module(tmp_path):
 _MODEL_CLASSES = {"FiniteMeasure", "DensitySpec", "PoissonModel", "GaussianSequenceModel"}
 
 
+def _owned(source: str, name: str):
+    """Each node of ``source`` with the innermost function around it, after the
+    classes around that (``<module>`` outside any function), in source order."""
+
+    def visit(node, owner):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
+        yield node, owner
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, owner)
+
+    return visit(ast.parse(source, filename=name), "<module>")
+
+
 def _class_checks(source: str, name: str, classes: set) -> list:
-    """``name:line: isinstance C`` for each ``isinstance`` call whose class
-    argument names one of ``classes``, alone or in a tuple."""
+    """``name: f: isinstance C`` for each ``isinstance`` call whose class
+    argument names one of ``classes``, alone or in a tuple, with ``f`` the
+    function around it as :func:`_owned` names it."""
     found = []
-    for node in ast.walk(ast.parse(source, filename=name)):
+    for node, owner in _owned(source, name):
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
             target = node.args[1] if len(node.args) > 1 else None
             for part in target.elts if isinstance(target, ast.Tuple) else [target]:
                 named = getattr(part, "id", getattr(part, "attr", None))
                 if named in classes:
-                    found.append(f"{name}:{node.lineno}: isinstance {named}")
+                    found.append(f"{name}: {owner}: isinstance {named}")
     return found
 
 
@@ -406,18 +421,26 @@ class Table:
         return []
 """
     assert _class_checks(source, "m.py", _MODEL_CLASSES) == [
-        "m.py:6: isinstance PoissonModel",
-        "m.py:6: isinstance GaussianSequenceModel",
-        "m.py:8: isinstance FiniteMeasure",
+        "m.py: block: isinstance PoissonModel",
+        "m.py: block: isinstance GaussianSequenceModel",
+        "m.py: block: isinstance FiniteMeasure",
     ]
     assert _rejects_owners(source, "m.py") == ["m.py:11: Count", "m.py:16: Union"]
 
 
-def test_simulation_never_asks_a_model_its_class():
-    """A model draws for itself (``sample``), so the error engine has no
-    branch per model class for a new model to miss."""
-    path = SRC / "consistency_lab" / "simulation.py"
-    assert _class_checks(path.read_text(), "simulation.py", _MODEL_CLASSES) == []
+def test_only_guards_and_equality_ask_a_model_its_class():
+    """A model draws for itself (``sample``) and gives its own ``cell_law``:
+    no code branches on a model's class. The checks left refuse an argument
+    of the wrong class, or compare two measures."""
+    sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
+    checks = [c for name, source in sources.items() for c in _class_checks(source, name, _MODEL_CLASSES)]
+    assert sorted(checks) == [
+        "consistency_lab/distances.py: _gap_pieces: isinstance DensitySpec",
+        "consistency_lab/distances.py: _gap_pieces: isinstance DensitySpec",
+        "consistency_lab/measures.py: FiniteMeasure.__eq__: isinstance FiniteMeasure",
+        "consistency_lab/measures.py: PoissonModel.__post_init__: isinstance FiniteMeasure",
+        "consistency_lab/measures.py: discretize: isinstance DensitySpec",
+    ]
 
 
 def test_scenarios_define_no_test():
@@ -429,54 +452,46 @@ def test_scenarios_define_no_test():
 
 def _callers(source: str, name: str, target: str) -> list:
     """``name: f`` for each call of ``target``, by name or attribute, with ``f``
-    the innermost function around it, after the classes around that
-    (``<module>`` outside any function)."""
-    found = []
-
-    def visit(node, owner):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            owner = node.name if owner == "<module>" else f"{owner}.{node.name}"
-        if isinstance(node, ast.Call):
-            called = getattr(node.func, "id", getattr(node.func, "attr", None))
-            if called == target:
-                found.append(f"{name}: {owner}")
-        for child in ast.iter_child_nodes(node):
-            visit(child, owner)
-
-    visit(ast.parse(source, filename=name), "<module>")
-    return found
+    the function around it as :func:`_owned` names it."""
+    return [
+        f"{name}: {owner}"
+        for node, owner in _owned(source, name)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == target
+    ]
 
 
 def test_caller_check_names_the_function_around_each_call():
     source = """
 import measures
-from measures import induced_vector
+from measures import cell_law
 
-v = induced_vector(m, None)
+v = cell_law(m, None)
 
 
 class Scenario:
     def laws(self):
-        return [measures.induced_vector(m, p) for m in self.models]
+        return [m.cell_law(self.partition) for m in self.models]
 
 
 def separation(a, b, p):
-    keep = induced_vector
+    keep = cell_law
     return keep(a, p)
 """
-    assert _callers(source, "m.py", "induced_vector") == [
+    assert _callers(source, "m.py", "cell_law") == [
         "m.py: <module>", "m.py: Scenario.laws",
     ]
 
 
 def test_only_separation_and_cell_laws_apply_a_partition():
-    """A scenario meets its partition in ``Scenario.cell_laws``, and
-    ``separation`` maps a caller's models to cells: no other code takes a
-    model's ``induced_vector``, so a table, the family, the replay and
-    ``distinguish`` cannot answer on other cells than each other."""
+    """A scenario meets its partition in ``Scenario.cell_laws``, ``separation``
+    maps a caller's models to cells, and a Poisson model's law is its shape's:
+    no other code asks a model for its ``cell_law``, so a table, the family,
+    the replay and ``distinguish`` cannot answer on other cells than each other."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
-    callers = [c for name, source in sources.items() for c in _callers(source, name, "induced_vector")]
+    callers = [c for name, source in sources.items() for c in _callers(source, name, "cell_law")]
     assert sorted(callers) == [
+        "consistency_lab/measures.py: PoissonModel.cell_law",
         "consistency_lab/partition_tests.py: separation",
         "consistency_lab/scenarios.py: Scenario.cell_laws",
     ]
