@@ -144,31 +144,49 @@ def kraft_bound(a: Sequence[FiniteMeasure], b: Sequence[FiniteMeasure]) -> float
 _END_TOL = 1e-12
 #: Intervals narrower than this are settled without a certificate.
 _MIN_WIDTH = 1e-13
-#: Points times frequencies evaluated at once; bounds the memory of ``_trig``.
-_TRIG_BLOCK = 1 << 15
+#: Terms evaluated, or node terms bracketed, at once, cut at whole points or pieces;
+#: it bounds memory, never a value.
+_TRIG_BLOCK = 1 << 13
 #: Halvings of every root bracket, enough to bisect a bracket of [0, 1] to rounding.
 _BISECTIONS = 60
 
 
-def _trig(x, c, w, a):
-    """``g = c + sum(a * sin(w x))`` and its first two derivatives at the points ``x``."""
-    out = np.empty((3, x.size))
-    step = max(1, _TRIG_BLOCK // w.size)
-    for i in range(0, x.size, step):
-        t = np.multiply.outer(x[i : i + step], w)
+def _table(pieces):
+    """The pieces ``(c, w, a, lo, hi)``, each of at least one term, as arrays ``(c, w,
+    a, lo, hi, first, count)``: ``w`` and ``a`` of every term, piece after piece."""
+    c, lo, hi = (np.array([piece[i] for piece in pieces], dtype=float) for i in (0, 3, 4))
+    w, a = (np.concatenate([np.empty(0)] + [piece[i] for piece in pieces]) for i in (1, 2))
+    count = np.array([piece[1].size for piece in pieces], dtype=int)
+    return c, w, a, lo, hi, np.cumsum(count) - count, count
+
+
+def _series(table, k):
+    """``g = c + sum(a * sin(w x))`` at one point per entry of ``k``, a piece index,
+    and with ``derivatives`` also ``g'`` and ``g''``. The terms are laid out flat once,
+    here, and each point's sum is one ``np.add.reduceat`` segment, so a point's values
+    depend on the point and its piece alone, not on the other points or on BLAS."""
+    c, w, a, _, _, first, count = table
+    n = count[k]
+    starts = np.cumsum(n) - n
+    term = np.arange(n.sum()) + np.repeat(first[k] - starts, n)
+    c, w, a = c[k], w[term], a[term]
+
+    def evaluate(x, derivatives=False):
+        t = np.repeat(x, n) * w
         sin = np.sin(t)
-        out[:, i : i + step] = c + sin @ a, np.cos(t) @ (a * w), -(sin @ (a * w * w))
-    return out
+        g = c + np.add.reduceat(sin * a, starts)
+        if not derivatives:
+            return g
+        return g, np.add.reduceat(np.cos(t) * (a * w), starts), -np.add.reduceat(sin * (a * w * w), starts)
+
+    return evaluate
 
 
-def _values(x, c, w, a):
-    """``g`` alone at the points ``x``, blocked as ``_trig`` blocks them, so that
-    each value is the first row of ``_trig`` bit for bit."""
-    out = np.empty(x.size)
-    step = max(1, _TRIG_BLOCK // w.size)
-    for i in range(0, x.size, step):
-        out[i : i + step] = c + np.sin(np.multiply.outer(x[i : i + step], w)) @ a
-    return out
+def _blocks(n):
+    """Slices of consecutive items, item ``i`` of ``n[i]`` terms, cut where an
+    item's first term opens a new block of ``_TRIG_BLOCK``."""
+    edges = [*np.flatnonzero(np.diff((np.cumsum(n) - n) // _TRIG_BLOCK, prepend=-1)), n.size]
+    return [slice(i, j) for i, j in zip(edges, edges[1:])]
 
 
 def _keeps_sign(f0, d0, f1, d1, bound, h):
@@ -180,69 +198,44 @@ def _keeps_sign(f0, d0, f1, d1, bound, h):
     return (sign == np.sign(f1)) & (ends > bound * h * h / 8.0)
 
 
-def _brackets(c, w, a, lo, hi):
-    """Rows ``x0``, ``x1`` and ``g(x0) > 0`` of one bracket per sign change of
-    ``g = c + sum(a * sin(w x))`` on ``[lo, hi]``.
+def _brackets(table):
+    """Rows ``x0``, ``x1``, ``g(x0) > 0`` and piece of one bracket per sign change of
+    ``g = c + sum(a * sin(w x))`` on ``[lo, hi]``, for each piece of a table.
 
+    Each piece starts from four nodes per period of its highest frequency.
     Certified: an interval is settled when ``g`` provably keeps its sign on it,
     or ``g'`` does, so that ``g`` is monotone and has a root exactly when its end
     values differ in sign. ``sum(|a| w**2)`` and ``sum(|a| w**3)`` bound ``|g''|``
-    and ``|g'''|``. Other intervals are halved. A constant ``g`` has no brackets.
-    A zero at ``lo`` or ``hi`` is a root at that end: its bracket is the end
-    point alone, which bisection leaves in place (dropping it would change the
-    piece's matrix shape, and with it the last bit of its other roots).
+    and ``|g'''|``. Other intervals are halved. A zero at ``lo`` or ``hi`` gets no
+    bracket, since ``_END_TOL`` would drop it. Blocks of pieces are refined together.
     """
-    if not w.size:
-        return np.empty((3, 0))
-    bounds = np.abs(a) @ w**2, np.abs(a) @ w**3
-    x = np.linspace(lo, hi, int(4 * (hi - lo) * w.max() / (2 * np.pi)) + 2)
-    nodes = np.vstack([x, _trig(x, c, w, a)])
-    left, right = nodes[:, :-1], nodes[:, 1:]
-    brackets = []
-    while left.shape[1]:
-        h = right[0] - left[0]
-        settled = (
-            (h < _MIN_WIDTH)
-            | _keeps_sign(left[1], left[2], right[1], right[2], bounds[0], h)
-            | _keeps_sign(left[2], left[3], right[2], right[3], bounds[1], h)
-        )
-        root = settled & ((left[1] > 0) != (right[1] > 0))
-        x0 = np.where((right[0] == hi) & (right[1] == 0.0), hi, left[0])
-        x1 = np.where((left[0] == lo) & (left[1] == 0.0), lo, right[0])
-        brackets.append(np.vstack([x0[root], x1[root], left[1, root] > 0]))
-        mid = 0.5 * (left[0, ~settled] + right[0, ~settled])
-        middle = np.vstack([mid, _trig(mid, c, w, a)])
-        left, right = np.hstack([left[:, ~settled], middle]), np.hstack([middle, right[:, ~settled]])
+    _, w, a, lo, hi, first, count = table
+    bounds = np.add.reduceat(np.abs(a) * w**2, first), np.add.reduceat(np.abs(a) * w**3, first)
+    nodes = (4 * (hi - lo) * np.maximum.reduceat(w, first) / (2 * np.pi)).astype(int) + 2
+
+    def trig(x, k):
+        g = [np.vstack(_series(table, k[s])(x[s], derivatives=True)) for s in _blocks(count[k])]
+        return np.vstack([x, k, np.hstack([np.empty((3, 0))] + g)])
+
+    brackets = [np.empty((4, 0))]
+    for pieces in _blocks(nodes * count):
+        k = np.repeat(np.arange(lo.size)[pieces], nodes[pieces])
+        x = np.concatenate([np.linspace(*span) for span in zip(lo[pieces], hi[pieces], nodes[pieces])])
+        points, inner = trig(x, k), k[:-1] == k[1:]
+        left, right = points[:, :-1][:, inner], points[:, 1:][:, inner]
+        while left.shape[1]:
+            k, h = left[1].astype(int), right[0] - left[0]
+            settled = (
+                (h < _MIN_WIDTH)
+                | _keeps_sign(left[2], left[3], right[2], right[3], bounds[0][k], h)
+                | _keeps_sign(left[3], left[4], right[3], right[4], bounds[1][k], h)
+            )
+            end = (left[0] == lo[k]) & (left[2] == 0.0) | (right[0] == hi[k]) & (right[2] == 0.0)
+            root = settled & ((left[2] > 0) != (right[2] > 0)) & ~end
+            brackets.append(np.vstack([left[0], right[0], left[2] > 0, k])[:, root])
+            middle = trig(0.5 * (left[0, ~settled] + right[0, ~settled]), k[~settled])
+            left, right = np.hstack([left[:, ~settled], middle]), np.hstack([middle, right[:, ~settled]])
     return np.hstack(brackets)
-
-
-def _sign_changes(pieces) -> list:
-    """Every sign change inside ``(lo, hi)`` of ``g = c + sum(a * sin(w x))``,
-    one array for each piece ``(c, w, a, lo, hi)``.
-
-    The brackets of all pieces are bisected to rounding in one loop that
-    evaluates ``g`` alone, each piece on its own brackets, so that every root
-    is the one its piece gives by itself. It stops once a step moves no bracket.
-    """
-    brackets = [_brackets(*piece) for piece in pieces]
-    ends = np.cumsum([0] + [b.shape[1] for b in brackets])
-    spans = [slice(i, j) for i, j in zip(ends, ends[1:])]
-    x0, x1, positive = np.hstack([np.empty((3, 0)), *brackets])
-    rooted = [(piece[:3], span) for piece, span in zip(pieces, spans) if span.stop > span.start]
-    g = np.empty(x0.size)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (x0 + x1)
-        for (c, w, a), span in rooted:
-            g[span] = _values(mid[span], c, w, a)
-        same = (g > 0) == positive
-        if np.array_equal(np.where(same, x0, x1), mid):
-            break
-        x0, x1 = np.where(same, mid, x0), np.where(same, x1, mid)
-    roots = 0.5 * (x0 + x1)
-    return [
-        roots[span][(roots[span] - lo > _END_TOL) & (hi - roots[span] > _END_TOL)]
-        for (*_, lo, hi), span in zip(pieces, spans)
-    ]
 
 
 def _gap_pieces(p: DensitySpec, q: DensitySpec):
@@ -265,28 +258,42 @@ def _gap_pieces(p: DensitySpec, q: DensitySpec):
 
 
 def _critical_point_sets(pairs) -> list:
-    """``critical_points(p, q)`` of every pair ``(p, q)``, with the roots of all
-    pairs bisected in one loop."""
-    gaps = [_gap_pieces(p, q) for p, q in pairs]
-    roots = iter(_sign_changes([piece for pieces in gaps for piece in pieces]))
-    return [
-        np.sort(np.concatenate([[0.0], [hi for *_, hi in pieces]] + [next(roots) for _ in pieces]))
-        for pieces in gaps
-    ]
+    """For every pair ``(p, q)``, the sorted points of [0, 1] between which
+    ``G = F_p - F_q`` is monotone: 0, 1, the jump of either density at 1/2, and
+    every sign change of ``f_p - f_q``, which on each smooth piece is a constant
+    plus a sine series.
 
-
-def critical_points(p: DensitySpec, q: DensitySpec) -> np.ndarray:
-    """Sorted points of [0, 1] between which ``G = F_p - F_q`` is monotone.
-
-    They are 0, 1, the jump of either density at 1/2, and every sign change of
-    ``f_p - f_q``, which on each smooth piece is a constant plus a sine series.
+    The smooth pieces of all pairs make one table, whose brackets are bisected to
+    rounding in blocks, each with its layout built once, until a step moves none
+    of the block's brackets. Each value is its point's own (``_series``), so each
+    root is the one its piece gives by itself.
     """
-    return _critical_point_sets([(p, q)])[0]
+    gaps = [_gap_pieces(p, q) for p, q in pairs]
+    smooth = [(i, piece) for i, pieces in enumerate(gaps) for piece in pieces if piece[1].size]
+    table = _table([piece for _, piece in smooth])
+    *_, lo, hi, _, count = table
+    x0, x1, positive, k = _brackets(table)
+    k, roots = k.astype(int), np.empty(k.size)
+    for s in _blocks(count[k]):
+        g, left, right = _series(table, k[s]), x0[s], x1[s]
+        for _ in range(_BISECTIONS):
+            mid = 0.5 * (left + right)
+            same = (g(mid) > 0) == positive[s]
+            if (np.where(same, left, right) == mid).all():
+                break
+            left, right = np.where(same, mid, left), np.where(same, right, mid)
+        roots[s] = 0.5 * (left + right)
+    inside = (roots - lo[k] > _END_TOL) & (hi[k] - roots > _END_TOL)
+    pair = np.array([i for i, _ in smooth], dtype=int)[k[inside]]
+    return [
+        np.sort(np.concatenate([[0.0], [end for *_, end in pieces], roots[inside][pair == i]]))
+        for i, pieces in enumerate(gaps)
+    ]
 
 
 def ks_distances(pairs) -> list:
     """``ks_distance`` of every pair ``(p, q)``, with the roots of all pairs
-    bisected in one loop; each value equals the pair's own ``ks_distance``."""
+    bisected together; each value equals the pair's own ``ks_distance``."""
     pairs = list(pairs)
     return [
         float(np.abs(p.cdf(x) - q.cdf(x)).max())
@@ -305,7 +312,7 @@ def ks_distance(spec1: DensitySpec, spec2: DensitySpec) -> float:
 
 def density_total_variations(pairs) -> list:
     """``density_total_variation`` of every pair ``(p, q)``, with the roots of
-    all pairs bisected in one loop; each value equals the pair's own."""
+    all pairs bisected together; each value equals the pair's own."""
     pairs = list(pairs)
     return [
         0.5 * float(np.abs(np.diff(p.cdf(x) - q.cdf(x))).sum())

@@ -322,7 +322,7 @@ def discernibility_paths(
     """Error-after-k curve of a schedule along incrementally grown sample paths.
 
     Each path draws one nested sample ``X_1..X_{n_max}`` from the cell law
-    ``model`` (a model without ``weights`` is refused before any block runs),
+    ``model``, a ``FiniteMeasure`` (others are refused before any block runs),
     and the scheduled test is re-evaluated on every prefix; an error is a
     rejection in the ``"hypothesis"`` role and an acceptance in the
     ``"alternative"`` role. For each ``k`` of ``k_grid`` the returned array
@@ -334,7 +334,10 @@ def discernibility_paths(
     ``workers`` is a worker count or a shared :class:`WorkerPool`.
     """
     if not hasattr(model, "weights"):  # refused before any block runs or any pool starts
-        raise ValidationError(f"unsupported model type {type(model).__name__}: it has no cell law")
+        raise ValidationError(
+            f"unsupported model type {type(model).__name__}: the replay draws from a "
+            "FiniteMeasure cell law, such as an entry of Scenario.cell_laws"
+        )
     errs_on_reject = _errs_on_reject(role)
     n_max = _integer(n_max, "n_max")
     if n_max > schedule.n_max:

@@ -7,7 +7,10 @@ import pytest
 from numpy.testing import assert_allclose
 
 from consistency_lab.distances import (
-    critical_points,
+    _critical_point_sets,
+    _gap_pieces,
+    _series,
+    _table,
     density_total_variation,
     density_total_variations,
     hull_variation,
@@ -298,7 +301,7 @@ def test_density_distances_against_independent_oracles(p, q):
 @pytest.mark.parametrize("i", [1, 2, 3, 7, 32])
 def test_sine_gap_sign_changes_are_all_found(i):
     # f - 1 = sin(2 pi i x) changes sign exactly at k / (2i), k = 0, ..., 2i - 1
-    points = critical_points(DensitySpec.one_plus_sine(i), DensitySpec.uniform())
+    points = _critical_point_sets([(DensitySpec.one_plus_sine(i), DensitySpec.uniform())])[0]
     inside = points[points < 1.0]
     assert inside.size == 2 * i
     assert_allclose(inside, np.arange(2 * i) / (2 * i), rtol=0, atol=1e-12)
@@ -323,7 +326,7 @@ def cesaro_closed_form(m):
 @pytest.mark.parametrize("m", CESARO_ORDERS)
 def test_cesaro_gap_sign_changes_are_all_found(m):
     p, uniform = DensitySpec.cesaro_mixture(m), DensitySpec.uniform()
-    points = critical_points(p, uniform)
+    points = _critical_point_sets([(p, uniform)])[0]
     exact_points, exact_tv = cesaro_closed_form(m)
     assert exact_points.size == 2 * m + 1
     assert points.size == exact_points.size and points[0] == 0.0 and points[-1] == 1.0
@@ -351,6 +354,34 @@ def test_batched_density_distances_equal_the_per_pair_ones_bit_for_bit():
         assert ks_distances(pairs) == [ks_distance(p, q) for p, q in pairs]
         assert density_total_variations(pairs) == [density_total_variation(p, q) for p, q in pairs]
     assert ks_distances([]) == density_total_variations([]) == []
+
+
+def test_sine_series_values_depend_on_the_point_and_its_piece_alone():
+    """``g``, ``g'`` and ``g''`` of every point are the same bits whether the point
+    is evaluated alone, with its piece's other points, among the points of other
+    pieces in any order, or in a table of its piece alone."""
+    uniform = DensitySpec.uniform()
+    densities = [DensitySpec.cesaro_mixture(m) for m in range(1, 33)]
+    densities += [DensitySpec.one_plus_sine(i) for i in range(1, 33)]
+    pieces = [piece for p in densities for piece in _gap_pieces(p, uniform)]
+    table = _table(pieces)
+    rng = np.random.default_rng(0)
+    k = np.repeat(np.arange(len(pieces)), 17)
+    x = np.concatenate([np.linspace(0.0, 1.0, 9), rng.random(8)] * len(pieces))
+
+    def bits(x, k, table=table):
+        return np.vstack(_series(table, k)(x, derivatives=True)).view(np.int64)
+
+    together = bits(x, k)
+    assert np.array_equal(_series(table, k)(x).view(np.int64), together[0])
+    order = rng.permutation(k.size)
+    assert np.array_equal(bits(x[order], k[order]), together[:, order])
+    for i, piece in enumerate(pieces):
+        own = k == i
+        assert np.array_equal(bits(x[own], k[own]), together[:, own])
+        assert np.array_equal(bits(x[own], 0 * k[own], _table([piece])), together[:, own])
+    for j in range(0, k.size, 7):
+        assert np.array_equal(bits(x[j : j + 1], k[j : j + 1]), together[:, j : j + 1])
 
 
 def test_density_distances_validate_and_are_fast():

@@ -607,7 +607,8 @@ def test_discernibility_perfect_family_never_errs():
 def test_discernibility_validation():
     schedule = _schedule_for([[0.9, 0.1]], [0.5], 64)
     # paths are drawn from a cell law; a density gives one only under a partition
-    with pytest.raises(ValidationError, match="^unsupported model type DensitySpec: it has no cell law$"):
+    refusal = "^unsupported model type DensitySpec: the replay draws from a FiniteMeasure cell law"
+    with pytest.raises(ValidationError, match=refusal):
         discernibility_paths(schedule, DensitySpec.uniform(), 64, [0], 100, RngSpec(0, 0))
     with pytest.raises(ValidationError):
         discernibility_paths(schedule, F(0.5, 0.5), 64, [5, 3], 100, RngSpec(0, 0))
@@ -638,14 +639,17 @@ def _count_pool_starts(monkeypatch) -> list:
     ids=["density", "poisson"],
 )
 def test_discernibility_refuses_a_model_without_cell_law_before_any_pool(monkeypatch, model):
-    """A model without ``weights`` is named and refused before a pool starts,
+    """A model that is not a cell law is named and refused before a pool starts,
     though the replay has two blocks for two workers."""
     starts = _count_pool_starts(monkeypatch)
     schedule = _schedule_for([[0.9, 0.1]], [0.5], 64)
     name = type(model).__name__
     with pytest.raises(ValidationError) as refused:
         discernibility_paths(schedule, model, 64, [0], 2 * PATH_BLOCK, RngSpec(0, 0), workers=2)
-    assert str(refused.value) == f"unsupported model type {name}: it has no cell law"
+    assert str(refused.value) == (
+        f"unsupported model type {name}: the replay draws from a FiniteMeasure cell law, "
+        "such as an entry of Scenario.cell_laws"
+    )
     assert starts == []
     # the same replay of a cell law starts one pool
     discernibility_paths(schedule, F(0.5, 0.5), 64, [0], 2 * PATH_BLOCK, RngSpec(0, 0), workers=2)
