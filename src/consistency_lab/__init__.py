@@ -34,9 +34,7 @@ from .partition_tests import (
     FrequencyTest,
     LinearFunctionalTest,
     PoissonTwoStageTest,
-    SeparationReport,
     UnionTest,
-    build_frequency_test,
     exact_error,
     exact_errors,
     separation,

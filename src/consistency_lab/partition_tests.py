@@ -1,11 +1,12 @@
 """Partition-level distinguishability checks and the tests of every model class.
 
-A separation margin between the cell-probability images of the hypothesis
-and alternative families above the tie tolerance (a positive
-:attr:`SeparationReport.radius`, the one separation check) certifies weak
-distinguishability on that partition; the nearest-set frequency test then
-turns the margin into a multinomial test whose exact error probabilities decay
-exponentially, at rates that :func:`deviation_exponents` bounds cell by cell.
+:func:`separation` returns the nearest-set frequency test between the
+cell-probability images of the hypothesis and alternative families. Its
+sup-norm margin above the tie tolerance (a positive
+:attr:`FrequencyTest.radius`, the one separation check) certifies weak
+distinguishability on that partition, and makes the test's exact error
+probabilities decay exponentially, at rates that :func:`deviation_exponents`
+bounds cell by cell.
 Only :func:`separation` reads a partition; a test holds cell vectors alone.
 The Poisson two-stage test and the linear test of Gaussian signals live here
 too: every test decides the rows a model's ``sample`` draws, by ``rejects``.
@@ -13,7 +14,7 @@ too: every test decides the rows a model's ``sample`` draws, by ``rejects``.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import comb, erfc, lgamma, sqrt
 from typing import Optional, Sequence, Tuple
 
@@ -25,7 +26,9 @@ from .measures import (
     Model,
     Partition,
     ReadOnlyArrays,
+    _integer,
     _positive,
+    _vector,
     family_weights,
     frozen,
 )
@@ -42,43 +45,13 @@ ENUMERATION_BUDGET = 10_000_000
 ENUMERATION_CHUNK = 1 << 16
 
 
-@dataclass(frozen=True)
-class SeparationReport(ReadOnlyArrays):
-    """Cell-probability images of the two families and their sup-norm gap.
-
-    ``margin`` is the smallest sup-norm distance between a hypothesis vector
-    and an alternative vector; ``witness_pair`` holds the indices of a closest
-    pair. Each vector is a cell law: simulating a member means drawing cell
-    counts from it.
-    """
-
-    hypothesis_vectors: np.ndarray
-    alternative_vectors: np.ndarray
-    margin: float
-    witness_pair: Tuple[int, int]
-
-    @property
-    def radius(self) -> float:
-        """``(margin - TIE_TOL) / 2``, positive exactly when the families are
-        separated: the nearest-set test errs only on frequencies that lie
-        ``radius`` or more from their cell law in some cell."""
-        return (self.margin - TIE_TOL) / 2.0
-
-
 def separation(
     theta0: Sequence[Model], theta1: Sequence[Model], partition: Partition | None
-) -> SeparationReport:
-    """Cell laws of both families plus their minimal sup-norm distance;
-    ``partition=None`` takes a finite model's atoms as cells."""
-    v0, v1 = family_weights(*([m.cell_law(partition) for m in theta] for theta in (theta0, theta1)))
-    gaps = np.abs(v0[:, None, :] - v1[None, :, :]).max(axis=2)
-    i, j = np.unravel_index(int(gaps.argmin()), gaps.shape)
-    return SeparationReport(
-        hypothesis_vectors=frozen(v0),
-        alternative_vectors=frozen(v1),
-        margin=float(gaps[i, j]),
-        witness_pair=(int(i), int(j)),
-    )
+) -> FrequencyTest:
+    """Nearest-set test between the cell laws of both families, with their
+    sup-norm margin; ``partition=None`` takes a finite model's atoms as cells."""
+    laws = ([m.cell_law(partition) for m in theta] for theta in (theta0, theta1))
+    return FrequencyTest(*family_weights(*laws))
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,17 +61,36 @@ class FrequencyTest(ReadOnlyArrays):
     Rejects when the frequency vector is strictly closer (sup-norm) to the
     alternative vector set than to the hypothesis set; ties accept. The rule
     depends on the observed counts only through their normalized frequencies,
-    so one instance serves every sample size.
+    so one instance serves every sample size. Each vector is a cell law:
+    simulating a member means drawing cell counts from it. ``margin`` is the
+    smallest sup-norm distance between a hypothesis vector and an alternative
+    vector; ``witness_pair`` holds the indices of a closest pair.
     """
 
     hypothesis_vectors: np.ndarray
     alternative_vectors: np.ndarray
+    margin: float = field(init=False)
+    witness_pair: Tuple[int, int] = field(init=False)
 
     def __post_init__(self):
         for key in ("hypothesis_vectors", "alternative_vectors"):
             object.__setattr__(self, key, frozen(getattr(self, key), ndmin=2))
-        if self.hypothesis_vectors.shape[1] != self.alternative_vectors.shape[1]:
+        v0, v1 = self.hypothesis_vectors, self.alternative_vectors
+        if v0.shape[1] != v1.shape[1]:
             raise ValidationError("vector sets live in different dimensions")
+        if v0.size == 0 or v1.size == 0:
+            raise ValidationError("vector sets must be nonempty")
+        gaps = np.abs(v0[:, None, :] - v1[None, :, :]).max(axis=2)
+        i, j = np.unravel_index(int(gaps.argmin()), gaps.shape)
+        object.__setattr__(self, "margin", float(gaps[i, j]))
+        object.__setattr__(self, "witness_pair", (int(i), int(j)))
+
+    @property
+    def radius(self) -> float:
+        """``(margin - TIE_TOL) / 2``, positive exactly when the families are
+        separated: the test errs only on frequencies that lie ``radius`` or
+        more from their cell law in some cell."""
+        return (self.margin - TIE_TOL) / 2.0
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
         """Rejection (``True``) for each row of count vectors."""
@@ -162,21 +154,6 @@ class UnionTest:
         return out
 
 
-def build_frequency_test(report: SeparationReport) -> FrequencyTest:
-    """Frequency test for a separated partition report.
-
-    Raises ``ConstructionError`` when the report's radius is not positive: the
-    hypothesis and alternative images meet within the tie tolerance and no
-    frequency rule on this partition can separate them.
-    """
-    if report.radius <= 0.0:
-        raise ConstructionError(
-            "separation margin is zero: the families are weakly indistinguishable "
-            "on this partition"
-        )
-    return FrequencyTest(report.hypothesis_vectors, report.alternative_vectors)
-
-
 @dataclass(frozen=True)
 class LinearFunctionalTest(ReadOnlyArrays):
     """Thresholded linear statistic separating one pair of signals.
@@ -190,7 +167,10 @@ class LinearFunctionalTest(ReadOnlyArrays):
 
     def __post_init__(self):
         for key in ("functional", "base"):
-            object.__setattr__(self, key, frozen(getattr(self, key)))
+            object.__setattr__(self, key, frozen(_vector(getattr(self, key), key)))
+        sizes = (self.functional.size, self.base.size)
+        if sizes[0] != sizes[1]:
+            raise ValidationError(f"functional and base must have one size, got {sizes}")
         if float(self.functional @ self.functional) <= 0.0:
             raise ConstructionError("separating functional is zero")
 
@@ -206,7 +186,7 @@ class LinearFunctionalTest(ReadOnlyArrays):
         """Exact type I error, which is also the type II error, at noise level
         ``noise``: ``Φ(-‖f‖ / (2 noise))`` with ``f`` the functional."""
         norm = sqrt(float(self.functional @ self.functional))
-        return 0.5 * erfc(norm / (2.0 * noise) / sqrt(2.0))
+        return 0.5 * erfc(norm / (2.0 * _positive(noise, "noise")) / sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -224,6 +204,8 @@ class PoissonTwoStageTest:
     frequency_test: Optional[FrequencyTest] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "mass0", _positive(self.mass0, "mass0"))
         object.__setattr__(self, "deviation_rate", _positive(self.deviation_rate, "deviation rate"))
 
     def rejects(self, counts: np.ndarray) -> np.ndarray:
@@ -353,8 +335,8 @@ def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
     ``ResourceLimitError`` when the outcome count exceeds the enumeration
     budget (callers print NaN).
     """
-    weights = np.stack([p.weights for p in measures])
-    k = weights.shape[1]
+    n, (weights,) = _integer(n, "n"), family_weights(measures)
+    m, k = weights.shape
     outcomes = comb(n + k - 1, k - 1)
     if outcomes > ENUMERATION_BUDGET:
         raise ResourceLimitError(
@@ -362,10 +344,9 @@ def exact_errors(test, measures: Sequence[FiniteMeasure], n: int) -> list:
             f"the {ENUMERATION_BUDGET} budget"
         )
     log_factorials = _log_factorials(n)
-    reject = np.zeros(len(measures))
-    accept = np.zeros(len(measures))
+    reject, accept = np.zeros(m), np.zeros(m)
     for cells in _outcome_chunks(n, k):
-        rejected = test.decide(cells / max(n, 1))
+        rejected = test.decide(cells / n)
         pmf = np.exp(multinomial_log_pmf(cells.T, weights, log_factorials))
         reject += pmf.sum(axis=1, where=rejected)
         accept += pmf.sum(axis=1, where=~rejected)

@@ -45,10 +45,8 @@ from .measures import (
     frozen,
 )
 from .partition_tests import (
-    FrequencyTest,
     LinearFunctionalTest,
     PoissonTwoStageTest,
-    build_frequency_test,
     deviation_exponents,
     exact_errors,
     poisson_count_threshold,
@@ -427,7 +425,7 @@ def build_nested_family(
     nearest-set frequency test on the stacked piece vectors; the nearest piece
     is nearer than the hypothesis set iff some piece is. It errs on draws
     from its measure ``p`` only if a cell frequency lies ``t`` or more from
-    ``p_j``, with ``t`` the :attr:`~.SeparationReport.radius`, so each
+    ``p_j``, with ``t`` the :attr:`~.FrequencyTest.radius`, so each
     error is at most ``Σ exp(-n e)`` over the :func:`deviation_exponents`
     ``e`` of all its measures (the per-cell Chernoff–Hoeffding bound).
     ``(c, onset)`` is certified iff every ``e > c`` and
@@ -445,11 +443,11 @@ def build_nested_family(
         raise ValidationError("at least one piece required")
     members = []
     for i in range(1, len(pieces) + 1):
-        report = separation(hypothesis, pieces[:i], None)  # margins fall in i
-        if report.radius <= 0.0:
+        test = separation(hypothesis, pieces[:i], None)  # margins fall in i
+        if test.radius <= 0.0:
             raise ConstructionError(f"piece {i} has zero separation margin")
-        v0, v1 = report.hypothesis_vectors, report.alternative_vectors
-        terms = deviation_exponents(np.vstack([v0, v1]), report.radius)
+        v0, v1 = test.hypothesis_vectors, test.alternative_vectors
+        terms = deviation_exponents(np.vstack([v0, v1]), test.radius)
         if exponents:
             c = min(float(e) for e in exponents[:i])
         else:
@@ -465,7 +463,7 @@ def build_nested_family(
                 f"exp(-{c:.4g} n) from onset {onset}, which the per-cell bound does not "
                 f"imply (smallest term exponent {terms.min():.4g})"
             )
-        members.append(TestFamilyMember(FrequencyTest(v0, v1), exponent=c, onset=onset))
+        members.append(TestFamilyMember(test, exponent=c, onset=onset))
     return members
 
 
@@ -548,8 +546,7 @@ def _grid_margin(scenario: Scenario, alt) -> float:
         groups.append(list(range(int(round(lo_idx)), int(round(hi_idx)))))
     atom_partition = Partition.atoms(groups)
     h = [discretize(m, grid_size) for m in scenario.hypothesis]
-    report = separation(h, [discretize(alt, grid_size)], atom_partition)
-    return report.margin
+    return separation(h, [discretize(alt, grid_size)], atom_partition).margin
 
 
 def run_scenario(
@@ -619,9 +616,8 @@ def _separation_table(scenario: Scenario, describe) -> Table:
     hypothesis, alternative = scenario.cell_laws
     rows = []
     for idx, (alt, law) in enumerate(zip(scenario.alternative, alternative), start=1):
-        report = separation(hypothesis, [law], None)
         label, grid_margin = describe(idx, alt)
-        rows.append((idx, label, report.margin, grid_margin))
+        rows.append((idx, label, separation(hypothesis, [law], None).margin, grid_margin))
     return Table(columns=["index", "model", "margin", "margin_grid"], rows=rows)
 
 
@@ -703,12 +699,11 @@ def _error_curve_table(scenario, reps, streams, pool) -> Table:
     rows = []
     for idx, (alt, law) in enumerate(zip(scenario.alternative, alternative), start=1):
         label = alt.label()
-        report = separation(hypothesis, [law], None)
-        if report.radius <= 0.0:
+        test = separation(hypothesis, [law], None)
+        if test.radius <= 0.0:
             for n in scenario.sim.n_grid:
                 rows.append((idx, label, n) + (math.nan,) * (len(ERROR_COLUMNS) + 1))
             continue
-        test = build_frequency_test(report)
         for n in scenario.sim.n_grid:
             worst = 0  # the simulated hypothesis: the first, or the one attaining alpha_exact
             try:
@@ -793,7 +788,7 @@ def _poisson_table(scenario, reps, streams, pool) -> Table:
     h0: PoissonModel = scenario.hypothesis[0]
     h1: PoissonModel = scenario.alternative[0]
     shapes = separation(*scenario.cell_laws, None)
-    freq_test = build_frequency_test(shapes) if shapes.radius > 0.0 else None
+    freq_test = shapes if shapes.radius > 0.0 else None
     rows = []
     for n in scenario.sim.n_grid:
         rate, bound = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))

@@ -25,7 +25,6 @@ from consistency_lab.measures import (
     normalize,
 )
 from consistency_lab.partition_tests import (
-    build_frequency_test,
     exact_error,
     separation,
 )
@@ -146,8 +145,7 @@ def test_criterion_2_hull_lp_vs_grid_oracle():
 def test_criterion_3_exponential_decay():
     t0 = time.time()
     p, q = F(0.5, 0.5), F(0.7, 0.3)
-    rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([p], [q], Partition.identity(2))
     ns = [32, 64, 128, 256]
     errors = []
     for n in ns:

@@ -136,9 +136,9 @@ def test_constructors_keep_read_only_copies_of_the_callers_arrays(case):
 #: name -> (a value that keeps arrays, its arrays)
 _KEPT = {
     **{name: (build(np.array(entries)), kept) for name, (build, kept, entries) in _KEEPERS.items()},
-    "SeparationReport": (
+    "separation": (
         separation([FiniteMeasure([0.5, 0.5])], [FiniteMeasure([0.9, 0.1])], None),
-        lambda r: [r.hypothesis_vectors, r.alternative_vectors],
+        lambda t: [t.hypothesis_vectors, t.alternative_vectors],
     ),
 }
 
@@ -155,6 +155,19 @@ def test_copies_keep_read_only_arrays(case, copy_of):
     for original, restored in zip(kept(value), kept(copied), strict=True):
         assert not original.flags.writeable and not restored.flags.writeable
         assert np.array_equal(original, restored) and original.dtype == restored.dtype
+
+
+@pytest.mark.parametrize(
+    "copy_of", [lambda v: pickle.loads(pickle.dumps(v)), copy.deepcopy], ids=["pickle", "deepcopy"]
+)
+def test_copies_keep_the_separation_margin(copy_of):
+    """A copy keeps the margin its constructor computed, and with it the radius."""
+    test, _ = _KEPT["separation"]
+    copied = copy_of(test)
+    assert (copied.margin, copied.witness_pair, copied.radius) == (
+        test.margin, test.witness_pair, test.radius
+    )
+    assert test.margin == 0.4 and test.witness_pair == (0, 0) and test.radius > 0.0
 
 
 def test_finite_measure_hashes_as_it_compares():

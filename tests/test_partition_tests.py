@@ -9,14 +9,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from consistency_lab.errors import ConstructionError, ResourceLimitError, ValidationError
+from consistency_lab.errors import ResourceLimitError, ValidationError
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition, normalize
 from consistency_lab import partition_tests
 from consistency_lab.partition_tests import (
     TIE_TOL,
     FrequencyTest,
     UnionTest,
-    build_frequency_test,
     count_vectors,
     deviation_exponents,
     exact_error,
@@ -101,38 +100,35 @@ def test_zero_mass_refinement_never_decreases_margin():
 
 
 def test_frequency_test_decisions_and_tie():
-    rep = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
     assert test.rejects([[9, 1]])[0] > 0.5  # frequency equals the alternative
     assert not test.rejects([[5, 5]])[0] > 0.5
     # counts (7, 3): sup-distance 0.2 to both sets, tie accepts
     assert not test.rejects([[7, 3]])[0] > 0.5
 
 
-def test_build_frequency_test_zero_margin():
-    rep = separation(
+def test_zero_margin_separation_has_no_radius():
+    """``one_plus_sine(2)`` puts mass 1/2 on each half, as the uniform does."""
+    test = separation(
         [DensitySpec.uniform()], [DensitySpec.one_plus_sine(2)], Partition.half_split()
     )
-    with pytest.raises(ConstructionError):
-        build_frequency_test(rep)
+    assert test.margin <= TIE_TOL and test.radius <= 0.0
 
 
 def test_separated_exactly_when_the_radius_is_positive():
     """A margin of 5e-13 lies within the tie tolerance: the nearest-set test
-    would tie at every frequency between the two vectors, so no test is built."""
+    would tie at every frequency between the two vectors, so it is not separated."""
     rep = separation([F(0.5, 0.5)], [F(0.9, 0.1)], None)
     assert rep.radius == (rep.margin - TIE_TOL) / 2.0 > 0.0
     tied = separation([F(0.5, 0.5)], [F(0.5 + 5e-13, 0.5 - 5e-13)], None)
     assert 0.0 < tied.margin <= TIE_TOL
     assert tied.radius <= 0.0
-    with pytest.raises(ConstructionError):
-        build_frequency_test(tied)
 
 
 def test_union_test_rejects_when_any_member_does():
-    rep1 = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
-    rep2 = separation([F(0.5, 0.5)], [F(0.1, 0.9)], Partition.identity(2))
-    union = UnionTest([build_frequency_test(rep1), build_frequency_test(rep2)])
+    test1 = separation([F(0.5, 0.5)], [F(0.9, 0.1)], Partition.identity(2))
+    test2 = separation([F(0.5, 0.5)], [F(0.1, 0.9)], Partition.identity(2))
+    union = UnionTest([test1, test2])
     assert union.rejects([[8, 0]])[0] > 0.5
     assert union.rejects([[0, 8]])[0] > 0.5
     assert not union.rejects([[4, 4]])[0] > 0.5
@@ -268,8 +264,7 @@ def test_count_vectors_matches_recursive_lexicographic_order():
 
 
 def test_exact_error_binomial_hand_example():
-    rep = separation([F(0.5, 0.5)], [F(1, 0)], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([F(0.5, 0.5)], [F(1, 0)], Partition.identity(2))
     # rejects only on counts (2, 0): P = 1/4 under the fair coin
     reject_prob, accept_prob = exact_error(test, F(0.5, 0.5), 2)
     assert_allclose(reject_prob, 0.25, atol=1e-12)
@@ -277,8 +272,7 @@ def test_exact_error_binomial_hand_example():
 
 
 def test_exact_error_perfect_separation():
-    rep = separation([F(1, 0)], [F(0, 1)], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([F(1, 0)], [F(0, 1)], Partition.identity(2))
     assert exact_error(test, F(1, 0), 6)[0] == 0.0
     assert exact_error(test, F(0, 1), 6)[1] == 0.0
 
@@ -294,16 +288,14 @@ def test_exact_error_constant_accept():
 
 
 def test_exact_error_budget():
-    rep = separation([F(*([0.125] * 8))], [F(*([0.3] + [0.1] * 7))], Partition.identity(8))
-    test = build_frequency_test(rep)
+    test = separation([F(*([0.125] * 8))], [F(*([0.3] + [0.1] * 7))], Partition.identity(8))
     with pytest.raises(ResourceLimitError):
         exact_error(test, F(*([0.125] * 8)), 1000)
 
 
 def test_exact_error_monotone_and_slope_tracks_exponent():
     p, q = F(0.5, 0.5), F(0.7, 0.3)
-    rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([p], [q], Partition.identity(2))
     ns = [8, 16, 32, 64]
     alphas, betas = [], []
     for n in ns:
@@ -322,8 +314,7 @@ def test_exact_error_monotone_and_slope_tracks_exponent():
 
 def test_exact_error_matches_monte_carlo():
     p, q = F(0.5, 0.5), F(0.8, 0.2)
-    rep = separation([p], [q], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([p], [q], Partition.identity(2))
     exact = exact_error(test, p, 12)[0]
     mc = estimate_error(test, p, 12, 100_000, RngSpec(123, 0))
     sigma = math.sqrt(exact * (1 - exact) / 100_000)
@@ -364,12 +355,12 @@ def test_exact_errors_equal_one_measure_at_a_time_bit_for_bit():
 _THREAD_PROBE = """
 import numpy as np
 from consistency_lab.measures import DensitySpec, FiniteMeasure, Partition
-from consistency_lab.partition_tests import build_frequency_test, exact_errors, separation
-report = separation(
+from consistency_lab.partition_tests import exact_errors, separation
+test = separation(
     [DensitySpec.uniform()], [DensitySpec.pu_family(0.2)], Partition.intervals(np.arange(5) / 4)
 )
-measures = [FiniteMeasure(v) for v in (*report.hypothesis_vectors, *report.alternative_vectors)]
-pairs = exact_errors(build_frequency_test(report), measures, 64)
+measures = [FiniteMeasure(v) for v in (*test.hypothesis_vectors, *test.alternative_vectors)]
+pairs = exact_errors(test, measures, 64)
 print([float.hex(x) for pair in pairs for x in pair])
 """
 
@@ -424,7 +415,7 @@ def test_exact_errors_in_small_chunks_match_one_chunk(monkeypatch):
 def test_exact_errors_near_the_budget_stay_in_bounded_memory():
     """k = 4 at n = 380: 9.29M outcomes, which took 1.70 GiB built at once."""
     p, q = F(0.25, 0.25, 0.25, 0.25), F(0.4, 0.3, 0.2, 0.1)
-    test = build_frequency_test(separation([p], [q], None))
+    test = separation([p], [q], None)
     assert math.comb(383, 3) == 9_290_431
     tracemalloc.start()
     try:

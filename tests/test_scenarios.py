@@ -32,8 +32,8 @@ from consistency_lab.partition_tests import (
     LinearFunctionalTest,
     PoissonTwoStageTest,
     UnionTest,
-    build_frequency_test,
     exact_error,
+    exact_errors,
     poisson_count_threshold,
     separation,
 )
@@ -544,12 +544,12 @@ def test_poisson_near_equal_shapes_get_a_frequency_stage(monkeypatch):
     h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, _NEAR_HALF)
     run_scenario(scenario_poisson(h0, h1, n_grid=[8, 32]), seed=1, replications=100)
     assert len(built) == 2
-    assert all(isinstance(t.frequency_test, scenarios.FrequencyTest) for t in built)
+    assert all(isinstance(t.frequency_test, FrequencyTest) for t in built)
 
 
 def test_every_package_test_decides_booleans():
     counts = np.array([[9, 1], [5, 5], [0, 0], [1, 9]])
-    freq_test = build_frequency_test(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None))
+    freq_test = separation([F(0.5, 0.5)], [F(0.9, 0.1)], None)
     tests = [
         freq_test,
         UnionTest([freq_test]),
@@ -583,10 +583,9 @@ def test_poisson_two_stage_conditional_matches_exact():
     # multinomial test: compare its exact error with the conditional
     # Monte Carlo estimate
     h0, h1 = F(0.5, 0.5), F(0.9, 0.1)
-    from consistency_lab.partition_tests import build_frequency_test, separation
+    from consistency_lab.partition_tests import separation
 
-    rep = separation([h0], [h1], Partition.identity(2))
-    freq_test = build_frequency_test(rep)
+    freq_test = separation([h0], [h1], Partition.identity(2))
     k = 40
     exact = exact_error(freq_test, h0, k)[0]
     mc = estimate_error(freq_test, h0, k, 50_000, RngSpec(71, 0))
@@ -671,7 +670,7 @@ def _two_stage_exact(test, model, n, role):
 @pytest.mark.parametrize("n", [8, 32])
 def test_poisson_two_stage_monte_carlo_matches_exact_oracle(n):
     h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7))
-    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], Partition.identity(2)))
+    freq_test = separation([h0.shape], [h1.shape], Partition.identity(2))
     rate, _ = poisson_count_threshold(h0.mass, n, target=1.0 / (n * n))
     test = PoissonTwoStageTest(n=n, mass0=h0.mass, deviation_rate=rate, frequency_test=freq_test)
     reps = 20_000
@@ -690,7 +689,7 @@ def test_monte_carlo_pairs_take_the_run_streams_in_order():
     streams = RngSpec(seed)
     h0, h1 = PoissonModel(1.0, F(0.5, 0.5)), PoissonModel(1.5, F(0.3, 0.7))
     run = run_scenario(scenario_poisson(h0, h1, n_grid=[8, 32]), seed, replications=reps)
-    freq_test = build_frequency_test(separation([h0.shape], [h1.shape], None))
+    freq_test = separation([h0.shape], [h1.shape], None)
     for i, row in enumerate(table_dict(run.tables["poisson_errors"])):
         n = row["n"]
         test = PoissonTwoStageTest(n, h0.mass, row["deviation_rate"], freq_test)
@@ -1163,8 +1162,12 @@ def _paths(replications=100, n_max=64, k_grid=(0,)):
 
 
 def _estimate(n):
-    test = build_frequency_test(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None))
+    test = separation([F(0.5, 0.5)], [F(0.9, 0.1)], None)
     return estimate_error(test, F(0.5, 0.5), n, 100, RngSpec(0))
+
+
+def _exact(n):
+    return exact_errors(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None), [F(0.5, 0.5)], n)
 
 
 #: case -> (a library call, the whole message it raises); each argument is read
@@ -1251,6 +1254,48 @@ _ARGUMENTS = {
     "vector-sets-of-two-dimensions": (
         lambda: FrequencyTest([[0.5, 0.5]], [[0.2, 0.3, 0.5]]),
         "vector sets live in different dimensions",
+    ),
+    "empty-vector-set": (
+        lambda: FrequencyTest(np.zeros((0, 2)), [[0.5, 0.5]]), "vector sets must be nonempty"
+    ),
+    "vectors-of-no-cells": (lambda: FrequencyTest([[]], [[]]), "vector sets must be nonempty"),
+    "fractional-two-stage-n": (
+        lambda: PoissonTwoStageTest(2.5, 1.0, 0.5), "n must be an integer >= 1, got 2.5"
+    ),
+    "bool-two-stage-n": (
+        lambda: PoissonTwoStageTest(True, 1.0, 0.5), "n must be an integer >= 1, got True"
+    ),
+    "negative-two-stage-mass": (
+        lambda: PoissonTwoStageTest(8, -1.0, 0.5), "mass0 must be positive and finite, got -1.0"
+    ),
+    "nan-two-stage-mass": (
+        lambda: PoissonTwoStageTest(8, math.nan, 0.5), "mass0 must be positive and finite, got nan"
+    ),
+    "nan-functional": (
+        lambda: LinearFunctionalTest([math.nan, 1.0], [0.0, 0.0]), "functional must be finite"
+    ),
+    "functional-and-base-of-two-sizes": (
+        lambda: LinearFunctionalTest([1.0, 1.0], [0.0, 0.0, 0.0]),
+        "functional and base must have one size, got (2, 3)",
+    ),
+    "zero-noise": (
+        lambda: LinearFunctionalTest([1.0], [0.0]).error(0),
+        "noise must be positive and finite, got 0",
+    ),
+    "negative-noise": (
+        lambda: LinearFunctionalTest([1.0], [0.0]).error(-1.0),
+        "noise must be positive and finite, got -1.0",
+    ),
+    "nan-noise": (
+        lambda: LinearFunctionalTest([1.0], [0.0]).error(math.nan),
+        "noise must be positive and finite, got nan",
+    ),
+    "fractional-exact-n": (lambda: _exact(2.5), "n must be an integer >= 1, got 2.5"),
+    "string-exact-n": (lambda: _exact("4"), "n must be an integer >= 1, got '4'"),
+    "bool-exact-n": (lambda: _exact(True), "n must be an integer >= 1, got True"),
+    "no-exact-measures": (
+        lambda: exact_errors(separation([F(0.5, 0.5)], [F(0.9, 0.1)], None), [], 4),
+        "families must be nonempty",
     ),
 }
 

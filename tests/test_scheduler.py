@@ -8,15 +8,14 @@ from numpy.testing import assert_allclose
 
 from consistency_lab.errors import ValidationError
 from consistency_lab.measures import FiniteMeasure, Partition
-from consistency_lab.partition_tests import build_frequency_test, separation
+from consistency_lab.partition_tests import separation
 from consistency_lab.scheduler import TestFamilyMember, block_lengths, interleave
 
 
 def make_member(alternative, exponent, onset=1):
-    rep = separation(
+    test = separation(
         [FiniteMeasure([0.5, 0.5])], [FiniteMeasure(alternative)], Partition.identity(2)
     )
-    test = build_frequency_test(rep)
     return TestFamilyMember(test, exponent=exponent, onset=onset)
 
 

@@ -20,7 +20,6 @@ from consistency_lab.measures import (
 from consistency_lab.partition_tests import (
     FrequencyTest,
     PoissonTwoStageTest,
-    build_frequency_test,
     exact_error,
     poisson_count_threshold,
     separation,
@@ -57,8 +56,7 @@ def F(*weights):
 
 
 def make_test(hypothesis, alternative):
-    rep = separation([F(*hypothesis)], [F(*alternative)], Partition.identity(len(hypothesis)))
-    return build_frequency_test(rep)
+    return separation([F(*hypothesis)], [F(*alternative)], Partition.identity(len(hypothesis)))
 
 
 # -- determinism ----------------------------------------------------------------------
@@ -178,9 +176,8 @@ def test_estimate_error_accept_side():
 def test_estimate_error_density_model():
     uniform = DensitySpec.uniform()
     tilt = DensitySpec.pu_family(0.4)
-    rep = separation([uniform], [tilt], Partition.half_split())
-    test = build_frequency_test(rep)
-    cell_law = FiniteMeasure(rep.hypothesis_vectors[0])
+    test = separation([uniform], [tilt], Partition.half_split())
+    cell_law = FiniteMeasure(test.hypothesis_vectors[0])
     exact = exact_error(test, cell_law, 100)[0]
     mc = estimate_error(test, cell_law, 100, 20_000, RngSpec(59, 0))
     sigma = math.sqrt(max(exact * (1 - exact), 1e-9) / 20_000)
@@ -403,9 +400,8 @@ def test_iid_block_rejects_density_without_partition():
 def test_iid_error_block_cost_does_not_grow_with_n():
     n = 10**7  # drawing the observations would take 8192e7 uniforms here
     uniform = DensitySpec.uniform()
-    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    test = build_frequency_test(report)
-    law = FiniteMeasure(report.hypothesis_vectors[0])
+    test = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    law = FiniteMeasure(test.hypothesis_vectors[0])
     t0 = time.perf_counter()
     total = _simulate_error_block((test, law, n, True, ERROR_BLOCK, RngSpec(137, 0)))
     assert time.perf_counter() - t0 < 1.0
@@ -414,9 +410,8 @@ def test_iid_error_block_cost_does_not_grow_with_n():
 
 def test_density_estimate_is_independent_of_workers():
     uniform = DensitySpec.uniform()
-    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    test = build_frequency_test(report)
-    law = FiniteMeasure(report.hypothesis_vectors[0])
+    test = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    law = FiniteMeasure(test.hypothesis_vectors[0])
     reps = 3 * ERROR_BLOCK + 1  # four blocks, two per worker
     serial = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=1)
     parallel = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=2)
@@ -450,8 +445,8 @@ def test_worker_pool_starts_no_more_processes_than_blocks(monkeypatch):
         assert pool.map(str, list(range(7))) == [str(i) for i in range(7)]  # the same pool
     assert started == [3]
     uniform = DensitySpec.uniform()
-    report = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
-    test, law = build_frequency_test(report), FiniteMeasure(report.hypothesis_vectors[0])
+    test = separation([uniform], [DensitySpec.pu_family(0.4)], Partition.half_split())
+    law = FiniteMeasure(test.hypothesis_vectors[0])
     reps = ERROR_BLOCK + 1  # two blocks
     many = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=100000)
     assert started == [3, 2]
@@ -474,10 +469,10 @@ def test_unpatched_worker_pool_returns_the_serial_result(monkeypatch):
     processes give the bits of one."""
     monkeypatch.delattr(simulation, "ProcessPoolExecutor")
     assert "ProcessPoolExecutor" not in vars(simulation)
-    report = separation(
+    test = separation(
         [DensitySpec.uniform()], [DensitySpec.pu_family(0.4)], Partition.half_split()
     )
-    test, law = build_frequency_test(report), FiniteMeasure(report.hypothesis_vectors[0])
+    law = FiniteMeasure(test.hypothesis_vectors[0])
     reps = ERROR_BLOCK + 1  # two blocks
     with WorkerPool(2) as pool:
         pooled = estimate_error(test, law, 8, reps, RngSpec(139, 0), workers=pool)
@@ -547,8 +542,8 @@ def test_poisson_two_stage_rejects_takes_totals_as_row_sums():
     counts = RngSpec(113, 0).generator().poisson([0.5, 1.0], size=(500, 2))
     totals = counts.sum(axis=1)
     assert (totals == 0).any() and (totals > 0).any()
-    report = separation([F(0.5, 0.5)], [F(0.3, 0.7)], Partition.identity(2))
-    for freq_test in (None, build_frequency_test(report)):
+    nearest = separation([F(0.5, 0.5)], [F(0.3, 0.7)], Partition.identity(2))
+    for freq_test in (None, nearest):
         test = PoissonTwoStageTest(n=2, mass0=1.0, deviation_rate=1.0, frequency_test=freq_test)
         decision = test.rejects(counts)
         assert 0.0 < decision.mean() < 1.0
@@ -572,8 +567,7 @@ def _schedule_for(alternatives, exponents, n_max):
     hyp = F(0.5, 0.5)
     members = []
     for alt, c in zip(alternatives, exponents):
-        rep = separation([hyp], [F(*alt)], Partition.identity(2))
-        test = build_frequency_test(rep)
+        test = separation([hyp], [F(*alt)], Partition.identity(2))
         members.append(TestFamilyMember(test, exponent=c, onset=1))
     return interleave(members, n_max)
 
@@ -591,8 +585,7 @@ def test_discernibility_curve_monotone_and_zero_at_end():
 
 def test_discernibility_perfect_family_never_errs():
     hyp = F(1.0, 0.0)
-    rep = separation([hyp], [F(0.0, 1.0)], Partition.identity(2))
-    test = build_frequency_test(rep)
+    test = separation([hyp], [F(0.0, 1.0)], Partition.identity(2))
     schedule = interleave([TestFamilyMember(test, exponent=2.0, onset=1)], 64)
     curve = discernibility_paths(
         schedule, hyp, 64, [0, 16, 64], 300, RngSpec(67, 0), role="hypothesis"
@@ -852,7 +845,7 @@ def test_segment_replay_matches_per_n_loop_on_long_alphabets(size):
     hypothesis = FiniteMeasure(np.full(size, 1.0 / size))
     tilt = np.linspace(0.0, 2.0, size)
     alternative = FiniteMeasure(tilt / tilt.sum())
-    test = build_frequency_test(separation([hypothesis], [alternative], Partition.identity(size)))
+    test = separation([hypothesis], [alternative], Partition.identity(size))
     schedule = interleave([TestFamilyMember(test, 0.05)], 1024)
     n_max = PATH_SEGMENT + 8
     ks = list(range(n_max + 1))

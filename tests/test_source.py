@@ -132,7 +132,7 @@ def test_name_check_finds_names_attributes_and_imports():
 
 def test_only_partition_tests_holds_the_tie_tolerance():
     """Separation and ties are decided in ``partition_tests`` alone: other
-    modules read ``SeparationReport.radius`` and the tests' boolean decisions,
+    modules read ``FrequencyTest.radius`` and the tests' boolean decisions,
     and no module compares vectors by ``allclose`` tolerances."""
     sources = {str(p.relative_to(SRC)): p.read_text() for p in sorted(SRC.rglob("*.py"))}
     assert "consistency_lab/partition_tests.py" in sources
